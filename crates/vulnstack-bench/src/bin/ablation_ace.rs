@@ -2,9 +2,11 @@
 //! register file and the LSQ (the paper's §II.A point that ACE analysis
 //! overestimates vulnerability, its reference \[34\]).
 
-use vulnstack_bench::{all_workloads, figure_header, master_seed, prepare_or_die, sub_seed};
+use vulnstack_bench::{
+    all_workloads, avf_sampled, figure_header, master_seed, prepare_or_die, sub_seed,
+};
 use vulnstack_core::report::{pct, Table};
-use vulnstack_gefin::{ace_analysis, avf_campaign, default_faults, default_threads};
+use vulnstack_gefin::{ace_analysis, default_faults};
 use vulnstack_microarch::ooo::HwStructure;
 use vulnstack_microarch::CoreModel;
 
@@ -30,19 +32,17 @@ fn main() {
     for w in all_workloads() {
         let prep = prepare_or_die(&w, CoreModel::A72);
         let ace = ace_analysis(&prep);
-        let rf = avf_campaign(
+        let (rf, _) = avf_sampled(
             &prep,
             HwStructure::RegisterFile,
             faults,
             sub_seed(seed, &[w.id.name(), "ace-rf"]),
-            default_threads(),
         );
-        let lsq = avf_campaign(
+        let (lsq, _) = avf_sampled(
             &prep,
             HwStructure::Lsq,
             faults,
             sub_seed(seed, &[w.id.name(), "ace-lsq"]),
-            default_threads(),
         );
         let ratio = |a: f64, b: f64| {
             if b > 0.0 {

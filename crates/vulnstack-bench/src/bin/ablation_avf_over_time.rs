@@ -4,6 +4,7 @@
 
 use vulnstack_bench::{figure_header, master_seed, prepare_or_die, sub_seed};
 use vulnstack_core::report::{pct, Table};
+use vulnstack_core::StreamOpts;
 use vulnstack_gefin::{default_faults, default_threads, temporal_campaign};
 use vulnstack_microarch::ooo::HwStructure;
 use vulnstack_microarch::CoreModel;
@@ -23,14 +24,20 @@ fn main() {
         let w = id.build();
         let prep = prepare_or_die(&w, CoreModel::A72);
         for st in [HwStructure::RegisterFile, HwStructure::L1d] {
-            let p = temporal_campaign(
+            let (out, _) = temporal_campaign(
                 &prep,
                 st,
                 windows,
                 per_window,
                 sub_seed(seed, &[id.name(), st.name(), "temporal"]),
                 default_threads(),
-            );
+                false,
+                None,
+                StreamOpts::from_env(),
+                None,
+            )
+            .expect("an unjournaled campaign without a spill file does no I/O");
+            let p = out.profile;
             let mut row = vec![id.name().to_string(), st.name().to_string()];
             row.extend(p.series().iter().map(|v| pct(*v)));
             t.row(&row);

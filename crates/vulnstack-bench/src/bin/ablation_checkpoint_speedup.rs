@@ -7,11 +7,15 @@
 
 use std::time::Instant;
 
-use vulnstack_bench::{figure_header, master_seed, prepare_or_die, sub_seed};
+use vulnstack_bench::{avf_records, figure_header, master_seed, prepare_or_die, sub_seed};
 use vulnstack_core::report::Table;
+use vulnstack_core::sched::sort_order_by;
 use vulnstack_core::trace::CampaignMetrics;
+use vulnstack_core::{Campaign, StreamOpts, Tally};
+use vulnstack_gefin::avf::run_one_with;
 use vulnstack_gefin::{
-    avf_campaign_metered, avf_campaign_with, default_faults, default_threads, InjectEngine,
+    decode_record, default_faults, default_threads, draw_sites, encode_record, InjectEngine,
+    InjectionPlan, InjectionRecord,
 };
 use vulnstack_microarch::ooo::HwStructure;
 use vulnstack_microarch::CoreModel;
@@ -43,12 +47,39 @@ fn main() {
     );
 
     let seed = sub_seed(master, &[id.name(), model.name(), structure.name(), "ckpt"]);
-    let run = |engine: InjectEngine| {
-        let t = Instant::now();
-        let r = avf_campaign_with(&prep, structure, n, seed, threads, engine);
-        (t.elapsed().as_secs_f64(), r)
-    };
-    let (scratch_secs, scratch) = run(InjectEngine::FromScratch);
+    // The from-scratch reference re-simulates every fault-free prefix
+    // from cycle 0: the same sampled sites, run by the campaign executor
+    // with a per-site runner of its own.
+    let scratch_t = Instant::now();
+    let sites = draw_sites(&prep, structure, n, seed);
+    let order = sort_order_by(&sites, |&(c, _)| c);
+    let mut scratch: Vec<(u64, InjectionRecord)> = Vec::new();
+    Campaign {
+        items: &sites,
+        order: &order,
+        threads,
+        journal: None,
+    }
+    .run(
+        StreamOpts::from_env(),
+        None,
+        |_, &(c, b)| {
+            encode_record(&run_one_with(
+                &prep,
+                structure,
+                c,
+                b,
+                InjectEngine::FromScratch,
+            ))
+        },
+        |p| decode_record(p).is_some(),
+        |i, p| scratch.push((i, decode_record(p).expect("engine-encoded record"))),
+    )
+    .expect("an unjournaled campaign without a spill file does no I/O");
+    let scratch_secs = scratch_t.elapsed().as_secs_f64();
+    scratch.sort_by_key(|&(i, _)| i);
+    let scratch: Vec<InjectionRecord> = scratch.into_iter().map(|(_, r)| r).collect();
+    let scratch_tally: Tally = scratch.iter().map(|r| r.effect).collect();
     // The checkpointed pass carries the campaign-metrics collector:
     // per-worker spans, restore-distance histogram, extinct-early and
     // watchdog counters. Metrics never change the records (asserted below
@@ -58,22 +89,19 @@ fn main() {
         structure.name()
     ));
     let ckpt_t = Instant::now();
-    let ckpt = avf_campaign_metered(
+    let (ckpt, _, ckpt_records) = avf_records(
         &prep,
         structure,
-        n,
-        seed,
-        threads,
-        InjectEngine::Checkpointed,
+        &InjectionPlan::Sampled { n, seed },
         Some(&metrics),
     );
     let ckpt_secs = ckpt_t.elapsed().as_secs_f64();
 
     assert_eq!(
-        scratch.records, ckpt.records,
+        scratch, ckpt_records,
         "engines must produce bit-identical per-injection records"
     );
-    assert_eq!(scratch.tally, ckpt.tally);
+    assert_eq!(scratch_tally, ckpt.tally);
 
     let speedup = scratch_secs / ckpt_secs.max(1e-9);
     let mut t = Table::new(&["engine", "seconds", "inj/s", "speedup"]);

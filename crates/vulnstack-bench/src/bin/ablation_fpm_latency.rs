@@ -4,9 +4,9 @@
 //! software visibility) and for why longer runs (the hardened case study)
 //! expose more state.
 
-use vulnstack_bench::{figure_header, master_seed, prepare_or_die, sub_seed};
+use vulnstack_bench::{avf_sampled, figure_header, master_seed, prepare_or_die, sub_seed};
 use vulnstack_core::report::Table;
-use vulnstack_gefin::{avf_campaign, default_faults, default_threads};
+use vulnstack_gefin::default_faults;
 use vulnstack_microarch::ooo::HwStructure;
 use vulnstack_microarch::CoreModel;
 use vulnstack_workloads::WorkloadId;
@@ -36,15 +36,13 @@ fn main() {
             HwStructure::L1d,
             HwStructure::L1i,
         ] {
-            let r = avf_campaign(
+            let (_, records) = avf_sampled(
                 &prep,
                 st,
                 faults,
                 sub_seed(seed, &[id.name(), st.name(), "latency"]),
-                default_threads(),
             );
-            let mut lat: Vec<u64> = r
-                .records
+            let mut lat: Vec<u64> = records
                 .iter()
                 .filter_map(|rec| rec.fpm_cycle.map(|m| m.saturating_sub(rec.cycle)))
                 .collect();

@@ -14,10 +14,10 @@
 
 use std::time::Instant;
 
-use vulnstack_bench::{figure_header, master_seed, prepare_or_die, sub_seed};
+use vulnstack_bench::{avf_records, figure_header, master_seed, prepare_or_die, sub_seed};
 use vulnstack_core::report::Table;
 use vulnstack_core::trace::CampaignMetrics;
-use vulnstack_gefin::{avf_campaign_planned, default_faults, default_threads, InjectionPlan};
+use vulnstack_gefin::{default_faults, default_threads, InjectionPlan};
 use vulnstack_microarch::ooo::HwStructure;
 use vulnstack_microarch::CoreModel;
 use vulnstack_workloads::WorkloadId;
@@ -50,13 +50,8 @@ fn main() {
     );
 
     let full_t = Instant::now();
-    let (full, _) = avf_campaign_planned(
-        &prep,
-        structure,
-        &InjectionPlan::Sampled { n, seed },
-        threads,
-        None,
-    );
+    let (full, _, full_records) =
+        avf_records(&prep, structure, &InjectionPlan::Sampled { n, seed }, None);
     let full_secs = full_t.elapsed().as_secs_f64();
 
     // The pruned pass carries the metrics collector (pruned-dead and
@@ -65,11 +60,10 @@ fn main() {
     // so the speedup is the honest end-to-end figure.
     let metrics = CampaignMetrics::new(&format!("{id}/{model}/{} pruned n={n}", structure.name()));
     let pruned_t = Instant::now();
-    let (pruned, stats) = avf_campaign_planned(
+    let (pruned, stats, pruned_records) = avf_records(
         &prep,
         structure,
         &InjectionPlan::Pruned { n, seed },
-        threads,
         Some(&metrics),
     );
     let pruned_secs = pruned_t.elapsed().as_secs_f64();
@@ -77,7 +71,7 @@ fn main() {
     let live_fraction = stats.dynamic_rf_live_fraction.unwrap_or(1.0);
 
     assert_eq!(
-        full.records, pruned.records,
+        full_records, pruned_records,
         "pruned campaign must produce bit-identical per-injection records"
     );
     assert_eq!(full.tally, pruned.tally);

@@ -2,9 +2,11 @@
 //! WOI / ESC) for the register file, L1i, L1d and L2 on the two VA32
 //! models (A9, A15).
 
-use vulnstack_bench::{all_workloads, figure_header, master_seed, prepare_or_die, sub_seed};
+use vulnstack_bench::{
+    all_workloads, avf_sampled, figure_header, master_seed, prepare_or_die, sub_seed,
+};
 use vulnstack_core::report::{pct, Table};
-use vulnstack_gefin::{avf_campaign, default_faults, default_threads};
+use vulnstack_gefin::default_faults;
 use vulnstack_microarch::ooo::{Fpm, HwStructure};
 use vulnstack_microarch::CoreModel;
 
@@ -28,12 +30,11 @@ fn main() {
             let mut t = Table::new(&["bench", "WD", "WI", "WOI", "ESC", "HVF"]);
             for w in all_workloads() {
                 let prep = prepare_or_die(&w, model);
-                let r = avf_campaign(
+                let (r, _) = avf_sampled(
                     &prep,
                     st,
                     faults,
                     sub_seed(seed, &[w.id.name(), model.name(), st.name()]),
-                    default_threads(),
                 );
                 t.row(&[
                     w.id.name().into(),

@@ -1,10 +1,9 @@
 //! Fault-effect classes and tallies.
 
-use serde::{Deserialize, Serialize};
 use vulnstack_microarch::RunStatus;
 
 /// Effect of one injected fault on program execution (paper §III.A).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultEffect {
     /// No observable deviation from the fault-free run.
     Masked,
@@ -80,7 +79,7 @@ impl std::fmt::Display for FaultEffect {
 }
 
 /// Counts of fault effects over a campaign.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Tally {
     /// Masked runs.
     pub masked: u64,
@@ -143,7 +142,7 @@ impl std::iter::FromIterator<FaultEffect> for Tally {
 }
 
 /// A vulnerability factor split by fault-effect class.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct VulnFactor {
     /// Probability of silent data corruption.
     pub sdc: f64,

@@ -17,13 +17,12 @@
 //!   Resuming against a journal whose fingerprint differs is *refused*:
 //!   mixing records from two different campaigns would silently corrupt
 //!   the statistics.
-//! * **Resumable orchestration** ([`ResumableCampaign`]) — replays the
-//!   journal's completed sites instantly, runs only the missing ones
-//!   (under the panic isolation and quarantine/retry of
-//!   [`sched::map_ordered_resilient`]), and journals each new outcome
-//!   in-worker. The merged outcome vector is bit-identical to an
-//!   uninterrupted run at any thread count — the contract
-//!   `tests/resume_equivalence.rs` enforces for both injection engines.
+//! * **Resumption** — the campaign executor
+//!   ([`crate::campaign::Campaign`]) replays a journal's completed sites
+//!   instantly, runs only the missing ones, and journals each new
+//!   outcome as it settles. The resumed record set is bit-identical to
+//!   an uninterrupted run at any thread count — the contract
+//!   `tests/resume_equivalence.rs` enforces for every injection engine.
 //!
 //! ## File format
 //!
@@ -60,9 +59,7 @@ use std::sync::Mutex;
 
 use vulnstack_microarch::env_knob;
 
-use crate::sched::{self, Quarantine, RunPolicy, SiteResult};
-use crate::sink::{self, RecordHandle, StreamOpts};
-use crate::trace::CampaignMetrics;
+use crate::sched::RunPolicy;
 
 /// Journal file-format version (the `1` in the header line).
 pub const FORMAT_VERSION: u32 = 1;
@@ -660,12 +657,12 @@ fn parse_line(line: &str) -> Option<ParsedLine> {
     Some(parsed)
 }
 
-/// Caller-facing journaling options threaded through the engine-level
-/// resumable campaign wrappers (`vulnstack-gefin`, `vulnstack-llfi`):
-/// where the journal lives, how an existing file is treated, the panic
-/// retry policy, and the workload label recorded in the campaign
-/// fingerprint. Engines derive the rest of the fingerprint themselves
-/// (core config, structure, seed, sample count, schema version).
+/// Caller-facing journaling options threaded through the engines'
+/// campaign entry points (`vulnstack-gefin`, `vulnstack-llfi`): where
+/// the journal lives, how an existing file is treated, the panic retry
+/// policy, and the workload label recorded in the campaign fingerprint.
+/// Engines derive the rest of the fingerprint themselves (core config,
+/// structure, seed, sample count, schema version).
 #[derive(Debug, Clone, Copy)]
 pub struct JournalOpts<'a> {
     /// Journal file path.
@@ -690,7 +687,7 @@ pub enum ResumeMode {
     ResumeRequired,
 }
 
-/// Accounting for one resumable run.
+/// Accounting for one campaign run (journaled or not).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ResumeStats {
     /// Sites replayed instantly from the journal.
@@ -709,411 +706,6 @@ pub struct ResumeStats {
     /// (cancellation or pool shutdown); unfinished sites stay
     /// un-journaled and a later resume picks them up.
     pub stopped: bool,
-}
-
-/// Outcome of a resumable run: the merged per-site results (replayed +
-/// freshly executed, in sampling order) and the resume accounting.
-#[derive(Debug)]
-pub struct ResumedCampaign<R> {
-    /// `outcomes[i]` is site `i` of the campaign.
-    pub outcomes: Vec<SiteResult<R>>,
-    /// What was replayed vs executed.
-    pub stats: ResumeStats,
-}
-
-impl<R> ResumedCampaign<R> {
-    /// The completed records in sampling order, skipping quarantined
-    /// sites.
-    pub fn records(&self) -> Vec<&R> {
-        self.outcomes.iter().filter_map(SiteResult::done).collect()
-    }
-
-    /// The quarantined sites, in sampling order.
-    pub fn quarantined(&self) -> Vec<&Quarantine> {
-        self.outcomes
-            .iter()
-            .filter_map(|o| match o {
-                SiteResult::Quarantined(q) => Some(q),
-                SiteResult::Done(_) => None,
-            })
-            .collect()
-    }
-}
-
-/// A journaled, crash-resumable, panic-isolated campaign over a fixed
-/// site list. The engine-specific wrappers (`vulnstack-gefin`,
-/// `vulnstack-llfi`) construct one of these with their drawn sites and
-/// record codecs; everything durable and resumable lives here.
-#[derive(Debug)]
-pub struct ResumableCampaign<'a, T> {
-    /// Journal file path.
-    pub path: &'a Path,
-    /// Campaign identity (checked against the journal header on resume).
-    pub fingerprint: Fingerprint,
-    /// Treatment of an existing journal file.
-    pub mode: ResumeMode,
-    /// The campaign's fault sites, in sampling order.
-    pub items: &'a [T],
-    /// Claim order (a permutation of `0..items.len()`, usually
-    /// injection-cycle-sorted for checkpoint locality).
-    pub order: &'a [usize],
-    /// Worker threads.
-    pub threads: usize,
-    /// Panic retry/quarantine policy.
-    pub policy: RunPolicy,
-    /// Campaign metadata `(key, payload)` pairs: engine-derived identity
-    /// too large for the fingerprint proper (e.g. a pruning class-table
-    /// digest). Written after the header on create; on resume, each pair
-    /// must match what the journal replays or the resume is refused with
-    /// [`JournalError::MetaMismatch`]. Empty for engines without extra
-    /// identity.
-    pub meta: &'a [(String, String)],
-}
-
-impl<T: Sync> ResumableCampaign<'_, T> {
-    /// Runs the campaign: replays journaled sites, executes the missing
-    /// ones with `runner` (journaling each settled outcome in-worker via
-    /// `encode`), and returns the merged outcomes in sampling order.
-    /// `decode` must invert `encode`; a journal whose payloads do not
-    /// decode is reported corrupt rather than silently dropped.
-    ///
-    /// # Errors
-    ///
-    /// Any [`JournalError`]: filesystem failures, a missing journal in
-    /// [`ResumeMode::ResumeRequired`], a fingerprint mismatch, or a
-    /// corrupt/out-of-range entry.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the fingerprint's `samples` differs from `items.len()`
-    /// or `order` is not a permutation of `0..items.len()` (caller bugs).
-    pub fn run<R, F, E, D>(
-        &self,
-        runner: F,
-        encode: E,
-        decode: D,
-        metrics: Option<&CampaignMetrics>,
-    ) -> Result<ResumedCampaign<R>, JournalError>
-    where
-        R: Send,
-        F: Fn(usize, &T) -> R + Sync,
-        E: Fn(&R) -> String + Sync,
-        D: Fn(&str) -> Option<R>,
-    {
-        let (journal, replay) = self.open()?;
-
-        let corrupt = |why: String| JournalError::Corrupt {
-            path: self.path.to_path_buf(),
-            why,
-        };
-        let mut slots: Vec<Option<SiteResult<R>>> = (0..self.items.len()).map(|_| None).collect();
-        let mut replayed = 0usize;
-        for e in replay.entries {
-            let i = usize::try_from(e.index).unwrap_or(usize::MAX);
-            if i >= self.items.len() {
-                return Err(corrupt(format!(
-                    "entry index {} out of range (campaign has {} sites)",
-                    e.index,
-                    self.items.len()
-                )));
-            }
-            slots[i] = Some(match e.kind {
-                EntryKind::Done(payload) => SiteResult::Done(
-                    decode(&payload)
-                        .ok_or_else(|| corrupt(format!("site {i}: undecodable record payload")))?,
-                ),
-                EntryKind::Quarantined { attempts, message } => {
-                    SiteResult::Quarantined(Quarantine {
-                        index: i,
-                        attempts,
-                        message,
-                    })
-                }
-            });
-            replayed += 1;
-        }
-
-        // Only the missing sites run, claimed in the caller's order
-        // (which preserves checkpoint locality among what remains).
-        let missing: Vec<usize> = self
-            .order
-            .iter()
-            .copied()
-            .filter(|&i| slots[i].is_none())
-            .collect();
-        let sub_order: Vec<usize> = (0..missing.len()).collect();
-        let append_err: Mutex<Option<JournalError>> = Mutex::new(None);
-        let out = sched::map_ordered_resilient(
-            &missing,
-            &sub_order,
-            self.threads,
-            self.policy,
-            |_, &orig| runner(orig, &self.items[orig]),
-            |k, outcome| {
-                if append_err.lock().expect("unpoisoned").is_some() {
-                    return;
-                }
-                let orig = missing[k] as u64;
-                let res = match outcome {
-                    SiteResult::Done(r) => journal.append_done(orig, &encode(r)),
-                    SiteResult::Quarantined(q) => {
-                        journal.append_quarantined(orig, q.attempts, &q.message)
-                    }
-                };
-                if let Err(e) = res {
-                    *append_err.lock().expect("unpoisoned") = Some(e);
-                }
-            },
-            metrics,
-        );
-        if let Some(e) = append_err.into_inner().expect("unpoisoned") {
-            return Err(e);
-        }
-        // Completion barrier for the group commit: every appended record
-        // is durable before the campaign reports success.
-        journal.flush()?;
-
-        let executed = missing.len();
-        for (k, outcome) in out.outcomes.into_iter().enumerate() {
-            let orig = missing[k];
-            slots[orig] = Some(match outcome {
-                // Quarantine indices come back in sub-list coordinates;
-                // restore the campaign's sampling index.
-                SiteResult::Quarantined(mut q) => {
-                    q.index = orig;
-                    SiteResult::Quarantined(q)
-                }
-                done => done,
-            });
-        }
-        let outcomes: Vec<SiteResult<R>> = slots
-            .into_iter()
-            .map(|s| s.expect("every site replayed or executed"))
-            .collect();
-        let quarantined = outcomes.iter().filter(|o| o.is_quarantined()).count();
-        Ok(ResumedCampaign {
-            outcomes,
-            stats: ResumeStats {
-                replayed,
-                executed,
-                quarantined,
-                respawns: out.respawns,
-                truncated_bytes: replay.truncated_bytes,
-                dropped_lines: replay.dropped_lines,
-                stopped: false,
-            },
-        })
-    }
-
-    /// Runs the campaign through the streaming sink: replayed and fresh
-    /// record payloads are handed to `fold` one at a time (journal
-    /// append → spill append → fold, via [`crate::sink::stream`]) and
-    /// **never collected** — peak memory is bounded by the sink channel
-    /// regardless of campaign size. The journal produced is equivalent
-    /// to [`ResumableCampaign::run`]'s (same fingerprint, same entry
-    /// set), so the two paths can kill-and-resume each other's journals.
-    ///
-    /// `fold` observes every *completed* site exactly once as
-    /// `(site index, encoded payload)`, in arbitrary order (replayed
-    /// sites first, then fresh sites as they settle); quarantined sites
-    /// are returned in [`StreamedCampaign::quarantined`] instead.
-    ///
-    /// # Errors
-    ///
-    /// As [`ResumableCampaign::run`], plus spill-file I/O errors.
-    ///
-    /// # Panics
-    ///
-    /// As [`ResumableCampaign::run`].
-    pub fn run_streaming<R, F, E, D, G>(
-        &self,
-        stream: StreamOpts<'_>,
-        runner: F,
-        encode: E,
-        decode: D,
-        mut fold: G,
-        metrics: Option<&CampaignMetrics>,
-    ) -> Result<StreamedCampaign, JournalError>
-    where
-        R: Send,
-        F: Fn(usize, &T) -> R + Sync,
-        E: Fn(&R) -> String + Sync,
-        D: Fn(&str) -> Option<R>,
-        G: FnMut(u64, &str) + Send,
-    {
-        let (journal, replay) = self.open()?;
-        let corrupt = |why: String| JournalError::Corrupt {
-            path: self.path.to_path_buf(),
-            why,
-        };
-        let (truncated_bytes, dropped_lines) = (replay.truncated_bytes, replay.dropped_lines);
-        let mut have = vec![false; self.items.len()];
-        let mut quarantined: Vec<Quarantine> = Vec::new();
-        let mut replayed = 0usize;
-        for e in replay.entries {
-            let i = usize::try_from(e.index).unwrap_or(usize::MAX);
-            if i >= self.items.len() {
-                return Err(corrupt(format!(
-                    "entry index {} out of range (campaign has {} sites)",
-                    e.index,
-                    self.items.len()
-                )));
-            }
-            match e.kind {
-                EntryKind::Done(payload) => {
-                    if decode(&payload).is_none() {
-                        return Err(corrupt(format!("site {i}: undecodable record payload")));
-                    }
-                    fold(e.index, &payload);
-                    // Subscribers attached after a restart still see the
-                    // full stream: replayed records tee out exactly like
-                    // fresh ones.
-                    if let Some(t) = stream.tee {
-                        t(e.index, &payload);
-                    }
-                }
-                EntryKind::Quarantined { attempts, message } => {
-                    quarantined.push(Quarantine {
-                        index: i,
-                        attempts,
-                        message,
-                    });
-                }
-            }
-            have[i] = true;
-            replayed += 1;
-        }
-
-        let missing: Vec<usize> = self.order.iter().copied().filter(|&i| !have[i]).collect();
-        let sub_order: Vec<usize> = (0..missing.len()).collect();
-        let gate = stream.gate;
-        let (drive, summary) = sink::stream(Some(&journal), stream, fold, |handle| {
-            sched::drive_ordered_resilient(
-                &missing,
-                &sub_order,
-                self.threads,
-                self.policy,
-                |_, &orig| runner(orig, &self.items[orig]),
-                |k, outcome| {
-                    let orig = missing[k] as u64;
-                    match outcome {
-                        SiteResult::Done(r) => handle.push_done(orig, encode(&r)),
-                        SiteResult::Quarantined(q) => {
-                            handle.push_quarantined(orig, q.attempts, q.message);
-                        }
-                    }
-                },
-                metrics,
-                gate,
-            )
-        })?;
-
-        quarantined.extend(summary.quarantined);
-        // Sites lost to a worker failure settle as zero-attempt
-        // quarantines and are deliberately NOT journaled — the next
-        // resume re-runs them, matching `run`'s semantics. Sites the
-        // gate never admitted (`drive.unclaimed`) are NOT failures:
-        // they stay un-journaled and un-quarantined, exactly the state
-        // a later resume expects.
-        for k in drive.lost {
-            quarantined.push(Quarantine {
-                index: missing[k],
-                attempts: 0,
-                message: "site lost to a worker failure".to_string(),
-            });
-        }
-        quarantined.sort_by_key(|q| q.index);
-        Ok(StreamedCampaign {
-            stats: ResumeStats {
-                replayed,
-                executed: missing.len() - drive.unclaimed.len(),
-                quarantined: quarantined.len(),
-                respawns: drive.respawns,
-                truncated_bytes,
-                dropped_lines,
-                stopped: drive.stopped,
-            },
-            quarantined,
-            records: summary.records,
-        })
-    }
-
-    /// Opens (or creates) the journal per [`ResumableCampaign::mode`],
-    /// writing the campaign metadata on create and verifying it against
-    /// the replay on resume — the shared front half of
-    /// [`ResumableCampaign::run`] and [`ResumableCampaign::run_streaming`].
-    fn open(&self) -> Result<(Journal, Replay), JournalError> {
-        assert_eq!(
-            self.fingerprint.samples,
-            self.items.len() as u64,
-            "fingerprint samples must match the site count"
-        );
-        let (journal, replay, created) = match self.mode {
-            ResumeMode::Fresh => (
-                Journal::create(self.path, &self.fingerprint)?,
-                Replay::default(),
-                true,
-            ),
-            ResumeMode::ResumeOrStart => {
-                // A zero-length file means the previous run died before
-                // the header write became durable: nothing to resume.
-                let has_content = std::fs::metadata(self.path).map(|m| m.len() > 0);
-                if matches!(has_content, Ok(true)) {
-                    let (j, r) = Journal::resume(self.path, &self.fingerprint)?;
-                    (j, r, false)
-                } else {
-                    (
-                        Journal::create(self.path, &self.fingerprint)?,
-                        Replay::default(),
-                        true,
-                    )
-                }
-            }
-            ResumeMode::ResumeRequired => {
-                let (j, r) = Journal::resume(self.path, &self.fingerprint)?;
-                (j, r, false)
-            }
-        };
-
-        if created {
-            for (key, payload) in self.meta {
-                journal.append_meta(key, payload)?;
-            }
-        } else {
-            // Verify every expected metadata pair against the replay. A
-            // missing key (e.g. its line was corrupt and truncated away)
-            // is as fatal as a mismatch: resuming without agreeing on the
-            // engine's derived identity would silently mix records.
-            for (key, payload) in self.meta {
-                let found = replay.meta(key);
-                if found != Some(payload.as_str()) {
-                    return Err(JournalError::MetaMismatch {
-                        path: self.path.to_path_buf(),
-                        key: key.clone(),
-                        expected: payload.clone(),
-                        found: found.map(String::from),
-                    });
-                }
-            }
-        }
-        Ok((journal, replay))
-    }
-}
-
-/// Outcome of a streaming resumable run: degradation-free tallies live
-/// in the caller's `fold` state; the campaign result proper carries only
-/// the quarantine list, the resume accounting, and (when a spill file
-/// was requested) the on-disk [`RecordHandle`] — never the records.
-#[derive(Debug)]
-pub struct StreamedCampaign {
-    /// Quarantined sites in campaign sampling coordinates, sorted by
-    /// index (replayed, freshly quarantined, and lost sites merged).
-    pub quarantined: Vec<Quarantine>,
-    /// Handle to the on-disk record stream, when
-    /// [`StreamOpts::spill`] was set.
-    pub records: Option<RecordHandle>,
-    /// What was replayed vs executed.
-    pub stats: ResumeStats,
 }
 
 #[cfg(test)]
@@ -1266,262 +858,5 @@ mod tests {
             Journal::resume(&path, &fp(1)),
             Err(JournalError::Missing(_))
         ));
-    }
-
-    #[test]
-    fn resumable_campaign_replays_and_completes() {
-        let path = tmp("campaign.journal");
-        let _ = std::fs::remove_file(&path);
-        let items: Vec<u64> = (0..12).collect();
-        let order: Vec<usize> = (0..items.len()).collect();
-        let mk = |mode| ResumableCampaign {
-            path: &path,
-            fingerprint: fp(12),
-            mode,
-            items: &items,
-            order: &order,
-            threads: 3,
-            policy: RunPolicy::default(),
-            meta: &[],
-        };
-        let runner = |_: usize, &x: &u64| x * 10;
-        let encode = |r: &u64| r.to_string();
-        let decode = |s: &str| s.parse::<u64>().ok();
-
-        let full = mk(ResumeMode::Fresh)
-            .run(runner, encode, decode, None)
-            .unwrap();
-        assert_eq!(full.stats.executed, 12);
-        assert_eq!(full.stats.replayed, 0);
-        let expect: Vec<u64> = items.iter().map(|x| x * 10).collect();
-        let got: Vec<u64> = full.records().into_iter().copied().collect();
-        assert_eq!(got, expect);
-
-        // Drop the last 5 record lines (keep header + 7) to simulate an
-        // interrupted run, then require a resume.
-        let content = std::fs::read_to_string(&path).unwrap();
-        let keep: Vec<&str> = content.lines().take(8).collect();
-        std::fs::write(&path, format!("{}\n", keep.join("\n"))).unwrap();
-        let resumed = mk(ResumeMode::ResumeRequired)
-            .run(runner, encode, decode, None)
-            .unwrap();
-        assert_eq!(resumed.stats.replayed, 7);
-        assert_eq!(resumed.stats.executed, 5);
-        let got: Vec<u64> = resumed.records().into_iter().copied().collect();
-        assert_eq!(got, expect, "resumed records must be bit-identical");
-
-        // A third run replays everything.
-        let noop = mk(ResumeMode::ResumeOrStart)
-            .run(runner, encode, decode, None)
-            .unwrap();
-        assert_eq!(noop.stats.executed, 0);
-        assert_eq!(noop.stats.replayed, 12);
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn meta_roundtrips_and_verifies_on_resume() {
-        let path = tmp("meta.journal");
-        let _ = std::fs::remove_file(&path);
-        let items: Vec<u64> = (0..6).collect();
-        let order: Vec<usize> = (0..items.len()).collect();
-        let meta = vec![("class-table".to_string(), "fnv=00ddc0ffee".to_string())];
-        let mk = |mode| ResumableCampaign {
-            path: &path,
-            fingerprint: fp(6),
-            mode,
-            items: &items,
-            order: &order,
-            threads: 2,
-            policy: RunPolicy::default(),
-            meta: &meta,
-        };
-        let runner = |_: usize, &x: &u64| x + 1;
-        let encode = |r: &u64| r.to_string();
-        let decode = |s: &str| s.parse::<u64>().ok();
-        let full = mk(ResumeMode::Fresh)
-            .run(runner, encode, decode, None)
-            .unwrap();
-        let resumed = mk(ResumeMode::ResumeRequired)
-            .run(runner, encode, decode, None)
-            .unwrap();
-        assert_eq!(resumed.stats.executed, 0);
-        assert_eq!(resumed.stats.replayed, 6);
-        let a: Vec<u64> = full.records().into_iter().copied().collect();
-        let b: Vec<u64> = resumed.records().into_iter().copied().collect();
-        assert_eq!(a, b);
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn mismatched_meta_refuses_resume_naming_both_digests() {
-        let path = tmp("meta-mismatch.journal");
-        let _ = std::fs::remove_file(&path);
-        let items: Vec<u64> = (0..4).collect();
-        let order: Vec<usize> = (0..items.len()).collect();
-        let mk = |mode, payload: &str| {
-            let meta = vec![("class-table".to_string(), payload.to_string())];
-            let campaign = ResumableCampaign {
-                path: &path,
-                fingerprint: fp(4),
-                mode,
-                items: &items,
-                order: &order,
-                threads: 1,
-                policy: RunPolicy::default(),
-                meta: &meta,
-            };
-            campaign.run(
-                |_: usize, &x: &u64| x,
-                |r| r.to_string(),
-                |s| s.parse::<u64>().ok(),
-                None,
-            )
-        };
-        mk(ResumeMode::Fresh, "fnv=1111111111111111").unwrap();
-        match mk(ResumeMode::ResumeRequired, "fnv=2222222222222222") {
-            Err(JournalError::MetaMismatch {
-                key,
-                expected,
-                found,
-                ..
-            }) => {
-                assert_eq!(key, "class-table");
-                assert_eq!(expected, "fnv=2222222222222222");
-                assert_eq!(found.as_deref(), Some("fnv=1111111111111111"));
-            }
-            other => panic!("expected MetaMismatch, got {other:?}"),
-        }
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn fuzzed_meta_line_damage_never_resumes_silently() {
-        // Fuzz-style: damage the class-table `M` line many different ways
-        // (byte flips at every position, truncations at every length).
-        // Every damaged journal must either (a) replay the meta intact
-        // (damage hit only later lines) or (b) refuse the resume with the
-        // key and both payloads named — never silently resume with a
-        // different class table.
-        let items: Vec<u64> = (0..5).collect();
-        let order: Vec<usize> = (0..items.len()).collect();
-        let meta = vec![(
-            "class-table".to_string(),
-            "fnv=deadbeef01234567".to_string(),
-        )];
-        let path = tmp("meta-fuzz.journal");
-        let _ = std::fs::remove_file(&path);
-        let campaign = |mode| ResumableCampaign {
-            path: &path,
-            fingerprint: fp(5),
-            mode,
-            items: &items,
-            order: &order,
-            threads: 1,
-            policy: RunPolicy::default(),
-            meta: &meta,
-        };
-        let run = |mode| {
-            campaign(mode).run(
-                |_: usize, &x: &u64| x * 3,
-                |r| r.to_string(),
-                |s| s.parse::<u64>().ok(),
-                None,
-            )
-        };
-        run(ResumeMode::Fresh).unwrap();
-        let pristine = std::fs::read(&path).unwrap();
-        let text = String::from_utf8(pristine.clone()).unwrap();
-        let header_len = text.find('\n').unwrap() + 1;
-        let meta_len = text[header_len..].find('\n').unwrap() + 1;
-
-        let mut cases = 0;
-        // Byte flips across the M line (excluding its newline).
-        for off in 0..meta_len - 1 {
-            let mut bytes = pristine.clone();
-            bytes[header_len + off] ^= 0x01;
-            // Keep the damage on one line: never flip into '\n' or '|',
-            // which would change the line structure rather than its
-            // content (those are covered by the truncation cases).
-            if bytes[header_len + off] == b'\n' || bytes[header_len + off] == b'|' {
-                continue;
-            }
-            std::fs::write(&path, &bytes).unwrap();
-            match run(ResumeMode::ResumeRequired) {
-                Err(JournalError::MetaMismatch { key, found, .. }) => {
-                    assert_eq!(key, "class-table");
-                    assert_ne!(found.as_deref(), Some("fnv=deadbeef01234567"));
-                }
-                Err(other) => panic!("flip at {off}: unexpected error {other}"),
-                Ok(_) => panic!("flip at {off}: damaged meta resumed silently"),
-            }
-            cases += 1;
-        }
-        // Truncations mid-M-line (torn write of the meta record).
-        for keep in 1..meta_len - 1 {
-            let mut bytes = pristine.clone();
-            bytes.truncate(header_len + keep);
-            std::fs::write(&path, &bytes).unwrap();
-            match run(ResumeMode::ResumeRequired) {
-                Err(JournalError::MetaMismatch { key, found, .. }) => {
-                    assert_eq!(key, "class-table");
-                    assert!(
-                        found.is_none(),
-                        "keep={keep}: truncated meta must be absent, got {found:?}"
-                    );
-                }
-                Err(other) => panic!("keep={keep}: unexpected error {other}"),
-                Ok(_) => panic!("keep={keep}: truncated meta resumed silently"),
-            }
-            cases += 1;
-        }
-        assert!(cases > 20, "fuzz loop must exercise many damage shapes");
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn resumable_campaign_journals_quarantines() {
-        let path = tmp("quarantine.journal");
-        let _ = std::fs::remove_file(&path);
-        let items: Vec<u64> = (0..8).collect();
-        let order: Vec<usize> = (0..items.len()).collect();
-        let campaign = ResumableCampaign {
-            path: &path,
-            fingerprint: fp(8),
-            mode: ResumeMode::Fresh,
-            items: &items,
-            order: &order,
-            threads: 2,
-            policy: RunPolicy { max_retries: 1 },
-            meta: &[],
-        };
-        let runner = |i: usize, &x: &u64| {
-            assert!(i != 5, "site 5 is poisoned");
-            x
-        };
-        let out = campaign
-            .run(runner, |r| r.to_string(), |s| s.parse::<u64>().ok(), None)
-            .unwrap();
-        assert_eq!(out.quarantined().len(), 1);
-        assert_eq!(out.quarantined()[0].index, 5);
-        assert_eq!(out.quarantined()[0].attempts, 2);
-        assert_eq!(out.records().len(), 7);
-
-        // Resume replays the quarantine marker instead of re-running the
-        // poison site: the campaign still completes with zero executions.
-        let resumed = ResumableCampaign {
-            mode: ResumeMode::ResumeRequired,
-            ..campaign
-        }
-        .run(
-            |_: usize, &x: &u64| x,
-            |r| r.to_string(),
-            |s| s.parse::<u64>().ok(),
-            None,
-        )
-        .unwrap();
-        assert_eq!(resumed.stats.executed, 0);
-        assert_eq!(resumed.stats.quarantined, 1);
-        let _ = std::fs::remove_file(&path);
     }
 }

@@ -5,10 +5,8 @@
 //! counts such pairs between PVF↔AVF, SVF↔AVF and SVF↔PVF, both for the
 //! total vulnerability and for the dominant fault-effect class.
 
-use serde::{Deserialize, Serialize};
-
 /// Outcome of comparing two methods over the same benchmark set.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PairComparison {
     /// Pairs ordered oppositely by the two methods.
     pub opposite: u32,

@@ -10,30 +10,26 @@
 //! thousand cycles, a hang burns the whole watchdog budget), so one
 //! unlucky chunk routinely serialises the campaign.
 //!
-//! [`map`] replaces the chunks with an atomic-counter work queue: each
-//! worker repeatedly claims the next unclaimed index and runs it, so no
-//! worker idles while work remains. Results are scattered back to their
-//! input index, which makes the output *identical* to a sequential map
-//! regardless of thread count or claim order — determinism is preserved
-//! by construction, not by scheduling.
+//! `drive_ordered_resilient` replaces the chunks with an
+//! atomic-counter work queue: each worker repeatedly claims the next
+//! unclaimed site and runs it, so no worker idles while work remains.
+//! Sites are *claimed* in a caller-given order — campaigns sort their
+//! fault sites by injection cycle, so neighbouring claims restore from
+//! the same warm checkpoint (see `vulnstack-microarch::snapshot`) — but
+//! every outcome is handed back with its input index, so the record set
+//! is identical to a sequential run regardless of thread count or claim
+//! order: determinism is preserved by construction, not by scheduling.
 //!
-//! [`map_ordered`] additionally decouples the *processing* order from
-//! the *result* order: campaigns sort their fault sites by injection
-//! cycle and pass the sorted permutation, so neighbouring claims restore
-//! from the same warm checkpoint (see `vulnstack-microarch::snapshot`)
-//! while the returned records stay in sampling order.
-
-//!
-//! [`map_ordered_resilient`] adds **fault domains** around the fault
-//! injector itself: each site runs under `catch_unwind` with bounded
-//! retry, a panicking site degrades to a [`SiteResult::Quarantined`]
-//! record instead of killing the campaign, and a worker whose claim loop
-//! dies outside the per-site isolation is respawned so the queue always
-//! drains.
+//! The drive also puts **fault domains** around the fault injector
+//! itself: each site runs under `catch_unwind` with bounded retry, a
+//! panicking site degrades to a [`Quarantine`] record
+//! instead of killing the campaign, and a worker whose claim loop dies
+//! outside the per-site isolation is respawned so the queue always
+//! drains. The campaign executor (`crate::campaign`) is its only
+//! caller.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 use crate::trace::CampaignMetrics;
 
@@ -76,105 +72,7 @@ impl Drop for SlotGuard<'_> {
     }
 }
 
-/// Runs `f` over every item on `threads` workers with work stealing.
-///
-/// Returns the results in input order: `out[i] == f(i, &items[i])`.
-/// Deterministic for deterministic `f` at any thread count.
-pub fn map<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    let order: Vec<usize> = (0..items.len()).collect();
-    map_ordered(items, &order, threads, f)
-}
-
-/// Runs `f` over every item on `threads` workers with work stealing,
-/// *claiming* items in `order` while still returning results in input
-/// order (`out[i] == f(i, &items[i])`).
-///
-/// `order` must be a permutation of `0..items.len()`; campaigns pass the
-/// fault sites sorted by injection cycle so that consecutive claims share
-/// checkpoint locality.
-///
-/// # Panics
-///
-/// Panics if `order` is not a permutation of `0..items.len()`, or if a
-/// worker panics.
-pub fn map_ordered<T, R, F>(items: &[T], order: &[usize], threads: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    map_ordered_metered(items, order, threads, f, None)
-}
-
-/// [`map_ordered`] with optional campaign metrics: when `metrics` is
-/// given, every claim is recorded as a per-worker timeline span in the
-/// collector (worker id = spawn index, or 0 on the sequential path).
-/// Instrumentation never affects the results — they stay identical to
-/// [`map_ordered`] with `metrics = None`.
-///
-/// # Panics
-///
-/// Panics if `order` is not a permutation of `0..items.len()`, or if a
-/// worker panics.
-pub fn map_ordered_metered<T, R, F>(
-    items: &[T],
-    order: &[usize],
-    threads: usize,
-    f: F,
-    metrics: Option<&CampaignMetrics>,
-) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    assert_permutation(order, items.len());
-    let threads = threads.clamp(1, items.len().max(1));
-    let slots: Vec<Mutex<Option<R>>> = (0..items.len()).map(|_| Mutex::new(None)).collect();
-    let run_one = |worker: usize, i: usize| {
-        let start = metrics.map(|m| m.now_us());
-        let r = f(i, &items[i]);
-        if let (Some(m), Some(s)) = (metrics, start) {
-            m.record_span(worker, i, s, m.now_us());
-        }
-        *slots[i].lock().expect("unpoisoned") = Some(r);
-    };
-    if threads == 1 {
-        for &i in order {
-            run_one(0, i);
-        }
-    } else {
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|s| {
-            for worker in 0..threads {
-                let (run_one, next) = (&run_one, &next);
-                s.spawn(move || loop {
-                    let k = next.fetch_add(1, Ordering::Relaxed);
-                    if k >= order.len() {
-                        break;
-                    }
-                    run_one(worker, order[k]);
-                });
-            }
-        });
-    }
-    slots
-        .into_iter()
-        .map(|m| {
-            m.into_inner()
-                .expect("unpoisoned")
-                .expect("validated permutation")
-        })
-        .collect()
-}
-
-/// Retry policy for panic-isolated campaign execution
-/// ([`map_ordered_resilient`]).
+/// Retry policy for panic-isolated campaign execution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RunPolicy {
     /// How many times a panicking site is re-run before it is
@@ -206,49 +104,11 @@ pub struct Quarantine {
 
 /// Outcome of one fault site under panic isolation.
 #[derive(Debug, Clone, PartialEq)]
-pub enum SiteResult<R> {
+pub(crate) enum SiteResult<R> {
     /// The site ran to completion.
     Done(R),
     /// Every attempt panicked; the campaign carried on without it.
     Quarantined(Quarantine),
-}
-
-impl<R> SiteResult<R> {
-    /// The completed result, if any.
-    pub fn done(&self) -> Option<&R> {
-        match self {
-            SiteResult::Done(r) => Some(r),
-            SiteResult::Quarantined(_) => None,
-        }
-    }
-
-    /// Whether the site was quarantined.
-    pub fn is_quarantined(&self) -> bool {
-        matches!(self, SiteResult::Quarantined(_))
-    }
-}
-
-/// Results of a panic-isolated map.
-#[derive(Debug)]
-pub struct ResilientOutput<R> {
-    /// Per-site outcomes in input order (`outcomes[i]` is site `i`).
-    pub outcomes: Vec<SiteResult<R>>,
-    /// Worker claim loops that died outside the per-site isolation and
-    /// were respawned.
-    pub respawns: u64,
-}
-
-impl<R> ResilientOutput<R> {
-    /// The quarantined sites, in input order.
-    pub fn quarantined(&self) -> Vec<&Quarantine> {
-        self.outcomes
-            .iter()
-            .filter_map(|o| match o {
-                SiteResult::Quarantined(q) => Some(q),
-                SiteResult::Done(_) => None,
-            })
-            .collect()
-    }
 }
 
 fn panic_message(p: &(dyn std::any::Any + Send)) -> String {
@@ -264,7 +124,7 @@ fn panic_message(p: &(dyn std::any::Any + Send)) -> String {
 /// Accounting from [`drive_ordered_resilient`]: what happened to the
 /// queue, with no per-site results (those went through `on_outcome`).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct DriveStats {
+pub(crate) struct DriveStats {
     /// Worker claim loops that died outside the per-site isolation and
     /// were respawned.
     pub respawns: u64,
@@ -285,24 +145,28 @@ pub struct DriveStats {
     pub stopped: bool,
 }
 
-/// The non-collecting core of [`map_ordered_resilient`]: runs every site
-/// under per-site panic isolation with bounded retry and hands each
-/// settled [`SiteResult`] to `on_outcome` **by value**, keeping nothing.
-/// This is the streaming substrate — `on_outcome` pushes into a bounded
+/// Runs the sites `order` names, claiming them in that order on
+/// `threads` workers, under per-site panic isolation with bounded
+/// retry, and hands each settled [`SiteResult`] to `on_outcome` **by
+/// value** together with its index into `items`, keeping nothing. This
+/// is the streaming substrate — `on_outcome` pushes into a bounded
 /// [`crate::sink::SinkHandle`] and per-site memory stays O(workers)
-/// regardless of campaign size.
+/// regardless of campaign size. Sites `order` leaves out do not run (a
+/// resumed campaign passes only the sites its journal lacks).
 ///
-/// Fault domains are identical to [`map_ordered_resilient`]: a site that
-/// panics on every attempt settles as [`SiteResult::Quarantined`]; a
-/// worker whose claim loop dies *outside* the site isolation (e.g. a
-/// panicking `on_outcome`) is respawned, and the site it held is
-/// reported in [`DriveStats::lost`] rather than silently dropped.
+/// A site that panics on every attempt (`1 + policy.max_retries`)
+/// settles as [`SiteResult::Quarantined`]; a worker whose claim loop
+/// dies *outside* the site isolation (e.g. a panicking `on_outcome`) is
+/// respawned, and the site it held is reported in [`DriveStats::lost`]
+/// rather than silently dropped. With `metrics`, every settled site is
+/// recorded as one timeline span of the worker that ran it.
 ///
 /// # Panics
 ///
-/// Panics if `order` is not a permutation of `0..items.len()`.
+/// Panics before any site runs if `order` holds a duplicate or an
+/// out-of-range index.
 #[allow(clippy::too_many_arguments)]
-pub fn drive_ordered_resilient<T, R, F, C>(
+pub(crate) fn drive_ordered_resilient<T, R, F, C>(
     items: &[T],
     order: &[usize],
     threads: usize,
@@ -318,8 +182,8 @@ where
     F: Fn(usize, &T) -> R + Sync,
     C: Fn(usize, SiteResult<R>) + Sync,
 {
-    assert_permutation(order, items.len());
-    let threads = threads.clamp(1, items.len().max(1));
+    assert_distinct_in_range(order, items.len());
+    let threads = threads.clamp(1, order.len().max(1));
     let settled: Vec<AtomicBool> = (0..items.len()).map(|_| AtomicBool::new(false)).collect();
     let claimed: Vec<AtomicBool> = (0..items.len()).map(|_| AtomicBool::new(false)).collect();
     let respawns = AtomicU64::new(0);
@@ -404,7 +268,7 @@ where
     }
     let mut lost = Vec::new();
     let mut unclaimed = Vec::new();
-    for i in 0..items.len() {
+    for &i in order {
         if settled[i].load(Ordering::Relaxed) {
             continue;
         }
@@ -414,6 +278,8 @@ where
             unclaimed.push(i);
         }
     }
+    lost.sort_unstable();
+    unclaimed.sort_unstable();
     DriveStats {
         respawns: respawns.load(Ordering::Relaxed),
         lost,
@@ -422,89 +288,10 @@ where
     }
 }
 
-/// [`map_ordered_metered`] with per-site panic isolation: each `f` call
-/// runs under `catch_unwind` and is retried up to `policy.max_retries`
-/// times; a site that panics on every attempt degrades to
-/// [`SiteResult::Quarantined`] instead of killing the campaign.
-/// `on_outcome` is invoked in-worker right after each site settles
-/// (completed or quarantined) — the hook the journal layer uses to make
-/// every record durable before the next claim.
-///
-/// Two further fault domains back the per-site one: a worker whose claim
-/// loop dies *outside* the site isolation (e.g. a panicking `on_outcome`)
-/// is respawned and the in-flight site is reported as a zero-attempt
-/// [`Quarantine`]; and completed outcomes are scattered to their input
-/// index exactly like [`map_ordered`], so the surviving results are
-/// bit-identical to a run without any poison sites, at any thread count.
-///
-/// Collects every outcome in RAM; campaigns whose record set can
-/// outgrow memory use [`drive_ordered_resilient`] with a streaming sink
-/// instead.
-///
-/// # Panics
-///
-/// Panics if `order` is not a permutation of `0..items.len()`.
-pub fn map_ordered_resilient<T, R, F, C>(
-    items: &[T],
-    order: &[usize],
-    threads: usize,
-    policy: RunPolicy,
-    f: F,
-    on_outcome: C,
-    metrics: Option<&CampaignMetrics>,
-) -> ResilientOutput<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-    C: Fn(usize, &SiteResult<R>) + Sync,
-{
-    let slots: Vec<Mutex<Option<SiteResult<R>>>> =
-        (0..items.len()).map(|_| Mutex::new(None)).collect();
-    let stats = drive_ordered_resilient(
-        items,
-        order,
-        threads,
-        policy,
-        f,
-        |i, outcome| {
-            // The user hook runs first (it may panic — that is the
-            // "worker death outside site isolation" fault domain); only
-            // a hook that returns keeps the outcome.
-            on_outcome(i, &outcome);
-            *slots[i].lock().expect("unpoisoned") = Some(outcome);
-        },
-        metrics,
-        None,
-    );
-    let outcomes = slots
-        .into_iter()
-        .enumerate()
-        .map(|(i, m)| {
-            // A site claimed by a worker that then died outside the site
-            // isolation never filled its slot: surface it as a
-            // zero-attempt quarantine rather than panicking at collect
-            // time (the resume layer will re-run it).
-            m.into_inner().expect("unpoisoned").unwrap_or_else(|| {
-                SiteResult::Quarantined(Quarantine {
-                    index: i,
-                    attempts: 0,
-                    message: "site lost to a worker failure".to_string(),
-                })
-            })
-        })
-        .collect();
-    ResilientOutput {
-        outcomes,
-        respawns: stats.respawns,
-    }
-}
-
-/// Panics with a precise message unless `order` is a permutation of
-/// `0..n` — checked up front so a bad order fails before any work runs,
-/// not at collect time with an empty slot.
-fn assert_permutation(order: &[usize], n: usize) {
-    assert_eq!(order.len(), n, "order must cover every item");
+/// Panics with a precise message unless `order` holds distinct indices
+/// below `n` — checked up front so a bad order fails before any work
+/// runs.
+pub(crate) fn assert_distinct_in_range(order: &[usize], n: usize) {
     let mut seen = vec![false; n];
     for &i in order {
         assert!(i < n, "order contains out-of-range index {i} (len {n})");
@@ -513,19 +300,9 @@ fn assert_permutation(order: &[usize], n: usize) {
     }
 }
 
-/// Sorting permutation of `keys`: `out[k]` is the index of the `k`-th
-/// smallest key (ties in input order). The standard way to build the
-/// claim order for [`map_ordered`] from per-site injection cycles.
-pub fn sort_order_by_key<K: Ord>(keys: &[K]) -> Vec<usize> {
-    let mut order: Vec<usize> = (0..keys.len()).collect();
-    order.sort_by_key(|&i| &keys[i]);
-    order
-}
-
-/// Sorting permutation of `items` under a key projection — like
-/// [`sort_order_by_key`] but without materialising a separate key
-/// vector, for call sites whose keys are a field of a larger site tuple
-/// (the temporal sweep's per-site injection cycle, for instance).
+/// Sorting permutation of `items` under a key projection: the claim
+/// order campaigns build from their sites' injection cycles, so that
+/// consecutive claims share checkpoint locality.
 pub fn sort_order_by<T, K: Ord, F: Fn(&T) -> K>(items: &[T], key: F) -> Vec<usize> {
     let mut order: Vec<usize> = (0..items.len()).collect();
     order.sort_by_key(|&i| key(&items[i]));
@@ -535,123 +312,47 @@ pub fn sort_order_by<T, K: Ord, F: Fn(&T) -> K>(items: &[T], key: F) -> Vec<usiz
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::Mutex;
 
-    #[test]
-    fn map_matches_sequential_at_any_thread_count() {
-        let items: Vec<u64> = (0..100).collect();
-        let seq: Vec<u64> = items.iter().map(|x| x * x + 1).collect();
-        for threads in [1, 2, 3, 8, 200] {
-            let par = map(&items, threads, |_, &x| x * x + 1);
-            assert_eq!(par, seq, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn map_ordered_claims_in_order_but_returns_in_place() {
-        let items: Vec<u64> = vec![30, 10, 20, 40];
-        let order = sort_order_by_key(&items);
-        assert_eq!(order, vec![1, 2, 0, 3]);
-        let claimed = Mutex::new(Vec::new());
-        let out = map_ordered(&items, &order, 1, |i, &x| {
-            claimed.lock().unwrap().push(x);
-            (i, x)
-        });
-        assert_eq!(*claimed.lock().unwrap(), vec![10, 20, 30, 40]);
-        assert_eq!(out, vec![(0, 30), (1, 10), (2, 20), (3, 40)]);
-    }
-
-    #[test]
-    fn every_item_runs_exactly_once() {
-        let n = 257;
-        let items: Vec<usize> = (0..n).collect();
-        let calls = AtomicUsize::new(0);
-        let out = map(&items, 7, |i, &x| {
-            calls.fetch_add(1, Ordering::Relaxed);
-            assert_eq!(i, x);
-            x
-        });
-        assert_eq!(calls.load(Ordering::Relaxed), n);
-        assert_eq!(out, items);
-    }
-
-    #[test]
-    fn empty_and_tiny_inputs_work() {
-        let empty: Vec<u32> = Vec::new();
-        assert!(map(&empty, 4, |_, &x| x).is_empty());
-        assert_eq!(map(&[5u32], 4, |_, &x| x + 1), vec![6]);
-    }
-
-    #[test]
-    #[should_panic(expected = "duplicate index 1")]
-    fn duplicate_index_in_order_panics_up_front() {
-        let items = [10u32, 20, 30];
-        map_ordered(&items, &[0, 1, 1], 2, |_, &x| x);
-    }
-
-    #[test]
-    #[should_panic(expected = "out-of-range index 3")]
-    fn out_of_range_index_in_order_panics_up_front() {
-        let items = [10u32, 20, 30];
-        map_ordered(&items, &[0, 1, 3], 2, |_, &x| x);
-    }
-
-    #[test]
-    fn metered_map_records_every_site_and_matches_unmetered() {
-        let items: Vec<u64> = (0..40).collect();
-        let order = sort_order_by_key(&items);
-        let plain = map_ordered(&items, &order, 4, |i, &x| (i as u64) * 1000 + x);
-        let metrics = CampaignMetrics::new("sched-test");
-        let metered = map_ordered_metered(
-            &items,
+    /// Drives `items` in input order with no gate or metrics, collecting
+    /// every outcome by index.
+    fn drive_all<F, C>(
+        items: &[u64],
+        threads: usize,
+        policy: RunPolicy,
+        f: F,
+        hook: C,
+    ) -> (Vec<Option<SiteResult<u64>>>, DriveStats)
+    where
+        F: Fn(usize, &u64) -> u64 + Sync,
+        C: Fn(usize) + Sync,
+    {
+        let order: Vec<usize> = (0..items.len()).collect();
+        let slots: Vec<Mutex<Option<SiteResult<u64>>>> =
+            items.iter().map(|_| Mutex::new(None)).collect();
+        let stats = drive_ordered_resilient(
+            items,
             &order,
-            4,
-            |i, &x| (i as u64) * 1000 + x,
-            Some(&metrics),
+            threads,
+            policy,
+            f,
+            |i, outcome| {
+                hook(i);
+                *slots[i].lock().unwrap() = Some(outcome);
+            },
+            None,
+            None,
         );
-        assert_eq!(metered, plain);
-        let report = metrics.report();
-        assert_eq!(report.sites, 40);
-        assert_eq!(report.spans.len(), 40);
-        let mut indices: Vec<usize> = report.spans.iter().map(|s| s.index).collect();
-        indices.sort_unstable();
-        assert_eq!(indices, (0..40).collect::<Vec<_>>());
-        assert!(report.per_worker.iter().map(|w| w.sites).sum::<u64>() == 40);
-    }
-
-    #[test]
-    fn resilient_map_matches_plain_map_without_panics() {
-        let items: Vec<u64> = (0..50).collect();
-        let order = sort_order_by_key(&items);
-        let plain = map_ordered(&items, &order, 4, |i, &x| (i as u64, x * 3));
-        for threads in [1, 4] {
-            let out = map_ordered_resilient(
-                &items,
-                &order,
-                threads,
-                RunPolicy::default(),
-                |i, &x| (i as u64, x * 3),
-                |_, _| {},
-                None,
-            );
-            assert_eq!(out.respawns, 0);
-            let done: Vec<_> = out
-                .outcomes
-                .iter()
-                .map(|o| *o.done().expect("no panics injected"))
-                .collect();
-            assert_eq!(done, plain, "threads={threads}");
-        }
+        let out = slots.into_iter().map(|m| m.into_inner().unwrap()).collect();
+        (out, stats)
     }
 
     #[test]
     fn panicking_site_is_quarantined_and_campaign_completes() {
         let items: Vec<u64> = (0..20).collect();
-        let order: Vec<usize> = (0..items.len()).collect();
         let attempts_on_7 = AtomicUsize::new(0);
-        let out = map_ordered_resilient(
+        let (out, stats) = drive_all(
             &items,
-            &order,
             4,
             RunPolicy { max_retries: 2 },
             |i, &x| {
@@ -661,39 +362,35 @@ mod tests {
                 }
                 x + 1
             },
-            |_, _| {},
-            None,
+            |_| {},
         );
-        assert_eq!(out.outcomes.len(), 20);
         assert_eq!(
             attempts_on_7.load(Ordering::Relaxed),
             3,
             "1 try + 2 retries"
         );
-        match &out.outcomes[7] {
-            SiteResult::Quarantined(q) => {
+        match &out[7] {
+            Some(SiteResult::Quarantined(q)) => {
                 assert_eq!(q.index, 7);
                 assert_eq!(q.attempts, 3);
                 assert!(q.message.contains("poison site 7"), "{q:?}");
             }
             other => panic!("expected quarantine, got {other:?}"),
         }
-        for (i, o) in out.outcomes.iter().enumerate() {
+        for (i, o) in out.iter().enumerate() {
             if i != 7 {
-                assert_eq!(o.done(), Some(&(i as u64 + 1)), "site {i}");
+                assert_eq!(o, &Some(SiteResult::Done(i as u64 + 1)), "site {i}");
             }
         }
-        assert_eq!(out.quarantined().len(), 1);
+        assert!(stats.lost.is_empty() && stats.unclaimed.is_empty());
     }
 
     #[test]
     fn flaky_site_succeeds_within_retry_budget() {
-        let items = [0u32; 9];
-        let order: Vec<usize> = (0..items.len()).collect();
+        let items = [0u64; 9];
         let tries = AtomicUsize::new(0);
-        let out = map_ordered_resilient(
+        let (out, _) = drive_all(
             &items,
-            &order,
             3,
             RunPolicy { max_retries: 2 },
             |i, _| {
@@ -701,27 +398,24 @@ mod tests {
                 if i == 4 && tries.fetch_add(1, Ordering::Relaxed) < 2 {
                     panic!("transient");
                 }
-                i
+                i as u64
             },
-            |_, _| {},
-            None,
+            |_| {},
         );
-        assert_eq!(out.outcomes[4].done(), Some(&4));
-        assert!(out.quarantined().is_empty());
+        assert_eq!(out[4], Some(SiteResult::Done(4)));
+        assert!(out.iter().all(|o| matches!(o, Some(SiteResult::Done(_)))));
     }
 
     #[test]
     fn worker_death_outside_site_isolation_respawns_and_loses_only_that_site() {
         let items: Vec<u64> = (0..30).collect();
-        let order: Vec<usize> = (0..items.len()).collect();
         let fired = AtomicUsize::new(0);
-        let out = map_ordered_resilient(
+        let (out, stats) = drive_all(
             &items,
-            &order,
             4,
             RunPolicy::default(),
             |_, &x| x,
-            |i, _| {
+            |i| {
                 // A poisoned outcome hook escapes the per-site isolation
                 // exactly once: the supervisor must respawn the worker's
                 // claim loop and the campaign must still drain.
@@ -729,18 +423,35 @@ mod tests {
                     panic!("hook failure");
                 }
             },
-            None,
         );
-        assert_eq!(out.respawns, 1);
-        match &out.outcomes[11] {
-            SiteResult::Quarantined(q) => assert_eq!(q.attempts, 0),
-            other => panic!("expected lost site, got {other:?}"),
-        }
-        for (i, o) in out.outcomes.iter().enumerate() {
+        assert_eq!(stats.respawns, 1);
+        assert_eq!(stats.lost, vec![11]);
+        assert!(out[11].is_none(), "the lost site never settled");
+        for (i, o) in out.iter().enumerate() {
             if i != 11 {
-                assert_eq!(o.done(), Some(&(i as u64)), "site {i}");
+                assert_eq!(o, &Some(SiteResult::Done(i as u64)), "site {i}");
             }
         }
+    }
+
+    #[test]
+    fn a_subset_order_runs_only_the_sites_it_names() {
+        let items: Vec<u64> = (0..10).collect();
+        let ran = Mutex::new(Vec::new());
+        let stats = drive_ordered_resilient(
+            &items,
+            &[7, 2, 5],
+            2,
+            RunPolicy::default(),
+            |i, _| i,
+            |i, _| ran.lock().unwrap().push(i),
+            None,
+            None,
+        );
+        let mut ran = ran.into_inner().unwrap();
+        ran.sort_unstable();
+        assert_eq!(ran, vec![2, 5, 7]);
+        assert_eq!(stats, DriveStats::default());
     }
 
     /// A gate that admits the first `quota` claims, then stops — the
@@ -864,20 +575,5 @@ mod tests {
         assert!(!stats.stopped);
         assert!(stats.lost.is_empty() && stats.unclaimed.is_empty());
         assert_eq!(sum.load(Ordering::SeqCst), (0..30).map(|x| x * 2).sum());
-    }
-
-    #[test]
-    fn uneven_work_is_balanced() {
-        // Items with wildly different costs: with static chunks the first
-        // chunk would carry nearly all the work; stealing spreads it.
-        let items: Vec<u64> = (0..64).map(|i| if i < 8 { 200_000 } else { 10 }).collect();
-        let out = map(&items, 8, |_, &spin| {
-            let mut acc = 0u64;
-            for k in 0..spin {
-                acc = acc.wrapping_mul(6364136223846793005).wrapping_add(k);
-            }
-            acc
-        });
-        assert_eq!(out.len(), 64);
     }
 }

@@ -4,14 +4,13 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
 use vulnstack_microarch::ooo::{Fpm, HwStructure};
 
 use crate::effects::{Tally, VulnFactor};
 
 /// Per-structure AVF measurement: the structure, its bit population (the
 /// weighting factor), and the observed effect tally.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct StructureAvf {
     /// Injected structure.
     pub structure: HwStructure,
@@ -31,7 +30,7 @@ impl StructureAvf {
 /// Size-weighted AVF across structures — equivalent to the processor FIT
 /// rate divided by `FIT(bit) × total bits` (see the paper's footnote on
 /// FIT computation).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct WeightedAvf {
     /// The per-structure measurements.
     pub structures: Vec<StructureAvf>,
@@ -75,7 +74,7 @@ impl WeightedAvf {
 /// A distribution over fault propagation models, from an HVF campaign.
 ///
 /// `masked` counts faults that never became architecturally visible.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FpmDist {
     counts: BTreeMap<Fpm, u64>,
     masked: u64,

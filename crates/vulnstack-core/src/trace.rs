@@ -3,8 +3,8 @@
 //! PR 2's campaign engine (checkpoint restore + work stealing) made
 //! injection campaigns fast; this module makes them **measurable**, which
 //! is the precondition for tuning them further. A [`CampaignMetrics`]
-//! collector is threaded through the scheduler
-//! ([`crate::sched::map_ordered_metered`]) and the injection engines and
+//! collector is threaded through the campaign executor
+//! ([`crate::campaign::Campaign::run`]) and the injection engines and
 //! accumulates, thread-safely:
 //!
 //! * per-worker site counts and busy time (load-balance visibility);
@@ -18,8 +18,8 @@
 //!   without simulating to completion) and **watchdog expiries** (faulty
 //!   runs that hung until the commit watchdog fired).
 //!
-//! Everything serializes by hand (the in-tree `serde` shim derives are
-//! no-ops): [`MetricsReport::to_json`] for `results/*.metrics.json`,
+//! Everything serializes by hand (the workspace carries no serialization
+//! dependency): [`MetricsReport::to_json`] for `results/*.metrics.json`,
 //! [`MetricsReport::chrome_trace_json`] for `results/*.trace.json`
 //! (load either in `chrome://tracing` or <https://ui.perfetto.dev>).
 

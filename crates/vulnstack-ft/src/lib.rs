@@ -312,67 +312,6 @@ fn harden_function(f: &mut Function) {
     f.num_vregs = next_vreg;
 }
 
-/// Error from a hardened streaming campaign: either the hardening pass
-/// produced an IR that fails verification, or the underlying sink /
-/// journal failed.
-#[derive(Debug)]
-pub enum HardenedSvfError {
-    /// The duplication pass produced invalid IR (a bug in the pass).
-    Harden(VerifyError),
-    /// The streaming campaign's journal or spill file failed.
-    Journal(vulnstack_core::JournalError),
-}
-
-impl std::fmt::Display for HardenedSvfError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Self::Harden(e) => write!(f, "harden: {e}"),
-            Self::Journal(e) => write!(f, "journal: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for HardenedSvfError {}
-
-/// Hardens `module` and runs a streaming, bounded-memory SVF campaign
-/// (`vulnstack_llfi::svf_campaign_streamed`) over the hardened IR: each
-/// settled injection flows through the bounded sink channel into the
-/// tally fold instead of accumulating in RAM. Callers labelling journals
-/// should pass a `…+ft` workload name in
-/// [`vulnstack_core::JournalOpts`] so hardened and unhardened campaigns
-/// never share a fingerprint.
-///
-/// # Errors
-///
-/// [`HardenedSvfError::Harden`] if the pass output fails verification,
-/// [`HardenedSvfError::Journal`] for journal/spill failures.
-#[allow(clippy::too_many_arguments)]
-pub fn svf_campaign_streamed_hardened(
-    module: &Module,
-    input: &[u8],
-    expected_output: &[u8],
-    n: usize,
-    seed: u64,
-    threads: usize,
-    journal: Option<&vulnstack_core::JournalOpts<'_>>,
-    stream: vulnstack_core::StreamOpts<'_>,
-    metrics: Option<&vulnstack_core::trace::CampaignMetrics>,
-) -> Result<vulnstack_llfi::SvfStreamed, HardenedSvfError> {
-    let hardened = harden(module).map_err(HardenedSvfError::Harden)?;
-    vulnstack_llfi::svf_campaign_streamed(
-        &hardened,
-        input,
-        expected_output,
-        n,
-        seed,
-        threads,
-        journal,
-        stream,
-        metrics,
-    )
-    .map_err(HardenedSvfError::Journal)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -458,29 +397,6 @@ mod tests {
         assert!(detected > 0, "no faults detected at all");
         // The scheme targets SDCs: detections should dominate escapes.
         assert!(detected >= sdc, "detected={detected} escaped={sdc}");
-    }
-
-    #[test]
-    fn streamed_hardened_campaign_matches_direct_hardened_run() {
-        let w = WorkloadId::Crc32.build();
-        let streamed = svf_campaign_streamed_hardened(
-            &w.module,
-            &w.input,
-            &w.expected_output,
-            40,
-            7,
-            2,
-            None,
-            vulnstack_core::StreamOpts::from_env(),
-            None,
-        )
-        .unwrap();
-        let hardened = harden(&w.module).unwrap();
-        let direct =
-            vulnstack_llfi::svf_campaign(&hardened, &w.input, &w.expected_output, 40, 7, 2);
-        assert_eq!(streamed.tally, direct);
-        assert_eq!(streamed.stats.executed, 40);
-        assert!(streamed.quarantined.is_empty());
     }
 
     #[test]

@@ -23,8 +23,10 @@ pub fn ace_analysis(prep: &Prepared) -> AceEstimate {
 mod tests {
     use super::*;
     use crate::avf::avf_campaign;
+    use crate::prune::InjectionPlan;
+    use vulnstack_core::StreamOpts;
     use vulnstack_microarch::ooo::HwStructure;
-    use vulnstack_microarch::CoreModel;
+    use vulnstack_microarch::{CoreModel, FaultModel};
     use vulnstack_workloads::WorkloadId;
 
     #[test]
@@ -37,7 +39,17 @@ mod tests {
 
         // Injection-measured AVF for the same structure; ACE should be an
         // upper bound (allowing slack for sampling noise).
-        let inj = avf_campaign(&prep, HwStructure::RegisterFile, 60, 21, 4);
+        let (inj, _) = avf_campaign(
+            &prep,
+            HwStructure::RegisterFile,
+            &InjectionPlan::Sampled { n: 60, seed: 21 },
+            &[FaultModel::BitFlip],
+            4,
+            None,
+            StreamOpts::from_env(),
+            None,
+        )
+        .unwrap();
         assert!(
             ace.rf_avf >= 0.8 * inj.avf().total(),
             "ACE {:.4} vs injected {:.4}: ACE lost its pessimism",

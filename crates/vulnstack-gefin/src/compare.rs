@@ -12,13 +12,15 @@
 
 use vulnstack_analyze::analyze;
 use vulnstack_compiler::{compile, CompileOpts};
+use vulnstack_core::StreamOpts;
 use vulnstack_microarch::ooo::HwStructure;
-use vulnstack_microarch::CoreModel;
+use vulnstack_microarch::{CoreModel, FaultModel};
 use vulnstack_workloads::Workload;
 
 use crate::ace::ace_analysis;
 use crate::avf::avf_campaign;
 use crate::prepare::{PrepareError, Prepared};
+use crate::prune::InjectionPlan;
 
 /// The three register-file vulnerability estimates for one workload on one
 /// core model.
@@ -75,7 +77,20 @@ pub fn static_vs_dynamic(
     let prep = Prepared::new(workload, model)?;
     let ace = ace_analysis(&prep);
     let injected_rf_avf = if inj_faults > 0 {
-        let campaign = avf_campaign(&prep, HwStructure::RegisterFile, inj_faults, seed, threads);
+        let (campaign, _) = avf_campaign(
+            &prep,
+            HwStructure::RegisterFile,
+            &InjectionPlan::Sampled {
+                n: inj_faults,
+                seed,
+            },
+            &[FaultModel::BitFlip],
+            threads,
+            None,
+            StreamOpts::from_env(),
+            None,
+        )
+        .expect("an unjournaled campaign without a spill file does no I/O");
         Some(campaign.avf().total())
     } else {
         None

@@ -15,9 +15,10 @@
 //!
 //! Campaigns are deterministic for a given seed and embarrassingly
 //! parallel: fault sites are pre-drawn, sorted by injection cycle for
-//! checkpoint locality, and distributed over a work-stealing scheduler
-//! (`vulnstack_core::sched`) whose results are scattered back to
-//! sampling order — so the output is bit-identical at any thread count.
+//! checkpoint locality, and run by the shared campaign executor
+//! (`vulnstack_core::campaign`), which reports every record by its site
+//! index — so the records are bit-identical at any thread count,
+//! journaled or not.
 //! Microarchitectural runs warm-start from golden-run checkpoints
 //! (`vulnstack_microarch::snapshot`) instead of re-simulating the
 //! fault-free prefix from cycle 0.
@@ -33,29 +34,19 @@ pub mod sweep;
 
 pub use ace::ace_analysis;
 pub use avf::{
-    avf_campaign, avf_campaign_metered, avf_campaign_models, avf_campaign_models_resumable,
-    avf_campaign_models_streamed, avf_campaign_planned, avf_campaign_resumable,
-    avf_campaign_resumable_planned, avf_campaign_traced, avf_campaign_with, canonical_models,
-    decode_record, draw_model_sites, draw_sites, encode_record, per_model_tallies, run_one_model,
-    run_one_traced, AvfCampaignResult, AvfResumed, AvfStreamed, InjectEngine, InjectionRecord,
+    avf_campaign, canonical_models, decode_record, draw_model_sites, draw_sites, encode_record,
+    per_model_tallies, run_one_model, run_one_traced, AvfStreamed, InjectEngine, InjectionRecord,
     ModelSite,
 };
 pub use compare::{static_vs_dynamic, StaticDynamicComparison};
 pub use prepare::{FuncPrepared, Prepared};
 pub use prune::{
-    early_term_enabled, plan_model_sites, plan_sites, prune_default, static_classifier, ClassKey,
-    ClassTable, InjectionPlan, PruneStats, Pruner, SiteClass,
+    early_term_enabled, plan_model_sites, prune_default, static_classifier, ClassKey, ClassTable,
+    InjectionPlan, PruneStats, Pruner, SiteClass,
 };
-pub use pvf::{
-    pvf_campaign, pvf_campaign_metered, pvf_campaign_resumable, pvf_campaign_streamed, PvfMode,
-    PvfResumed, PvfStreamed,
-};
+pub use pvf::{pvf_campaign, PvfMode, PvfStreamed};
 pub use report::{avf_report_json, ModelReport};
-pub use sweep::{
-    temporal_campaign, temporal_campaign_metered, temporal_campaign_pruned,
-    temporal_campaign_resumable, temporal_campaign_resumable_pruned, temporal_campaign_streamed,
-    TemporalProfile, TemporalResumed, TemporalStreamed,
-};
+pub use sweep::{temporal_campaign, TemporalProfile, TemporalStreamed};
 
 // The warn-on-malformed env-knob parser now lives in `vulnstack-microarch`
 // (the one crate every engine already depends on), so the CLI and the

@@ -53,7 +53,7 @@ fn checkpoint_cap() -> usize {
 }
 
 /// Error preparing an experiment.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PrepareError {
     /// Compilation failed.
     Compile(String),
@@ -61,6 +61,37 @@ pub enum PrepareError {
     Image(String),
     /// The golden run did not exit cleanly.
     BadGolden(RunStatus),
+    /// The golden run exited cleanly but printed something other than
+    /// the workload's expected output, so every faulty run would be
+    /// classified against the wrong bytes.
+    GoldenOutput {
+        /// First byte offset at which the two outputs differ.
+        at: usize,
+        /// Length of the golden run's output.
+        found: usize,
+        /// Length of the expected output.
+        expected: usize,
+    },
+}
+
+impl PrepareError {
+    /// Checks a golden run's output against the workload's expected
+    /// output, naming the first differing byte on a mismatch.
+    fn check_output(found: &[u8], expected: &[u8]) -> Result<(), PrepareError> {
+        if found == expected {
+            return Ok(());
+        }
+        let at = found
+            .iter()
+            .zip(expected)
+            .position(|(a, b)| a != b)
+            .unwrap_or(found.len().min(expected.len()));
+        Err(PrepareError::GoldenOutput {
+            at,
+            found: found.len(),
+            expected: expected.len(),
+        })
+    }
 }
 
 impl std::fmt::Display for PrepareError {
@@ -69,6 +100,15 @@ impl std::fmt::Display for PrepareError {
             PrepareError::Compile(e) => write!(f, "compile failed: {e}"),
             PrepareError::Image(e) => write!(f, "image failed: {e}"),
             PrepareError::BadGolden(s) => write!(f, "golden run did not exit cleanly: {s:?}"),
+            PrepareError::GoldenOutput {
+                at,
+                found,
+                expected,
+            } => write!(
+                f,
+                "golden run output differs from the expected output at byte {at} \
+                 ({found} bytes, {expected} expected)"
+            ),
         }
     }
 }
@@ -100,8 +140,9 @@ impl Prepared {
     ///
     /// # Errors
     ///
-    /// Returns [`PrepareError`] if compilation, image assembly, or the
-    /// golden run fails.
+    /// Returns [`PrepareError`] if compilation or image assembly fails,
+    /// or if the golden run does not exit cleanly with the workload's
+    /// expected output.
     pub fn new(workload: &Workload, model: CoreModel) -> Result<Prepared, PrepareError> {
         let cfg = model.config();
         let compiled = compile(&workload.module, cfg.isa, &CompileOpts::default())
@@ -119,6 +160,7 @@ impl Prepared {
         if golden.status != RunStatus::Exited(0) {
             return Err(PrepareError::BadGolden(golden.status));
         }
+        PrepareError::check_output(&golden.output, &workload.expected_output)?;
         let budget = golden.cycles * 8 + 500_000;
         Ok(Prepared {
             cfg,
@@ -169,8 +211,9 @@ impl FuncPrepared {
     ///
     /// # Errors
     ///
-    /// Returns [`PrepareError`] if compilation, image assembly, or the
-    /// golden run fails.
+    /// Returns [`PrepareError`] if compilation or image assembly fails,
+    /// or if the golden run does not exit cleanly with the workload's
+    /// expected output.
     pub fn new(workload: &Workload, isa: Isa) -> Result<FuncPrepared, PrepareError> {
         let compiled = compile(&workload.module, isa, &CompileOpts::default())
             .map_err(|e| PrepareError::Compile(e.to_string()))?;
@@ -180,6 +223,7 @@ impl FuncPrepared {
         if golden.status != RunStatus::Exited(0) {
             return Err(PrepareError::BadGolden(golden.status));
         }
+        PrepareError::check_output(&golden.output, &workload.expected_output)?;
         let budget = golden.instrs * 8 + 500_000;
         Ok(FuncPrepared {
             isa,
@@ -208,6 +252,35 @@ mod tests {
         let mid = p.golden.cycles / 2;
         assert!(p.checkpoints.nearest_cycle(mid) <= mid);
         assert_eq!(p.core_at(mid).cycle(), mid);
+    }
+
+    #[test]
+    fn a_wrong_expected_output_is_refused() {
+        let mut w = WorkloadId::Crc32.build();
+        w.expected_output[0] ^= 1;
+        match Prepared::new(&w, CoreModel::A9) {
+            Err(PrepareError::GoldenOutput {
+                at,
+                found,
+                expected,
+            }) => {
+                assert_eq!(at, 0);
+                assert_eq!(found, expected);
+            }
+            other => panic!("expected a golden-output error, got {other:?}"),
+        }
+        match FuncPrepared::new(&w, Isa::Va64) {
+            Err(PrepareError::GoldenOutput { at: 0, .. }) => {}
+            other => panic!("expected a golden-output error, got {other:?}"),
+        }
+        assert_eq!(
+            PrepareError::check_output(b"abc", b"ab"),
+            Err(PrepareError::GoldenOutput {
+                at: 2,
+                found: 3,
+                expected: 2
+            })
+        );
     }
 
     #[test]

@@ -890,11 +890,11 @@ impl<'a> Pruner<'a> {
 /// How a campaign chooses and executes its fault sites.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum InjectionPlan {
-    /// Every bit of the structure, all injected at one fixed cycle
-    /// (exhaustive over space, not time). The legacy `(cycle, bit)`
-    /// planner executes it unpruned; the model-aware campaigns run it
-    /// through the [`Pruner`], whose per-model dead/equivalence
-    /// arguments keep an all-(site, model)-pairs sweep tractable.
+    /// Every site of every requested model's site space over the
+    /// structure, all injected at one fixed cycle (exhaustive over
+    /// space, not time). Executed through the [`Pruner`], whose
+    /// per-model dead/equivalence arguments keep an all-(site,
+    /// model)-pairs sweep tractable.
     Exhaustive {
         /// The single injection cycle.
         cycle: u64,
@@ -927,30 +927,6 @@ impl InjectionPlan {
             InjectionPlan::Pruned { .. } => "pruned",
         }
     }
-
-    /// True if this plan executes through the pruner.
-    pub fn is_pruned(&self) -> bool {
-        matches!(self, InjectionPlan::Pruned { .. })
-    }
-}
-
-/// Materialises a plan's fault sites. [`InjectionPlan::Sampled`] and
-/// [`InjectionPlan::Pruned`] with the same `(n, seed)` yield the same
-/// sites — pruning changes execution, never the sample.
-pub fn plan_sites(
-    prep: &Prepared,
-    structure: HwStructure,
-    plan: &InjectionPlan,
-) -> Vec<(u64, u64)> {
-    match *plan {
-        InjectionPlan::Exhaustive { cycle } => {
-            let bits = structure.bits(&prep.cfg);
-            (0..bits).map(|b| (cycle, b)).collect()
-        }
-        InjectionPlan::Sampled { n, seed } | InjectionPlan::Pruned { n, seed } => {
-            crate::avf::draw_sites(prep, structure, n, seed)
-        }
-    }
 }
 
 /// Materialises a plan's `(site, model)` pairs over a model set. An
@@ -958,8 +934,10 @@ pub fn plan_sites(
 /// in canonical order, that model's *entire* site space at the fixed
 /// cycle — the ARMORY-style exhaustive multi-model campaign, meant to
 /// be executed through the [`Pruner`]. Sampling plans defer to
-/// [`crate::avf::draw_model_sites`], which is bit-identical to the
-/// legacy sample for `[FaultModel::BitFlip]`.
+/// [`crate::avf::draw_model_sites`], which for `[FaultModel::BitFlip]`
+/// draws exactly [`crate::avf::draw_sites`]'s sample. Sampled and
+/// pruned plans with the same `(n, seed)` yield the same sites —
+/// pruning changes execution, never the sample.
 ///
 /// # Panics
 ///
@@ -1180,23 +1158,23 @@ mod tests {
     fn plan_sites_shapes() {
         let w = WorkloadId::Crc32.build();
         let prep = Prepared::new(&w, CoreModel::A9).unwrap();
-        let s = plan_sites(
-            &prep,
+        let flip = [FaultModel::BitFlip];
+        let plan = |st, plan| plan_model_sites(&prep, st, &plan, &flip);
+        let s = plan(
             HwStructure::RegisterFile,
-            &InjectionPlan::Sampled { n: 10, seed: 3 },
+            InjectionPlan::Sampled { n: 10, seed: 3 },
         );
-        let p = plan_sites(
-            &prep,
+        let p = plan(
             HwStructure::RegisterFile,
-            &InjectionPlan::Pruned { n: 10, seed: 3 },
+            InjectionPlan::Pruned { n: 10, seed: 3 },
         );
         assert_eq!(s, p, "pruning must not change the sample");
-        let e = plan_sites(
-            &prep,
-            HwStructure::Lsq,
-            &InjectionPlan::Exhaustive { cycle: 40 },
-        );
+        let drawn: Vec<(u64, u64)> = s.iter().map(|m| (m.cycle, m.bit)).collect();
+        assert_eq!(drawn, draw_sites(&prep, HwStructure::RegisterFile, 10, 3));
+        let e = plan(HwStructure::Lsq, InjectionPlan::Exhaustive { cycle: 40 });
         assert_eq!(e.len() as u64, HwStructure::Lsq.bits(&prep.cfg));
-        assert!(e.iter().all(|&(c, _)| c == 40));
+        assert!(e
+            .iter()
+            .all(|m| m.cycle == 40 && m.model == FaultModel::BitFlip));
     }
 }

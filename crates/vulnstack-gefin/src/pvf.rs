@@ -10,12 +10,12 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use vulnstack_core::effects::{FaultEffect, Tally};
-use vulnstack_core::journal::{fnv1a64, Fingerprint, JournalError, JournalOpts, ResumableCampaign};
+use vulnstack_core::journal::{fnv1a64, Fingerprint, JournalError, JournalOpts};
 use vulnstack_core::sched::Quarantine;
-use vulnstack_core::sink::{self, RecordHandle, StreamOpts};
-use vulnstack_core::ResumeStats;
+use vulnstack_core::sink::{RecordHandle, StreamOpts};
+use vulnstack_core::trace::CampaignMetrics;
+use vulnstack_core::{Campaign, CampaignJournal, ResumeStats};
 use vulnstack_isa::fields::bits_of_class;
 use vulnstack_isa::{BitClass, Reg};
 use vulnstack_microarch::func::{FuncCore, PvfFault, PvfMutation};
@@ -23,7 +23,7 @@ use vulnstack_microarch::func::{FuncCore, PvfFault, PvfMutation};
 use crate::prepare::FuncPrepared;
 
 /// PVF fault-propagation-model population (paper Fig. 7).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PvfMode {
     /// Wrong Data: registers and program-flow memory bytes.
     Wd,
@@ -128,47 +128,8 @@ fn run_encoding(prep: &FuncPrepared, class: BitClass, rng: &mut StdRng) -> Fault
     FaultEffect::Masked
 }
 
-/// Runs an architecture-level campaign of `n` faults in `mode`,
-/// parallelised over `threads` workers with work stealing. Each fault is
-/// seeded per-index, so the result is deterministic for a given `seed`
-/// at any thread count.
-pub fn pvf_campaign(
-    prep: &FuncPrepared,
-    mode: PvfMode,
-    n: usize,
-    seed: u64,
-    threads: usize,
-) -> Tally {
-    pvf_campaign_metered(prep, mode, n, seed, threads, None)
-}
-
-/// [`pvf_campaign`] with optional campaign metrics: each injection is
-/// recorded as a worker span in `metrics` (the functional engine has no
-/// checkpoints, so no restore distances are recorded). Results are
-/// identical to the unmetered campaign.
-pub fn pvf_campaign_metered(
-    prep: &FuncPrepared,
-    mode: PvfMode,
-    n: usize,
-    seed: u64,
-    threads: usize,
-    metrics: Option<&vulnstack_core::trace::CampaignMetrics>,
-) -> Tally {
-    let indices: Vec<usize> = (0..n).collect();
-    let order: Vec<usize> = (0..n).collect();
-    vulnstack_core::sched::map_ordered_metered(
-        &indices,
-        &order,
-        threads,
-        |_, &i| run_indexed(prep, mode, seed, i),
-        metrics,
-    )
-    .into_iter()
-    .collect()
-}
-
-/// Runs one PVF injection for campaign index `i` (the per-index seeding
-/// shared by the parallel and resumable campaign paths).
+/// Runs one PVF injection for campaign index `i`, seeded from the index
+/// so the outcome does not depend on which worker runs it.
 fn run_indexed(prep: &FuncPrepared, mode: PvfMode, seed: u64, i: usize) -> FaultEffect {
     let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(0x9E37).wrapping_add(i as u64));
     match mode {
@@ -178,105 +139,34 @@ fn run_indexed(prep: &FuncPrepared, mode: PvfMode, seed: u64, i: usize) -> Fault
     }
 }
 
-/// Results of a resumable PVF campaign: the tally over completed
-/// injections, the quarantined sites (excluded from the tally), and the
-/// replay/execute accounting.
-#[derive(Debug)]
-pub struct PvfResumed {
-    /// Tally over the completed injections.
-    pub tally: Tally,
-    /// Sites whose every injection attempt panicked.
-    pub quarantined: Vec<Quarantine>,
-    /// Resume accounting.
-    pub stats: ResumeStats,
-}
-
-/// Journaled, crash-resumable [`pvf_campaign_metered`]: each settled
-/// injection is appended durably to the journal at `opts.path`, and a
-/// resume replays the journaled injections instantly, running only the
-/// rest. The merged tally is identical to an uninterrupted campaign at
-/// any thread count.
-///
-/// # Errors
-///
-/// Any [`JournalError`] (see
-/// [`avf_campaign_resumable`](crate::avf::avf_campaign_resumable)).
-pub fn pvf_campaign_resumable(
-    prep: &FuncPrepared,
-    mode: PvfMode,
-    n: usize,
-    seed: u64,
-    threads: usize,
-    opts: &JournalOpts<'_>,
-    metrics: Option<&vulnstack_core::trace::CampaignMetrics>,
-) -> Result<PvfResumed, JournalError> {
-    let indices: Vec<usize> = (0..n).collect();
-    let order: Vec<usize> = (0..n).collect();
-    let fingerprint = Fingerprint {
-        engine: "gefin-pvf".to_string(),
-        workload: opts.workload.to_string(),
-        config: prep.isa.name().to_string(),
-        structure: "-".to_string(),
-        seed,
-        samples: n as u64,
-        params: format!(
-            "mode={};golden_instrs={};output={:016x}",
-            mode.name(),
-            prep.golden.instrs,
-            fnv1a64(&prep.expected_output)
-        ),
-        version: crate::avf::RECORD_VERSION,
-    };
-    let resumed = ResumableCampaign {
-        path: opts.path,
-        fingerprint,
-        mode: opts.mode,
-        items: &indices,
-        order: &order,
-        threads,
-        policy: opts.policy,
-        meta: &[],
-    }
-    .run(
-        |_, &i| run_indexed(prep, mode, seed, i),
-        |e| e.name().to_string(),
-        FaultEffect::from_name,
-        metrics,
-    )?;
-    Ok(PvfResumed {
-        tally: resumed.records().into_iter().copied().collect(),
-        quarantined: resumed.quarantined().into_iter().cloned().collect(),
-        stats: resumed.stats,
-    })
-}
-
-/// Results of a streaming PVF campaign: the tally accumulated effect by
-/// effect in the sink fold, never a collected outcome vector.
+/// Results of a PVF campaign: the tally accumulated effect by effect in
+/// the sink fold, never a collected outcome vector.
 #[derive(Debug)]
 pub struct PvfStreamed {
     /// Tally over the completed injections.
     pub tally: Tally,
-    /// Sites whose every injection attempt panicked (journaled runs
-    /// only).
+    /// Sites whose every injection attempt panicked.
     pub quarantined: Vec<Quarantine>,
     /// Handle to the on-disk record stream, when
     /// [`StreamOpts::spill`] was set.
     pub records: Option<RecordHandle>,
-    /// Replay/execute accounting (all-executed for unjournaled runs).
+    /// Replay/execute accounting (nothing replayed for unjournaled
+    /// runs).
     pub stats: ResumeStats,
 }
 
-/// Streaming, bounded-memory [`pvf_campaign_metered`] /
-/// [`pvf_campaign_resumable`]: each settled injection flows through the
-/// bounded sink channel into the tally fold (and, with `journal`, the
-/// journal — same `gefin-pvf` fingerprint as the resumable path, so the
-/// two can kill-and-resume each other's journals).
+/// Runs an architecture-level campaign of `n` faults in `mode` on
+/// `threads` workers with work stealing. Each fault is seeded from its
+/// campaign index, so the tally is deterministic for a given `seed` at
+/// any thread count, journaled or not. Each settled injection flows
+/// through the bounded sink channel into the tally fold (and, with
+/// `journal`, the journal).
 ///
 /// # Errors
 ///
 /// Any [`JournalError`] (journaled runs), or spill-file I/O errors.
 #[allow(clippy::too_many_arguments)]
-pub fn pvf_campaign_streamed(
+pub fn pvf_campaign(
     prep: &FuncPrepared,
     mode: PvfMode,
     n: usize,
@@ -284,78 +174,51 @@ pub fn pvf_campaign_streamed(
     threads: usize,
     journal: Option<&JournalOpts<'_>>,
     stream: StreamOpts<'_>,
-    metrics: Option<&vulnstack_core::trace::CampaignMetrics>,
+    metrics: Option<&CampaignMetrics>,
 ) -> Result<PvfStreamed, JournalError> {
     let indices: Vec<usize> = (0..n).collect();
-    let order: Vec<usize> = (0..n).collect();
-    let encode = |e: &FaultEffect| e.name().to_string();
+    let journal = journal.map(|opts| CampaignJournal {
+        opts,
+        fingerprint: Fingerprint {
+            engine: "gefin-pvf".to_string(),
+            workload: opts.workload.to_string(),
+            config: prep.isa.name().to_string(),
+            structure: "-".to_string(),
+            seed,
+            samples: n as u64,
+            params: format!(
+                "mode={};golden_instrs={};output={:016x}",
+                mode.name(),
+                prep.golden.instrs,
+                fnv1a64(&prep.expected_output)
+            ),
+            version: crate::avf::RECORD_VERSION,
+        },
+        meta: Vec::new(),
+    });
     let mut tally = Tally::default();
-    let mut fold = |_: u64, payload: &str| {
-        if let Some(e) = FaultEffect::from_name(payload) {
-            tally.add(e);
-        }
-    };
-    let (quarantined, records, stats) = match journal {
-        Some(opts) => {
-            let fingerprint = Fingerprint {
-                engine: "gefin-pvf".to_string(),
-                workload: opts.workload.to_string(),
-                config: prep.isa.name().to_string(),
-                structure: "-".to_string(),
-                seed,
-                samples: n as u64,
-                params: format!(
-                    "mode={};golden_instrs={};output={:016x}",
-                    mode.name(),
-                    prep.golden.instrs,
-                    fnv1a64(&prep.expected_output)
-                ),
-                version: crate::avf::RECORD_VERSION,
-            };
-            let out = ResumableCampaign {
-                path: opts.path,
-                fingerprint,
-                mode: opts.mode,
-                items: &indices,
-                order: &order,
-                threads,
-                policy: opts.policy,
-                meta: &[],
+    let out = Campaign {
+        items: &indices,
+        order: &indices,
+        threads,
+        journal,
+    }
+    .run(
+        stream,
+        metrics,
+        |_, &i| run_indexed(prep, mode, seed, i).name().to_string(),
+        |p| FaultEffect::from_name(p).is_some(),
+        |_, payload| {
+            if let Some(e) = FaultEffect::from_name(payload) {
+                tally.add(e);
             }
-            .run_streaming(
-                stream,
-                |_, &i| run_indexed(prep, mode, seed, i),
-                encode,
-                FaultEffect::from_name,
-                &mut fold,
-                metrics,
-            )?;
-            (out.quarantined, out.records, out.stats)
-        }
-        None => {
-            let ((), summary) = sink::stream(None, stream, &mut fold, |handle| {
-                vulnstack_core::sched::map_ordered_metered(
-                    &indices,
-                    &order,
-                    threads,
-                    |i, &k: &usize| {
-                        handle.push_done(i as u64, encode(&run_indexed(prep, mode, seed, k)));
-                    },
-                    metrics,
-                );
-            })?;
-            let stats = ResumeStats {
-                executed: n,
-                ..ResumeStats::default()
-            };
-            (summary.quarantined, summary.records, stats)
-        }
-    };
+        },
+    )?;
     Ok(PvfStreamed {
         tally,
-        quarantined,
-        records,
-        stats,
+        quarantined: out.quarantined,
+        records: out.records,
+        stats: out.stats,
     })
 }
 
@@ -365,11 +228,26 @@ mod tests {
     use vulnstack_isa::Isa;
     use vulnstack_workloads::WorkloadId;
 
+    fn tally(prep: &FuncPrepared, mode: PvfMode, n: usize, seed: u64, threads: usize) -> Tally {
+        pvf_campaign(
+            prep,
+            mode,
+            n,
+            seed,
+            threads,
+            None,
+            StreamOpts::from_env(),
+            None,
+        )
+        .unwrap()
+        .tally
+    }
+
     #[test]
     fn wd_campaign_runs_and_mixes() {
         let w = WorkloadId::Crc32.build();
         let prep = FuncPrepared::new(&w, Isa::Va64).unwrap();
-        let t = pvf_campaign(&prep, PvfMode::Wd, 30, 3, 4);
+        let t = tally(&prep, PvfMode::Wd, 30, 3, 4);
         assert_eq!(t.total(), 30);
         // Architectural faults in the program flow are much more likely
         // to matter than raw hardware bits, but masking still exists.
@@ -380,7 +258,7 @@ mod tests {
     fn wi_faults_skew_toward_crashes() {
         let w = WorkloadId::Smooth.build();
         let prep = FuncPrepared::new(&w, Isa::Va64).unwrap();
-        let wi = pvf_campaign(&prep, PvfMode::Wi, 40, 5, 4);
+        let wi = tally(&prep, PvfMode::Wi, 40, 5, 4);
         assert_eq!(wi.total(), 40);
         // Opcode/control-flow corruption should produce a solid share of
         // crashes (invalid opcodes, wild jumps).
@@ -391,8 +269,8 @@ mod tests {
     fn campaign_deterministic_across_thread_counts() {
         let w = WorkloadId::Crc32.build();
         let prep = FuncPrepared::new(&w, Isa::Va32).unwrap();
-        let a = pvf_campaign(&prep, PvfMode::Woi, 16, 9, 1);
-        let b = pvf_campaign(&prep, PvfMode::Woi, 16, 9, 4);
+        let a = tally(&prep, PvfMode::Woi, 16, 9, 1);
+        let b = tally(&prep, PvfMode::Woi, 16, 9, 4);
         assert_eq!(a, b);
     }
 }

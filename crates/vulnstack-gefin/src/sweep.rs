@@ -9,12 +9,12 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use vulnstack_core::effects::Tally;
-use vulnstack_core::journal::{fnv1a64, Fingerprint, JournalError, JournalOpts, ResumableCampaign};
+use vulnstack_core::journal::{fnv1a64, Fingerprint, JournalError, JournalOpts};
 use vulnstack_core::sched::{self, Quarantine};
-use vulnstack_core::sink::{self, RecordHandle, StreamOpts};
+use vulnstack_core::sink::{RecordHandle, StreamOpts};
 use vulnstack_core::stack::FpmDist;
 use vulnstack_core::trace::CampaignMetrics;
-use vulnstack_core::ResumeStats;
+use vulnstack_core::{Campaign, CampaignJournal, ResumeStats};
 use vulnstack_microarch::ooo::HwStructure;
 use vulnstack_microarch::FaultModel;
 
@@ -43,120 +43,9 @@ impl TemporalProfile {
     }
 }
 
-/// Runs `per_window` injections uniformly inside each of `windows` equal
-/// slices of the golden execution, parallelised over `threads` workers
-/// with work stealing. Deterministic for a given seed at any thread
-/// count. Windowed sites are the checkpoint layer's best case: every
-/// injection in a window restores from the same few golden snapshots.
-pub fn temporal_campaign(
-    prep: &Prepared,
-    structure: HwStructure,
-    windows: usize,
-    per_window: usize,
-    seed: u64,
-    threads: usize,
-) -> TemporalProfile {
-    temporal_campaign_metered(prep, structure, windows, per_window, seed, threads, None)
-}
-
-/// [`temporal_campaign`] with optional campaign metrics (worker spans,
-/// restore distances, extinct-early and watchdog counters). Results are
-/// identical to the unmetered sweep.
-#[allow(clippy::too_many_arguments)]
-pub fn temporal_campaign_metered(
-    prep: &Prepared,
-    structure: HwStructure,
-    windows: usize,
-    per_window: usize,
-    seed: u64,
-    threads: usize,
-    metrics: Option<&CampaignMetrics>,
-) -> TemporalProfile {
-    let (bounds, sites) = draw_windowed_sites(prep, structure, windows, per_window, seed);
-    let order = sched::sort_order_by(&sites, |&(_, c, _)| c);
-    let records = sched::map_ordered_metered(
-        &sites,
-        &order,
-        threads,
-        |_, &(w, cycle, bit)| {
-            let (rec, _) = run_one_inner(
-                prep,
-                structure,
-                cycle,
-                bit,
-                FaultModel::BitFlip,
-                InjectEngine::Checkpointed,
-                None,
-                metrics,
-            );
-            (w, rec)
-        },
-        metrics,
-    );
-
-    let mut tallies = vec![Tally::default(); windows];
-    let mut fpms = vec![FpmDist::new(); windows];
-    for (w, rec) in records {
-        tallies[w].add(rec.effect);
-        fpms[w].add(rec.fpm);
-    }
-
-    TemporalProfile {
-        structure,
-        bounds,
-        tallies,
-        fpms,
-    }
-}
-
-/// [`temporal_campaign_metered`] executed through the equivalence-class
-/// [`Pruner`]: the same windowed sites, served from the class table
-/// where provable and early-terminating simulations elsewhere. Per-site
-/// records are bit-identical to the unpruned sweep, so the per-window
-/// tallies and FPM distributions are too.
-#[allow(clippy::too_many_arguments)]
-pub fn temporal_campaign_pruned(
-    prep: &Prepared,
-    structure: HwStructure,
-    windows: usize,
-    per_window: usize,
-    seed: u64,
-    threads: usize,
-    metrics: Option<&CampaignMetrics>,
-) -> (TemporalProfile, PruneStats) {
-    let (bounds, sites) = draw_windowed_sites(prep, structure, windows, per_window, seed);
-    let order = sched::sort_order_by(&sites, |&(_, c, _)| c);
-    let pruner = Pruner::new(prep, structure);
-    let records = sched::map_ordered_metered(
-        &sites,
-        &order,
-        threads,
-        |_, &(w, cycle, bit)| (w, pruner.run_site(cycle, bit, metrics)),
-        metrics,
-    );
-
-    let mut tallies = vec![Tally::default(); windows];
-    let mut fpms = vec![FpmDist::new(); windows];
-    for (w, rec) in records {
-        tallies[w].add(rec.effect);
-        fpms[w].add(rec.fpm);
-    }
-
-    (
-        TemporalProfile {
-            structure,
-            bounds,
-            tallies,
-            fpms,
-        },
-        pruner.stats(),
-    )
-}
-
 /// Draws the sweep's window bounds and fault sites — `(window, cycle,
 /// bit)` triples, in window order from a single seeded stream, so the
-/// sample set is independent of the thread count and of whether the
-/// journaled or plain campaign path runs it.
+/// sample set is independent of the thread count.
 fn draw_windowed_sites(
     prep: &Prepared,
     structure: HwStructure,
@@ -203,205 +92,45 @@ fn window_bounds(total: u64, windows: usize) -> Vec<u64> {
         .collect()
 }
 
-/// Results of a resumable temporal sweep: the per-window profile over
-/// completed records, the quarantined sites (excluded from their
-/// window's tally), and the replay/execute accounting.
-#[derive(Debug)]
-pub struct TemporalResumed {
-    /// Per-window profile over the completed records.
-    pub profile: TemporalProfile,
-    /// Sites whose every injection attempt panicked.
-    pub quarantined: Vec<Quarantine>,
-    /// Resume accounting.
-    pub stats: ResumeStats,
-}
-
-/// Journaled, crash-resumable [`temporal_campaign_metered`]: each
-/// settled site is appended durably to the journal at `opts.path`, and
-/// a resume replays the journaled sites instantly, running only the
-/// rest. Sites are drawn in window order, so a record's window is
-/// recovered from its campaign index (`index / per_window`) without
-/// journaling it.
-///
-/// # Errors
-///
-/// Any [`JournalError`] (see
-/// [`avf_campaign_resumable`](crate::avf::avf_campaign_resumable)).
-#[allow(clippy::too_many_arguments)]
-pub fn temporal_campaign_resumable(
-    prep: &Prepared,
-    structure: HwStructure,
-    windows: usize,
-    per_window: usize,
-    seed: u64,
-    threads: usize,
-    opts: &JournalOpts<'_>,
-    metrics: Option<&CampaignMetrics>,
-) -> Result<TemporalResumed, JournalError> {
-    temporal_resumable_inner(
-        prep, structure, windows, per_window, seed, threads, opts, metrics, None,
-    )
-}
-
-/// [`temporal_campaign_resumable`] executed through the
-/// equivalence-class [`Pruner`]. The plan is part of the journal
-/// identity (`params` gains `;plan=pruned`), and the class-table digest
-/// is journaled as `class-table` metadata — a resume whose rebuilt
-/// table disagrees is refused
-/// ([`vulnstack_core::journal::JournalError::MetaMismatch`]) rather
-/// than silently re-pruned.
-///
-/// # Errors
-///
-/// Any [`JournalError`], including a class-table metadata mismatch.
-#[allow(clippy::too_many_arguments)]
-pub fn temporal_campaign_resumable_pruned(
-    prep: &Prepared,
-    structure: HwStructure,
-    windows: usize,
-    per_window: usize,
-    seed: u64,
-    threads: usize,
-    opts: &JournalOpts<'_>,
-    metrics: Option<&CampaignMetrics>,
-) -> Result<(TemporalResumed, PruneStats), JournalError> {
-    let pruner = Pruner::new(prep, structure);
-    let resumed = temporal_resumable_inner(
-        prep,
-        structure,
-        windows,
-        per_window,
-        seed,
-        threads,
-        opts,
-        metrics,
-        Some(&pruner),
-    )?;
-    Ok((resumed, pruner.stats()))
-}
-
-#[allow(clippy::too_many_arguments)]
-fn temporal_resumable_inner(
-    prep: &Prepared,
-    structure: HwStructure,
-    windows: usize,
-    per_window: usize,
-    seed: u64,
-    threads: usize,
-    opts: &JournalOpts<'_>,
-    metrics: Option<&CampaignMetrics>,
-    pruner: Option<&Pruner<'_>>,
-) -> Result<TemporalResumed, JournalError> {
-    let (bounds, sites) = draw_windowed_sites(prep, structure, windows, per_window, seed);
-    let order = sched::sort_order_by(&sites, |&(_, c, _)| c);
-    let plan_suffix = if pruner.is_some() { ";plan=pruned" } else { "" };
-    let fingerprint = Fingerprint {
-        engine: "gefin-sweep".to_string(),
-        workload: opts.workload.to_string(),
-        config: prep.cfg.model.name().to_string(),
-        structure: structure.name().to_string(),
-        seed,
-        samples: sites.len() as u64,
-        params: format!(
-            "windows={windows};per_window={per_window};golden_cycles={};output={:016x}{plan_suffix}",
-            prep.golden.cycles,
-            fnv1a64(&prep.expected_output)
-        ),
-        version: RECORD_VERSION,
-    };
-    let meta: Vec<(String, String)> = pruner
-        .map(|p| {
-            vec![(
-                "class-table".to_string(),
-                format!("fnv={:016x}", p.table().digest()),
-            )]
-        })
-        .unwrap_or_default();
-    let resumed = ResumableCampaign {
-        path: opts.path,
-        fingerprint,
-        mode: opts.mode,
-        items: &sites,
-        order: &order,
-        threads,
-        policy: opts.policy,
-        meta: &meta,
-    }
-    .run(
-        |_, &(_, cycle, bit)| match pruner {
-            Some(p) => p.run_site(cycle, bit, metrics),
-            None => {
-                run_one_inner(
-                    prep,
-                    structure,
-                    cycle,
-                    bit,
-                    FaultModel::BitFlip,
-                    InjectEngine::Checkpointed,
-                    None,
-                    metrics,
-                )
-                .0
-            }
-        },
-        encode_record,
-        decode_record,
-        metrics,
-    )?;
-
-    let mut tallies = vec![Tally::default(); windows];
-    let mut fpms = vec![FpmDist::new(); windows];
-    for (i, outcome) in resumed.outcomes.iter().enumerate() {
-        if let Some(rec) = outcome.done() {
-            let w = i / per_window.max(1);
-            tallies[w].add(rec.effect);
-            fpms[w].add(rec.fpm);
-        }
-    }
-    Ok(TemporalResumed {
-        profile: TemporalProfile {
-            structure,
-            bounds,
-            tallies,
-            fpms,
-        },
-        quarantined: resumed.quarantined().into_iter().cloned().collect(),
-        stats: resumed.stats,
-    })
-}
-
-/// Results of a streaming temporal sweep: per-window tallies
-/// accumulated record-by-record in the sink fold; the record stream
-/// lives on disk (when a spill file was requested), never in RAM.
+/// Results of a temporal sweep: per-window tallies accumulated
+/// record-by-record in the sink fold; the record stream lives on disk
+/// (when a spill file was requested), never in RAM.
 #[derive(Debug)]
 pub struct TemporalStreamed {
     /// Per-window profile over the completed records.
     pub profile: TemporalProfile,
-    /// Sites whose every injection attempt panicked (journaled runs
-    /// only; the unjournaled path propagates panics like
-    /// [`temporal_campaign`]).
+    /// Sites whose every injection attempt panicked.
     pub quarantined: Vec<Quarantine>,
     /// Handle to the on-disk record stream, when
     /// [`StreamOpts::spill`] was set.
     pub records: Option<RecordHandle>,
-    /// Replay/execute accounting (all-executed for unjournaled runs).
+    /// Replay/execute accounting (nothing replayed for unjournaled
+    /// runs).
     pub stats: ResumeStats,
 }
 
-/// Streaming, bounded-memory temporal sweep: the per-window tallies are
-/// folded one record at a time as sites settle (a record's window is
-/// its campaign index over `per_window`, as in the resumable sweep), so
-/// peak memory is bounded by the sink channel regardless of `windows ×
-/// per_window`. With `journal` the fingerprint matches
-/// [`temporal_campaign_resumable`] (or its pruned variant when `pruned`)
-/// bit-for-bit, so streamed and legacy sweeps can kill-and-resume each
-/// other's journals.
+/// Runs a temporal sweep: `per_window` injections uniformly inside each
+/// of `windows` equal slices of the golden execution, on `threads`
+/// workers with work stealing — through the equivalence-class
+/// [`Pruner`] when `pruned` (bit-identical records; the second return
+/// value is its accounting). Deterministic for a given seed at any
+/// thread count. Windowed sites are the checkpoint layer's best case:
+/// every injection in a window restores from the same few golden
+/// snapshots.
+///
+/// The per-window tallies are folded one record at a time as sites
+/// settle — sites are drawn in window order, so a record's window is its
+/// site index over `per_window` and is never journaled — so peak memory
+/// is bounded by the sink channel regardless of `windows × per_window`.
+/// A journaled pruned sweep adds `;plan=pruned` to its fingerprint and
+/// journals its class-table digest as `class-table` metadata; a resume
+/// whose rebuilt table disagrees is refused.
 ///
 /// # Errors
 ///
 /// Any [`JournalError`] (journaled runs), or spill-file I/O errors.
 #[allow(clippy::too_many_arguments)]
-pub fn temporal_campaign_streamed(
+pub fn temporal_campaign(
     prep: &Prepared,
     structure: HwStructure,
     windows: usize,
@@ -416,98 +145,72 @@ pub fn temporal_campaign_streamed(
     let (bounds, sites) = draw_windowed_sites(prep, structure, windows, per_window, seed);
     let order = sched::sort_order_by(&sites, |&(_, c, _)| c);
     let pruner = pruned.then(|| Pruner::new(prep, structure));
-    let runner = |_: usize, &(_, cycle, bit): &(usize, u64, u64)| match &pruner {
-        Some(p) => p.run_site(cycle, bit, metrics),
-        None => {
-            run_one_inner(
-                prep,
-                structure,
-                cycle,
-                bit,
-                FaultModel::BitFlip,
-                InjectEngine::Checkpointed,
-                None,
-                metrics,
-            )
-            .0
-        }
-    };
+    let journal = journal.map(|opts| CampaignJournal {
+        opts,
+        fingerprint: Fingerprint {
+            engine: "gefin-sweep".to_string(),
+            workload: opts.workload.to_string(),
+            config: prep.cfg.model.name().to_string(),
+            structure: structure.name().to_string(),
+            seed,
+            samples: sites.len() as u64,
+            params: format!(
+                "windows={windows};per_window={per_window};golden_cycles={};output={:016x}{}",
+                prep.golden.cycles,
+                fnv1a64(&prep.expected_output),
+                if pruned { ";plan=pruned" } else { "" },
+            ),
+            version: RECORD_VERSION,
+        },
+        meta: pruner
+            .iter()
+            .map(|p| {
+                (
+                    "class-table".to_string(),
+                    format!("fnv={:016x}", p.table().digest()),
+                )
+            })
+            .collect(),
+    });
 
     let mut tallies = vec![Tally::default(); windows];
     let mut fpms = vec![FpmDist::new(); windows];
-    let mut fold = |index: u64, payload: &str| {
-        if let Some(rec) = decode_record(payload) {
-            let w = (index as usize / per_window.max(1)).min(windows.saturating_sub(1));
-            tallies[w].add(rec.effect);
-            fpms[w].add(rec.fpm);
-        }
-    };
-
-    let (quarantined, records, stats) = match journal {
-        Some(opts) => {
-            let plan_suffix = if pruned { ";plan=pruned" } else { "" };
-            let fingerprint = Fingerprint {
-                engine: "gefin-sweep".to_string(),
-                workload: opts.workload.to_string(),
-                config: prep.cfg.model.name().to_string(),
-                structure: structure.name().to_string(),
-                seed,
-                samples: sites.len() as u64,
-                params: format!(
-                    "windows={windows};per_window={per_window};golden_cycles={};output={:016x}{plan_suffix}",
-                    prep.golden.cycles,
-                    fnv1a64(&prep.expected_output)
-                ),
-                version: RECORD_VERSION,
-            };
-            let meta: Vec<(String, String)> = pruner
-                .as_ref()
-                .map(|p| {
-                    vec![(
-                        "class-table".to_string(),
-                        format!("fnv={:016x}", p.table().digest()),
-                    )]
-                })
-                .unwrap_or_default();
-            let out = ResumableCampaign {
-                path: opts.path,
-                fingerprint,
-                mode: opts.mode,
-                items: &sites,
-                order: &order,
-                threads,
-                policy: opts.policy,
-                meta: &meta,
+    let out = Campaign {
+        items: &sites,
+        order: &order,
+        threads,
+        journal,
+    }
+    .run(
+        stream,
+        metrics,
+        |_, &(_, cycle, bit)| {
+            encode_record(&match &pruner {
+                Some(p) => p.run_site(cycle, bit, metrics),
+                None => {
+                    run_one_inner(
+                        prep,
+                        structure,
+                        cycle,
+                        bit,
+                        FaultModel::BitFlip,
+                        InjectEngine::Checkpointed,
+                        None,
+                        metrics,
+                    )
+                    .0
+                }
+            })
+        },
+        |p| decode_record(p).is_some(),
+        |index, payload| {
+            if let Some(rec) = decode_record(payload) {
+                let w = (index as usize / per_window.max(1)).min(windows.saturating_sub(1));
+                tallies[w].add(rec.effect);
+                fpms[w].add(rec.fpm);
             }
-            .run_streaming(
-                stream,
-                runner,
-                encode_record,
-                decode_record,
-                &mut fold,
-                metrics,
-            )?;
-            (out.quarantined, out.records, out.stats)
-        }
-        None => {
-            let ((), summary) = sink::stream(None, stream, &mut fold, |handle| {
-                sched::map_ordered_metered(
-                    &sites,
-                    &order,
-                    threads,
-                    |i, s: &(usize, u64, u64)| {
-                        handle.push_done(i as u64, encode_record(&runner(i, s)));
-                    },
-                    metrics,
-                );
-            })?;
-            let stats = ResumeStats {
-                executed: sites.len(),
-                ..ResumeStats::default()
-            };
-            (summary.quarantined, summary.records, stats)
-        }
-    };
+        },
+    )?;
     Ok((
         TemporalStreamed {
             profile: TemporalProfile {
@@ -516,9 +219,9 @@ pub fn temporal_campaign_streamed(
                 tallies,
                 fpms,
             },
-            quarantined,
-            records,
-            stats,
+            quarantined: out.quarantined,
+            records: out.records,
+            stats: out.stats,
         },
         pruner.map(|p| p.stats()),
     ))
@@ -565,11 +268,36 @@ mod tests {
         assert!(b.windows(2).any(|w| w[0] == w[1]), "expected duplicates");
     }
 
+    fn sweep(
+        prep: &Prepared,
+        structure: HwStructure,
+        windows: usize,
+        per_window: usize,
+        seed: u64,
+        threads: usize,
+    ) -> TemporalProfile {
+        temporal_campaign(
+            prep,
+            structure,
+            windows,
+            per_window,
+            seed,
+            threads,
+            false,
+            None,
+            StreamOpts::from_env(),
+            None,
+        )
+        .unwrap()
+        .0
+        .profile
+    }
+
     #[test]
     fn windows_partition_the_run() {
         let w = WorkloadId::Crc32.build();
         let prep = Prepared::new(&w, CoreModel::A72).unwrap();
-        let p = temporal_campaign(&prep, HwStructure::L1d, 4, 8, 3, 2);
+        let p = sweep(&prep, HwStructure::L1d, 4, 8, 3, 2);
         assert_eq!(p.bounds.len(), 5);
         assert!(p.bounds.windows(2).all(|b| b[0] < b[1]));
         assert_eq!(p.tallies.len(), 4);
@@ -581,8 +309,8 @@ mod tests {
     fn sweep_is_deterministic_across_thread_counts() {
         let w = WorkloadId::Crc32.build();
         let prep = Prepared::new(&w, CoreModel::A72).unwrap();
-        let a = temporal_campaign(&prep, HwStructure::Lsq, 3, 6, 5, 1);
-        let b = temporal_campaign(&prep, HwStructure::Lsq, 3, 6, 5, 4);
+        let a = sweep(&prep, HwStructure::Lsq, 3, 6, 5, 1);
+        let b = sweep(&prep, HwStructure::Lsq, 3, 6, 5, 4);
         assert_eq!(a.tallies, b.tallies);
         assert_eq!(a.bounds, b.bounds);
     }
@@ -594,7 +322,7 @@ mod tests {
         // average by a large factor.
         let w = WorkloadId::Crc32.build();
         let prep = Prepared::new(&w, CoreModel::A72).unwrap();
-        let p = temporal_campaign(&prep, HwStructure::RegisterFile, 5, 20, 9, 4);
+        let p = sweep(&prep, HwStructure::RegisterFile, 5, 20, 9, 4);
         let series = p.series();
         let avg: f64 = series.iter().sum::<f64>() / series.len() as f64;
         let last = *series.last().unwrap();

@@ -1,8 +1,6 @@
 //! The standard calling convention and system-call ABI shared by the
 //! compiler, the mini-kernel and the simulators.
 
-use serde::{Deserialize, Serialize};
-
 use crate::isa::Isa;
 use crate::reg::Reg;
 
@@ -11,7 +9,7 @@ use crate::reg::Reg;
 /// The syscall number is passed in the ABI's syscall register (see
 /// [`CallConv::syscall_num`]), arguments in the first argument registers,
 /// and the result comes back in the first argument register.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u64)]
 pub enum Syscall {
     /// `exit(code)` — terminate the program.
@@ -55,7 +53,7 @@ impl Syscall {
 /// Argument registers are caller-saved; everything in `callee_saved` must be
 /// preserved across calls. The syscall number register is distinct from the
 /// argument registers.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CallConv {
     isa: Isa,
 }

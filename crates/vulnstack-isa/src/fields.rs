@@ -12,12 +12,10 @@
 //!   Immediate (WOI)** effects;
 //! * ignored bits are architecturally masked.
 
-use serde::{Deserialize, Serialize};
-
 use crate::op::{Format, Op};
 
 /// What a single bit of an encoded instruction encodes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BitClass {
     /// Opcode bits, or control-transfer target bits: flipping one executes a
     /// different instruction or diverts control flow (WI).

@@ -1,7 +1,5 @@
 //! Decoded instruction representation and constructors.
 
-use serde::{Deserialize, Serialize};
-
 use crate::isa::Isa;
 use crate::op::{Format, Op};
 use crate::reg::Reg;
@@ -13,7 +11,7 @@ use crate::sysreg::SysReg;
 /// rather than merely that it is read — e.g. the fault-model taint pass
 /// in `vulnstack-analyze`, which treats branch conditions, memory bases,
 /// and control-transfer targets as attack-surface sinks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SrcRole {
     /// Plain data operand flowing into the destination value.
     Value,
@@ -48,7 +46,7 @@ pub enum SrcRole {
 /// | M | dest | — | — | imm16 (0..=65535) | 0..=3 |
 /// | Mfsr | dest | sysreg idx | — | — | — |
 /// | Mtsr | sysreg idx | src | — | — | — |
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Instr {
     /// Operation.
     pub op: Op,

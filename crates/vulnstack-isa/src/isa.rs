@@ -1,7 +1,5 @@
 //! The two VulnArm ISA variants and their architectural parameters.
 
-use serde::{Deserialize, Serialize};
-
 use crate::reg::Reg;
 
 /// An instruction-set architecture variant.
@@ -10,7 +8,7 @@ use crate::reg::Reg;
 /// two ISAs; register count and word width change code density, register
 /// pressure (spills), and cache utilisation — all of which feed into the
 /// hardware vulnerability of the structures holding that state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Isa {
     /// 32-bit ISA with 16 architectural registers (Armv7 stand-in).
     Va32,

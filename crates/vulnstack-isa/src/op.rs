@@ -1,12 +1,10 @@
 //! Operations and encoding formats.
 
-use serde::{Deserialize, Serialize};
-
 use crate::isa::Isa;
 
 /// Encoding format of an instruction, determining how the 32-bit word is
 /// split into fields.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Format {
     /// `op rd rs1 rs2` — register-register ALU.
     R,
@@ -40,7 +38,7 @@ pub enum Format {
 /// single-bit flips of an opcode frequently yield a *different valid*
 /// instruction (Wrong Instruction) rather than always an undefined one —
 /// mirroring how real ISA opcode spaces behave under transient faults.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 #[repr(u8)]
 pub enum Op {
     // Register-register ALU.

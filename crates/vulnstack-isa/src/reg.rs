@@ -1,15 +1,11 @@
 //! Architectural register identifiers.
 
-use serde::{Deserialize, Serialize};
-
 /// An architectural general-purpose register index.
 ///
 /// The index space is 5 bits wide in the encoding; which indices are valid
 /// depends on the [`Isa`](crate::Isa) (`Va32` has 16 registers, `Va64` 32
 /// including the zero register).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct Reg(pub u8);
 
 impl Reg {

@@ -1,10 +1,8 @@
 //! System registers used by the mini-kernel for trap handling.
 
-use serde::{Deserialize, Serialize};
-
 /// A privileged system register, accessed via `MFSR`/`MTSR` (kernel mode
 /// only; user-mode access raises a privilege violation).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum SysReg {
     /// Exception PC — address of the trapping instruction (or the

@@ -1,13 +1,11 @@
 //! Traps: synchronous exceptions and system calls.
 
-use serde::{Deserialize, Serialize};
-
 /// Why control transferred to the kernel.
 ///
 /// Every cause other than [`TrapCause::Syscall`] is an *error* trap; if one
 /// is raised while already in kernel mode the kernel panics, which the
 /// fault-effect classifier records as a Crash.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TrapCause {
     /// `SYSCALL` executed in user mode.
     Syscall,
@@ -76,7 +74,7 @@ impl std::fmt::Display for TrapCause {
 }
 
 /// A trap event: cause plus the architectural context the kernel needs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Trap {
     /// Why the trap occurred.
     pub cause: TrapCause,

@@ -1,7 +1,5 @@
 //! Layout of the kernel data page and run-status codes.
 
-use serde::{Deserialize, Serialize};
-
 /// Byte offsets of kernel variables within
 /// [`KERNEL_DATA`](crate::memmap::KERNEL_DATA). All are 32-bit words.
 pub mod off {
@@ -25,7 +23,7 @@ pub mod off {
 
 /// Terminal status of a full-system run, written by the kernel before
 /// `HALT` (or by the simulator on hardware-detected double faults).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u32)]
 pub enum KStatus {
     /// Still running (initial value).

@@ -9,12 +9,24 @@
 //! # Example
 //!
 //! ```no_run
+//! use vulnstack_core::StreamOpts;
 //! use vulnstack_llfi::svf_campaign;
 //! use vulnstack_workloads::WorkloadId;
 //!
 //! let w = WorkloadId::Crc32.build();
-//! let tally = svf_campaign(&w.module, &w.input, &w.expected_output, 100, 42, 4);
-//! println!("SVF = {:.3}", tally.vf().total());
+//! let out = svf_campaign(
+//!     &w.module,
+//!     &w.input,
+//!     &w.expected_output,
+//!     100,
+//!     42,
+//!     4,
+//!     None,
+//!     StreamOpts::from_env(),
+//!     None,
+//! )
+//! .unwrap();
+//! println!("SVF = {:.3}", out.tally.vf().total());
 //! ```
 
 use std::collections::BTreeMap;
@@ -22,22 +34,16 @@ use std::collections::BTreeMap;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use vulnstack_core::effects::{FaultEffect, Tally};
-use vulnstack_core::FaultModel;
+use vulnstack_core::journal::{fnv1a64, Fingerprint};
+use vulnstack_core::sched::Quarantine;
+use vulnstack_core::trace::CampaignMetrics;
+use vulnstack_core::{
+    Campaign, CampaignJournal, FaultModel, JournalError, JournalOpts, RecordHandle, ResumeStats,
+    StreamOpts,
+};
 use vulnstack_vir::instr::InstrClass;
-use vulnstack_vir::interp::{Interpreter, RunStatus, SwFault, SwFaultModel};
+use vulnstack_vir::interp::{Interpreter, RunOutcome, RunStatus, SwFault};
 use vulnstack_vir::Module;
-
-/// Maps the runtime [`FaultModel`] onto VIR's own software fault
-/// vocabulary ([`SwFaultModel`]): same four models, but `vulnstack-vir`
-/// depends only on the ISA crate and cannot name the shared enum.
-pub fn sw_model(model: FaultModel) -> SwFaultModel {
-    match model {
-        FaultModel::BitFlip => SwFaultModel::BitFlip,
-        FaultModel::ByteCorrupt => SwFaultModel::ByteCorrupt,
-        FaultModel::InstrSkip => SwFaultModel::InstrSkip,
-        FaultModel::StuckAt => SwFaultModel::StuckAt,
-    }
-}
 
 /// Classifies an interpreted run against the golden interpretation.
 pub fn classify(
@@ -111,14 +117,9 @@ pub fn run_one_metered(
     input: &[u8],
     golden: &SvfGolden,
     fault: SwFault,
-    metrics: Option<&vulnstack_core::trace::CampaignMetrics>,
+    metrics: Option<&CampaignMetrics>,
 ) -> FaultEffect {
-    let out = Interpreter::new(module)
-        .with_input(input.to_vec())
-        .with_budget(golden.budget)
-        .with_fault(fault)
-        .run()
-        .expect("interpretation");
+    let out = faulty_run(module, input, golden, fault);
     if out.status == RunStatus::Timeout {
         if let Some(m) = metrics {
             m.record_watchdog_expiry();
@@ -135,55 +136,28 @@ pub fn run_one_classed(
     golden: &SvfGolden,
     fault: SwFault,
 ) -> (FaultEffect, Option<InstrClass>) {
-    let out = Interpreter::new(module)
-        .with_input(input.to_vec())
-        .with_budget(golden.budget)
-        .with_fault(fault)
-        .run()
-        .expect("interpretation");
+    let out = faulty_run(module, input, golden, fault);
     (
         classify(out.status, &out.output, golden.status, &golden.output),
         out.injected_class,
     )
 }
 
-/// Runs an SVF campaign and breaks the results down by the *function*
-/// containing the injected instruction — the per-code-region view
-/// software designers use to decide where to apply protection (paper
-/// §II.A's "pinpoint the vulnerability of different segments of the
-/// program").
-pub fn svf_breakdown_by_function(
-    module: &Module,
-    input: &[u8],
-    n: usize,
-    seed: u64,
-) -> BTreeMap<String, Tally> {
-    let golden = golden_run(module, input);
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x51F1_57AC_0DE5_EED5);
-    let mut out: BTreeMap<String, Tally> = BTreeMap::new();
-    for _ in 0..n {
-        let fault = SwFault::flip(
-            rng.gen_range(0..golden.injectable.max(1)),
-            rng.gen_range(0..32),
-        );
-        let run = Interpreter::new(module)
-            .with_input(input.to_vec())
-            .with_budget(golden.budget)
-            .with_fault(fault)
-            .run()
-            .expect("interpretation");
-        let effect = classify(run.status, &run.output, golden.status, &golden.output);
-        if let Some(fid) = run.injected_func {
-            let name = module.functions[fid.0 as usize].name.clone();
-            out.entry(name).or_default().add(effect);
-        }
-    }
-    out
+/// Interprets `module` with `fault` injected, under the faulty-run
+/// budget.
+fn faulty_run(module: &Module, input: &[u8], golden: &SvfGolden, fault: SwFault) -> RunOutcome {
+    Interpreter::new(module)
+        .with_input(input.to_vec())
+        .with_budget(golden.budget)
+        .with_fault(fault)
+        .run()
+        .expect("interpretation")
 }
 
 /// Runs an SVF campaign and breaks the results down by the class of the
 /// injected IR instruction — which kinds of values are most fragile at
-/// the software layer.
+/// the software layer. Injects exactly [`draw_faults`]'s sites, so the
+/// breakdown covers the same sample as [`svf_campaign`] with `seed`.
 pub fn svf_breakdown(
     module: &Module,
     input: &[u8],
@@ -191,13 +165,8 @@ pub fn svf_breakdown(
     seed: u64,
 ) -> BTreeMap<InstrClass, Tally> {
     let golden = golden_run(module, input);
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x51F1_57AC_0DE5_EED5);
     let mut out: BTreeMap<InstrClass, Tally> = BTreeMap::new();
-    for _ in 0..n {
-        let fault = SwFault::flip(
-            rng.gen_range(0..golden.injectable.max(1)),
-            rng.gen_range(0..32),
-        );
+    for fault in draw_faults(&golden, n, seed) {
         let (effect, class) = run_one_classed(module, input, &golden, fault);
         if let Some(c) = class {
             out.entry(c).or_default().add(effect);
@@ -206,54 +175,8 @@ pub fn svf_breakdown(
     out
 }
 
-/// Runs an SVF campaign of `n` uniformly-sampled faults. Deterministic
-/// for a given `seed` at any thread count; parallelised over `threads`
-/// workers with work stealing (`vulnstack_core::sched`).
-pub fn svf_campaign(
-    module: &Module,
-    input: &[u8],
-    expected_output: &[u8],
-    n: usize,
-    seed: u64,
-    threads: usize,
-) -> Tally {
-    svf_campaign_metered(module, input, expected_output, n, seed, threads, None)
-}
-
-/// [`svf_campaign`] with optional campaign metrics: each injection is
-/// recorded as a worker span in `metrics` (the software layer has no
-/// checkpoints or microarchitectural extinction, so only throughput and
-/// load-balance telemetry applies). Results are identical to the
-/// unmetered campaign.
-#[allow(clippy::too_many_arguments)]
-pub fn svf_campaign_metered(
-    module: &Module,
-    input: &[u8],
-    expected_output: &[u8],
-    n: usize,
-    seed: u64,
-    threads: usize,
-    metrics: Option<&vulnstack_core::trace::CampaignMetrics>,
-) -> Tally {
-    let golden = golden_run(module, input);
-    debug_assert_eq!(golden.output, expected_output, "golden output mismatch");
-    let faults = draw_faults(&golden, n, seed);
-
-    let order: Vec<usize> = (0..faults.len()).collect();
-    vulnstack_core::sched::map_ordered_metered(
-        &faults,
-        &order,
-        threads,
-        |_, &f| run_one_metered(module, input, &golden, f, metrics),
-        metrics,
-    )
-    .into_iter()
-    .collect()
-}
-
-/// Draws the campaign's fault sites from one seeded stream — the same
-/// stream every SVF entry point uses, so journaled, metered and plain
-/// campaigns inject identical sites for the same seed.
+/// Draws the campaign's fault sites from one seeded stream, so the
+/// sample is independent of the thread count.
 pub fn draw_faults(golden: &SvfGolden, n: usize, seed: u64) -> Vec<SwFault> {
     let mut rng = StdRng::seed_from_u64(seed ^ 0x51F1_57AC_0DE5_EED5);
     (0..n)
@@ -266,272 +189,139 @@ pub fn draw_faults(golden: &SvfGolden, n: usize, seed: u64) -> Vec<SwFault> {
         .collect()
 }
 
-/// Draws `n` software faults over a model set. With the single legacy
-/// model `[BitFlip]` this is exactly [`draw_faults`] — same RNG stream,
-/// same faults — so model threading is a no-op for legacy campaigns.
-/// With multiple models each fault draws its model uniformly, then a
-/// `(target, bit)` site (every model applies at the software layer; the
-/// bit selects the byte for byte corruption and is ignored by skips).
-///
-/// # Panics
-///
-/// Panics if `models` is empty.
-pub fn draw_model_faults(
-    golden: &SvfGolden,
-    n: usize,
-    seed: u64,
-    models: &[FaultModel],
-) -> Vec<SwFault> {
-    assert!(!models.is_empty(), "no fault model given");
-    let models: Vec<FaultModel> = FaultModel::ALL
-        .into_iter()
-        .filter(|m| models.contains(m))
-        .collect();
-    if models == [FaultModel::BitFlip] {
-        return draw_faults(golden, n, seed);
-    }
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x51F1_57AC_0DE5_EED5 ^ 0x9E37_79B9_7F4A_7C15);
-    (0..n)
-        .map(|_| {
-            let model = models[rng.gen_range(0..models.len())];
-            SwFault {
-                target: rng.gen_range(0..golden.injectable.max(1)),
-                bit: rng.gen_range(0..32),
-                model: sw_model(model),
-            }
-        })
-        .collect()
-}
-
-/// Runs a multi-model SVF campaign and breaks the tally down by fault
-/// model — the software layer's view of the ARMORY-style multi-model
-/// comparison. Deterministic for a given seed at any thread count.
-pub fn svf_model_breakdown(
-    module: &Module,
-    input: &[u8],
-    expected_output: &[u8],
-    n: usize,
-    seed: u64,
-    models: &[FaultModel],
-    threads: usize,
-) -> BTreeMap<FaultModel, Tally> {
-    let golden = golden_run(module, input);
-    debug_assert_eq!(golden.output, expected_output, "golden output mismatch");
-    let faults = draw_model_faults(&golden, n, seed, models);
-    let order: Vec<usize> = (0..faults.len()).collect();
-    let effects = vulnstack_core::sched::map_ordered_metered(
-        &faults,
-        &order,
-        threads,
-        |_, &f| run_one_metered(module, input, &golden, f, None),
-        None,
-    );
-    let mut out: BTreeMap<FaultModel, Tally> = BTreeMap::new();
-    for (f, e) in faults.iter().zip(effects) {
-        let model = FaultModel::ALL
-            .into_iter()
-            .find(|&m| sw_model(m) == f.model)
-            .expect("every SwFaultModel maps back");
-        out.entry(model).or_default().add(e);
-    }
-    out
-}
-
-/// Results of a resumable SVF campaign: the tally over completed
-/// injections, the quarantined sites (excluded from the tally), and the
-/// replay/execute accounting.
-#[derive(Debug)]
-pub struct SvfResumed {
-    /// Tally over the completed injections.
-    pub tally: Tally,
-    /// Sites whose every injection attempt panicked.
-    pub quarantined: Vec<vulnstack_core::sched::Quarantine>,
-    /// Resume accounting.
-    pub stats: vulnstack_core::ResumeStats,
-}
-
-/// Journaled, crash-resumable [`svf_campaign_metered`]: each settled
-/// injection is appended durably to the journal at `opts.path` before
-/// the worker claims its next site, a panicking injection degrades to a
-/// quarantine record instead of killing the campaign, and a resume
-/// replays the journaled injections instantly, refusing a journal whose
-/// fingerprint (workload, seed, sample count, golden run, schema
-/// version) does not match. The merged tally is identical to an
-/// uninterrupted campaign at any thread count.
-///
-/// # Errors
-///
-/// Any [`vulnstack_core::JournalError`]: filesystem failures, a missing
-/// journal when resume is required, a fingerprint mismatch, or a corrupt
-/// journal body.
-#[allow(clippy::too_many_arguments)]
-pub fn svf_campaign_resumable(
-    module: &Module,
-    input: &[u8],
-    expected_output: &[u8],
-    n: usize,
-    seed: u64,
-    threads: usize,
-    opts: &vulnstack_core::JournalOpts<'_>,
-    metrics: Option<&vulnstack_core::trace::CampaignMetrics>,
-) -> Result<SvfResumed, vulnstack_core::JournalError> {
-    let golden = golden_run(module, input);
-    debug_assert_eq!(golden.output, expected_output, "golden output mismatch");
-    let faults = draw_faults(&golden, n, seed);
-    let order: Vec<usize> = (0..faults.len()).collect();
-    let fingerprint = vulnstack_core::Fingerprint {
-        engine: "llfi-svf".to_string(),
-        workload: opts.workload.to_string(),
-        config: "vir".to_string(),
-        structure: "-".to_string(),
-        seed,
-        samples: n as u64,
-        params: format!(
-            "injectable={};output={:016x};models={}",
-            golden.injectable,
-            vulnstack_core::journal::fnv1a64(&golden.output),
-            FaultModel::BitFlip.name(),
-        ),
-        // Version 2: the fingerprint binds the fault-model set.
-        version: 2,
-    };
-    let resumed = vulnstack_core::ResumableCampaign {
-        path: opts.path,
-        fingerprint,
-        mode: opts.mode,
-        items: &faults,
-        order: &order,
-        threads,
-        policy: opts.policy,
-        meta: &[],
-    }
-    .run(
-        |_, &f| run_one_metered(module, input, &golden, f, metrics),
-        |e| e.name().to_string(),
-        FaultEffect::from_name,
-        metrics,
-    )?;
-    Ok(SvfResumed {
-        tally: resumed.records().into_iter().copied().collect(),
-        quarantined: resumed.quarantined().into_iter().cloned().collect(),
-        stats: resumed.stats,
-    })
-}
-
-/// Results of a streaming SVF campaign: the tally accumulated effect by
-/// effect in the sink fold, never a collected outcome vector.
+/// Results of an SVF campaign: the tally accumulated effect by effect in
+/// the sink fold, never a collected outcome vector.
 #[derive(Debug)]
 pub struct SvfStreamed {
     /// Tally over the completed injections.
     pub tally: Tally,
-    /// Sites whose every injection attempt panicked (journaled runs
-    /// only).
-    pub quarantined: Vec<vulnstack_core::sched::Quarantine>,
+    /// Sites whose every injection attempt panicked.
+    pub quarantined: Vec<Quarantine>,
     /// Handle to the on-disk record stream, when a spill file was
     /// requested.
-    pub records: Option<vulnstack_core::RecordHandle>,
-    /// Replay/execute accounting (all-executed for unjournaled runs).
-    pub stats: vulnstack_core::ResumeStats,
+    pub records: Option<RecordHandle>,
+    /// Replay/execute accounting (nothing replayed for unjournaled
+    /// runs).
+    pub stats: ResumeStats,
 }
 
-/// Streaming, bounded-memory [`svf_campaign_metered`] /
-/// [`svf_campaign_resumable`]: each settled injection flows through the
-/// bounded sink channel (`vulnstack_core::sink`) into the tally fold —
-/// and, with `journal`, into the journal under the exact `llfi-svf`
-/// fingerprint of the resumable path, so streamed and legacy campaigns
-/// can kill-and-resume each other's journals.
+/// Why an SVF campaign could not run to completion.
+#[derive(Debug)]
+pub enum SvfError {
+    /// The golden interpretation printed something other than the
+    /// workload's expected output, so every faulty run would be
+    /// classified against the wrong bytes.
+    GoldenOutput {
+        /// Length of the golden interpretation's output.
+        found: usize,
+        /// Length of the expected output.
+        expected: usize,
+    },
+    /// The campaign's journal or spill file failed.
+    Journal(JournalError),
+}
+
+impl std::fmt::Display for SvfError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            SvfError::GoldenOutput { found, expected } => write!(
+                f,
+                "golden interpretation output differs from the expected output \
+                 ({found} bytes, {expected} expected)"
+            ),
+            SvfError::Journal(e) => e.fmt(f),
+        }
+    }
+}
+
+impl std::error::Error for SvfError {}
+
+impl From<JournalError> for SvfError {
+    fn from(e: JournalError) -> SvfError {
+        SvfError::Journal(e)
+    }
+}
+
+/// Runs an SVF campaign of `n` uniformly-sampled faults
+/// ([`draw_faults`]) on `threads` workers with work stealing.
+/// Deterministic for a given `seed` at any thread count, journaled or
+/// not. Each settled injection flows through the bounded sink channel
+/// (`vulnstack_core::sink`) into the tally fold — and, with `journal`,
+/// into the journal under the `llfi-svf` fingerprint.
 ///
 /// # Errors
 ///
-/// Any [`vulnstack_core::JournalError`] (journaled runs), or spill-file
-/// I/O errors.
+/// [`SvfError::GoldenOutput`] if the golden interpretation's output is
+/// not `expected_output`; [`SvfError::Journal`] for journal or
+/// spill-file failures.
 #[allow(clippy::too_many_arguments)]
-pub fn svf_campaign_streamed(
+pub fn svf_campaign(
     module: &Module,
     input: &[u8],
     expected_output: &[u8],
     n: usize,
     seed: u64,
     threads: usize,
-    journal: Option<&vulnstack_core::JournalOpts<'_>>,
-    stream: vulnstack_core::StreamOpts<'_>,
-    metrics: Option<&vulnstack_core::trace::CampaignMetrics>,
-) -> Result<SvfStreamed, vulnstack_core::JournalError> {
+    journal: Option<&JournalOpts<'_>>,
+    stream: StreamOpts<'_>,
+    metrics: Option<&CampaignMetrics>,
+) -> Result<SvfStreamed, SvfError> {
     let golden = golden_run(module, input);
-    debug_assert_eq!(golden.output, expected_output, "golden output mismatch");
+    if golden.output != expected_output {
+        return Err(SvfError::GoldenOutput {
+            found: golden.output.len(),
+            expected: expected_output.len(),
+        });
+    }
     let faults = draw_faults(&golden, n, seed);
     let order: Vec<usize> = (0..faults.len()).collect();
-    let encode = |e: &FaultEffect| e.name().to_string();
+    let journal = journal.map(|opts| CampaignJournal {
+        opts,
+        fingerprint: Fingerprint {
+            engine: "llfi-svf".to_string(),
+            workload: opts.workload.to_string(),
+            config: "vir".to_string(),
+            structure: "-".to_string(),
+            seed,
+            samples: n as u64,
+            params: format!(
+                "injectable={};output={:016x};models={}",
+                golden.injectable,
+                fnv1a64(&golden.output),
+                FaultModel::BitFlip.name(),
+            ),
+            // Version 2: the fingerprint binds the fault-model set.
+            version: 2,
+        },
+        meta: Vec::new(),
+    });
     let mut tally = Tally::default();
-    let mut fold = |_: u64, payload: &str| {
-        if let Some(e) = FaultEffect::from_name(payload) {
-            tally.add(e);
-        }
-    };
-    let (quarantined, records, stats) = match journal {
-        Some(opts) => {
-            let fingerprint = vulnstack_core::Fingerprint {
-                engine: "llfi-svf".to_string(),
-                workload: opts.workload.to_string(),
-                config: "vir".to_string(),
-                structure: "-".to_string(),
-                seed,
-                samples: n as u64,
-                params: format!(
-                    "injectable={};output={:016x};models={}",
-                    golden.injectable,
-                    vulnstack_core::journal::fnv1a64(&golden.output),
-                    FaultModel::BitFlip.name(),
-                ),
-                version: 2,
-            };
-            let out = vulnstack_core::ResumableCampaign {
-                path: opts.path,
-                fingerprint,
-                mode: opts.mode,
-                items: &faults,
-                order: &order,
-                threads,
-                policy: opts.policy,
-                meta: &[],
+    let out = Campaign {
+        items: &faults,
+        order: &order,
+        threads,
+        journal,
+    }
+    .run(
+        stream,
+        metrics,
+        |_, &f| {
+            run_one_metered(module, input, &golden, f, metrics)
+                .name()
+                .to_string()
+        },
+        |p| FaultEffect::from_name(p).is_some(),
+        |_, payload| {
+            if let Some(e) = FaultEffect::from_name(payload) {
+                tally.add(e);
             }
-            .run_streaming(
-                stream,
-                |_, &f| run_one_metered(module, input, &golden, f, metrics),
-                encode,
-                FaultEffect::from_name,
-                &mut fold,
-                metrics,
-            )?;
-            (out.quarantined, out.records, out.stats)
-        }
-        None => {
-            let ((), summary) = vulnstack_core::sink::stream(None, stream, &mut fold, |handle| {
-                vulnstack_core::sched::map_ordered_metered(
-                    &faults,
-                    &order,
-                    threads,
-                    |i, &f| {
-                        handle.push_done(
-                            i as u64,
-                            encode(&run_one_metered(module, input, &golden, f, metrics)),
-                        );
-                    },
-                    metrics,
-                );
-            })?;
-            let stats = vulnstack_core::ResumeStats {
-                executed: n,
-                ..vulnstack_core::ResumeStats::default()
-            };
-            (summary.quarantined, summary.records, stats)
-        }
-    };
+        },
+    )?;
     Ok(SvfStreamed {
         tally,
-        quarantined,
-        records,
-        stats,
+        quarantined: out.quarantined,
+        records: out.records,
+        stats: out.stats,
     })
 }
 
@@ -540,11 +330,27 @@ mod tests {
     use super::*;
     use vulnstack_workloads::WorkloadId;
 
+    fn tally(w: &vulnstack_workloads::Workload, n: usize, seed: u64, threads: usize) -> Tally {
+        svf_campaign(
+            &w.module,
+            &w.input,
+            &w.expected_output,
+            n,
+            seed,
+            threads,
+            None,
+            StreamOpts::from_env(),
+            None,
+        )
+        .unwrap()
+        .tally
+    }
+
     #[test]
     fn campaign_runs_and_is_deterministic() {
         let w = WorkloadId::Crc32.build();
-        let a = svf_campaign(&w.module, &w.input, &w.expected_output, 40, 1, 1);
-        let b = svf_campaign(&w.module, &w.input, &w.expected_output, 40, 1, 4);
+        let a = tally(&w, 40, 1, 1);
+        let b = tally(&w, 40, 1, 4);
         assert_eq!(a, b);
         assert_eq!(a.total(), 40);
         // SVF injections hit live values: expect plenty of SDCs for a
@@ -553,18 +359,26 @@ mod tests {
     }
 
     #[test]
-    fn function_breakdown_names_real_functions() {
-        let w = WorkloadId::Qsort.build();
-        let b = svf_breakdown_by_function(&w.module, &w.input, 40, 7);
-        assert!(!b.is_empty());
-        for name in b.keys() {
-            assert!(
-                w.module.functions.iter().any(|f| &f.name == name),
-                "unknown function {name}"
-            );
+    fn a_wrong_expected_output_is_refused() {
+        let w = WorkloadId::Crc32.build();
+        let mut expected = w.expected_output.clone();
+        expected.push(b'!');
+        let err = svf_campaign(
+            &w.module,
+            &w.input,
+            &expected,
+            4,
+            1,
+            1,
+            None,
+            StreamOpts::from_env(),
+            None,
+        )
+        .unwrap_err();
+        match err {
+            SvfError::GoldenOutput { found, expected: e } => assert_eq!(found + 1, e),
+            other => panic!("expected a golden-output error, got {other}"),
         }
-        // qsort spends nearly all its time inside `quicksort`.
-        assert!(b.contains_key("quicksort"), "{b:?}");
     }
 
     #[test]

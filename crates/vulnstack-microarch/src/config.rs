@@ -1,10 +1,9 @@
 //! Core configurations mirroring the paper's Table II.
 
-use serde::{Deserialize, Serialize};
 use vulnstack_isa::Isa;
 
 /// The four simulated microprocessor models (paper Table II analogues).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum CoreModel {
     /// Cortex-A9-like: VA32, 2-wide, small windows, 512 KiB L2.
     A9,
@@ -48,7 +47,7 @@ impl std::fmt::Display for CoreModel {
 }
 
 /// Geometry of one cache level.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
     /// Total size in bytes.
     pub size: u32,
@@ -74,7 +73,7 @@ impl CacheConfig {
 }
 
 /// Full microarchitectural configuration of a simulated core.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CoreConfig {
     /// Which model this is.
     pub model: CoreModel,

@@ -32,9 +32,7 @@ use crate::outcome::{RunStatus, SimOutcome};
 
 /// Fault propagation model of a hardware fault's first architecturally
 /// visible manifestation (paper Table I).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Fpm {
     /// Wrong Data — corrupted register/memory content consumed.
     Wd,
@@ -75,9 +73,7 @@ impl std::fmt::Display for Fpm {
 }
 
 /// A microarchitectural fault-injection target structure.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum HwStructure {
     /// Physical integer register file.
     RegisterFile,
@@ -134,9 +130,7 @@ impl std::fmt::Display for HwStructure {
 /// Runtime fault model for dynamic injection (ARMORY-style multi-model
 /// campaigns). Mirrors the static `vulnstack-analyze` model enum; names
 /// match so records and reports line up across the stack.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum FaultModel {
     /// Transient single-bit flip (the legacy model).
     BitFlip,

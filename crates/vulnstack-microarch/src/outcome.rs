@@ -1,9 +1,7 @@
 //! Terminal outcomes of full-system simulation runs.
 
-use serde::{Deserialize, Serialize};
-
 /// Why a full-system run ended.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RunStatus {
     /// Program called `exit(code)`.
     Exited(i32),
@@ -43,7 +41,7 @@ impl std::fmt::Display for RunStatus {
 }
 
 /// Result of one full-system run.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SimOutcome {
     /// Terminal status.
     pub status: RunStatus,

@@ -1,7 +1,7 @@
 //! Minimal JSON reader/writer for the wire protocol.
 //!
-//! The workspace's `serde` shim is derive-only (no runtime), so the
-//! daemon carries its own small JSON layer. It is deliberately strict:
+//! The workspace carries no JSON dependency, so the daemon carries its
+//! own small JSON layer. It is deliberately strict:
 //! depth-limited (a hostile client cannot stack-overflow the parser),
 //! rejects trailing garbage, and only supports the value shapes the
 //! protocol actually uses. Numbers are kept as `f64`; every integer

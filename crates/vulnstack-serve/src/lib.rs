@@ -11,7 +11,7 @@
 //! Layering, bottom up:
 //!
 //! * [`json`] — strict, depth-limited JSON reader/writer (the
-//!   workspace's serde shim is derive-only, so the wire format is
+//!   workspace carries no JSON dependency, so the wire format is
 //!   hand-rolled and canonical).
 //! * [`proto`] — request/response/event framing with stable error
 //!   codes; malformed input is answered, never panicked on.

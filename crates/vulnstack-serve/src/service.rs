@@ -1,8 +1,8 @@
 //! Uniform campaign-engine dispatch.
 //!
-//! Each of the five streamed campaign entry points in the workspace is
-//! wrapped in one object-safe [`CampaignEngine`] implementation, so the
-//! daemon runs every campaign the same way: look the engine up by name,
+//! Each of the workspace's campaign entry points (plus the hardened SVF
+//! variant) is wrapped in one object-safe [`CampaignEngine`]
+//! implementation, so the daemon runs every campaign the same way: look the engine up by name,
 //! hand it the spec plus a [`RunCtx`] carrying the journal path, the
 //! fair-share admission gate and the record tee, and collect a
 //! [`RunOutput`]. Nothing engine-specific leaks into the daemon loop.
@@ -15,12 +15,11 @@ use std::path::Path;
 
 use vulnstack_core::sched::ClaimGate;
 use vulnstack_core::{JournalOpts, RecordTee, ResumeMode, ResumeStats, RunPolicy, StreamOpts};
-use vulnstack_ft::svf_campaign_streamed_hardened;
 use vulnstack_gefin::{
-    avf_campaign_models_streamed, avf_report_json, pvf_campaign_streamed,
-    temporal_campaign_streamed, FuncPrepared, InjectionPlan, Prepared, PvfMode,
+    avf_campaign, avf_report_json, pvf_campaign, temporal_campaign, FuncPrepared, InjectionPlan,
+    Prepared, PvfMode,
 };
-use vulnstack_llfi::svf_campaign_streamed;
+use vulnstack_llfi::svf_campaign;
 use vulnstack_workloads::Workload;
 
 use crate::json::{self, obj, Value};
@@ -162,7 +161,7 @@ impl CampaignEngine for AvfEngine {
             seed: spec.seed,
         };
         let journal = journal_opts(ctx, &label);
-        let (r, _prune) = avf_campaign_models_streamed(
+        let (r, _prune) = avf_campaign(
             &prep,
             spec.structure,
             &plan,
@@ -200,7 +199,7 @@ impl CampaignEngine for PvfEngine {
         };
         let prep = FuncPrepared::new(&w, spec.isa).map_err(|e| e.to_string())?;
         let journal = journal_opts(ctx, &label);
-        let out = pvf_campaign_streamed(
+        let out = pvf_campaign(
             &prep,
             mode,
             spec.faults,
@@ -237,7 +236,7 @@ impl CampaignEngine for SweepEngine {
         let label = spec.label();
         let prep = Prepared::new(&w, spec.model).map_err(|e| e.to_string())?;
         let journal = journal_opts(ctx, &label);
-        let (out, _prune) = temporal_campaign_streamed(
+        let (out, _prune) = temporal_campaign(
             &prep,
             spec.structure,
             spec.windows,
@@ -287,7 +286,7 @@ impl CampaignEngine for SvfEngine {
         let w = build_workload(spec)?;
         let label = spec.label();
         let journal = journal_opts(ctx, &label);
-        let out = svf_campaign_streamed(
+        let out = svf_campaign(
             &w.module,
             &w.input,
             &w.expected_output,
@@ -319,8 +318,9 @@ impl CampaignEngine for SvfHardenedEngine {
         let w = spec.workload.build();
         let label = spec.label();
         let journal = journal_opts(ctx, &label);
-        let out = svf_campaign_streamed_hardened(
-            &w.module,
+        let hardened = vulnstack_ft::harden(&w.module).map_err(|e| e.to_string())?;
+        let out = svf_campaign(
+            &hardened,
             &w.input,
             &w.expected_output,
             spec.faults,

@@ -16,8 +16,8 @@ use vulnstack_workloads::WorkloadId;
 
 use crate::json::{self, Value};
 
-/// Which campaign engine runs the spec. The five streamed engines the
-/// platform exposes, uniformly dispatched via [`crate::service`].
+/// Which campaign engine runs the spec. The five engines the platform
+/// exposes, uniformly dispatched via [`crate::service`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Engine {
     /// GeFIN microarchitectural AVF/HVF campaign.

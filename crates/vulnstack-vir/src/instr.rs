@@ -1,13 +1,12 @@
 //! VIR instructions.
 
-use serde::{Deserialize, Serialize};
 use vulnstack_isa::Syscall;
 
 use crate::types::{BinOp, BlockId, CmpPred, FuncId, GlobalId, MemWidth, Operand, SlotId, VReg};
 
 /// Coarse instruction class, used for per-class vulnerability breakdowns
 /// (e.g. which kinds of IR instructions produce SDCs under SVF).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum InstrClass {
     /// Constants and address materialisation.
     Value,
@@ -54,7 +53,7 @@ impl std::fmt::Display for InstrClass {
 /// Instructions either compute a value into a destination register, access
 /// memory, or transfer control. Every basic block ends with exactly one
 /// terminator ([`VInstr::Br`], [`VInstr::CondBr`] or [`VInstr::Ret`]).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum VInstr {
     /// `dst = value`.
     Const { dst: VReg, value: i32 },

@@ -1,12 +1,10 @@
 //! Modules, functions, blocks and globals.
 
-use serde::{Deserialize, Serialize};
-
 use crate::instr::VInstr;
 use crate::types::{BlockId, FuncId, GlobalId, SlotId};
 
 /// A basic block: straight-line instructions ending in one terminator.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Block {
     /// Instructions, the last of which is a terminator once the function is
     /// finished.
@@ -14,7 +12,7 @@ pub struct Block {
 }
 
 /// A stack slot in a function frame.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FrameSlot {
     /// Slot size in bytes.
     pub size: u32,
@@ -23,7 +21,7 @@ pub struct FrameSlot {
 }
 
 /// A function: parameters arrive in virtual registers `%0..%nparams`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Function {
     /// Function name (diagnostics only).
     pub name: String,
@@ -82,7 +80,7 @@ impl Function {
 }
 
 /// A module-level global data object.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Global {
     /// Name (diagnostics only).
     pub name: String,
@@ -94,7 +92,7 @@ pub struct Global {
 
 /// A VIR module: functions plus global data. Execution starts at
 /// [`Module::entry`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Module {
     /// Module name.
     pub name: String,

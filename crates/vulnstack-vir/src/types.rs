@@ -1,12 +1,8 @@
 //! Identifier and operator types for VIR.
 
-use serde::{Deserialize, Serialize};
-
 /// A virtual register. VIR is not SSA: a register may be assigned multiple
 /// times (loop induction variables are simply re-written).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct VReg(pub u32);
 
 impl std::fmt::Display for VReg {
@@ -16,9 +12,7 @@ impl std::fmt::Display for VReg {
 }
 
 /// Index of a basic block inside a function.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct BlockId(pub u32);
 
 impl std::fmt::Display for BlockId {
@@ -28,25 +22,19 @@ impl std::fmt::Display for BlockId {
 }
 
 /// Index of a function inside a module.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct FuncId(pub u32);
 
 /// Index of a global inside a module.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct GlobalId(pub u32);
 
 /// Index of a stack slot inside a function's frame.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct SlotId(pub u32);
 
 /// An instruction operand: a virtual register or a 32-bit immediate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Operand {
     /// Value of a virtual register.
     Reg(VReg),
@@ -76,7 +64,7 @@ impl std::fmt::Display for Operand {
 }
 
 /// Binary integer operations (32-bit semantics; results sign-extended).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BinOp {
     /// Wrapping addition.
     Add,
@@ -183,7 +171,7 @@ impl BinOp {
 }
 
 /// Comparison predicates; result is 1 or 0.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CmpPred {
     /// Equal.
     Eq,
@@ -242,7 +230,7 @@ impl CmpPred {
 }
 
 /// Memory access widths for loads and stores.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MemWidth {
     /// Signed byte.
     B,

@@ -38,7 +38,6 @@
 //! assert_eq!(out.output, w.expected_output);
 //! ```
 
-use serde::{Deserialize, Serialize};
 use vulnstack_vir::Module;
 
 mod cjpeg;
@@ -54,7 +53,7 @@ mod smooth;
 pub mod util;
 
 /// Identifier of one workload in the suite.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum WorkloadId {
     /// Fixed-point FFT.
     Fft,

@@ -7,10 +7,11 @@
 //! ```
 
 use vulnstack_core::report::{pct, pct2, Table};
+use vulnstack_core::StreamOpts;
 use vulnstack_ft::harden;
-use vulnstack_gefin::{default_threads, Prepared};
+use vulnstack_gefin::{avf_campaign, default_threads, InjectionPlan, Prepared};
 use vulnstack_microarch::ooo::HwStructure;
-use vulnstack_microarch::CoreModel;
+use vulnstack_microarch::{CoreModel, FaultModel};
 use vulnstack_workloads::{Workload, WorkloadId};
 
 fn main() {
@@ -23,30 +24,42 @@ fn main() {
     };
 
     // Software-level view (what a developer using an LLFI-style tool
-    // sees).
-    let svf_base = vulnstack_llfi::svf_campaign(
-        &base.module,
-        &base.input,
-        &base.expected_output,
-        faults,
-        7,
-        threads,
-    );
-    let svf_hard = vulnstack_llfi::svf_campaign(
-        &hard.module,
-        &hard.input,
-        &hard.expected_output,
-        faults,
-        7,
-        threads,
-    );
+    // sees). Every campaign here runs unjournaled with the default
+    // streaming options.
+    let svf = |w: &Workload| {
+        vulnstack_llfi::svf_campaign(
+            &w.module,
+            &w.input,
+            &w.expected_output,
+            faults,
+            7,
+            threads,
+            None,
+            StreamOpts::from_env(),
+            None,
+        )
+        .expect("svf campaign")
+        .tally
+    };
+    let svf_base = svf(&base);
+    let svf_hard = svf(&hard);
 
     // Cross-layer view (ground truth): weighted over the five structures.
     let weighted = |w: &Workload| {
         let prep = Prepared::new(w, CoreModel::A72).expect("prepare");
         let mut structs = Vec::new();
         for st in HwStructure::ALL {
-            let r = vulnstack_gefin::avf_campaign(&prep, st, faults, 7, threads);
+            let (r, _) = avf_campaign(
+                &prep,
+                st,
+                &InjectionPlan::Sampled { n: faults, seed: 7 },
+                &[FaultModel::BitFlip],
+                threads,
+                None,
+                StreamOpts::from_env(),
+                None,
+            )
+            .expect("avf campaign");
             structs.push(vulnstack_core::stack::StructureAvf {
                 structure: st,
                 bits: r.bits,

@@ -6,12 +6,13 @@
 //! ```
 
 use vulnstack_core::report::{pct, pct2, Table};
+use vulnstack_core::StreamOpts;
 use vulnstack_gefin::{
-    avf_campaign, default_threads, pvf_campaign, FuncPrepared, Prepared, PvfMode,
+    avf_campaign, default_threads, pvf_campaign, FuncPrepared, InjectionPlan, Prepared, PvfMode,
 };
 use vulnstack_isa::Isa;
 use vulnstack_microarch::ooo::HwStructure;
-use vulnstack_microarch::CoreModel;
+use vulnstack_microarch::{CoreModel, FaultModel};
 use vulnstack_workloads::WorkloadId;
 
 fn main() {
@@ -20,23 +21,63 @@ fn main() {
     let w = WorkloadId::Crc32.build();
     println!("workload: {} ({} bytes of input)", w.id, w.input.len());
 
+    // Every campaign below runs unjournaled (`None`) with the default
+    // streaming options and no metrics collector.
+
     // Software layer (SVF): LLFI-style IR injection.
-    let svf =
-        vulnstack_llfi::svf_campaign(&w.module, &w.input, &w.expected_output, faults, 1, threads);
-    println!("SVF  (software layer)      = {}", pct(svf.vf().total()));
+    let svf = vulnstack_llfi::svf_campaign(
+        &w.module,
+        &w.input,
+        &w.expected_output,
+        faults,
+        1,
+        threads,
+        None,
+        StreamOpts::from_env(),
+        None,
+    )
+    .expect("svf campaign");
+    println!(
+        "SVF  (software layer)      = {}",
+        pct(svf.tally.vf().total())
+    );
 
     // Architecture layer (PVF): persistent architectural-state faults on
     // the functional full-system core (kernel included).
     let fprep = FuncPrepared::new(&w, Isa::Va64).expect("prepare");
-    let pvf = pvf_campaign(&fprep, PvfMode::Wd, faults, 1, threads);
-    println!("PVF  (architecture layer)  = {}", pct(pvf.vf().total()));
+    let pvf = pvf_campaign(
+        &fprep,
+        PvfMode::Wd,
+        faults,
+        1,
+        threads,
+        None,
+        StreamOpts::from_env(),
+        None,
+    )
+    .expect("pvf campaign");
+    println!(
+        "PVF  (architecture layer)  = {}",
+        pct(pvf.tally.vf().total())
+    );
 
     // Cross-layer AVF: microarchitectural faults on the cycle-level
     // out-of-order core (A72-like), per structure.
     let prep = Prepared::new(&w, CoreModel::A72).expect("prepare");
     let mut t = Table::new(&["structure", "AVF", "HVF"]);
+    let plan = InjectionPlan::Sampled { n: faults, seed: 1 };
     for st in HwStructure::ALL {
-        let r = avf_campaign(&prep, st, faults, 1, threads);
+        let (r, _) = avf_campaign(
+            &prep,
+            st,
+            &plan,
+            &[FaultModel::BitFlip],
+            threads,
+            None,
+            StreamOpts::from_env(),
+            None,
+        )
+        .expect("avf campaign");
         t.row(&[st.name().into(), pct2(r.avf().total()), pct(r.hvf())]);
     }
     println!("\ncross-layer AVF per hardware structure (A72):");

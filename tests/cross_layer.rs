@@ -2,10 +2,13 @@
 //! end-to-end, exercising the same paths as the figure binaries but with
 //! small fault counts.
 
+mod common;
+
+use common::{pvf_tally, sampled, svf_tally};
 use vulnstack_compiler::{compile, CompileOpts};
 use vulnstack_core::effects::FaultEffect;
 use vulnstack_ft::harden;
-use vulnstack_gefin::{avf_campaign, pvf_campaign, FuncPrepared, Prepared, PvfMode};
+use vulnstack_gefin::{FuncPrepared, Prepared, PvfMode};
 use vulnstack_isa::Isa;
 use vulnstack_kernel::SystemImage;
 use vulnstack_microarch::ooo::HwStructure;
@@ -53,9 +56,9 @@ fn avf_is_orders_of_magnitude_below_svf() {
     // vulnerability is measured on live values only, so it is far larger
     // than the cross-layer AVF of a big, mostly-idle structure like L2.
     let w = WorkloadId::Fft.build();
-    let svf = vulnstack_llfi::svf_campaign(&w.module, &w.input, &w.expected_output, 60, 3, 4);
+    let svf = svf_tally(&w, 60, 3, 4);
     let prep = Prepared::new(&w, CoreModel::A72).unwrap();
-    let l2 = avf_campaign(&prep, HwStructure::L2, 60, 3, 4);
+    let (l2, _) = sampled(&prep, HwStructure::L2, 60, 3, 4);
     assert!(
         svf.vf().total() > 5.0 * l2.avf().total(),
         "svf {:?} vs l2 avf {:?}",
@@ -72,12 +75,10 @@ fn detected_outcomes_only_appear_with_hardening() {
         ..base.clone()
     };
 
-    let t_base =
-        vulnstack_llfi::svf_campaign(&base.module, &base.input, &base.expected_output, 50, 5, 4);
+    let t_base = svf_tally(&base, 50, 5, 4);
     assert_eq!(t_base.detected, 0, "unhardened code cannot detect");
 
-    let t_hard =
-        vulnstack_llfi::svf_campaign(&hard.module, &hard.input, &hard.expected_output, 50, 5, 4);
+    let t_hard = svf_tally(&hard, 50, 5, 4);
     assert!(
         t_hard.detected > 0,
         "hardened code should detect some faults: {t_hard:?}"
@@ -99,7 +100,7 @@ fn pvf_sees_kernel_faults_that_svf_cannot() {
         "kernel share {kernel_share:.4} suspiciously low"
     );
     // And a WI campaign must run (exercising text corruption incl. kernel).
-    let t = pvf_campaign(&prep, PvfMode::Wi, 12, 1, 4);
+    let t = pvf_tally(&prep, PvfMode::Wi, 12, 1, 4);
     assert_eq!(t.total(), 12);
 }
 
@@ -107,7 +108,7 @@ fn pvf_sees_kernel_faults_that_svf_cannot() {
 fn fault_effect_classes_are_exhaustive_over_campaigns() {
     let w = WorkloadId::Qsort.build();
     let prep = Prepared::new(&w, CoreModel::A9).unwrap();
-    let r = avf_campaign(&prep, HwStructure::L1d, 40, 9, 4);
+    let (r, _) = sampled(&prep, HwStructure::L1d, 40, 9, 4);
     let total = FaultEffect::ALL
         .iter()
         .map(|&e| match e {
@@ -128,8 +129,8 @@ fn esc_faults_never_have_a_prior_software_manifestation() {
     // output corruption, i.e. SDC, or at minimum not Masked).
     let w = WorkloadId::Smooth.build();
     let prep = Prepared::new(&w, CoreModel::A9).unwrap();
-    let r = avf_campaign(&prep, HwStructure::L1d, 80, 13, 4);
-    for rec in &r.records {
+    let (_, records) = sampled(&prep, HwStructure::L1d, 80, 13, 4);
+    for rec in &records {
         if rec.fpm == Some(vulnstack_microarch::ooo::Fpm::Esc) {
             assert_ne!(
                 rec.effect,

@@ -2,7 +2,10 @@
 //! identical campaign results across repeated runs and thread counts —
 //! the property that makes every figure in EXPERIMENTS.md reproducible.
 
-use vulnstack_gefin::{avf_campaign, pvf_campaign, FuncPrepared, Prepared, PvfMode};
+mod common;
+
+use common::{pvf_tally, sampled, svf_tally};
+use vulnstack_gefin::{FuncPrepared, Prepared, PvfMode};
 use vulnstack_isa::Isa;
 use vulnstack_microarch::ooo::HwStructure;
 use vulnstack_microarch::CoreModel;
@@ -12,16 +15,14 @@ use vulnstack_workloads::WorkloadId;
 fn avf_campaigns_repeat_bit_for_bit() {
     let w = WorkloadId::Dijkstra.build();
     let prep = Prepared::new(&w, CoreModel::A57).unwrap();
-    let a = avf_campaign(&prep, HwStructure::L1d, 30, 77, 1);
-    let b = avf_campaign(&prep, HwStructure::L1d, 30, 77, 3);
+    let (a, ra) = sampled(&prep, HwStructure::L1d, 30, 77, 1);
+    let (b, rb) = sampled(&prep, HwStructure::L1d, 30, 77, 3);
     assert_eq!(a.tally, b.tally);
-    let pa: Vec<_> = a
-        .records
+    let pa: Vec<_> = ra
         .iter()
         .map(|r| (r.cycle, r.bit, r.effect, r.fpm))
         .collect();
-    let pb: Vec<_> = b
-        .records
+    let pb: Vec<_> = rb
         .iter()
         .map(|r| (r.cycle, r.bit, r.effect, r.fpm))
         .collect();
@@ -32,12 +33,12 @@ fn avf_campaigns_repeat_bit_for_bit() {
 fn pvf_and_svf_campaigns_repeat() {
     let w = WorkloadId::Corner.build();
     let fprep = FuncPrepared::new(&w, Isa::Va32).unwrap();
-    let a = pvf_campaign(&fprep, PvfMode::Wd, 20, 5, 2);
-    let b = pvf_campaign(&fprep, PvfMode::Wd, 20, 5, 5);
+    let a = pvf_tally(&fprep, PvfMode::Wd, 20, 5, 2);
+    let b = pvf_tally(&fprep, PvfMode::Wd, 20, 5, 5);
     assert_eq!(a, b);
 
-    let s1 = vulnstack_llfi::svf_campaign(&w.module, &w.input, &w.expected_output, 25, 9, 1);
-    let s2 = vulnstack_llfi::svf_campaign(&w.module, &w.input, &w.expected_output, 25, 9, 4);
+    let s1 = svf_tally(&w, 25, 9, 1);
+    let s2 = svf_tally(&w, 25, 9, 4);
     assert_eq!(s1, s2);
 }
 

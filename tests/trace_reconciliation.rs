@@ -5,12 +5,16 @@
 //! must reconcile exactly with the campaign's [`FpmDist`], and enabling
 //! tracing or metrics must not change a single record.
 
+mod common;
+
+use common::{avf_with, sampled};
 use vulnstack_core::trace::CampaignMetrics;
 use vulnstack_gefin::{
-    avf_campaign_metered, avf_campaign_traced, avf_campaign_with, InjectEngine, Prepared,
+    draw_sites, run_one_traced, InjectEngine, InjectionPlan, InjectionRecord, Prepared,
 };
+use vulnstack_microarch::lifetime::DEFAULT_EVENT_CAP;
 use vulnstack_microarch::ooo::{Fpm, HwStructure};
-use vulnstack_microarch::CoreModel;
+use vulnstack_microarch::{CoreModel, FaultModel, FaultTrace};
 use vulnstack_workloads::WorkloadId;
 
 const N: usize = 48;
@@ -20,24 +24,41 @@ fn prepared() -> Prepared {
     Prepared::new(&WorkloadId::Qsort.build(), CoreModel::A72).unwrap()
 }
 
+/// Every site of the sampled campaign replayed with lifetime tracing,
+/// one after another.
+fn traced(
+    prep: &Prepared,
+    structure: HwStructure,
+    n: usize,
+    seed: u64,
+) -> (Vec<InjectionRecord>, Vec<FaultTrace>) {
+    draw_sites(prep, structure, n, seed)
+        .into_iter()
+        .map(|(cycle, bit)| {
+            let (rec, trace) = run_one_traced(
+                prep,
+                structure,
+                cycle,
+                bit,
+                InjectEngine::Checkpointed,
+                DEFAULT_EVENT_CAP,
+            );
+            (rec, trace.expect("tracing was enabled"))
+        })
+        .unzip()
+}
+
 #[test]
 fn trace_fpm_transitions_reconcile_exactly_with_campaign_counts() {
     let prep = prepared();
     let structure = HwStructure::RegisterFile;
-    let (result, traces) = avf_campaign_traced(
-        &prep,
-        structure,
-        N,
-        SEED,
-        4,
-        InjectEngine::Checkpointed,
-        None,
-    );
-    assert_eq!(traces.len(), result.records.len());
+    let (result, records) = sampled(&prep, structure, N, SEED, 4);
+    let (traced_records, traces) = traced(&prep, structure, N, SEED);
+    assert_eq!(traces.len(), records.len());
 
     // Per-injection: the trace's first ArchVisible event is the record's
     // FPM classification (same fault, same cycle).
-    for (rec, trace) in result.records.iter().zip(&traces) {
+    for (rec, trace) in records.iter().zip(&traces) {
         assert_eq!(
             trace.first_visible(),
             rec.fpm,
@@ -69,10 +90,8 @@ fn trace_fpm_transitions_reconcile_exactly_with_campaign_counts() {
         .count() as u64;
     assert_eq!(masked_traces, result.fpm.masked());
 
-    // And the traced campaign classifies identically to the plain one.
-    let plain = avf_campaign_with(&prep, structure, N, SEED, 4, InjectEngine::Checkpointed);
-    assert_eq!(result.records, plain.records);
-    assert_eq!(result.tally, plain.tally);
+    // And the traced injections classify identically to the campaign.
+    assert_eq!(traced_records, records);
 }
 
 #[test]
@@ -80,17 +99,19 @@ fn metrics_collection_does_not_perturb_results() {
     let prep = prepared();
     let structure = HwStructure::Lsq;
     let metrics = CampaignMetrics::new("reconciliation-test");
-    let metered = avf_campaign_metered(
+    let (metered, _, metered_records) = avf_with(
         &prep,
         structure,
-        N,
-        SEED,
+        &InjectionPlan::Sampled { n: N, seed: SEED },
+        &[FaultModel::BitFlip],
         3,
-        InjectEngine::Checkpointed,
+        None,
+        64,
         Some(&metrics),
-    );
-    let plain = avf_campaign_with(&prep, structure, N, SEED, 3, InjectEngine::Checkpointed);
-    assert_eq!(metered.records, plain.records);
+    )
+    .unwrap();
+    let (_, plain_records) = sampled(&prep, structure, N, SEED, 3);
+    assert_eq!(metered_records, plain_records);
 
     let report = metrics.report();
     assert_eq!(report.sites, N as u64, "one span per injection");
@@ -118,10 +139,9 @@ fn disabled_tracing_is_structurally_free() {
     // same record (the emission sites only *observe*).
     let prep = prepared();
     let structure = HwStructure::RegisterFile;
-    let plain = avf_campaign_with(&prep, structure, 12, 7, 2, InjectEngine::Checkpointed);
-    let (traced, traces) =
-        avf_campaign_traced(&prep, structure, 12, 7, 2, InjectEngine::Checkpointed, None);
-    assert_eq!(plain.records, traced.records);
+    let (_, plain) = sampled(&prep, structure, 12, 7, 2);
+    let (traced_records, traces) = traced(&prep, structure, 12, 7);
+    assert_eq!(plain, traced_records);
     // Every traced run at minimum logged its injection.
     assert!(traces.iter().all(|t| !t.is_empty()));
 }
