@@ -19,9 +19,9 @@
 //! (`vulnstack_core::campaign`), which reports every record by its site
 //! index — so the records are bit-identical at any thread count,
 //! journaled or not.
-//! Microarchitectural runs warm-start from golden-run checkpoints
-//! (`vulnstack_microarch::snapshot`) instead of re-simulating the
-//! fault-free prefix from cycle 0.
+//! Microarchitectural and architectural runs warm-start from golden-run
+//! checkpoints (`vulnstack_microarch::snapshot`) instead of re-simulating
+//! the fault-free prefix from cycle or instruction 0.
 
 pub mod ace;
 pub mod avf;

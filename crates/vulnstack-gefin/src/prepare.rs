@@ -35,7 +35,8 @@ fn nonzero_or_warn<T: PartialEq + Default + std::fmt::Display>(name: &str, v: T)
 
 /// Checkpoint interval (cycles) before adaptive doubling, overridable
 /// with `VULNSTACK_CKPT_INTERVAL`. Malformed or zero values warn on
-/// stderr and fall back.
+/// stderr and fall back. Governs the cycle-level core's store only: the
+/// functional store starts at [`snapshot::FUNCTIONAL_INTERVAL`].
 fn checkpoint_interval() -> u64 {
     crate::env_knob::<u64>("VULNSTACK_CKPT_INTERVAL", "cycle interval")
         .and_then(|v| nonzero_or_warn("VULNSTACK_CKPT_INTERVAL", v))
@@ -45,7 +46,8 @@ fn checkpoint_interval() -> u64 {
 /// Checkpoint count cap (memory budget), overridable with
 /// `VULNSTACK_CKPTS`. `VULNSTACK_CKPTS=1` keeps only the reset state,
 /// which degrades every restore to a from-scratch run. Malformed or zero
-/// values warn on stderr and fall back.
+/// values warn on stderr and fall back. Like the interval, it governs the
+/// cycle-level core's store only.
 fn checkpoint_cap() -> usize {
     crate::env_knob::<usize>("VULNSTACK_CKPTS", "checkpoint count")
         .and_then(|v| nonzero_or_warn("VULNSTACK_CKPTS", v))
@@ -204,10 +206,15 @@ pub struct FuncPrepared {
     pub expected_output: Vec<u8>,
     /// Dynamic-instruction budget for faulty runs.
     pub budget: u64,
+    /// Fault-free core snapshots taken along the golden run, keyed by
+    /// dynamic instruction, for starting injections near their fault.
+    pub checkpoints: CheckpointStore<FuncCore>,
 }
 
 impl FuncPrepared {
-    /// Compiles and golden-runs `workload` functionally on `isa`.
+    /// Compiles and golden-runs `workload` functionally on `isa`,
+    /// recording the execution profile and periodic checkpoints of the
+    /// fault-free core in the same pass.
     ///
     /// # Errors
     ///
@@ -219,7 +226,12 @@ impl FuncPrepared {
             .map_err(|e| PrepareError::Compile(e.to_string()))?;
         let image = SystemImage::build(&compiled, &workload.input)
             .map_err(|e| PrepareError::Image(e.to_string()))?;
-        let (golden, profile) = FuncCore::new(&image).run_with_profile(FUNC_INSTR_BUDGET);
+        let (checkpoints, golden, profile) = FuncCore::record(
+            &image,
+            snapshot::FUNCTIONAL_INTERVAL,
+            snapshot::DEFAULT_MAX_SNAPSHOTS,
+            FUNC_INSTR_BUDGET,
+        );
         if golden.status != RunStatus::Exited(0) {
             return Err(PrepareError::BadGolden(golden.status));
         }
@@ -232,6 +244,7 @@ impl FuncPrepared {
             profile,
             expected_output: workload.expected_output.clone(),
             budget,
+            checkpoints,
         })
     }
 }
@@ -250,7 +263,7 @@ mod tests {
         assert!(p.budget > p.golden.cycles);
         assert!(!p.checkpoints.is_empty(), "golden run must checkpoint");
         let mid = p.golden.cycles / 2;
-        assert!(p.checkpoints.nearest_cycle(mid) <= mid);
+        assert!(p.checkpoints.nearest_position(mid) <= mid);
         assert_eq!(p.core_at(mid).cycle(), mid);
     }
 
@@ -290,5 +303,8 @@ mod tests {
         assert_eq!(p.golden.status, RunStatus::Exited(0));
         assert!(!p.profile.touched_bytes.is_empty());
         assert!(p.profile.kernel_instrs > 0, "syscalls must run kernel code");
+        assert!(!p.checkpoints.is_empty(), "golden run must checkpoint");
+        let mid = p.golden.instrs / 2;
+        assert!(p.checkpoints.nearest_position(mid) <= mid);
     }
 }

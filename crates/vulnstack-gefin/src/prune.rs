@@ -35,7 +35,7 @@
 //! termination**: once the faulty bit has been overwritten or squashed
 //! and the *whole architectural state* re-converges with the golden
 //! checkpoint at the same cycle ([`OooCore::converged_with`] at a
-//! [`CheckpointStore::at_cycle`] boundary), the remaining simulation is
+//! [`CheckpointStore::at`] boundary), the remaining simulation is
 //! known to retrace the golden run, so the run ends immediately with
 //! `effect = Masked` and the already-latched `fpm`/`fpm_cycle`. The
 //! check only fires for runs whose fault already manifested
@@ -81,7 +81,7 @@
 //! [`RfAccessLog`]: vulnstack_microarch::ooo::RfAccessLog
 //! [`FaultEventKind::PrunedExtinct`]: vulnstack_microarch::lifetime::FaultEventKind::PrunedExtinct
 //! [`FaultEventKind::ProvenHang`]: vulnstack_microarch::lifetime::FaultEventKind::ProvenHang
-//! [`CheckpointStore::at_cycle`]: vulnstack_microarch::snapshot::CheckpointStore::at_cycle
+//! [`CheckpointStore::at`]: vulnstack_microarch::snapshot::CheckpointStore::at
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -839,7 +839,7 @@ impl<'a> Pruner<'a> {
                 };
             }
             if self.early_term && core.fpm().is_some() {
-                if let Some(golden) = prep.checkpoints.at_cycle(core.cycle()) {
+                if let Some(golden) = prep.checkpoints.at(core.cycle()) {
                     if core.converged_with(golden) {
                         // The rest of the run retraces the golden run:
                         // terminal status and output are already known,

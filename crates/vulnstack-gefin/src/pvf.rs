@@ -65,8 +65,9 @@ fn classify_outcome(prep: &FuncPrepared, out: &vulnstack_microarch::SimOutcome) 
 }
 
 /// Runs one WD injection: flip a register or program-flow memory bit at a
-/// random dynamic instant.
-fn run_wd(prep: &FuncPrepared, rng: &mut StdRng) -> FaultEffect {
+/// random dynamic instant. `start(k)` yields a fault-free core at or
+/// before dynamic instruction `k`.
+fn run_wd(prep: &FuncPrepared, rng: &mut StdRng, start: &impl Fn(u64) -> FuncCore) -> FaultEffect {
     let at_instr = rng.gen_range(0..prep.golden.instrs);
     let xlen = prep.isa.xlen() as u64;
     let reg_bits = prep.isa.num_regs() as u64 * xlen;
@@ -90,7 +91,7 @@ fn run_wd(prep: &FuncPrepared, rng: &mut StdRng) -> FaultEffect {
             bit: (m % 8) as u8,
         }
     };
-    let out = FuncCore::new(&prep.image)
+    let out = start(at_instr)
         .with_fault(PvfFault { at_instr, mutation })
         .run(prep.budget);
     classify_outcome(prep, &out)
@@ -99,19 +100,23 @@ fn run_wd(prep: &FuncPrepared, rng: &mut StdRng) -> FaultEffect {
 /// Runs one WOI/WI injection: step to a random dynamic instruction, flip
 /// a bit of the target class in its encoding (persistent text
 /// corruption).
-fn run_encoding(prep: &FuncPrepared, class: BitClass, rng: &mut StdRng) -> FaultEffect {
+fn run_encoding(
+    prep: &FuncPrepared,
+    class: BitClass,
+    rng: &mut StdRng,
+    start: &impl Fn(u64) -> FuncCore,
+) -> FaultEffect {
     // A few resampling attempts in case the chosen instruction has no bits
     // of the desired class (e.g. `syscall` has no operand bits).
     for _ in 0..16 {
         let k = rng.gen_range(0..prep.golden.instrs);
-        let mut core = FuncCore::new(&prep.image);
+        let mut core = start(k);
         while core.icount() < k && core.step() {}
         if core.ended() {
             continue;
         }
         let pc = core.pc() as u32;
-        let w = core.peek(pc, 4);
-        let word = u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let word = core.peek(pc, 4) as u32;
         let candidates = bits_of_class(word, class);
         if candidates.is_empty() {
             continue;
@@ -128,14 +133,30 @@ fn run_encoding(prep: &FuncPrepared, class: BitClass, rng: &mut StdRng) -> Fault
     FaultEffect::Masked
 }
 
-/// Runs one PVF injection for campaign index `i`, seeded from the index
-/// so the outcome does not depend on which worker runs it.
-fn run_indexed(prep: &FuncPrepared, mode: PvfMode, seed: u64, i: usize) -> FaultEffect {
+/// Runs site `i` of the `mode` campaign seeded with `seed`: the per-site
+/// function [`pvf_campaign`] calls. The site is seeded from its index, so
+/// the outcome does not depend on which worker runs it, and the run
+/// resumes from the golden checkpoint nearest to (at or before) the
+/// fault instead of re-executing the fault-free prefix.
+pub fn run_indexed(prep: &FuncPrepared, mode: PvfMode, seed: u64, i: usize) -> FaultEffect {
+    run_indexed_from(prep, mode, seed, i, |k| prep.checkpoints.restore(k))
+}
+
+/// [`run_indexed`] with the fault-free core at or before dynamic
+/// instruction `k` supplied by `start(k)`; any such core gives the same
+/// outcome (a fresh [`FuncCore::new`] is the from-scratch reference).
+pub fn run_indexed_from(
+    prep: &FuncPrepared,
+    mode: PvfMode,
+    seed: u64,
+    i: usize,
+    start: impl Fn(u64) -> FuncCore,
+) -> FaultEffect {
     let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(0x9E37).wrapping_add(i as u64));
     match mode {
-        PvfMode::Wd => run_wd(prep, &mut rng),
-        PvfMode::Woi => run_encoding(prep, BitClass::Operand, &mut rng),
-        PvfMode::Wi => run_encoding(prep, BitClass::Instruction, &mut rng),
+        PvfMode::Wd => run_wd(prep, &mut rng, &start),
+        PvfMode::Woi => run_encoding(prep, BitClass::Operand, &mut rng, &start),
+        PvfMode::Wi => run_encoding(prep, BitClass::Instruction, &mut rng, &start),
     }
 }
 

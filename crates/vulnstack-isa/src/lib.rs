@@ -34,6 +34,7 @@ pub mod encode;
 pub mod fields;
 pub mod instr;
 pub mod isa;
+pub mod mem;
 pub mod op;
 pub mod reg;
 pub mod sysreg;
@@ -43,6 +44,7 @@ pub use abi::{CallConv, Syscall};
 pub use fields::{classify_bit, BitClass};
 pub use instr::{Instr, SrcRole};
 pub use isa::Isa;
+pub use mem::CowMem;
 pub use op::Op;
 pub use reg::Reg;
 pub use sysreg::SysReg;

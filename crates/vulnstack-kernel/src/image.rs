@@ -1,7 +1,7 @@
 //! Bootable system images: kernel + compiled user program + input blob.
 
 use vulnstack_compiler::CompiledModule;
-use vulnstack_isa::Isa;
+use vulnstack_isa::{CowMem, Isa};
 
 use crate::kdata::off;
 use crate::kernel::build_kernel;
@@ -127,13 +127,15 @@ impl SystemImage {
         })
     }
 
-    /// Writes all segments into a flat memory buffer of
-    /// [`memmap::MEM_SIZE`] bytes.
-    pub fn write_into(&self, mem: &mut [u8]) {
+    /// A fresh [`memmap::MEM_SIZE`]-byte memory holding the image: only
+    /// the pages its segments cover hold storage.
+    pub fn memory(&self) -> CowMem {
+        let mut mem = CowMem::new(memmap::MEM_SIZE as usize);
         for (addr, bytes) in &self.segments {
-            let a = *addr as usize;
-            mem[a..a + bytes.len()].copy_from_slice(bytes);
+            mem.write(*addr as usize, bytes);
         }
+        mem.share();
+        mem
     }
 }
 
@@ -177,27 +179,18 @@ mod tests {
     }
 
     #[test]
-    fn write_into_places_input_and_kdata() {
+    fn memory_places_input_and_kdata() {
         let c = tiny_compiled(Isa::Va64);
         let img = SystemImage::build(&c, b"abc").unwrap();
-        let mut mem = vec![0u8; memmap::MEM_SIZE as usize];
-        img.write_into(&mut mem);
-        assert_eq!(
-            &mem[memmap::INPUT_BASE as usize..memmap::INPUT_BASE as usize + 3],
-            b"abc"
-        );
-        let inlen = u32::from_le_bytes(
-            mem[(memmap::KERNEL_DATA + off::INLEN as u32) as usize..][..4]
-                .try_into()
-                .unwrap(),
-        );
+        let mem = img.memory();
+        assert_eq!(mem.len(), memmap::MEM_SIZE as usize);
+        assert_eq!(mem.to_vec(memmap::INPUT_BASE as usize, 3), b"abc");
+        let inlen = mem.read_le((memmap::KERNEL_DATA + off::INLEN as u32) as usize, 4);
         assert_eq!(inlen, 3);
-        let brk = u32::from_le_bytes(
-            mem[(memmap::KERNEL_DATA + off::BRK as u32) as usize..][..4]
-                .try_into()
-                .unwrap(),
-        );
-        assert!(brk >= memmap::USER_DATA);
+        let brk = mem.read_le((memmap::KERNEL_DATA + off::BRK as u32) as usize, 4);
+        assert!(brk >= memmap::USER_DATA as u64);
+        // Only the pages the segments cover hold storage.
+        assert!(mem.resident_pages() < mem.len() / vulnstack_isa::mem::PAGE / 4);
     }
 
     #[test]

@@ -41,8 +41,9 @@ use vulnstack_core::{
     Campaign, CampaignJournal, FaultModel, JournalError, JournalOpts, RecordHandle, ResumeStats,
     StreamOpts,
 };
+use vulnstack_microarch::snapshot::{self, CheckpointStore};
 use vulnstack_vir::instr::InstrClass;
-use vulnstack_vir::interp::{Interpreter, RunOutcome, RunStatus, SwFault};
+use vulnstack_vir::interp::{InterpState, Interpreter, RunOutcome, RunStatus, SwFault};
 use vulnstack_vir::Module;
 
 /// Classifies an interpreted run against the golden interpretation.
@@ -69,8 +70,8 @@ pub fn classify(
     }
 }
 
-/// Golden interpretation of a module: status, output and the injectable
-/// dynamic-instruction population.
+/// Golden interpretation of a module: status, output, the injectable
+/// dynamic-instruction population and snapshots to start injections from.
 #[derive(Debug, Clone)]
 pub struct SvfGolden {
     /// Golden status.
@@ -82,24 +83,40 @@ pub struct SvfGolden {
     pub injectable: u64,
     /// Dynamic instruction budget for faulty runs.
     pub budget: u64,
+    /// Fault-free interpreter states along the golden run, keyed by
+    /// injectable-instruction count: each injection resumes from the
+    /// nearest one at or before its target.
+    pub checkpoints: CheckpointStore<InterpState>,
 }
 
-/// Takes the golden run.
+/// Takes the golden run, snapshotting the interpreter along the way (every
+/// [`snapshot::FUNCTIONAL_INTERVAL`] injectable instructions, thinned to
+/// at most [`snapshot::DEFAULT_MAX_SNAPSHOTS`] snapshots).
 ///
 /// # Panics
 ///
 /// Panics if the module's globals do not fit the interpreter memory
 /// (workloads are sized well below the limit).
 pub fn golden_run(module: &Module, input: &[u8]) -> SvfGolden {
-    let out = Interpreter::new(module)
-        .with_input(input.to_vec())
-        .run()
+    let interp = Interpreter::new(module).with_input(input);
+    let mut checkpoints = CheckpointStore::new(
+        interp.snapshot(),
+        snapshot::FUNCTIONAL_INTERVAL,
+        snapshot::DEFAULT_MAX_SNAPSHOTS,
+        InterpState::injectable,
+    );
+    let out = interp
+        .run_pausing(checkpoints.next_position(), |s| {
+            checkpoints.push(s.clone());
+            checkpoints.next_position()
+        })
         .expect("golden interpretation");
     SvfGolden {
         status: out.status,
         output: out.output,
         injectable: out.injectable,
         budget: out.dyn_instrs * 8 + 100_000,
+        checkpoints,
     }
 }
 
@@ -144,10 +161,12 @@ pub fn run_one_classed(
 }
 
 /// Interprets `module` with `fault` injected, under the faulty-run
-/// budget.
-fn faulty_run(module: &Module, input: &[u8], golden: &SvfGolden, fault: SwFault) -> RunOutcome {
-    Interpreter::new(module)
-        .with_input(input.to_vec())
+/// budget, resuming from the golden snapshot nearest to (at or before)
+/// the fault's target. The outcome equals a run from the first
+/// instruction with the same fault.
+pub fn faulty_run(module: &Module, input: &[u8], golden: &SvfGolden, fault: SwFault) -> RunOutcome {
+    Interpreter::resume(module, golden.checkpoints.restore(fault.target))
+        .with_input(input)
         .with_budget(golden.budget)
         .with_fault(fault)
         .run()

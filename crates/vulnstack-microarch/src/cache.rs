@@ -11,78 +11,13 @@
 //! byte are corrupted ([`MemTaint`]), so the campaign layer can classify
 //! the first architectural consumption of the fault (WD vs WI/WOI vs ESC).
 
-use std::sync::Arc;
-
-use vulnstack_kernel::memmap;
+use vulnstack_isa::CowMem;
 use vulnstack_kernel::SystemImage;
 
 use crate::config::{CacheConfig, CoreConfig};
 
 /// Fixed line size across the hierarchy.
 pub const LINE: u32 = 64;
-
-/// Page size of the copy-on-write main-memory image. A multiple of
-/// [`LINE`], so line-granular fills and writebacks never straddle a page.
-const COW_PAGE: usize = 4096;
-
-/// Flat physical memory stored as reference-counted pages.
-///
-/// Checkpointing clones whole cores, and a deep copy of the 4 MiB image
-/// would dominate both snapshot cost and restore cost. Pages make the
-/// copy lazy: cloning copies one `Arc` per page (8 KiB of pointers for a
-/// 4 MiB image), snapshots share every page the run never rewrites, and a
-/// write to a shared page copies just that 4 KiB ([`Arc::make_mut`]).
-#[derive(Debug, Clone)]
-struct CowMem {
-    pages: Vec<Arc<[u8; COW_PAGE]>>,
-}
-
-impl PartialEq for CowMem {
-    fn eq(&self, other: &Self) -> bool {
-        self.pages.len() == other.pages.len()
-            && self
-                .pages
-                .iter()
-                .zip(&other.pages)
-                .all(|(a, b)| Arc::ptr_eq(a, b) || a == b)
-    }
-}
-
-impl Eq for CowMem {}
-
-impl CowMem {
-    fn new(flat: &[u8]) -> CowMem {
-        assert!(flat.len().is_multiple_of(COW_PAGE));
-        let pages = flat
-            .chunks_exact(COW_PAGE)
-            .map(|c| {
-                let mut p = [0u8; COW_PAGE];
-                p.copy_from_slice(c);
-                Arc::new(p)
-            })
-            .collect();
-        CowMem { pages }
-    }
-
-    fn byte(&self, addr: usize) -> u8 {
-        self.pages[addr / COW_PAGE][addr % COW_PAGE]
-    }
-
-    /// Reads `out.len()` bytes at `addr`; the span must not cross a page.
-    fn read(&self, addr: usize, out: &mut [u8]) {
-        let (page, off) = (addr / COW_PAGE, addr % COW_PAGE);
-        debug_assert!(off + out.len() <= COW_PAGE);
-        out.copy_from_slice(&self.pages[page][off..off + out.len()]);
-    }
-
-    /// Writes `data` at `addr`, copying the page first if it is shared
-    /// with a snapshot; the span must not cross a page.
-    fn write(&mut self, addr: usize, data: &[u8]) {
-        let (page, off) = (addr / COW_PAGE, addr % COW_PAGE);
-        debug_assert!(off + data.len() <= COW_PAGE);
-        Arc::make_mut(&mut self.pages[page])[off..off + data.len()].copy_from_slice(data);
-    }
-}
 
 /// A cache level (or memory) in the hierarchy, used for taint tracking.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -259,18 +194,22 @@ pub struct MemSystem {
 impl MemSystem {
     /// Builds the hierarchy for `cfg` with `image` loaded into memory.
     pub fn new(cfg: &CoreConfig, image: &SystemImage) -> MemSystem {
-        let mut mem = vec![0u8; memmap::MEM_SIZE as usize];
-        image.write_into(&mut mem);
         MemSystem {
             l1i: Cache::new(&cfg.l1i),
             l1d: Cache::new(&cfg.l1d),
             l2: Cache::new(&cfg.l2),
-            mem: CowMem::new(&mem),
+            mem: image.memory(),
             mem_latency: cfg.mem_latency,
             tick: 0,
             taint: None,
             stats: MemStats::default(),
         }
+    }
+
+    /// Makes main memory's pages shareable, so that a clone of this
+    /// hierarchy copies page pointers (see [`CowMem::share`]).
+    pub(crate) fn share_memory(&mut self) {
+        self.mem.share();
     }
 
     /// The current taint state, if a fault has been injected.
@@ -285,8 +224,9 @@ impl MemSystem {
     /// This is the memory half of the early-termination convergence
     /// check. It compares the behavioral state — the interleaved LRU
     /// clock (`tick`), all three cache arrays (valid/dirty/tag/`last_use`/
-    /// data), and main memory (`CowMem::eq` short-circuits on shared
-    /// pages) — and deliberately *excludes* two observer-only fields:
+    /// data), and main memory (`CowMem::eq` compares contents and
+    /// short-circuits on shared pages) — and deliberately *excludes* two
+    /// observer-only fields:
     ///
     /// * `stats` — hit/miss counters are never read by the simulation, so
     ///   divergent counts cannot change future behavior;
@@ -694,6 +634,7 @@ mod tests {
     use super::*;
     use crate::config::CoreModel;
     use vulnstack_compiler::{compile, CompileOpts};
+    use vulnstack_kernel::memmap;
     use vulnstack_vir::ModuleBuilder;
 
     fn mk() -> MemSystem {

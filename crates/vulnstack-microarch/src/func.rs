@@ -6,16 +6,22 @@
 //! of *architectural* state — a register, a data byte, or an encoded
 //! instruction in the text segment — at a chosen dynamic instant, and the
 //! corruption persists until the program naturally overwrites it.
+//!
+//! A campaign never re-executes the fault-free prefix of an injection:
+//! [`FuncCore::record`] snapshots the core along the golden run, and each
+//! injection resumes from the nearest snapshot at or before its fault
+//! ([`CheckpointStore::restore`]).
 
 use std::collections::HashSet;
 
-use vulnstack_isa::{Instr, Isa, Op, Reg, SysReg, Trap, TrapCause};
+use vulnstack_isa::{CowMem, Instr, Isa, Op, Reg, SysReg, Trap, TrapCause};
 use vulnstack_kernel::kdata::{off, KStatus};
 use vulnstack_kernel::memmap::{self, AccessKind};
 use vulnstack_kernel::SystemImage;
 
 use crate::exec;
 use crate::outcome::{RunStatus, SimOutcome};
+use crate::snapshot::CheckpointStore;
 
 /// Privilege mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -67,11 +73,39 @@ pub struct Profile {
     pub kernel_instrs: u64,
 }
 
-/// The functional core.
-#[derive(Debug, Clone)]
+/// Accumulates the golden run's [`Profile`]. Kept outside the core, so a
+/// checkpoint never copies it and core equality never sees it.
+#[derive(Debug, Default)]
+struct Profiler {
+    touched: HashSet<u32>,
+    user_instrs: u64,
+    kernel_instrs: u64,
+}
+
+impl Profiler {
+    fn touch(&mut self, addr: u64, len: u32) {
+        for i in 0..len {
+            self.touched.insert(addr as u32 + i);
+        }
+    }
+
+    fn finish(self) -> Profile {
+        let mut touched: Vec<u32> = self.touched.into_iter().collect();
+        touched.sort_unstable();
+        Profile {
+            touched_bytes: touched,
+            user_instrs: self.user_instrs,
+            kernel_instrs: self.kernel_instrs,
+        }
+    }
+}
+
+/// The functional core. It owns every bit of its architectural state, so
+/// `Clone` is a perfect checkpoint and `==` compares whole states.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FuncCore {
     isa: Isa,
-    mem: Vec<u8>,
+    mem: CowMem,
     regs: [u64; 32],
     pc: u64,
     mode: Mode,
@@ -86,20 +120,14 @@ pub struct FuncCore {
     /// every executed instruction.
     stuck_reg: Option<(Reg, u8, bool)>,
     ended: Option<RunStatus>,
-    collect_profile: bool,
-    touched: HashSet<u32>,
-    user_instrs: u64,
-    kernel_instrs: u64,
 }
 
 impl FuncCore {
     /// Creates a core with `image` loaded, at the reset PC in kernel mode.
     pub fn new(image: &SystemImage) -> FuncCore {
-        let mut mem = vec![0u8; memmap::MEM_SIZE as usize];
-        image.write_into(&mut mem);
         FuncCore {
             isa: image.isa,
-            mem,
+            mem: image.memory(),
             regs: [0; 32],
             pc: image.reset_pc as u64,
             mode: Mode::Kernel,
@@ -110,22 +138,54 @@ impl FuncCore {
             pending_skip: false,
             stuck_reg: None,
             ended: None,
-            collect_profile: false,
-            touched: HashSet::new(),
-            user_instrs: 0,
-            kernel_instrs: 0,
         }
     }
 
-    /// Arms an architecture-level fault.
-    pub fn with_fault(mut self, fault: PvfFault) -> Self {
-        self.fault = Some(fault);
-        self
+    /// Runs a fault-free (golden) run of `image` like [`FuncCore::run`],
+    /// collecting the execution [`Profile`] and snapshotting the core
+    /// every `interval` dynamic instructions (thinned to at most
+    /// `max_snapshots`). The snapshots come from this one pass: the
+    /// instruction loop only stops at interval boundaries to clone.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `interval == 0` or `max_snapshots == 0`.
+    pub fn record(
+        image: &SystemImage,
+        interval: u64,
+        max_snapshots: usize,
+        budget: u64,
+    ) -> (CheckpointStore<FuncCore>, SimOutcome, Profile) {
+        let mut core = FuncCore::new(image);
+        let mut store =
+            CheckpointStore::new(core.clone(), interval, max_snapshots, FuncCore::icount);
+        let mut prof = Profiler::default();
+        while core.ended.is_none() && core.icount < budget {
+            let next = store.next_position();
+            let stop = next.min(budget);
+            while core.icount < stop && core.step_with(Some(&mut prof)) {}
+            if core.ended.is_none() && core.icount == next {
+                core.mem.share();
+                store.push(core.clone());
+            }
+        }
+        (store, core.into_outcome(), prof.finish())
     }
 
-    /// Enables profile collection (touched bytes, mode mix).
-    pub fn with_profile(mut self) -> Self {
-        self.collect_profile = true;
+    /// Arms an architecture-level fault.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the core has already executed past `fault.at_instr`: the
+    /// fault would never fire and the run would look Masked.
+    pub fn with_fault(mut self, fault: PvfFault) -> Self {
+        assert!(
+            fault.at_instr >= self.icount,
+            "fault at instruction {} armed on a core already at {}",
+            fault.at_instr,
+            self.icount
+        );
+        self.fault = Some(fault);
         self
     }
 
@@ -144,17 +204,17 @@ impl FuncCore {
         self.icount
     }
 
-    /// Reads `len` bytes of memory (little-endian) without permission
-    /// checks — test/tooling access.
-    pub fn peek(&self, addr: u32, len: usize) -> &[u8] {
-        &self.mem[addr as usize..addr as usize + len]
+    /// Reads the little-endian value of `len <= 8` bytes at `addr`
+    /// without permission checks — test/tooling access.
+    pub fn peek(&self, addr: u32, len: u32) -> u64 {
+        self.read_le(addr, len)
     }
 
     /// Flips one bit of memory directly (architecture-level injection of
     /// text or data corruption at a precise dynamic instant).
     pub fn poke_bit(&mut self, addr: u32, bit: u8) {
         if (addr as usize) < self.mem.len() {
-            self.mem[addr as usize] ^= 1 << (bit & 7);
+            self.mem.xor_byte(addr as usize, 1 << (bit & 7));
         }
     }
 
@@ -207,17 +267,11 @@ impl FuncCore {
     }
 
     fn read_le(&self, addr: u32, len: u32) -> u64 {
-        let mut v = 0u64;
-        for i in (0..len).rev() {
-            v = (v << 8) | self.mem[(addr + i) as usize] as u64;
-        }
-        v
+        self.mem.read_le(addr as usize, len as usize)
     }
 
     fn write_le(&mut self, addr: u32, len: u32, value: u64) {
-        for i in 0..len {
-            self.mem[(addr + i) as usize] = (value >> (8 * i)) as u8;
-        }
+        self.mem.write_le(addr as usize, len as usize, value);
     }
 
     fn access_ok(&self, addr: u64, len: u32, kind: AccessKind) -> bool {
@@ -261,7 +315,12 @@ impl FuncCore {
 
     /// Executes one instruction. Returns `false` once the run has ended.
     pub fn step(&mut self) -> bool {
-        let live = self.step_inner();
+        self.step_with(None)
+    }
+
+    /// [`FuncCore::step`], feeding `prof` when profiling a golden run.
+    fn step_with(&mut self, prof: Option<&mut Profiler>) -> bool {
+        let live = self.step_inner(prof);
         // Re-assert the stuck cell over whatever the instruction wrote.
         if let Some((r, b, v)) = self.stuck_reg {
             if self.isa.zero() != Some(r) {
@@ -272,7 +331,7 @@ impl FuncCore {
         live
     }
 
-    fn step_inner(&mut self) -> bool {
+    fn step_inner(&mut self, mut prof: Option<&mut Profiler>) -> bool {
         if self.ended.is_some() {
             return false;
         }
@@ -284,11 +343,7 @@ impl FuncCore {
                         let v = self.regs[reg.index()] ^ (1u64 << (bit as u32 % self.isa.xlen()));
                         self.regs[reg.index()] = exec::trunc(self.isa, v);
                     }
-                    PvfMutation::FlipMem { addr, bit } => {
-                        if (addr as usize) < self.mem.len() {
-                            self.mem[addr as usize] ^= 1 << (bit & 7);
-                        }
-                    }
+                    PvfMutation::FlipMem { addr, bit } => self.poke_bit(addr, bit),
                 }
                 self.fault = None;
             }
@@ -296,10 +351,10 @@ impl FuncCore {
 
         let pc = self.pc;
         self.icount += 1;
-        if self.collect_profile {
+        if let Some(p) = prof.as_deref_mut() {
             match self.mode {
-                Mode::User => self.user_instrs += 1,
-                Mode::Kernel => self.kernel_instrs += 1,
+                Mode::User => p.user_instrs += 1,
+                Mode::Kernel => p.kernel_instrs += 1,
             }
         }
 
@@ -325,11 +380,11 @@ impl FuncCore {
             }
         };
 
-        self.execute(pc, &instr);
+        self.execute(pc, &instr, prof);
         self.ended.is_none()
     }
 
-    fn execute(&mut self, pc: u64, instr: &Instr) {
+    fn execute(&mut self, pc: u64, instr: &Instr, prof: Option<&mut Profiler>) {
         use vulnstack_isa::op::Format;
         let isa = self.isa;
         let mut next = pc + 4;
@@ -361,10 +416,8 @@ impl FuncCore {
                     self.trap(Trap::with_addr(TrapCause::AccessFault, pc, addr));
                     return;
                 }
-                if self.collect_profile {
-                    for i in 0..len {
-                        self.touched.insert(addr as u32 + i);
-                    }
+                if let Some(p) = prof {
+                    p.touch(addr, len);
                 }
                 let raw = self.read_le(addr as u32, len);
                 self.set_reg(instr.rd, exec::load_extend(instr.op, raw, isa));
@@ -380,10 +433,8 @@ impl FuncCore {
                     self.trap(Trap::with_addr(TrapCause::AccessFault, pc, addr));
                     return;
                 }
-                if self.collect_profile {
-                    for i in 0..len {
-                        self.touched.insert(addr as u32 + i);
-                    }
+                if let Some(p) = prof {
+                    p.touch(addr, len);
                 }
                 let data = self.reg(instr.rd);
                 self.write_le(addr as u32, len, data);
@@ -466,7 +517,8 @@ impl FuncCore {
     fn drain_output(&self) -> Vec<u8> {
         let kd = memmap::KERNEL_DATA;
         let outlen = (self.read_le(kd + off::OUTLEN as u32, 4) as u32).min(memmap::OUTPUT_CAP);
-        self.mem[memmap::OUTPUT_BASE as usize..(memmap::OUTPUT_BASE + outlen) as usize].to_vec()
+        self.mem
+            .to_vec(memmap::OUTPUT_BASE as usize, outlen as usize)
     }
 
     /// Runs until the system halts or `budget` instructions have executed.
@@ -474,36 +526,7 @@ impl FuncCore {
         while self.ended.is_none() && self.icount < budget {
             self.step();
         }
-        let status = self.ended.unwrap_or(RunStatus::Timeout);
-        SimOutcome {
-            status,
-            output: self.drain_output(),
-            instrs: self.icount,
-            cycles: self.icount,
-        }
-    }
-
-    /// Runs like [`FuncCore::run`] and also returns the collected profile.
-    pub fn run_with_profile(mut self, budget: u64) -> (SimOutcome, Profile) {
-        self.collect_profile = true;
-        while self.ended.is_none() && self.icount < budget {
-            self.step();
-        }
-        let status = self.ended.unwrap_or(RunStatus::Timeout);
-        let outcome = SimOutcome {
-            status,
-            output: self.drain_output(),
-            instrs: self.icount,
-            cycles: self.icount,
-        };
-        let mut touched: Vec<u32> = self.touched.iter().copied().collect();
-        touched.sort_unstable();
-        let profile = Profile {
-            touched_bytes: touched,
-            user_instrs: self.user_instrs,
-            kernel_instrs: self.kernel_instrs,
-        };
-        (outcome, profile)
+        self.into_outcome()
     }
 }
 
@@ -717,10 +740,101 @@ mod tests {
             },
             Isa::Va64,
         );
-        let (out, prof) = FuncCore::new(&img).run_with_profile(1_000_000);
+        let (_, out, prof) = FuncCore::record(&img, 512, 64, 1_000_000);
         assert_eq!(out.status, RunStatus::Exited(0));
         assert!(prof.kernel_instrs > 64, "write loop runs in kernel mode");
         assert!(prof.user_instrs > 0);
+        assert_eq!(prof.user_instrs + prof.kernel_instrs, out.instrs);
         assert!(!prof.touched_bytes.is_empty());
+    }
+
+    fn summing_loop(isa: Isa) -> SystemImage {
+        image_for(
+            |f| {
+                let sum = f.fresh();
+                f.set_c(sum, 0);
+                f.for_range(0, 300, |f, i| {
+                    let x = f.mul(i, i);
+                    let s = f.add(sum, x);
+                    f.set(sum, s);
+                });
+                let slot = f.stack_slot(4, 4);
+                let p = f.slot_addr(slot);
+                f.store32(sum, p, 0);
+                f.sys_write(p, 4);
+                f.sys_exit(0);
+            },
+            isa,
+        )
+    }
+
+    #[test]
+    fn recording_matches_plain_golden_run() {
+        for isa in [Isa::Va32, Isa::Va64] {
+            let img = summing_loop(isa);
+            let plain = FuncCore::new(&img).run(1_000_000);
+            let (store, out, _) = FuncCore::record(&img, 64, 8, 1_000_000);
+            assert_eq!(out, plain, "{isa}");
+            assert!(
+                store.len() >= 2,
+                "a multi-thousand-instruction run must snapshot"
+            );
+            assert!(store.len() <= 8);
+            assert!(store.interval() > 64, "a small cap must force doubling");
+        }
+    }
+
+    #[test]
+    fn a_write_to_a_restored_core_never_reaches_its_snapshot() {
+        let img = summing_loop(Isa::Va32);
+        let (store, _, _) = FuncCore::record(&img, 100, 16, 1_000_000);
+        let k = 2 * store.interval();
+        let snap = store.nearest(k).clone();
+        let mut restored = store.restore(k);
+        restored.poke_bit(memmap::USER_TEXT, 0);
+        restored.poke_bit(memmap::USER_STACK_TOP - 4, 3);
+        restored.poke_reg_bit(Reg(1), 2);
+        while restored.icount() < 1_000_000 && restored.step() {}
+        assert_eq!(store.nearest(k), &snap);
+        assert_ne!(&restored, &snap);
+    }
+
+    #[test]
+    #[should_panic(expected = "already at")]
+    fn arming_a_fault_behind_the_core_panics() {
+        let img = summing_loop(Isa::Va64);
+        let (store, _, _) = FuncCore::record(&img, 100, 16, 1_000_000);
+        let late = store.restore(2 * store.interval());
+        let _ = late.with_fault(PvfFault {
+            at_instr: store.interval(),
+            mutation: PvfMutation::FlipReg {
+                reg: Reg(1),
+                bit: 0,
+            },
+        });
+    }
+
+    #[test]
+    fn output_drain_covers_the_whole_output_region() {
+        // Four writes of a 64 KiB buffer fill the 256 KiB output region
+        // exactly, across 64 pages of paged memory.
+        const CHUNK: usize = 64 * 1024;
+        assert_eq!(4 * CHUNK, memmap::OUTPUT_CAP as usize);
+        let pattern: Vec<u8> = (0..CHUNK).map(|i| (i % 253) as u8 ^ 0x5A).collect();
+        let mut mb = ModuleBuilder::new("t");
+        let g = mb.global("buf", pattern.clone(), 4);
+        let mut f = mb.function("main", 0);
+        let p = f.global_addr(g);
+        f.for_range(0, 4, |f, _| f.sys_write(p, CHUNK as i32));
+        f.sys_exit(0);
+        f.ret(None);
+        mb.finish_function(f);
+        let m = mb.finish().unwrap();
+        let c = compile(&m, Isa::Va64, &CompileOpts::default()).unwrap();
+        let img = SystemImage::build(&c, &[]).unwrap();
+        let out = FuncCore::new(&img).run(50_000_000);
+        assert_eq!(out.status, RunStatus::Exited(0));
+        assert_eq!(out.output.len(), memmap::OUTPUT_CAP as usize);
+        assert!(out.output == pattern.repeat(4), "drained output differs");
     }
 }

@@ -1,99 +1,137 @@
-//! Checkpoint-and-restore for injection campaigns.
+//! Checkpoint-and-restore for injection campaigns, at every layer.
 //!
 //! Every injection in a statistical campaign re-simulates the fault-free
-//! prefix of the run before it can flip its bit: a campaign of `n`
-//! uniformly placed faults wastes ~`n·golden_cycles/2` cycles of
-//! identical warm-up. [`CheckpointStore`] removes that cost by cloning
-//! the whole core ([`OooCore`] owns every bit of simulation state, so
-//! `Clone` is a perfect snapshot) every `interval` cycles during the
-//! golden run; a campaign then restores the nearest checkpoint at or
-//! before the injection cycle and simulates only the delta.
+//! prefix of the run before it can apply its fault: a campaign of `n`
+//! uniformly placed faults wastes ~`n·golden/2` steps of identical
+//! warm-up. [`CheckpointStore`] removes that cost by cloning the whole
+//! simulator state every `interval` steps during the golden run; a
+//! campaign then restores the nearest checkpoint at or before the
+//! fault's position and simulates only the delta. One implementation
+//! serves the three layers, each on its own position axis:
+//!
+//! * [`OooCore`] (AVF/HVF) — cycles;
+//! * [`FuncCore`](crate::func::FuncCore) (PVF) — dynamic instructions;
+//! * the VIR interpreter (SVF, `vulnstack_vir::interp::InterpState`) —
+//!   dynamic *injectable* instructions, the unit SVF faults target.
+//!
+//! Each state owns every bit of its simulation, main memory included, so
+//! `Clone` is a perfect snapshot. That memory is the shared copy-on-write
+//! [`vulnstack_isa::CowMem`]: the recorders call [`CowMem::share`] before
+//! each clone, so a snapshot copies page pointers, not pages.
+//!
+//! [`CowMem::share`]: vulnstack_isa::CowMem::share
 //!
 //! The store is **adaptive**: it starts from a small interval and, when
-//! the run outgrows the configured snapshot budget, drops every other
-//! snapshot and doubles the interval. Short runs therefore get fine
-//! spacing while long runs stay within a bounded memory footprint of
-//! `max_snapshots · bytes(core)` (≈ `max_snapshots` × (main memory +
-//! cache arrays + pipeline bookkeeping)).
+//! the run outgrows the snapshot budget, drops every other snapshot and
+//! doubles the interval. Short runs therefore get fine spacing while long
+//! runs stay within a bounded footprint of `max_snapshots` states (their
+//! memory pages shared wherever the run did not rewrite them).
 //!
-//! Determinism: the simulator draws on no external entropy and a
-//! checkpoint captures *all* of its state, so a restored core stepped to
-//! cycle `c` is field-by-field identical to a fresh core stepped to `c`
-//! (asserted by `checkpoint_equivalence` tests in `vulnstack-gefin`).
+//! Determinism: the simulators draw on no external entropy and a
+//! checkpoint captures *all* of their state, so a restored state stepped
+//! to position `p` is field-by-field identical to a fresh one stepped to
+//! `p` (asserted by the `checkpoint_equivalence` tests in
+//! `vulnstack-gefin` and the `functional_checkpoints` tests at the
+//! workspace root).
 
 use vulnstack_kernel::SystemImage;
 
 use crate::config::CoreConfig;
 use crate::ooo::{OooCore, OooOutcome};
 
-/// Default snapshot spacing in cycles before any adaptive doubling.
+/// Default snapshot spacing in cycles for the cycle-level core, before
+/// any adaptive doubling.
 ///
 /// Deliberately fine: short runs get dense checkpoints (small restore
 /// deltas), and long runs double the interval until they fit the
 /// snapshot cap, so the effective interval scales with run length
-/// (≈ `golden_cycles / max_snapshots`, rounded up to the next
-/// power-of-two multiple of this constant).
+/// (≈ `golden / max_snapshots`, rounded up to the next power-of-two
+/// multiple of this constant).
 pub const DEFAULT_INTERVAL: u64 = 512;
 
+/// Snapshot spacing before any adaptive doubling for the functional
+/// layers: dynamic instructions for [`FuncCore`](crate::func::FuncCore),
+/// injectable instructions for the VIR interpreter.
+///
+/// Coarser than [`DEFAULT_INTERVAL`] because a functional step costs
+/// far less than a cycle-level cycle while a snapshot costs about the
+/// same (a few microseconds: the page table, and the pages the run then
+/// rewrites). Measured on qsort and rijndael (2-core x86-64 host), this
+/// spacing lengthens the functional golden runs by at most ~9%, against
+/// 12–30% at 512.
+pub const FUNCTIONAL_INTERVAL: u64 = 4096;
+
 /// Default cap on retained snapshots. Snapshots share unmodified memory
-/// pages (the core's main memory is copy-on-write), so the marginal cost
-/// of a snapshot is the cache arrays plus pipeline bookkeeping, and a
-/// generous cap keeps restore deltas short.
+/// pages (main memory is copy-on-write), so the marginal cost of a
+/// snapshot is the pages rewritten since the previous one plus the
+/// state's own bookkeeping, and a generous cap keeps restore deltas
+/// short.
 pub const DEFAULT_MAX_SNAPSHOTS: usize = 64;
 
-/// Evenly spaced fault-free core snapshots taken during a golden run.
+/// Evenly spaced fault-free snapshots of a simulator state `S`, taken
+/// during a golden run.
 ///
-/// Invariant: `snaps[i]` is the core state at cycle `i * interval`
-/// (`snaps[0]` is the pre-cycle-0 reset state), and every snapshot
-/// precedes the golden run's terminal cycle.
+/// Invariant: `snaps[i]` is the state at position `i * interval`
+/// (`snaps[0]` is the reset state), every snapshot precedes the golden
+/// run's terminal position, and `position` reads a state's position.
 #[derive(Debug, Clone)]
-pub struct CheckpointStore {
+pub struct CheckpointStore<S = OooCore> {
     interval: u64,
-    snaps: Vec<OooCore>,
+    max_snapshots: usize,
+    position: fn(&S) -> u64,
+    snaps: Vec<S>,
 }
 
-impl CheckpointStore {
-    /// Runs a fault-free (golden) run of `image` on `cfg` to completion
-    /// (or `budget` cycles), snapshotting the core every `interval`
-    /// cycles, and returns the store together with the run's outcome.
+impl<S: Clone> CheckpointStore<S> {
+    /// A store holding only `reset` (a state at position 0), to be filled
+    /// by [`CheckpointStore::push`] along a golden run. `position` reads
+    /// a state's position: its cycle, dynamic instruction or injectable
+    /// instruction count.
     ///
+    /// # Panics
+    ///
+    /// Panics if `interval == 0`, `max_snapshots == 0` or `reset` is not
+    /// at position 0.
+    pub fn new(
+        reset: S,
+        interval: u64,
+        max_snapshots: usize,
+        position: fn(&S) -> u64,
+    ) -> CheckpointStore<S> {
+        assert!(interval > 0, "checkpoint interval must be positive");
+        assert!(max_snapshots > 0, "need room for at least one snapshot");
+        assert_eq!(position(&reset), 0, "the first snapshot is the reset state");
+        CheckpointStore {
+            interval,
+            max_snapshots,
+            position,
+            snaps: vec![reset],
+        }
+    }
+
+    /// The position at which the golden run must offer its next snapshot.
+    pub fn next_position(&self) -> u64 {
+        self.snaps.len() as u64 * self.interval
+    }
+
+    /// Appends the golden run's state at [`CheckpointStore::next_position`].
     /// Whenever the snapshot count would exceed `max_snapshots`, every
     /// other snapshot is dropped and the interval doubles, so the store
     /// holds at most `max_snapshots` snapshots regardless of run length.
     ///
     /// # Panics
     ///
-    /// Panics if `interval == 0` or `max_snapshots == 0`.
-    pub fn record(
-        cfg: &CoreConfig,
-        image: &SystemImage,
-        interval: u64,
-        max_snapshots: usize,
-        budget: u64,
-    ) -> (CheckpointStore, OooOutcome) {
-        assert!(interval > 0, "checkpoint interval must be positive");
-        assert!(max_snapshots > 0, "need room for at least one snapshot");
-        let mut core = OooCore::new(cfg, image);
-        let mut store = CheckpointStore {
-            interval,
-            snaps: vec![core.clone()],
-        };
-        loop {
-            let next = store.snaps.len() as u64 * store.interval;
-            if next > budget {
-                break;
-            }
-            core.run_until(next);
-            if core.ended() || core.cycle() < next {
-                break;
-            }
-            store.snaps.push(core.clone());
-            if store.snaps.len() > max_snapshots {
-                store.thin();
-            }
+    /// Panics if `state` is not at [`CheckpointStore::next_position`].
+    pub fn push(&mut self, state: S) {
+        assert_eq!(
+            (self.position)(&state),
+            self.next_position(),
+            "a snapshot must sit on the next interval boundary"
+        );
+        self.snaps.push(state);
+        if self.snaps.len() > self.max_snapshots {
+            self.thin();
         }
-        core.run_until(budget);
-        (store, core.finish())
     }
 
     /// Halves the snapshot density: keeps every even-indexed snapshot and
@@ -109,7 +147,7 @@ impl CheckpointStore {
         self.interval *= 2;
     }
 
-    /// The snapshot spacing in cycles (after any adaptive doubling).
+    /// The snapshot spacing (after any adaptive doubling).
     pub fn interval(&self) -> u64 {
         self.interval
     }
@@ -124,40 +162,84 @@ impl CheckpointStore {
         self.snaps.len() <= 1
     }
 
-    /// Cycle of the nearest checkpoint at or before `cycle`.
-    pub fn nearest_cycle(&self, cycle: u64) -> u64 {
-        self.nearest(cycle).cycle()
+    /// Position of the nearest checkpoint at or before `pos`.
+    pub fn nearest_position(&self, pos: u64) -> u64 {
+        (self.position)(self.nearest(pos))
     }
 
-    /// Cycles of fault-free prefix a restore targeting `cycle` must
+    /// Positions of fault-free prefix a restore targeting `pos` must
     /// re-simulate (the campaign-metrics "restore distance": the quantity
     /// the adaptive interval trades memory against).
-    pub fn restore_distance(&self, cycle: u64) -> u64 {
-        cycle.saturating_sub(self.nearest_cycle(cycle))
+    pub fn restore_distance(&self, pos: u64) -> u64 {
+        pos - self.nearest_position(pos)
     }
 
-    /// The snapshot taken exactly at `cycle`, if the store holds one
-    /// (i.e. `cycle` is an interval boundary within the recorded run).
-    /// Used by the early-termination engine, which may only compare a
-    /// faulty core against golden state at the *same* cycle.
-    pub fn at_cycle(&self, cycle: u64) -> Option<&OooCore> {
-        if !cycle.is_multiple_of(self.interval) {
+    /// The snapshot taken exactly at `pos`, if the store holds one (i.e.
+    /// `pos` is an interval boundary within the recorded run). Used by
+    /// the early-termination engine, which may only compare a faulty
+    /// core against golden state at the *same* cycle.
+    pub fn at(&self, pos: u64) -> Option<&S> {
+        if !pos.is_multiple_of(self.interval) {
             return None;
         }
-        self.snaps.get((cycle / self.interval) as usize)
+        self.snaps.get((pos / self.interval) as usize)
     }
 
-    /// The nearest checkpoint at or before `cycle`.
-    pub fn nearest(&self, cycle: u64) -> &OooCore {
-        let idx = ((cycle / self.interval) as usize).min(self.snaps.len() - 1);
-        &self.snaps[idx]
+    /// The nearest checkpoint at or before `pos`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if that snapshot lies past `pos`, which would make a
+    /// restored run skip the fault's position.
+    pub fn nearest(&self, pos: u64) -> &S {
+        let idx = ((pos / self.interval) as usize).min(self.snaps.len() - 1);
+        let snap = &self.snaps[idx];
+        assert!(
+            (self.position)(snap) <= pos,
+            "restore must land at or before its target"
+        );
+        snap
     }
 
-    /// Restores a runnable core at the nearest checkpoint at or before
-    /// `cycle`; the caller advances the remaining delta with
-    /// [`OooCore::run_until`].
-    pub fn restore(&self, cycle: u64) -> OooCore {
-        OooCore::from_checkpoint(self.nearest(cycle))
+    /// A runnable copy of the nearest checkpoint at or before `pos`; the
+    /// caller advances the remaining delta.
+    pub fn restore(&self, pos: u64) -> S {
+        self.nearest(pos).clone()
+    }
+}
+
+impl CheckpointStore<OooCore> {
+    /// Runs a fault-free (golden) run of `image` on `cfg` to completion
+    /// (or `budget` cycles), snapshotting the core every `interval`
+    /// cycles (thinned to at most `max_snapshots`), and returns the store
+    /// together with the run's outcome.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `interval == 0` or `max_snapshots == 0`.
+    pub fn record(
+        cfg: &CoreConfig,
+        image: &SystemImage,
+        interval: u64,
+        max_snapshots: usize,
+        budget: u64,
+    ) -> (CheckpointStore, OooOutcome) {
+        let mut core = OooCore::new(cfg, image);
+        let mut store = CheckpointStore::new(core.clone(), interval, max_snapshots, OooCore::cycle);
+        loop {
+            let next = store.next_position();
+            if next > budget {
+                break;
+            }
+            core.run_until(next);
+            if core.ended() || core.cycle() < next {
+                break;
+            }
+            core.mem.share_memory();
+            store.push(core.clone());
+        }
+        core.run_until(budget);
+        (store, core.finish())
     }
 }
 

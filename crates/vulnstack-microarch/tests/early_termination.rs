@@ -84,14 +84,14 @@ fn probe_until_converged(
             return None;
         }
         if core.fpm().is_some() {
-            if let Some(golden) = store.at_cycle(core.cycle()) {
+            if let Some(golden) = store.at(core.cycle()) {
                 if core.converged_with(golden) {
                     let at = core.cycle();
                     return Some((core, at));
                 }
             }
         }
-        store.at_cycle(boundary)?;
+        store.at(boundary)?;
     }
 }
 

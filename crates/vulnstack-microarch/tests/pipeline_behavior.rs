@@ -179,8 +179,7 @@ proptest! {
         let img = SystemImage::build(&c, &[]).unwrap();
         let cfg = CoreModel::A9.config();
         let mut ms = MemSystem::new(&cfg, &img);
-        let mut flat = vec![0u8; memmap::MEM_SIZE as usize];
-        img.write_into(&mut flat);
+        let mut flat = img.memory().to_vec(0, memmap::MEM_SIZE as usize);
 
         // Confine to a 64 KiB window of user data, aligned per size.
         let base = memmap::USER_DATA;

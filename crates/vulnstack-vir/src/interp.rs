@@ -6,8 +6,16 @@
 //! LLFI-style software injectors have: they can corrupt the destination
 //! value of one dynamic IR instruction, and they never see kernel
 //! activity, microarchitectural residency, or escaped faults.
+//!
+//! All of an interpretation's mutable state lives in one [`InterpState`],
+//! memory included (the shared copy-on-write [`CowMem`]), so a campaign
+//! can snapshot the golden run ([`Interpreter::run_pausing`]) and start
+//! each injection from the nearest snapshot at or before its target
+//! ([`Interpreter::resume`]) instead of re-interpreting the prefix.
 
-use vulnstack_isa::{Syscall, TrapCause};
+use std::borrow::Cow;
+
+use vulnstack_isa::{CowMem, Syscall, TrapCause};
 
 use crate::instr::VInstr;
 use crate::module::Module;
@@ -104,7 +112,7 @@ pub struct RunOutcome {
     pub injected_func: Option<FuncId>,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 struct Frame {
     func: FuncId,
     block: BlockId,
@@ -112,6 +120,82 @@ struct Frame {
     regs: Vec<i64>,
     frame_base: u32,
     ret_dst: Option<VReg>,
+}
+
+/// Everything an interpretation mutates: memory, call stack, I/O
+/// cursors, counters and fault state. A clone is a perfect snapshot, and
+/// [`Interpreter::resume`] continues from one exactly as the run that
+/// took it would have continued.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct InterpState {
+    mem: CowMem,
+    /// Initial program break: the end of the globals.
+    heap_base: u32,
+    brk: u32,
+    global_addrs: Vec<u32>,
+    frames: Vec<Frame>,
+    input_pos: usize,
+    output: Vec<u8>,
+    dyn_instrs: u64,
+    injectable: u64,
+    fault: Option<SwFault>,
+    /// Armed stuck-at cell: `(func, vreg, bit, value)` — re-asserted
+    /// over every later commit to that register in that function.
+    stuck: Option<(FuncId, VReg, u8, bool)>,
+    injected_class: Option<crate::instr::InstrClass>,
+    injected_func: Option<FuncId>,
+}
+
+impl InterpState {
+    /// The state of a fresh interpretation of `module`: globals laid out
+    /// and initialised, `main`'s frame on the stack.
+    fn boot(module: &Module) -> InterpState {
+        let mut mem = CowMem::new(MEM_SIZE as usize);
+        let mut global_addrs = Vec::with_capacity(module.globals.len());
+        let mut cursor = MEM_BASE;
+        for g in &module.globals {
+            let a = g.align.max(1);
+            cursor = (cursor + a - 1) & !(a - 1);
+            global_addrs.push(cursor);
+            let end = cursor as usize + g.init.len();
+            if end <= mem.len() {
+                mem.write(cursor as usize, &g.init);
+            }
+            cursor = end as u32;
+        }
+        mem.share();
+        let brk = (cursor + 15) & !15;
+        let entry = module.entry;
+        let entry_fn = &module.functions[entry.0 as usize];
+        InterpState {
+            mem,
+            heap_base: brk,
+            brk,
+            global_addrs,
+            frames: vec![Frame {
+                func: entry,
+                block: BlockId(0),
+                idx: 0,
+                regs: vec![0; entry_fn.num_vregs as usize],
+                frame_base: STACK_TOP - entry_fn.frame_size(),
+                ret_dst: None,
+            }],
+            input_pos: 0,
+            output: Vec::new(),
+            dyn_instrs: 0,
+            injectable: 0,
+            fault: None,
+            stuck: None,
+            injected_class: None,
+            injected_func: None,
+        }
+    }
+
+    /// Dynamic injectable instructions committed so far: the position
+    /// axis of SVF checkpoints.
+    pub fn injectable(&self) -> u64 {
+        self.injectable
+    }
 }
 
 /// Interprets a verified [`Module`].
@@ -134,21 +218,9 @@ struct Frame {
 #[derive(Debug)]
 pub struct Interpreter<'m> {
     module: &'m Module,
-    mem: Vec<u8>,
-    brk: u32,
-    global_addrs: Vec<u32>,
-    input: Vec<u8>,
-    input_pos: usize,
-    output: Vec<u8>,
+    input: Cow<'m, [u8]>,
     budget: u64,
-    fault: Option<SwFault>,
-    /// Armed stuck-at cell: `(func, vreg, bit, value)` — re-asserted
-    /// over every later commit to that register in that function.
-    stuck: Option<(FuncId, VReg, u8, bool)>,
-    dyn_instrs: u64,
-    injectable: u64,
-    injected_class: Option<crate::instr::InstrClass>,
-    injected_func: Option<FuncId>,
+    st: InterpState,
 }
 
 /// Error for interpreter misconfiguration (as opposed to program traps,
@@ -175,41 +247,29 @@ impl<'m> Interpreter<'m> {
     /// Creates an interpreter for `module` with an empty input stream and a
     /// default budget of 512M dynamic instructions.
     pub fn new(module: &'m Module) -> Interpreter<'m> {
-        let mut mem = vec![0u8; MEM_SIZE as usize];
-        let mut global_addrs = Vec::with_capacity(module.globals.len());
-        let mut cursor = MEM_BASE;
-        for g in &module.globals {
-            let a = g.align.max(1);
-            cursor = (cursor + a - 1) & !(a - 1);
-            global_addrs.push(cursor);
-            let end = cursor as usize + g.init.len();
-            if end <= mem.len() {
-                mem[cursor as usize..end].copy_from_slice(&g.init);
-            }
-            cursor = end as u32;
-        }
-        let brk = (cursor + 15) & !15;
+        Interpreter::resume(module, InterpState::boot(module))
+    }
+
+    /// Continues an interpretation of `module` from `state` (a snapshot
+    /// taken from a run of the same module), with an empty input stream
+    /// and the default budget: supply the run's input and budget again.
+    pub fn resume(module: &'m Module, state: InterpState) -> Interpreter<'m> {
         Interpreter {
             module,
-            mem,
-            brk,
-            global_addrs,
-            input: Vec::new(),
-            input_pos: 0,
-            output: Vec::new(),
+            input: Cow::Borrowed(&[]),
             budget: 512_000_000,
-            fault: None,
-            stuck: None,
-            dyn_instrs: 0,
-            injectable: 0,
-            injected_class: None,
-            injected_func: None,
+            st: state,
         }
     }
 
+    /// A snapshot of the interpretation so far.
+    pub fn snapshot(&self) -> InterpState {
+        self.st.clone()
+    }
+
     /// Supplies the program input consumed by the `read` syscall.
-    pub fn with_input(mut self, input: Vec<u8>) -> Self {
-        self.input = input;
+    pub fn with_input(mut self, input: impl Into<Cow<'m, [u8]>>) -> Self {
+        self.input = input.into();
         self
     }
 
@@ -220,14 +280,26 @@ impl<'m> Interpreter<'m> {
     }
 
     /// Arms a software-level fault.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the interpretation has already committed past
+    /// `fault.target`: the fault would never fire and the run would look
+    /// Masked.
     pub fn with_fault(mut self, fault: SwFault) -> Self {
-        self.fault = Some(fault);
+        assert!(
+            fault.target >= self.st.injectable,
+            "fault on injectable instruction {} armed on a run already at {}",
+            fault.target,
+            self.st.injectable
+        );
+        self.st.fault = Some(fault);
         self
     }
 
     /// The address at which `global` was placed.
     pub fn global_addr(&self, g: crate::types::GlobalId) -> u32 {
-        self.global_addrs[g.0 as usize]
+        self.st.global_addrs[g.0 as usize]
     }
 
     fn check_access(&self, addr: i64, len: u64, stack_floor: u32) -> Result<u32, TrapCause> {
@@ -239,7 +311,7 @@ impl<'m> Interpreter<'m> {
             return Err(TrapCause::MisalignedAccess);
         }
         let end = a + len as u32;
-        let in_data = a >= MEM_BASE && end <= self.brk;
+        let in_data = a >= MEM_BASE && end <= self.st.brk;
         let in_stack = a >= stack_floor && end <= STACK_TOP;
         if in_data || in_stack {
             Ok(a)
@@ -249,39 +321,29 @@ impl<'m> Interpreter<'m> {
     }
 
     fn load(&self, addr: u32, width: MemWidth) -> i64 {
-        let a = addr as usize;
+        let raw = self.st.mem.read_le(addr as usize, width.bytes() as usize);
         match width {
-            MemWidth::B => self.mem[a] as i8 as i64,
-            MemWidth::BU => self.mem[a] as i64,
-            MemWidth::H => i16::from_le_bytes([self.mem[a], self.mem[a + 1]]) as i64,
-            MemWidth::HU => u16::from_le_bytes([self.mem[a], self.mem[a + 1]]) as i64,
-            MemWidth::W => i32::from_le_bytes([
-                self.mem[a],
-                self.mem[a + 1],
-                self.mem[a + 2],
-                self.mem[a + 3],
-            ]) as i64,
+            MemWidth::B => raw as i8 as i64,
+            MemWidth::BU => raw as i64,
+            MemWidth::H => raw as i16 as i64,
+            MemWidth::HU => raw as u16 as i64,
+            MemWidth::W => raw as i32 as i64,
         }
     }
 
     fn store(&mut self, addr: u32, width: MemWidth, value: i64) {
-        let a = addr as usize;
-        match width.bytes() {
-            1 => self.mem[a] = value as u8,
-            2 => self.mem[a..a + 2].copy_from_slice(&(value as u16).to_le_bytes()),
-            _ => self.mem[a..a + 4].copy_from_slice(&(value as u32).to_le_bytes()),
-        }
+        let len = width.bytes() as usize;
+        self.st.mem.write_le(addr as usize, len, value as u64);
     }
 
-    fn read_range(&self, addr: u32, len: u32, stack_floor: u32) -> Result<&[u8], TrapCause> {
-        if len == 0 {
-            return Ok(&[]);
-        }
+    /// Checks that the non-empty span `[addr, addr + len)` lies in the
+    /// heap or the live stack, as a syscall buffer must.
+    fn check_range(&self, addr: u32, len: u32, stack_floor: u32) -> Result<(), TrapCause> {
         let end = addr.checked_add(len).ok_or(TrapCause::AccessFault)?;
-        let in_data = addr >= MEM_BASE && end <= self.brk;
+        let in_data = addr >= MEM_BASE && end <= self.st.brk;
         let in_stack = addr >= stack_floor && end <= STACK_TOP;
         if in_data || in_stack {
-            Ok(&self.mem[addr as usize..end as usize])
+            Ok(())
         } else {
             Err(TrapCause::AccessFault)
         }
@@ -293,53 +355,82 @@ impl<'m> Interpreter<'m> {
     ///
     /// Returns [`InterpError`] only for setup problems; program-level traps
     /// and timeouts are reported in the returned [`RunOutcome`].
-    pub fn run(mut self) -> Result<RunOutcome, InterpError> {
-        if self.brk >= STACK_TOP / 2 {
+    pub fn run(self) -> Result<RunOutcome, InterpError> {
+        self.run_pausing(u64::MAX, |_| u64::MAX)
+    }
+
+    /// Runs the module to completion like [`Interpreter::run`], pausing
+    /// each time the injectable count reaches `stop`: `on_pause` sees the
+    /// paused state, its memory pages shared so a clone is cheap, and
+    /// returns the next stop. Only the commit of an injectable
+    /// instruction compares against the stop, so a golden run records
+    /// its snapshots at no per-instruction cost.
+    ///
+    /// # Errors
+    ///
+    /// As [`Interpreter::run`].
+    pub fn run_pausing(
+        mut self,
+        mut stop: u64,
+        mut on_pause: impl FnMut(&InterpState) -> u64,
+    ) -> Result<RunOutcome, InterpError> {
+        if self.st.heap_base >= STACK_TOP / 2 {
             return Err(InterpError::GlobalsTooLarge {
-                needed: self.brk - MEM_BASE,
+                needed: self.st.heap_base - MEM_BASE,
                 available: STACK_TOP / 2,
             });
         }
-        let entry = self.module.entry;
-        let entry_fn = &self.module.functions[entry.0 as usize];
-        let frame_base = STACK_TOP - entry_fn.frame_size();
-        let mut stack: Vec<Frame> = vec![Frame {
-            func: entry,
-            block: BlockId(0),
-            idx: 0,
-            regs: vec![0; entry_fn.num_vregs as usize],
-            frame_base,
-            ret_dst: None,
-        }];
-
         let status = loop {
-            match self.step(&mut stack) {
-                StepResult::Continue => {}
-                StepResult::Finished(s) => break s,
-            }
-            if self.dyn_instrs > self.budget {
-                break RunStatus::Timeout;
+            match self.advance(stop) {
+                Some(status) => break status,
+                None => {
+                    self.st.mem.share();
+                    stop = on_pause(&self.st);
+                }
             }
         };
-
         Ok(RunOutcome {
             status,
-            output: std::mem::take(&mut self.output),
-            dyn_instrs: self.dyn_instrs,
-            injectable: self.injectable,
-            injected_class: self.injected_class,
-            injected_func: self.injected_func,
+            output: std::mem::take(&mut self.st.output),
+            dyn_instrs: self.st.dyn_instrs,
+            injectable: self.st.injectable,
+            injected_class: self.st.injected_class,
+            injected_func: self.st.injected_func,
         })
     }
 
-    fn step(&mut self, stack: &mut Vec<Frame>) -> StepResult {
+    /// Interprets until the run ends, returning its status, or until the
+    /// injectable count reaches `stop` (> the current count), returning
+    /// `None` with the state at that instruction boundary.
+    fn advance(&mut self, stop: u64) -> Option<RunStatus> {
+        // The step loop borrows the frames apart from the rest of the
+        // state; they go back before returning.
+        let mut frames = std::mem::take(&mut self.st.frames);
+        let status = loop {
+            let paused = match self.step(&mut frames, stop) {
+                StepResult::Continue => false,
+                StepResult::Paused => true,
+                StepResult::Finished(s) => break Some(s),
+            };
+            if self.st.dyn_instrs > self.budget {
+                break Some(RunStatus::Timeout);
+            }
+            if paused {
+                break None;
+            }
+        };
+        self.st.frames = frames;
+        status
+    }
+
+    fn step(&mut self, stack: &mut Vec<Frame>, stop: u64) -> StepResult {
         let frame = stack
             .last_mut()
             .expect("call stack never empty while running");
         let func = &self.module.functions[frame.func.0 as usize];
         let block = &func.blocks[frame.block.0 as usize];
         let ins = &block.instrs[frame.idx];
-        self.dyn_instrs += 1;
+        self.st.dyn_instrs += 1;
 
         let stack_floor = frame.frame_base;
         let get = |regs: &[i64], o: &Operand| -> i32 {
@@ -401,7 +492,7 @@ impl<'m> Interpreter<'m> {
                 }
             }
             VInstr::GlobalAddr { dst, global } => {
-                wrote = Some((*dst, self.global_addrs[global.0 as usize] as i64));
+                wrote = Some((*dst, self.st.global_addrs[global.0 as usize] as i64));
             }
             VInstr::SlotAddr { dst, slot } => {
                 let off = func.slot_offset(*slot);
@@ -429,7 +520,7 @@ impl<'m> Interpreter<'m> {
                 let Some(new_base) = new_base else {
                     return StepResult::Finished(RunStatus::Trapped(TrapCause::AccessFault));
                 };
-                if new_base < self.brk + STACK_GUARD {
+                if new_base < self.st.brk + STACK_GUARD {
                     return StepResult::Finished(RunStatus::Trapped(TrapCause::AccessFault));
                 }
                 let mut regs = vec![0i64; callee_fn.num_vregs as usize];
@@ -456,42 +547,51 @@ impl<'m> Interpreter<'m> {
                     Syscall::Detect => return StepResult::Finished(RunStatus::Detected(a0)),
                     Syscall::Write => {
                         let (ptr, len) = (a0 as u32, a1 as u32);
-                        match self.read_range(ptr, len, stack_floor) {
-                            Ok(bytes) => {
-                                let room = OUTPUT_CAP.saturating_sub(self.output.len());
-                                let take = bytes.len().min(room);
-                                let chunk = bytes[..take].to_vec();
-                                self.output.extend_from_slice(&chunk);
+                        // An empty write touches no memory, wherever it
+                        // points.
+                        let checked = match len {
+                            0 => Ok(()),
+                            _ => self.check_range(ptr, len, stack_floor),
+                        };
+                        match checked {
+                            Ok(()) => {
+                                let start = self.st.output.len();
+                                let take = (len as usize).min(OUTPUT_CAP.saturating_sub(start));
+                                self.st.output.resize(start + take, 0);
+                                self.st.mem.read(ptr as usize, &mut self.st.output[start..]);
                             }
                             Err(t) => trap = Some(t),
                         }
                     }
                     Syscall::Read => {
                         let (ptr, len) = (a0 as u32, a1 as u32);
-                        let remaining = self.input.len() - self.input_pos;
-                        let n = remaining.min(len as usize);
-                        let end = ptr.checked_add(n as u32);
-                        let valid = end.is_some()
-                            && ((ptr >= MEM_BASE && end.unwrap() <= self.brk)
-                                || (ptr >= stack_floor && end.unwrap() <= STACK_TOP));
-                        if n > 0 && !valid {
-                            trap = Some(TrapCause::AccessFault);
-                        } else {
-                            let src = self.input[self.input_pos..self.input_pos + n].to_vec();
-                            self.mem[ptr as usize..ptr as usize + n].copy_from_slice(&src);
-                            self.input_pos += n;
-                            if let Some(d) = dst {
-                                wrote = Some((*d, n as i64));
+                        let pos = self.st.input_pos;
+                        let n = (self.input.len() - pos).min(len as usize);
+                        // A read with nothing to copy (end of input or a
+                        // zero length) touches no memory, wherever it
+                        // points, and returns 0.
+                        let checked = match n {
+                            0 => Ok(()),
+                            _ => self.check_range(ptr, n as u32, stack_floor),
+                        };
+                        match checked {
+                            Ok(()) => {
+                                self.st.mem.write(ptr as usize, &self.input[pos..pos + n]);
+                                self.st.input_pos += n;
+                                if let Some(d) = dst {
+                                    wrote = Some((*d, n as i64));
+                                }
                             }
+                            Err(t) => trap = Some(t),
                         }
                     }
                     Syscall::Brk => {
-                        let old = self.brk;
+                        let old = self.st.brk;
                         let delta = a0 as i64;
                         let new = old as i64 + delta;
                         let limit = (stack_floor.saturating_sub(STACK_GUARD)) as i64;
                         if new >= MEM_BASE as i64 && new < limit {
-                            self.brk = new as u32;
+                            self.st.brk = new as u32;
                             if let Some(d) = dst {
                                 wrote = Some((*d, old as i64));
                             }
@@ -526,10 +626,10 @@ impl<'m> Interpreter<'m> {
         // Commit the destination value, applying the armed software fault if
         // this is the chosen dynamic injectable instruction.
         let frame = stack.last_mut().expect("frame");
-        if let Some((dst, mut v)) = wrote {
+        let counted = if let Some((dst, mut v)) = wrote {
             let mut suppress = false;
-            if let Some(fault) = self.fault {
-                if self.injectable == fault.target {
+            if let Some(fault) = self.st.fault {
+                if self.st.injectable == fault.target {
                     let b = fault.bit & 31;
                     match fault.model {
                         SwFaultModel::BitFlip => v = ((v as i32) ^ (1i32 << b)) as i64,
@@ -540,30 +640,30 @@ impl<'m> Interpreter<'m> {
                         SwFaultModel::StuckAt => {
                             let val = (v as i32 >> b) & 1 == 0;
                             v = ((v as i32) ^ (1i32 << b)) as i64;
-                            self.stuck = Some((frame.func, dst, b, val));
+                            self.st.stuck = Some((frame.func, dst, b, val));
                         }
                     }
-                    self.injected_class = Some(ins.class());
-                    self.injected_func = Some(frame.func);
+                    self.st.injected_class = Some(ins.class());
+                    self.st.injected_func = Some(frame.func);
                 }
             }
             // A stuck cell re-asserts over every commit to its register
             // (idempotent over the arming write itself).
-            if let Some((sf, sr, sb, sv)) = self.stuck {
+            if let Some((sf, sr, sb, sv)) = self.st.stuck {
                 if sf == frame.func && sr == dst {
                     let forced = ((v as i32) & !(1i32 << sb)) | (i32::from(sv) << sb);
                     v = forced as i64;
                 }
             }
-            self.injectable += 1;
             if !suppress {
                 frame.regs[dst.0 as usize] = v;
             }
-        } else if ins_counts_injectable(ins) {
+            true
+        } else {
             // Syscalls with an unused destination still count (LLFI counts
             // the instruction, not the register write).
-            self.injectable += 1;
-        }
+            ins_counts_injectable(ins)
+        };
 
         match next {
             Some(bb) => {
@@ -571,6 +671,12 @@ impl<'m> Interpreter<'m> {
                 frame.idx = 0;
             }
             None => frame.idx += 1,
+        }
+        if counted {
+            self.st.injectable += 1;
+            if self.st.injectable == stop {
+                return StepResult::Paused;
+            }
         }
         StepResult::Continue
     }
@@ -582,6 +688,9 @@ fn ins_counts_injectable(ins: &VInstr) -> bool {
 
 enum StepResult {
     Continue,
+    /// The injectable count reached the stop at this instruction
+    /// boundary.
+    Paused,
     Finished(RunStatus),
 }
 
@@ -888,6 +997,141 @@ mod tests {
         assert_eq!(o1.injectable, 3);
         assert_eq!(o1.injectable, o2.injectable);
         assert_eq!(o1.dyn_instrs, o2.dyn_instrs);
+    }
+
+    #[test]
+    fn an_empty_read_into_a_wild_pointer_returns_zero() {
+        // Past the end of input nothing is copied, so even a pointer far
+        // beyond the modelled memory reads 0 bytes and the run goes on.
+        let mut mb = ModuleBuilder::new("t");
+        let mut f = mb.function("main", 0);
+        let p = f.c(0x7FFF_FFF0);
+        let n = f.sys_read(p, 16);
+        f.sys_exit(n);
+        f.ret(None);
+        mb.finish_function(f);
+        let m = mb.finish().unwrap();
+        assert_eq!(run(&m).status, RunStatus::Exited(0));
+        let out = Interpreter::new(&m).with_input(vec![1, 2]).run().unwrap();
+        assert_eq!(out.status, RunStatus::Trapped(TrapCause::AccessFault));
+    }
+
+    /// A module whose 8 KiB global spans the page boundary at `0x2000`;
+    /// `body` gets the address 6 bytes below the boundary.
+    fn straddling(body: impl FnOnce(&mut crate::builder::FuncBuilder, VReg)) -> Module {
+        let pattern: Vec<u8> = (0..8192u32).map(|i| (i * 7 % 256) as u8).collect();
+        let mut mb = ModuleBuilder::new("t");
+        let g = mb.global("buf", pattern, 4096);
+        let mut f = mb.function("main", 0);
+        let base = f.global_addr(g);
+        let p = f.add(base, 4096 - 6);
+        body(&mut f, p);
+        f.sys_exit(0);
+        f.ret(None);
+        mb.finish_function(f);
+        mb.finish().unwrap()
+    }
+
+    #[test]
+    fn syscall_buffers_straddle_pages() {
+        // A write syscall buffer across the boundary.
+        let m = straddling(|f, p| f.sys_write(p, 12));
+        let interp = Interpreter::new(&m);
+        assert_eq!(interp.global_addr(crate::types::GlobalId(0)), 0x1000);
+        let out = interp.run().unwrap();
+        let want: Vec<u8> = (4090..4102u32).map(|i| (i * 7 % 256) as u8).collect();
+        assert_eq!(out.output, want);
+        // The read input copy across the boundary, echoed back out.
+        let m = straddling(|f, p| {
+            let n = f.sys_read(p, 12);
+            f.sys_write(p, n);
+        });
+        let input: Vec<u8> = (100..112).collect();
+        let out = Interpreter::new(&m).with_input(&input[..]).run().unwrap();
+        assert_eq!(out.status, RunStatus::Exited(0));
+        assert_eq!(out.output, input);
+    }
+
+    fn counting_loop() -> Module {
+        let mut mb = ModuleBuilder::new("t");
+        let mut f = mb.function("main", 0);
+        let sum = f.fresh();
+        f.set_c(sum, 0);
+        f.for_range(0, 50, |f, i| {
+            let x = f.mul(i, 3);
+            let s = f.add(sum, x);
+            f.set(sum, s);
+        });
+        let slot = f.stack_slot(4, 4);
+        let p = f.slot_addr(slot);
+        f.store32(sum, p, 0);
+        f.sys_write(p, 4);
+        f.sys_exit(0);
+        f.ret(None);
+        mb.finish_function(f);
+        mb.finish().unwrap()
+    }
+
+    #[test]
+    fn pausing_leaves_the_run_unchanged_and_resumes_exactly() {
+        let m = counting_loop();
+        let plain = run(&m);
+        let mut snaps = vec![Interpreter::new(&m).snapshot()];
+        let paused = Interpreter::new(&m)
+            .run_pausing(7, |s| {
+                assert_eq!(s.injectable(), 7 * snaps.len() as u64);
+                snaps.push(s.clone());
+                s.injectable() + 7
+            })
+            .unwrap();
+        assert_eq!(paused, plain);
+        assert!(snaps.len() > 10);
+        let models = [
+            SwFaultModel::BitFlip,
+            SwFaultModel::ByteCorrupt,
+            SwFaultModel::InstrSkip,
+            SwFaultModel::StuckAt,
+        ];
+        for snap in &snaps {
+            let at = snap.injectable();
+            for (k, model) in models.into_iter().enumerate() {
+                let fault = SwFault {
+                    target: at + k as u64,
+                    bit: 1 + 3 * k as u8,
+                    model,
+                };
+                // Skipping the loop increment spins: the budget ends it.
+                let scratch = Interpreter::new(&m)
+                    .with_budget(5_000)
+                    .with_fault(fault)
+                    .run()
+                    .unwrap();
+                let resumed = Interpreter::resume(&m, snap.clone())
+                    .with_budget(5_000)
+                    .with_fault(fault)
+                    .run()
+                    .unwrap();
+                assert_eq!(resumed, scratch, "{fault:?}");
+            }
+            // Running on from a snapshot leaves the snapshot untouched.
+            let before = snap.clone();
+            let _ = Interpreter::resume(&m, snap.clone()).run().unwrap();
+            assert_eq!(&before, snap);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "already at")]
+    fn arming_a_fault_behind_the_run_panics() {
+        let m = counting_loop();
+        let mut late = None;
+        Interpreter::new(&m)
+            .run_pausing(20, |s| {
+                late.get_or_insert_with(|| s.clone());
+                u64::MAX
+            })
+            .unwrap();
+        let _ = Interpreter::resume(&m, late.unwrap()).with_fault(SwFault::flip(19, 0));
     }
 
     #[test]
