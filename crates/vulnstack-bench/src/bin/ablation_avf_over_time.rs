@@ -36,7 +36,7 @@ fn main() {
                 StreamOpts::from_env(),
                 None,
             )
-            .expect("an unjournaled campaign without a spill file does no I/O");
+            .expect("an unjournaled campaign does no I/O");
             let p = out.profile;
             let mut row = vec![id.name().to_string(), st.name().to_string()];
             row.extend(p.series().iter().map(|v| pct(*v)));

@@ -75,7 +75,7 @@ fn main() {
         |p| decode_record(p).is_some(),
         |i, p| scratch.push((i, decode_record(p).expect("engine-encoded record"))),
     )
-    .expect("an unjournaled campaign without a spill file does no I/O");
+    .expect("an unjournaled campaign does no I/O");
     let scratch_secs = scratch_t.elapsed().as_secs_f64();
     scratch.sort_by_key(|&(i, _)| i);
     let scratch: Vec<InjectionRecord> = scratch.into_iter().map(|(_, r)| r).collect();

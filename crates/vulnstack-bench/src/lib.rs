@@ -1,11 +1,13 @@
 //! Shared harness code for the figure/table reproduction binaries.
 //!
-//! Every binary reads two environment knobs:
+//! Every binary reads three environment knobs:
 //!
 //! * `VULNSTACK_FAULTS` — injections per (workload, structure/mode)
 //!   campaign. The paper used 2,000; defaults here are lower so a full
 //!   figure regenerates in minutes. Raise for tighter error margins.
 //! * `VULNSTACK_THREADS` — worker threads (defaults to the machine).
+//! * `VULNSTACK_SEED` — the master seed every campaign seed derives
+//!   from (default 2021).
 
 use std::collections::BTreeMap;
 
@@ -22,16 +24,13 @@ use vulnstack_microarch::ooo::HwStructure;
 use vulnstack_microarch::{CoreModel, FaultModel};
 use vulnstack_workloads::{Workload, WorkloadId};
 
-/// Why the harness's campaigns cannot fail: they keep no journal and no
-/// spill file, so the streaming sink does no I/O.
-const NO_IO: &str = "an unjournaled campaign without a spill file does no I/O";
+/// Why the harness's campaigns cannot fail: they keep no journal, so the
+/// streaming sink does no I/O.
+const NO_IO: &str = "an unjournaled campaign does no I/O";
 
 /// Master seed for all campaigns (override with `VULNSTACK_SEED`).
 pub fn master_seed() -> u64 {
-    std::env::var("VULNSTACK_SEED")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(2021)
+    vulnstack_gefin::default_seed()
 }
 
 /// Prepares a microarchitectural campaign or exits with a named error:
@@ -293,19 +292,11 @@ pub mod case_study {
     //! hardening at every layer of the stack.
 
     use vulnstack_core::report::{pct, pct2, Table};
-    use vulnstack_ft::harden;
     use vulnstack_gefin::default_faults;
     use vulnstack_microarch::CoreModel;
-    use vulnstack_workloads::{Workload, WorkloadId};
+    use vulnstack_workloads::WorkloadId;
 
     use crate::{figure_header, master_seed, svf_suite, AvfSuite, PvfSuite};
-
-    /// Builds the hardened variant of a workload.
-    pub fn hardened_workload(id: WorkloadId) -> Workload {
-        let base = id.build();
-        let module = harden(&base.module).expect("hardening verifies");
-        Workload { module, ..base }
-    }
 
     /// Runs the full case study for `id` and prints the paper-style
     /// panels.
@@ -318,7 +309,7 @@ pub mod case_study {
         );
 
         let base = id.build();
-        let hard = hardened_workload(id);
+        let hard = vulnstack_ft::workload(id, true).expect("hardening verifies");
 
         // Panel (a): per-structure AVF, w/o and w/.
         let suite_wo = AvfSuite::run(&base, CoreModel::A72, faults, seed);

@@ -12,8 +12,8 @@
 //!    [`crate::sched`], with per-site panic isolation, the optional
 //!    admission gate, and one metrics span per site;
 //! 3. **sink** — each settled site streams through the bounded sink
-//!    ([`crate::sink::stream`]): journal append, optional spill file,
-//!    the caller's fold, and the optional subscriber tee.
+//!    ([`crate::sink::stream`]): journal append, the caller's fold, and
+//!    the optional subscriber tee.
 //!
 //! An unjournaled campaign takes the same path with nothing to replay,
 //! so it isolates panics exactly like a journaled one: a site that
@@ -27,7 +27,7 @@ use crate::journal::{
     EntryKind, Fingerprint, Journal, JournalError, JournalOpts, Replay, ResumeMode, ResumeStats,
 };
 use crate::sched::{self, Quarantine, RunPolicy, SiteResult};
-use crate::sink::{self, RecordHandle, StreamOpts};
+use crate::sink::{self, StreamOpts};
 use crate::trace::CampaignMetrics;
 
 /// The journal of a campaign: where it lives and the identity its
@@ -64,16 +64,12 @@ pub struct Campaign<'a, T> {
 }
 
 /// What a campaign run leaves besides the caller's fold: the quarantine
-/// list, the accounting, and (when a spill file was requested) the
-/// on-disk [`RecordHandle`] — never the records themselves.
+/// list and the accounting — never the records themselves.
 #[derive(Debug)]
 pub struct CampaignRun {
     /// Quarantined sites, sorted by index (replayed, freshly
     /// quarantined, and lost sites merged).
     pub quarantined: Vec<Quarantine>,
-    /// Handle to the on-disk record stream, when [`StreamOpts::spill`]
-    /// was set.
-    pub records: Option<RecordHandle>,
     /// What was replayed vs executed.
     pub stats: ResumeStats,
 }
@@ -91,7 +87,7 @@ impl<T: Sync> Campaign<'_, T> {
     ///
     /// Any [`JournalError`]: filesystem failures, a missing journal in
     /// [`ResumeMode::ResumeRequired`], a fingerprint or metadata
-    /// mismatch, a corrupt or out-of-range entry, or spill-file I/O.
+    /// mismatch, or a corrupt or out-of-range entry.
     ///
     /// # Panics
     ///
@@ -215,7 +211,6 @@ impl<T: Sync> Campaign<'_, T> {
                 stopped: drive.stopped,
             },
             quarantined,
-            records: summary.records,
         })
     }
 }
@@ -304,7 +299,6 @@ mod tests {
     fn stream_opts() -> StreamOpts<'static> {
         StreamOpts {
             channel_cap: 4,
-            spill: None,
             gate: None,
             tee: None,
         }

@@ -57,8 +57,6 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
-use vulnstack_microarch::env_knob;
-
 use crate::sched::RunPolicy;
 
 /// Journal file-format version (the `1` in the header line).
@@ -69,20 +67,8 @@ pub const FORMAT_VERSION: u32 = 1;
 /// in-flight records (the resume layer simply re-runs them — the
 /// *write* still lands per record, so only power loss, not `SIGKILL`,
 /// can lose a flushed-but-unsynced line); large enough to amortise the
-/// dominant per-record fsync cost at streaming rates. Overridable via
-/// `VULNSTACK_JOURNAL_FLUSH`.
+/// dominant per-record fsync cost at streaming rates.
 pub const DEFAULT_FLUSH_INTERVAL: u32 = 8;
-
-/// The group-commit interval, honouring `VULNSTACK_JOURNAL_FLUSH`
-/// (records per fsync, min 1; malformed values warn on stderr and fall
-/// back to [`DEFAULT_FLUSH_INTERVAL`]).
-pub fn flush_interval_from_env() -> u32 {
-    env_knob::<u32>(
-        "VULNSTACK_JOURNAL_FLUSH",
-        "journal flush interval (records)",
-    )
-    .map_or(DEFAULT_FLUSH_INTERVAL, |n| n.max(1))
-}
 
 /// FNV-1a 64-bit hash — the journal's line checksum and fingerprint
 /// digest. Not cryptographic; it detects torn writes and bit rot, which
@@ -102,7 +88,7 @@ fn checksum(body: &str) -> String {
 
 /// Escapes a field value so it contains neither the `|` separator nor
 /// line terminators.
-pub(crate) fn escape_field(s: &str) -> String {
+fn escape_field(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -117,7 +103,7 @@ pub(crate) fn escape_field(s: &str) -> String {
 }
 
 /// Inverse of [`escape_field`] (lenient: unknown escapes pass through).
-pub(crate) fn unescape_field(s: &str) -> String {
+fn unescape_field(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     let mut chars = s.chars();
     while let Some(c) = chars.next() {
@@ -319,7 +305,7 @@ impl Replay {
 /// **group-committed**: every append is its own `write` syscall (so it
 /// survives `SIGKILL` via the page cache and a torn write stays within
 /// one line), but the `fsync` that makes it power-loss durable is
-/// batched every [`flush_interval_from_env`] records. Quarantine
+/// batched every [`DEFAULT_FLUSH_INTERVAL`] records. Quarantine
 /// markers, metadata, and [`Journal::flush`] (called at campaign
 /// completion and by the streaming sink) force the sync immediately.
 #[derive(Debug)]
@@ -345,7 +331,7 @@ impl JournalWriter {
         JournalWriter {
             file,
             pending: 0,
-            flush_every: flush_interval_from_env(),
+            flush_every: DEFAULT_FLUSH_INTERVAL,
         }
     }
 }
@@ -546,8 +532,7 @@ impl Journal {
 
     /// Overrides the group-commit interval (records per fsync, min 1)
     /// for this journal. `1` restores the pre-batching fsync-per-record
-    /// behavior; tests use explicit intervals instead of the racy
-    /// process-global `VULNSTACK_JOURNAL_FLUSH` variable.
+    /// behavior; the durability tests use it to widen the window.
     pub fn set_flush_interval(&self, every: u32) {
         self.writer.lock().expect("unpoisoned").flush_every = every.max(1);
     }

@@ -30,7 +30,6 @@ pub mod campaign;
 pub mod effects;
 pub mod fair;
 pub mod journal;
-pub mod memquota;
 pub mod pairs;
 pub mod report;
 pub mod sched;
@@ -46,9 +45,8 @@ pub use fair::{FairPool, Participant};
 // here so software-level engines (llfi) share one type without a direct
 // microarch dependency in their own code.
 pub use journal::{Fingerprint, Journal, JournalError, JournalOpts, ResumeMode, ResumeStats};
-pub use memquota::{MemQuota, Participation, ShedReport};
 pub use sched::{Admission, ClaimGate, Quarantine, RunPolicy};
-pub use sink::{Collector, RecordHandle, RecordTee, SinkHandle, SinkSummary, StreamOpts};
+pub use sink::{Collector, RecordTee, SinkHandle, SinkSummary, StreamOpts};
 pub use stack::{FpmDist, StructureAvf, WeightedAvf};
 pub use trace::{CampaignMetrics, MetricsReport, Span, WorkerReport};
 pub use vulnstack_microarch::FaultModel;

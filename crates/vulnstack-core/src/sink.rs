@@ -13,31 +13,23 @@
 //!   **backpressure** on the producers instead of unbounded buffering;
 //! * one dedicated **sink thread** drains the channel and fans each
 //!   record out incrementally — append to the journal (group-committed,
-//!   see [`Journal`]), append to the optional on-disk spill file, and
-//!   hand the payload to the caller's `fold` closure (which accumulates
-//!   tallies, never the records themselves);
-//! * the campaign result carries a [`RecordHandle`] — a path plus count
-//!   over the spill file — instead of the record vector, so full-record
-//!   consumers re-read from disk in streaming fashion too.
+//!   see [`Journal`]), then hand the payload to the caller's `fold`
+//!   closure (which accumulates tallies, never the records themselves)
+//!   and the optional subscriber tee.
 //!
 //! At any instant the pipeline holds at most `channel_cap` encoded
 //! records plus one in flight per worker, independent of campaign size.
 //! Completion semantics: [`stream`] returns only after the channel is
-//! drained, the journal is flushed ([`Journal::flush`] — the
-//! group-commit completion barrier), and the spill file is flushed, so
-//! a returned summary is durable. A journal failure mid-stream keeps
-//! *draining* the channel (producers must never deadlock against a dead
-//! sink) but stops writing and surfaces the first error at the end.
+//! drained and the journal is flushed ([`Journal::flush`] — the
+//! group-commit completion barrier), so a returned summary is durable.
+//! A journal failure mid-stream keeps *draining* the channel (producers
+//! must never deadlock against a dead sink) but stops writing and
+//! surfaces the first error at the end.
 
-use std::fs::File;
-use std::io::{BufRead, BufReader, BufWriter, Write};
-use std::path::{Path, PathBuf};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Mutex;
 
-use vulnstack_microarch::env_knob;
-
-use crate::journal::{escape_field, unescape_field, Journal, JournalError};
+use crate::journal::{Journal, JournalError};
 use crate::sched::{ClaimGate, Quarantine};
 
 /// Default bound on the worker→sink channel, in encoded records. Small
@@ -45,13 +37,6 @@ use crate::sched::{ClaimGate, Quarantine};
 /// large enough that group-committed journal writes never starve the
 /// workers.
 pub const DEFAULT_CHANNEL_CAP: usize = 1024;
-
-/// The channel bound, honouring `VULNSTACK_SINK_CAP` (records; malformed
-/// values warn on stderr and fall back to [`DEFAULT_CHANNEL_CAP`]).
-pub fn channel_cap_from_env() -> usize {
-    env_knob::<usize>("VULNSTACK_SINK_CAP", "sink channel capacity (records)")
-        .map_or(DEFAULT_CHANNEL_CAP, |c| c.max(1))
-}
 
 /// One settled site travelling from a worker to the sink thread.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -130,11 +115,6 @@ impl Collector {
 pub struct StreamOpts<'a> {
     /// Worker→sink channel bound, in encoded records (min 1).
     pub channel_cap: usize,
-    /// Optional on-disk spill file: every record payload is appended
-    /// here as it settles and the summary returns a [`RecordHandle`]
-    /// over it. `None` when tallies (the `fold`) are all the caller
-    /// needs.
-    pub spill: Option<&'a Path>,
     /// Optional admission gate the scheduler drive consults before each
     /// site claim: this is how a multi-tenant daemon rations one shared
     /// slot pool across concurrent campaigns (see `fair::FairPool`) and
@@ -151,7 +131,6 @@ impl std::fmt::Debug for StreamOpts<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("StreamOpts")
             .field("channel_cap", &self.channel_cap)
-            .field("spill", &self.spill)
             .field("gate", &self.gate.map(|_| "<dyn ClaimGate>"))
             .field("tee", &self.tee.map(|_| "<dyn Fn>"))
             .finish()
@@ -159,83 +138,14 @@ impl std::fmt::Debug for StreamOpts<'_> {
 }
 
 impl StreamOpts<'static> {
-    /// Environment-tuned defaults: `VULNSTACK_SINK_CAP` (or
-    /// [`DEFAULT_CHANNEL_CAP`]), no spill file, no gate, no tee.
+    /// The fixed defaults: a [`DEFAULT_CHANNEL_CAP`] channel, no gate, no
+    /// tee. Reads no environment despite the name.
     pub fn from_env() -> StreamOpts<'static> {
         StreamOpts {
-            channel_cap: channel_cap_from_env(),
-            spill: None,
+            channel_cap: DEFAULT_CHANNEL_CAP,
             gate: None,
             tee: None,
         }
-    }
-}
-
-impl<'a> StreamOpts<'a> {
-    /// Environment-tuned defaults plus a spill file for the full record
-    /// stream.
-    pub fn with_spill(spill: &'a Path) -> StreamOpts<'a> {
-        StreamOpts {
-            spill: Some(spill),
-            ..StreamOpts::from_env()
-        }
-    }
-}
-
-/// A handle to campaign records that live on disk, not in RAM.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RecordHandle {
-    path: PathBuf,
-    count: u64,
-}
-
-impl RecordHandle {
-    /// The spill file path.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// Records written.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Streams every `(site index, encoded payload)` pair to `f`, in the
-    /// order the sites settled, reading line-by-line so the full record
-    /// set never materialises in memory.
-    ///
-    /// # Errors
-    ///
-    /// I/O failures reading the spill file, or
-    /// [`std::io::ErrorKind::InvalidData`] on a malformed line.
-    pub fn for_each_payload<F: FnMut(u64, &str)>(&self, mut f: F) -> std::io::Result<()> {
-        let reader = BufReader::new(File::open(&self.path)?);
-        let bad = |line: &str| {
-            std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                format!("malformed spill line in {}: {line:?}", self.path.display()),
-            )
-        };
-        for line in reader.lines() {
-            let line = line?;
-            let (index, payload) = line.split_once('|').ok_or_else(|| bad(&line))?;
-            let index: u64 = index.parse().map_err(|_| bad(&line))?;
-            f(index, &unescape_field(payload));
-        }
-        Ok(())
-    }
-
-    /// Collects every `(site index, payload)` pair into a vector —
-    /// convenience for tests and small campaigns; defeats the streaming
-    /// memory bound by construction.
-    ///
-    /// # Errors
-    ///
-    /// As [`RecordHandle::for_each_payload`].
-    pub fn payloads(&self) -> std::io::Result<Vec<(u64, String)>> {
-        let mut out = Vec::new();
-        self.for_each_payload(|i, p| out.push((i, p.to_string())))?;
-        Ok(out)
     }
 }
 
@@ -247,22 +157,20 @@ pub struct SinkSummary {
     /// Quarantined sites, in settlement order (indices in campaign
     /// sampling coordinates).
     pub quarantined: Vec<Quarantine>,
-    /// Handle to the spill file, when [`StreamOpts::spill`] was set.
-    pub records: Option<RecordHandle>,
 }
 
 /// Runs `body` (the producer side — typically a scheduler drive whose
 /// outcome hook pushes into the [`SinkHandle`]) against a dedicated sink
-/// thread that fans each event out to the journal, the spill file, and
-/// the caller's `fold` accumulator. Returns `body`'s result together
-/// with the sink's summary once the channel has fully drained and the
-/// journal and spill file are flushed.
+/// thread that fans each event out to the journal and the caller's
+/// `fold` accumulator. Returns `body`'s result together with the sink's
+/// summary once the channel has fully drained and the journal is
+/// flushed.
 ///
 /// # Errors
 ///
-/// [`JournalError`] from journal appends or spill-file I/O. The first
-/// failure stops fan-out but not draining, so producers never block
-/// forever against a dead sink.
+/// [`JournalError`] from journal appends. The first failure stops
+/// fan-out but not draining, so producers never block forever against a
+/// dead sink.
 ///
 /// # Panics
 ///
@@ -279,20 +187,6 @@ where
     G: FnMut(u64, &str) + Send,
     B: FnOnce(&SinkHandle) -> T,
 {
-    let spill = match opts.spill {
-        Some(path) => {
-            let io = |e| JournalError::Io(path.to_path_buf(), e);
-            if let Some(dir) = path.parent() {
-                if !dir.as_os_str().is_empty() {
-                    std::fs::create_dir_all(dir).map_err(io)?;
-                }
-            }
-            let file = File::create(path).map_err(io)?;
-            Some((path.to_path_buf(), BufWriter::new(file)))
-        }
-        None => None,
-    };
-
     let (tx, rx) = sync_channel(opts.channel_cap.max(1));
     let handle = SinkHandle { tx };
     // Fan each settled record out to the subscriber tee right after the
@@ -307,7 +201,7 @@ where
         }
     };
     let (out, summary) = std::thread::scope(|s| {
-        let sink = s.spawn(move || consume(&rx, journal, spill, fold));
+        let sink = s.spawn(move || consume(&rx, journal, fold));
         let out = body(&handle);
         // Hang up the producer side so the sink sees end-of-stream.
         drop(handle);
@@ -323,13 +217,12 @@ where
 }
 
 /// Sink-thread loop: drains the channel, fanning each event out to the
-/// journal, the spill file, and `fold`. Keeps draining after the first
+/// journal and `fold`. Keeps draining after the first
 /// error (producers block on a full channel, never on a dead sink) and
 /// reports that error once the stream closes.
 fn consume<G: FnMut(u64, &str)>(
     rx: &Receiver<SinkEvent>,
     journal: Option<&Journal>,
-    mut spill: Option<(PathBuf, BufWriter<File>)>,
     mut fold: G,
 ) -> Result<SinkSummary, JournalError> {
     let mut done = 0u64;
@@ -343,10 +236,6 @@ fn consume<G: FnMut(u64, &str)>(
             SinkEvent::Done { index, payload } => (|| {
                 if let Some(j) = journal {
                     j.append_done(index, &payload)?;
-                }
-                if let Some((path, w)) = spill.as_mut() {
-                    writeln!(w, "{index}|{}", escape_field(&payload))
-                        .map_err(|e| JournalError::Io(path.clone(), e))?;
                 }
                 fold(index, &payload);
                 done += 1;
@@ -375,26 +264,16 @@ fn consume<G: FnMut(u64, &str)>(
             err = Some(e);
         }
     }
-    if let Some(e) = err {
-        return Err(e);
+    match err {
+        Some(e) => Err(e),
+        None => Ok(SinkSummary { done, quarantined }),
     }
-    let records = match spill {
-        Some((path, mut w)) => {
-            w.flush().map_err(|e| JournalError::Io(path.clone(), e))?;
-            Some(RecordHandle { path, count: done })
-        }
-        None => None,
-    };
-    Ok(SinkSummary {
-        done,
-        quarantined,
-        records,
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn tmp(name: &str) -> PathBuf {
@@ -406,7 +285,6 @@ mod tests {
     fn opts(cap: usize) -> StreamOpts<'static> {
         StreamOpts {
             channel_cap: cap,
-            spill: None,
             gate: None,
             tee: None,
         }
@@ -428,7 +306,6 @@ mod tests {
         .unwrap();
         assert_eq!(summary.done, 100);
         assert!(summary.quarantined.is_empty());
-        assert!(summary.records.is_none());
         assert_eq!(sum, (0..100).map(|i| i * 4).sum::<u64>());
     }
 
@@ -460,37 +337,6 @@ mod tests {
         assert_eq!(pushed.load(Ordering::Relaxed), 200);
         assert_eq!(summary.done, 200);
         assert_eq!(seen, 200);
-    }
-
-    #[test]
-    fn spill_file_roundtrips_awkward_payloads_in_order() {
-        let path = tmp("spill-roundtrip.records");
-        let payloads = ["plain", "pipe|pipe", "new\nline", "back\\slash", ""];
-        let so = StreamOpts {
-            channel_cap: 2,
-            spill: Some(&path),
-            gate: None,
-            tee: None,
-        };
-        let ((), summary) = stream(
-            None,
-            so,
-            |_, _| {},
-            |h| {
-                for (i, p) in payloads.iter().enumerate() {
-                    h.push_done(i as u64, (*p).to_string());
-                }
-            },
-        )
-        .unwrap();
-        let handle = summary.records.expect("spill requested");
-        assert_eq!(handle.count(), payloads.len() as u64);
-        let got = handle.payloads().unwrap();
-        for (k, (i, p)) in got.iter().enumerate() {
-            assert_eq!(*i, k as u64);
-            assert_eq!(p, payloads[k], "payload {k} must roundtrip");
-        }
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
@@ -587,7 +433,6 @@ mod tests {
 
     #[test]
     fn channel_cap_env_default_applies_when_unset() {
-        assert_eq!(channel_cap_from_env(), DEFAULT_CHANNEL_CAP);
         assert_eq!(StreamOpts::from_env().channel_cap, DEFAULT_CHANNEL_CAP);
     }
 }

@@ -27,8 +27,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-use crate::memquota::{MemQuota, Participation};
-
 /// One scheduled unit of work (a fault site) on the campaign timeline.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Span {
@@ -57,26 +55,11 @@ pub struct CampaignMetrics {
     /// (i.e. `d == 0` → bucket 0, `1..=1` → 1, `2..=3` → 2, ...).
     restore_hist: Mutex<[u64; 64]>,
     spans: Mutex<Vec<Span>>,
-    /// Memory-quota registration for the span timeline — the second
-    /// rung of the degradation ladder (after lifetime-trace rings):
-    /// under quota pressure new spans are dropped (counted below) while
-    /// the scalar counters stay exact.
-    spans_quota: Participation,
-    spans_shed: AtomicU64,
 }
 
 impl CampaignMetrics {
-    /// Creates a collector; `label` names the campaign in reports. The
-    /// span timeline registers with the global memory quota
-    /// ([`MemQuota::global`]) as a sheddable participant.
+    /// Creates a collector; `label` names the campaign in reports.
     pub fn new(label: &str) -> CampaignMetrics {
-        CampaignMetrics::with_quota(label, MemQuota::global())
-    }
-
-    /// [`CampaignMetrics::new`] against an explicit quota account (tests
-    /// use this to exercise shedding without touching the process-global
-    /// environment-configured account).
-    pub fn with_quota(label: &str, quota: &MemQuota) -> CampaignMetrics {
         CampaignMetrics {
             label: label.to_string(),
             start: Instant::now(),
@@ -87,8 +70,6 @@ impl CampaignMetrics {
             early_terminated: AtomicU64::new(0),
             restore_hist: Mutex::new([0; 64]),
             spans: Mutex::new(Vec::new()),
-            spans_quota: quota.register("metrics-spans", true),
-            spans_shed: AtomicU64::new(0),
         }
     }
 
@@ -97,26 +78,9 @@ impl CampaignMetrics {
         self.start.elapsed().as_micros() as u64
     }
 
-    /// Records one completed fault-site span. The site *count* is always
-    /// exact; the span itself is optional payload — under memory-quota
-    /// pressure it is shed (see [`MetricsReport::spans_shed`]) instead of
-    /// growing the timeline unboundedly.
+    /// Records one completed fault-site span.
     pub fn record_span(&self, worker: usize, index: usize, start_us: u64, end_us: u64) {
         self.sites.fetch_add(1, Ordering::Relaxed);
-        if self.spans_quota.should_shed() {
-            // Selected as a reclaim victim: drop the retained timeline
-            // (the oldest data this collector holds), keep the scalars.
-            let mut spans = self.spans.lock().expect("unpoisoned");
-            let bytes = spans.capacity() * std::mem::size_of::<Span>();
-            self.spans_shed
-                .fetch_add(spans.len() as u64, Ordering::Relaxed);
-            *spans = Vec::new();
-            self.spans_quota.shed(bytes);
-        }
-        if !self.spans_quota.try_claim(std::mem::size_of::<Span>()) {
-            self.spans_shed.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
         self.spans.lock().expect("unpoisoned").push(Span {
             worker,
             index,
@@ -176,7 +140,6 @@ impl CampaignMetrics {
             watchdog_expiries: self.watchdog_expiries.load(Ordering::Relaxed),
             pruned_dead: self.pruned_dead.load(Ordering::Relaxed),
             early_terminated: self.early_terminated.load(Ordering::Relaxed),
-            spans_shed: self.spans_shed.load(Ordering::Relaxed),
             per_worker,
             restore_hist,
             spans,
@@ -210,10 +173,6 @@ pub struct MetricsReport {
     pub pruned_dead: u64,
     /// Injections ended early by golden-state re-convergence.
     pub early_terminated: u64,
-    /// Timeline spans shed under memory-quota pressure: the per-worker
-    /// accounting and the Chrome trace below cover only the *retained*
-    /// spans when this is nonzero (the `sites` count stays exact).
-    pub spans_shed: u64,
     /// Per-worker accounting, indexed by worker id.
     pub per_worker: Vec<WorkerReport>,
     /// Restore-distance histogram (bucket `i` = bit length of distance).
@@ -293,7 +252,7 @@ impl MetricsReport {
             "{{\"label\":{},\"wall_secs\":{:.6},\"sites\":{},\
              \"throughput_per_sec\":{:.3},\"extinct_early\":{},\
              \"extinct_early_rate\":{:.6},\"watchdog_expiries\":{},\
-             \"pruned_dead\":{},\"early_terminated\":{},\"spans_shed\":{},\
+             \"pruned_dead\":{},\"early_terminated\":{},\
              \"mean_restore_distance_cycles\":{:.1},\
              \"restore_distance_hist\":[{}],\"workers\":[{}]}}",
             json_string(&self.label),
@@ -305,7 +264,6 @@ impl MetricsReport {
             self.watchdog_expiries,
             self.pruned_dead,
             self.early_terminated,
-            self.spans_shed,
             self.mean_restore_distance(),
             hist.join(","),
             workers.join(","),
@@ -446,25 +404,6 @@ mod tests {
             let close = s.matches('}').count();
             assert_eq!(open, close, "unbalanced braces");
         }
-    }
-
-    #[test]
-    fn span_timeline_sheds_under_quota_pressure_but_counts_stay_exact() {
-        // Budget fits only a couple of spans; the rest must shed.
-        let quota = MemQuota::with_limit(3 * std::mem::size_of::<Span>());
-        let m = CampaignMetrics::with_quota("shed", &quota);
-        for i in 0..100 {
-            m.record_span(0, i, 0, 10);
-        }
-        let r = m.report();
-        assert_eq!(r.sites, 100, "site count is never shed");
-        assert!(r.spans_shed > 0, "pressure must shed spans");
-        assert!(
-            (r.spans.len() as u64) + r.spans_shed >= 100,
-            "every span is either retained or counted shed"
-        );
-        assert!(quota.shedding_started());
-        assert!(r.to_json().contains("\"spans_shed\":"));
     }
 
     #[test]

@@ -32,6 +32,7 @@
 
 use vulnstack_vir::verify::{verify_module, VerifyError};
 use vulnstack_vir::{Block, BlockId, CmpPred, Function, Module, Operand, VInstr, VReg};
+use vulnstack_workloads::{Workload, WorkloadId};
 
 /// Detection exit code used by inserted checks.
 pub const DETECT_CODE: i32 = 0x5D;
@@ -50,6 +51,20 @@ pub fn harden(module: &Module) -> Result<Module, VerifyError> {
     }
     verify_module(&out)?;
     Ok(out)
+}
+
+/// Builds workload `id`, hardened with [`harden`] when `hardened` is set.
+///
+/// # Errors
+///
+/// As [`harden`].
+pub fn workload(id: WorkloadId, hardened: bool) -> Result<Workload, VerifyError> {
+    let base = id.build();
+    if !hardened {
+        return Ok(base);
+    }
+    let module = harden(&base.module)?;
+    Ok(Workload { module, ..base })
 }
 
 /// Shadow register for `v` in a function that originally had `n` vregs.

@@ -6,7 +6,7 @@ use rand::{Rng, SeedableRng};
 use vulnstack_core::effects::{FaultEffect, Tally};
 use vulnstack_core::journal::{fnv1a64, Fingerprint, JournalError, JournalOpts};
 use vulnstack_core::sched::{self, Quarantine};
-use vulnstack_core::sink::{RecordHandle, StreamOpts};
+use vulnstack_core::sink::StreamOpts;
 use vulnstack_core::stack::FpmDist;
 use vulnstack_core::trace::CampaignMetrics;
 use vulnstack_core::{Campaign, CampaignJournal, ResumeStats};
@@ -413,9 +413,9 @@ pub fn per_model_tallies(records: &[InjectionRecord]) -> Vec<(FaultModel, Tally,
 
 /// Aggregates of one AVF campaign: everything the CLI tables and JSON
 /// export need, accumulated record-by-record in the sink fold. The
-/// records themselves are only reachable through the optional on-disk
-/// [`RecordHandle`] (or the stream's tee), so peak memory is bounded by
-/// the sink channel regardless of campaign size.
+/// records themselves are only reachable through the stream's tee, so
+/// peak memory is bounded by the sink channel regardless of campaign
+/// size.
 #[derive(Debug)]
 pub struct AvfStreamed {
     /// Target structure.
@@ -430,9 +430,6 @@ pub struct AvfStreamed {
     /// records omitted — the same shape [`per_model_tallies`] computes
     /// from an in-RAM record vector, accumulated incrementally here.
     pub per_model: Vec<(FaultModel, Tally, FpmDist)>,
-    /// Handle to the on-disk record stream, when
-    /// [`StreamOpts::spill`] was set.
-    pub records: Option<RecordHandle>,
     /// Sites whose every injection attempt panicked.
     pub quarantined: Vec<Quarantine>,
     /// Replay/execute accounting (nothing replayed for unjournaled
@@ -477,8 +474,8 @@ impl TallyAccum {
 
     fn add_payload(&mut self, payload: &str) {
         // Payloads come from `encode_record` (fresh sites) or a
-        // decode-validated journal replay, so this only skips on a
-        // corrupt spill the journal layer already refused.
+        // decode-validated journal replay, so this never skips a
+        // record.
         if let Some(r) = decode_record(payload) {
             self.tally.add(r.effect);
             self.fpm.add(r.fpm);
@@ -513,8 +510,8 @@ impl TallyAccum {
 /// count, journaled or not.
 ///
 /// Records are never collected: each settled site flows worker →
-/// bounded sink channel → journal append (with `journal`) → optional
-/// spill file → the tally fold → optional tee, so peak memory is bounded
+/// bounded sink channel → journal append (with `journal`) → the tally
+/// fold → optional tee, so peak memory is bounded
 /// by [`StreamOpts::channel_cap`] regardless of campaign size. A
 /// journaled pruned or exhaustive campaign also journals its class-table
 /// digest as `class-table` metadata: the table is rebuilt on resume, and
@@ -522,7 +519,7 @@ impl TallyAccum {
 ///
 /// # Errors
 ///
-/// Any [`JournalError`]: filesystem or spill-file failures, a missing
+/// Any [`JournalError`]: filesystem failures, a missing
 /// journal in [`vulnstack_core::ResumeMode::ResumeRequired`], a journal
 /// written for a different campaign (fingerprint or class-table
 /// mismatch), or a corrupt journal body.
@@ -601,7 +598,6 @@ pub fn avf_campaign(
             tally,
             fpm,
             per_model,
-            records: out.records,
             quarantined: out.quarantined,
             stats: out.stats,
         },

@@ -90,7 +90,7 @@ pub fn static_vs_dynamic(
             StreamOpts::from_env(),
             None,
         )
-        .expect("an unjournaled campaign without a spill file does no I/O");
+        .expect("an unjournaled campaign does no I/O");
         Some(campaign.avf().total())
     } else {
         None

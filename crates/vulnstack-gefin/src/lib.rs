@@ -41,17 +41,27 @@ pub use avf::{
 pub use compare::{static_vs_dynamic, StaticDynamicComparison};
 pub use prepare::{FuncPrepared, Prepared};
 pub use prune::{
-    early_term_enabled, plan_model_sites, prune_default, static_classifier, ClassKey, ClassTable,
-    InjectionPlan, PruneStats, Pruner, SiteClass,
+    plan_model_sites, static_classifier, ClassKey, ClassTable, InjectionPlan, PruneStats, Pruner,
+    SiteClass,
 };
 pub use pvf::{pvf_campaign, PvfMode, PvfStreamed};
 pub use report::{avf_report_json, ModelReport};
 pub use sweep::{temporal_campaign, TemporalProfile, TemporalStreamed};
 
-// The warn-on-malformed env-knob parser now lives in `vulnstack-microarch`
-// (the one crate every engine already depends on), so the CLI and the
-// microarchitecture's own knobs share it.
-pub(crate) use vulnstack_microarch::env_knob;
+/// Parses an env knob, distinguishing *unset* (silent fallback) from
+/// *malformed* (warn on stderr, then fall back): a typo'd
+/// `VULNSTACK_FAULTS=2k` must not silently run a different experiment
+/// than the one asked for.
+fn env_knob<T: std::str::FromStr>(name: &str, what: &str) -> Option<T> {
+    let v = std::env::var(name).ok()?;
+    match v.parse::<T>() {
+        Ok(n) => Some(n),
+        Err(_) => {
+            eprintln!("warning: ignoring {name}={v:?}: not a valid {what}; using default");
+            None
+        }
+    }
+}
 
 /// Returns the number of worker threads to use: `VULNSTACK_THREADS` or
 /// the available parallelism (capped at 16). A malformed value warns on
@@ -74,4 +84,29 @@ pub fn default_faults(default: usize) -> usize {
         return n.max(1);
     }
     default
+}
+
+/// Returns the master campaign seed: `VULNSTACK_SEED` or 2021. A
+/// malformed value warns on stderr and falls back.
+pub fn default_seed() -> u64 {
+    env_knob::<u64>("VULNSTACK_SEED", "seed").unwrap_or(2021)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::env_knob;
+
+    #[test]
+    fn env_knob_tells_unset_malformed_and_valid_apart() {
+        // A variable no other test reads: tests run on parallel threads
+        // and share the process environment.
+        const KNOB: &str = "VULNSTACK_TEST_ENV_KNOB_PROBE";
+        std::env::remove_var(KNOB);
+        assert_eq!(env_knob::<u64>(KNOB, "probe"), None);
+        std::env::set_var(KNOB, "0x10");
+        assert_eq!(env_knob::<u64>(KNOB, "probe"), None);
+        std::env::set_var(KNOB, "16");
+        assert_eq!(env_knob::<u64>(KNOB, "probe"), Some(16));
+        std::env::remove_var(KNOB);
+    }
 }

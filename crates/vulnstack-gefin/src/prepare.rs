@@ -21,39 +21,6 @@ const FUNC_INSTR_BUDGET: u64 = 400_000_000;
 /// CPI to cover the same program.
 const GOLDEN_CYCLE_BUDGET: u64 = 2_000_000_000;
 
-/// Rejects a zero env-knob value with a stderr warning (zero would mean
-/// "checkpoint never" / "keep no checkpoints", neither of which the
-/// snapshot layer supports) — previously a `filter` dropped it silently.
-fn nonzero_or_warn<T: PartialEq + Default + std::fmt::Display>(name: &str, v: T) -> Option<T> {
-    if v == T::default() {
-        eprintln!("warning: ignoring {name}=0: must be positive; using default");
-        None
-    } else {
-        Some(v)
-    }
-}
-
-/// Checkpoint interval (cycles) before adaptive doubling, overridable
-/// with `VULNSTACK_CKPT_INTERVAL`. Malformed or zero values warn on
-/// stderr and fall back. Governs the cycle-level core's store only: the
-/// functional store starts at [`snapshot::FUNCTIONAL_INTERVAL`].
-fn checkpoint_interval() -> u64 {
-    crate::env_knob::<u64>("VULNSTACK_CKPT_INTERVAL", "cycle interval")
-        .and_then(|v| nonzero_or_warn("VULNSTACK_CKPT_INTERVAL", v))
-        .unwrap_or(snapshot::DEFAULT_INTERVAL)
-}
-
-/// Checkpoint count cap (memory budget), overridable with
-/// `VULNSTACK_CKPTS`. `VULNSTACK_CKPTS=1` keeps only the reset state,
-/// which degrades every restore to a from-scratch run. Malformed or zero
-/// values warn on stderr and fall back. Like the interval, it governs the
-/// cycle-level core's store only.
-fn checkpoint_cap() -> usize {
-    crate::env_knob::<usize>("VULNSTACK_CKPTS", "checkpoint count")
-        .and_then(|v| nonzero_or_warn("VULNSTACK_CKPTS", v))
-        .unwrap_or(snapshot::DEFAULT_MAX_SNAPSHOTS)
-}
-
 /// Error preparing an experiment.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PrepareError {
@@ -154,8 +121,8 @@ impl Prepared {
         let (checkpoints, out) = CheckpointStore::record(
             &cfg,
             &image,
-            checkpoint_interval(),
-            checkpoint_cap(),
+            snapshot::DEFAULT_INTERVAL,
+            snapshot::DEFAULT_MAX_SNAPSHOTS,
             GOLDEN_CYCLE_BUDGET,
         );
         let golden = out.sim;

@@ -74,10 +74,6 @@
 //! `(Crash, fpm, fpm_cycle)` — exactly what `finish()` at the budget
 //! would have produced.
 //!
-//! Knobs: `VULNSTACK_EARLY_TERM=0` disables the convergence probe and
-//! the hang proofs inside the pruned runner (`1`/unset enables both);
-//! `VULNSTACK_PRUNE=1` makes the CLI default to the pruned plan.
-//!
 //! [`RfAccessLog`]: vulnstack_microarch::ooo::RfAccessLog
 //! [`FaultEventKind::PrunedExtinct`]: vulnstack_microarch::lifetime::FaultEventKind::PrunedExtinct
 //! [`FaultEventKind::ProvenHang`]: vulnstack_microarch::lifetime::FaultEventKind::ProvenHang
@@ -500,18 +496,6 @@ impl PruneStats {
     }
 }
 
-/// Reads the `VULNSTACK_EARLY_TERM` knob: `0` disables the convergence
-/// probe in the pruned runner, anything else (or unset) enables it.
-pub fn early_term_enabled() -> bool {
-    crate::env_knob::<u64>("VULNSTACK_EARLY_TERM", "0/1 flag") != Some(0)
-}
-
-/// Reads the `VULNSTACK_PRUNE` knob: `1` (any non-zero) makes pruned
-/// execution the CLI default.
-pub fn prune_default() -> bool {
-    crate::env_knob::<u64>("VULNSTACK_PRUNE", "0/1 flag").is_some_and(|v| v != 0)
-}
-
 /// The memoized outcome triple of a class pilot: exactly the fields of
 /// an [`InjectionRecord`] that are shared across the class (each member
 /// still carries its own `(cycle, bit)`).
@@ -535,7 +519,6 @@ pub struct Pruner<'a> {
     static_pre: Option<StaticClassifier>,
     /// Physical register count, for the static oracle's flat-bit decode.
     nphys: usize,
-    early_term: bool,
     memo: Mutex<HashMap<ClassKey, OutcomeTriple>>,
     sites: AtomicU64,
     dead_masked: AtomicU64,
@@ -548,19 +531,8 @@ pub struct Pruner<'a> {
 }
 
 impl<'a> Pruner<'a> {
-    /// Builds the class table and a pruner over it, with early
-    /// termination controlled by `VULNSTACK_EARLY_TERM` (default on).
+    /// Builds the class table and a pruner over it.
     pub fn new(prep: &'a Prepared, structure: HwStructure) -> Pruner<'a> {
-        Pruner::with_early_term(prep, structure, early_term_enabled())
-    }
-
-    /// [`Pruner::new`] with early termination forced on or off (the
-    /// equivalence tests exercise both).
-    pub fn with_early_term(
-        prep: &'a Prepared,
-        structure: HwStructure,
-        early_term: bool,
-    ) -> Pruner<'a> {
         let static_pre =
             (structure == HwStructure::RegisterFile).then(|| static_classifier(&prep.image));
         Pruner {
@@ -569,7 +541,6 @@ impl<'a> Pruner<'a> {
             table: ClassTable::build(prep, structure),
             static_pre,
             nphys: prep.cfg.phys_regs as usize,
-            early_term,
             memo: Mutex::new(HashMap::new()),
             sites: AtomicU64::new(0),
             dead_masked: AtomicU64::new(0),
@@ -747,8 +718,7 @@ impl<'a> Pruner<'a> {
         // the runaway prover's affine extrapolation assumed clean, and a
         // still-pending skip can NOP an instruction the extrapolated
         // stream expects to execute.
-        let hang_proofs = self.early_term
-            && model.transient_value()
+        let hang_proofs = model.transient_value()
             && matches!(self.structure, HwStructure::RegisterFile | HwStructure::Lsq);
         let runaway_after = prep.golden.cycles.saturating_mul(2);
         // Each proof attempt needs a commit-trace window and a frozen
@@ -766,13 +736,10 @@ impl<'a> Pruner<'a> {
             if hang_proofs && next_proof.is_none() && core.fpm().is_some() {
                 next_proof = Some(core.cycle().max(runaway_after) + proof_gap);
             }
-            let mut next = (core.cycle() + slice).min(prep.budget);
-            if self.early_term {
-                // Also stop at the next checkpoint boundary so the
-                // convergence probe gets a comparable golden state.
-                let boundary = (core.cycle() / interval + 1) * interval;
-                next = next.min(boundary);
-            }
+            // Stop at the next checkpoint boundary as well, so the
+            // convergence probe gets a comparable golden state.
+            let boundary = (core.cycle() / interval + 1) * interval;
+            let mut next = (core.cycle() + slice).min(prep.budget).min(boundary);
             if let Some(np) = next_proof {
                 // Stop exactly at the arm point and the attempt point.
                 // Extra stops never change simulation results: the
@@ -838,7 +805,7 @@ impl<'a> Pruner<'a> {
                     fpm_cycle: None,
                 };
             }
-            if self.early_term && core.fpm().is_some() {
+            if core.fpm().is_some() {
                 if let Some(golden) = prep.checkpoints.at(core.cycle()) {
                     if core.converged_with(golden) {
                         // The rest of the run retraces the golden run:

@@ -13,7 +13,7 @@ use rand::{Rng, SeedableRng};
 use vulnstack_core::effects::{FaultEffect, Tally};
 use vulnstack_core::journal::{fnv1a64, Fingerprint, JournalError, JournalOpts};
 use vulnstack_core::sched::Quarantine;
-use vulnstack_core::sink::{RecordHandle, StreamOpts};
+use vulnstack_core::sink::StreamOpts;
 use vulnstack_core::trace::CampaignMetrics;
 use vulnstack_core::{Campaign, CampaignJournal, ResumeStats};
 use vulnstack_isa::fields::bits_of_class;
@@ -168,9 +168,6 @@ pub struct PvfStreamed {
     pub tally: Tally,
     /// Sites whose every injection attempt panicked.
     pub quarantined: Vec<Quarantine>,
-    /// Handle to the on-disk record stream, when
-    /// [`StreamOpts::spill`] was set.
-    pub records: Option<RecordHandle>,
     /// Replay/execute accounting (nothing replayed for unjournaled
     /// runs).
     pub stats: ResumeStats,
@@ -185,7 +182,7 @@ pub struct PvfStreamed {
 ///
 /// # Errors
 ///
-/// Any [`JournalError`] (journaled runs), or spill-file I/O errors.
+/// Any [`JournalError`] (journaled runs).
 #[allow(clippy::too_many_arguments)]
 pub fn pvf_campaign(
     prep: &FuncPrepared,
@@ -238,7 +235,6 @@ pub fn pvf_campaign(
     Ok(PvfStreamed {
         tally,
         quarantined: out.quarantined,
-        records: out.records,
         stats: out.stats,
     })
 }

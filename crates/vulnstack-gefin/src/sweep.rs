@@ -11,7 +11,7 @@ use rand::{Rng, SeedableRng};
 use vulnstack_core::effects::Tally;
 use vulnstack_core::journal::{fnv1a64, Fingerprint, JournalError, JournalOpts};
 use vulnstack_core::sched::{self, Quarantine};
-use vulnstack_core::sink::{RecordHandle, StreamOpts};
+use vulnstack_core::sink::StreamOpts;
 use vulnstack_core::stack::FpmDist;
 use vulnstack_core::trace::CampaignMetrics;
 use vulnstack_core::{Campaign, CampaignJournal, ResumeStats};
@@ -93,17 +93,13 @@ fn window_bounds(total: u64, windows: usize) -> Vec<u64> {
 }
 
 /// Results of a temporal sweep: per-window tallies accumulated
-/// record-by-record in the sink fold; the record stream lives on disk
-/// (when a spill file was requested), never in RAM.
+/// record-by-record in the sink fold, never a collected record vector.
 #[derive(Debug)]
 pub struct TemporalStreamed {
     /// Per-window profile over the completed records.
     pub profile: TemporalProfile,
     /// Sites whose every injection attempt panicked.
     pub quarantined: Vec<Quarantine>,
-    /// Handle to the on-disk record stream, when
-    /// [`StreamOpts::spill`] was set.
-    pub records: Option<RecordHandle>,
     /// Replay/execute accounting (nothing replayed for unjournaled
     /// runs).
     pub stats: ResumeStats,
@@ -128,7 +124,7 @@ pub struct TemporalStreamed {
 ///
 /// # Errors
 ///
-/// Any [`JournalError`] (journaled runs), or spill-file I/O errors.
+/// Any [`JournalError`] (journaled runs).
 #[allow(clippy::too_many_arguments)]
 pub fn temporal_campaign(
     prep: &Prepared,
@@ -220,7 +216,6 @@ pub fn temporal_campaign(
                 fpms,
             },
             quarantined: out.quarantined,
-            records: out.records,
             stats: out.stats,
         },
         pruner.map(|p| p.stats()),

@@ -38,8 +38,7 @@ use vulnstack_core::journal::{fnv1a64, Fingerprint};
 use vulnstack_core::sched::Quarantine;
 use vulnstack_core::trace::CampaignMetrics;
 use vulnstack_core::{
-    Campaign, CampaignJournal, FaultModel, JournalError, JournalOpts, RecordHandle, ResumeStats,
-    StreamOpts,
+    Campaign, CampaignJournal, FaultModel, JournalError, JournalOpts, ResumeStats, StreamOpts,
 };
 use vulnstack_microarch::snapshot::{self, CheckpointStore};
 use vulnstack_vir::instr::InstrClass;
@@ -216,9 +215,6 @@ pub struct SvfStreamed {
     pub tally: Tally,
     /// Sites whose every injection attempt panicked.
     pub quarantined: Vec<Quarantine>,
-    /// Handle to the on-disk record stream, when a spill file was
-    /// requested.
-    pub records: Option<RecordHandle>,
     /// Replay/execute accounting (nothing replayed for unjournaled
     /// runs).
     pub stats: ResumeStats,
@@ -236,7 +232,7 @@ pub enum SvfError {
         /// Length of the expected output.
         expected: usize,
     },
-    /// The campaign's journal or spill file failed.
+    /// The campaign's journal failed.
     Journal(JournalError),
 }
 
@@ -271,8 +267,7 @@ impl From<JournalError> for SvfError {
 /// # Errors
 ///
 /// [`SvfError::GoldenOutput`] if the golden interpretation's output is
-/// not `expected_output`; [`SvfError::Journal`] for journal or
-/// spill-file failures.
+/// not `expected_output`; [`SvfError::Journal`] for journal failures.
 #[allow(clippy::too_many_arguments)]
 pub fn svf_campaign(
     module: &Module,
@@ -339,7 +334,6 @@ pub fn svf_campaign(
     Ok(SvfStreamed {
         tally,
         quarantined: out.quarantined,
-        records: out.records,
         stats: out.stats,
     })
 }

@@ -27,22 +27,6 @@ mod runaway;
 pub mod snapshot;
 
 pub use config::{CoreConfig, CoreModel};
-
-/// Parses an env knob, distinguishing *unset* (silent fallback) from
-/// *malformed* (warn on stderr, then fall back): a typo'd
-/// `VULNSTACK_WATCHDOG=8x` must not silently run a different experiment
-/// than the one asked for. Shared by every crate that reads
-/// `VULNSTACK_*` configuration (the injection engines re-export it).
-pub fn env_knob<T: std::str::FromStr>(name: &str, what: &str) -> Option<T> {
-    let v = std::env::var(name).ok()?;
-    match v.parse::<T>() {
-        Ok(n) => Some(n),
-        Err(_) => {
-            eprintln!("warning: ignoring {name}={v:?}: not a valid {what}; using default");
-            None
-        }
-    }
-}
 pub use func::FuncCore;
 pub use lifetime::{FaultEvent, FaultEventKind, FaultTrace, LifetimeCounts};
 pub use ooo::{FaultModel, OooCore};

@@ -287,25 +287,6 @@ impl FaultTrace {
         self.dropped
     }
 
-    /// Approximate heap bytes held by the event ring — what a
-    /// memory-quota participant reports for this trace.
-    pub fn ring_bytes(&self) -> usize {
-        self.events.capacity() * std::mem::size_of::<FaultEvent>()
-    }
-
-    /// Sheds the in-RAM event ring under memory pressure: retained
-    /// events are dropped (counted in [`FaultTrace::dropped`], so the
-    /// loss is visible) and the ring's allocation is returned. The exact
-    /// milestone [`LifetimeCounts`] are kept — they live outside the
-    /// ring, so campaign classification and reconciliation survive the
-    /// shed unchanged. Returns the bytes freed.
-    pub fn shed_ring(&mut self) -> usize {
-        let freed = self.ring_bytes();
-        self.dropped += self.events.len() as u64;
-        self.events = VecDeque::new();
-        freed
-    }
-
     /// The exact milestone counters.
     pub fn counts(&self) -> &LifetimeCounts {
         &self.counts
@@ -378,26 +359,5 @@ mod tests {
         t.push(14, FaultEventKind::Extinct);
         assert_eq!(t.counts().first_visible, Some((Fpm::Wi, 5)));
         assert_eq!(t.counts().extinct_cycle, Some(12));
-    }
-
-    #[test]
-    fn shed_ring_frees_events_but_keeps_exact_counts() {
-        let mut t = FaultTrace::new(8);
-        t.push(5, FaultEventKind::ArchVisible { fpm: Fpm::Wd });
-        for c in 6..10 {
-            t.push(c, FaultEventKind::TaintedStoreCommit { addr: c });
-        }
-        assert_eq!(t.len(), 5);
-        let freed = t.shed_ring();
-        assert!(freed > 0, "a populated ring frees its allocation");
-        assert_eq!(t.len(), 0);
-        assert_eq!(t.dropped(), 5, "shed events are counted as dropped");
-        assert_eq!(t.ring_bytes(), 0);
-        assert_eq!(
-            t.counts().first_visible,
-            Some((Fpm::Wd, 5)),
-            "milestones survive the shed"
-        );
-        assert_eq!(t.counts().tainted_store_commits, 4);
     }
 }

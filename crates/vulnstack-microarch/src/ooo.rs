@@ -298,28 +298,8 @@ pub struct OooOutcome {
 }
 
 const RAS_DEPTH: usize = 16;
-/// Commit watchdog default: a pipeline wedged this long counts as a hang.
-const WATCHDOG_DEFAULT: u64 = 200_000;
-
-/// Commit-watchdog budget in cycles: `VULNSTACK_WATCHDOG` or
-/// [`WATCHDOG_DEFAULT`]. Malformed or zero values warn on stderr and fall
-/// back (a zero watchdog would classify every run as a hang). Read once
-/// per process so the hot per-cycle check stays an atomic load.
-fn watchdog_cycles() -> u64 {
-    static CACHE: std::sync::OnceLock<u64> = std::sync::OnceLock::new();
-    *CACHE.get_or_init(
-        || match crate::env_knob::<u64>("VULNSTACK_WATCHDOG", "cycle count") {
-            Some(0) => {
-                eprintln!(
-                    "warning: ignoring VULNSTACK_WATCHDOG=0: must be positive; using default"
-                );
-                WATCHDOG_DEFAULT
-            }
-            Some(n) => n,
-            None => WATCHDOG_DEFAULT,
-        },
-    )
-}
+/// Commit watchdog: a pipeline wedged this many cycles counts as a hang.
+const WATCHDOG_CYCLES: u64 = 200_000;
 
 type PReg = u16;
 
@@ -1927,7 +1907,7 @@ impl OooCore {
                 ft.note_mem_state(cycle, live);
             }
         }
-        if self.cycle - self.last_commit_cycle > watchdog_cycles() {
+        if self.cycle - self.last_commit_cycle > WATCHDOG_CYCLES {
             self.ended = Some(RunStatus::Timeout);
         }
     }

@@ -1,7 +1,8 @@
 //! Command-line front ends for the daemon (`vulnstack serve`) and the
-//! client (`vulnstack client`). The binary crate forwards its raw
-//! argument slices here so all serving-related parsing lives with the
-//! protocol it drives.
+//! client (`vulnstack client`), plus the flag parser every `vulnstack`
+//! subcommand shares. The binary crate forwards its raw argument slices
+//! here so all serving-related parsing lives with the protocol it
+//! drives.
 
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -11,27 +12,57 @@ use crate::daemon::{self, DaemonOpts};
 use crate::json::{self, Value};
 use crate::spec::CampaignSpec;
 
-fn parse_flags(rest: &[String]) -> Result<HashMap<String, String>, String> {
-    let mut flags = HashMap::new();
+/// One subcommand's parsed flags.
+#[derive(Debug, Default)]
+pub struct Flags {
+    /// `--name value` pairs; a repeated flag keeps its last value.
+    pub values: HashMap<String, String>,
+    /// The value-less `--switch`es given.
+    pub switches: Vec<String>,
+}
+
+/// Parses the flags of subcommand `cmd`: each of `values` takes one
+/// argument, each of `switches` none. A positional argument, a value
+/// flag without its value, or any flag `cmd` does not take is an error
+/// naming `cmd`, so a misspelled flag fails instead of silently running
+/// a different experiment.
+///
+/// # Errors
+///
+/// A message naming the offending argument.
+pub fn parse_flags(
+    cmd: &str,
+    rest: &[String],
+    values: &[&str],
+    switches: &[&str],
+) -> Result<Flags, String> {
+    let mut flags = Flags::default();
     let mut i = 0;
     while i < rest.len() {
         let a = &rest[i];
         let Some(name) = a.strip_prefix("--") else {
             return Err(format!("unexpected argument {a}"));
         };
-        if matches!(name, "hardened") {
-            flags.insert(name.to_string(), "true".to_string());
+        if switches.contains(&name) {
+            flags.switches.push(name.to_string());
             i += 1;
-            continue;
+        } else if values.contains(&name) {
+            let v = rest
+                .get(i + 1)
+                .ok_or_else(|| format!("--{name} needs a value"))?;
+            flags.values.insert(name.to_string(), v.clone());
+            i += 2;
+        } else {
+            return Err(format!("{cmd}: unknown flag {a}"));
         }
-        let v = rest
-            .get(i + 1)
-            .ok_or_else(|| format!("--{name} needs a value"))?;
-        flags.insert(name.to_string(), v.clone());
-        i += 2;
     }
     Ok(flags)
 }
+
+/// The spec fields `client run` takes as string flags.
+const SPEC_STRINGS: [&str; 6] = ["model", "structure", "models", "isa", "mode", "priority"];
+/// The spec fields `client run` takes as number flags.
+const SPEC_NUMBERS: [&str; 4] = ["faults", "seed", "windows", "per_window"];
 
 fn parse_num(flags: &HashMap<String, String>, key: &str, default: u64) -> Result<u64, String> {
     match flags.get(key) {
@@ -46,7 +77,7 @@ fn parse_num(flags: &HashMap<String, String>, key: &str, default: u64) -> Result
 /// endpoint is printed and written to `<state>/endpoint`) or
 /// `unix:/path/to.sock`.
 pub fn serve_main(args: &[String]) -> Result<(), String> {
-    let flags = parse_flags(args)?;
+    let flags = parse_flags("serve", args, &["state", "listen", "slots", "threads"], &[])?.values;
     let state = flags
         .get("state")
         .ok_or("serve needs --state DIR (spec/journal directory)")?;
@@ -62,49 +93,42 @@ pub fn serve_main(args: &[String]) -> Result<(), String> {
     daemon::serve(&opts)
 }
 
+/// Parses `client run`'s flags: the spec fields, `--engine`, `--json`
+/// and the `--hardened` switch.
+fn parse_run_flags(rest: &[String]) -> Result<Flags, String> {
+    let values: Vec<&str> = ["engine", "json"]
+        .into_iter()
+        .chain(SPEC_STRINGS)
+        .chain(SPEC_NUMBERS)
+        .collect();
+    parse_flags("client run", rest, &values, &["hardened"])
+}
+
 /// Builds a spec object from client flags; `workload` is positional.
-fn spec_from_flags(workload: &str, flags: &HashMap<String, String>) -> Result<Value, String> {
+fn spec_from_flags(workload: &str, flags: &Flags) -> Result<Value, String> {
     let mut fields: Vec<(&str, Value)> = vec![("workload", json::s(workload))];
     fields.push((
         "engine",
-        json::s(flags.get("engine").map_or("avf", String::as_str)),
+        json::s(flags.values.get("engine").map_or("avf", String::as_str)),
     ));
-    for key in ["model", "structure", "models", "isa", "mode", "priority"] {
-        if let Some(v) = flags.get(key) {
-            fields.push((key_static(key), json::s(v)));
+    for key in SPEC_STRINGS {
+        if let Some(v) = flags.values.get(key) {
+            fields.push((key, json::s(v)));
         }
     }
-    for key in ["faults", "seed", "windows", "per_window"] {
-        if let Some(v) = flags.get(key) {
+    for key in SPEC_NUMBERS {
+        if let Some(v) = flags.values.get(key) {
             let n: u64 = v.parse().map_err(|_| format!("bad --{key} {v}"))?;
-            fields.push((key_static(key), json::n(n)));
+            fields.push((key, json::n(n)));
         }
     }
-    if flags.contains_key("hardened") {
+    if flags.switches.iter().any(|s| s == "hardened") {
         fields.push(("hardened", Value::Bool(true)));
     }
     let spec = json::obj(fields);
     // Validate locally so a typo fails before touching the daemon.
     CampaignSpec::parse(&spec)?;
     Ok(spec)
-}
-
-/// Maps a known flag name to its `'static` spec key (the JSON builder
-/// borrows keys for the duration of the call).
-fn key_static(key: &str) -> &'static str {
-    match key {
-        "model" => "model",
-        "structure" => "structure",
-        "models" => "models",
-        "isa" => "isa",
-        "mode" => "mode",
-        "priority" => "priority",
-        "faults" => "faults",
-        "seed" => "seed",
-        "windows" => "windows",
-        "per_window" => "per_window",
-        _ => unreachable!("key_static called with unknown key"),
-    }
 }
 
 /// `vulnstack client <addr> <action> ...`
@@ -125,7 +149,7 @@ pub fn client_main(args: &[String]) -> Result<(), String> {
                 .get(2)
                 .filter(|w| !w.starts_with("--"))
                 .ok_or("client run needs a workload name")?;
-            let flags = parse_flags(args.get(3..).unwrap_or(&[]))?;
+            let flags = parse_run_flags(args.get(3..).unwrap_or(&[]))?;
             let spec = spec_from_flags(workload, &flags)?;
             let mut client = Client::connect(addr)?;
             let mut streamed = 0u64;
@@ -134,16 +158,17 @@ pub fn client_main(args: &[String]) -> Result<(), String> {
             if done.state == "failed" {
                 return Err(format!("campaign failed: {}", done.message));
             }
-            match flags.get("json") {
+            match flags.values.get("json") {
                 // The report is written verbatim: byte-identical to the
                 // CLI's `--json` output for the same campaign.
-                Some(path) => std::fs::write(path, done.report.as_bytes())
+                Some(path) => vulnstack_core::report::write_atomic(path, done.report.as_bytes())
                     .map_err(|e| format!("write {path}: {e}"))?,
                 None => print!("{}", done.report),
             }
             Ok(())
         }
         "list" => {
+            parse_flags("client list", args.get(2..).unwrap_or(&[]), &[], &[])?;
             let mut client = Client::connect(addr)?;
             let resp = client.call("list", vec![])?;
             let Some(Value::Arr(items)) = resp.get("campaigns") else {
@@ -165,8 +190,10 @@ pub fn client_main(args: &[String]) -> Result<(), String> {
             Ok(())
         }
         "status" | "cancel" => {
-            let flags = parse_flags(args.get(2..).unwrap_or(&[]))?;
+            let cmd = format!("client {action}");
+            let flags = parse_flags(&cmd, args.get(2..).unwrap_or(&[]), &["handle"], &[])?;
             let handle = flags
+                .values
                 .get("handle")
                 .ok_or_else(|| format!("client {action} needs --handle H"))?;
             let mut client = Client::connect(addr)?;
@@ -175,6 +202,7 @@ pub fn client_main(args: &[String]) -> Result<(), String> {
             Ok(())
         }
         "shutdown" => {
+            parse_flags("client shutdown", args.get(2..).unwrap_or(&[]), &[], &[])?;
             let mut client = Client::connect(addr)?;
             client.call("shutdown", vec![])?;
             Ok(())
@@ -189,8 +217,12 @@ pub fn client_main(args: &[String]) -> Result<(), String> {
 mod tests {
     use super::*;
 
-    fn flags(pairs: &[&str]) -> HashMap<String, String> {
-        parse_flags(&pairs.iter().map(|s| s.to_string()).collect::<Vec<_>>()).unwrap()
+    fn sv(args: &[&str]) -> Vec<String> {
+        args.iter().map(|s| s.to_string()).collect()
+    }
+
+    fn flags(pairs: &[&str]) -> Flags {
+        parse_run_flags(&sv(pairs)).unwrap()
     }
 
     #[test]
@@ -219,6 +251,31 @@ mod tests {
     fn bad_flags_fail_before_the_network() {
         assert!(spec_from_flags("qsort", &flags(&["--faults", "zero"])).is_err());
         assert!(spec_from_flags("noexist", &flags(&[])).is_err());
-        assert!(parse_flags(&["stray".to_string()]).is_err());
+        assert!(parse_run_flags(&sv(&["stray"])).is_err());
+        // A misspelled or foreign flag fails naming the subcommand and
+        // the flag, before any connection is attempted.
+        for (args, err) in [
+            (
+                &["run", "qsort", "--fault", "3"][..],
+                "client run: unknown flag --fault",
+            ),
+            (
+                &["run", "qsort", "--plan", "pruned"][..],
+                "client run: unknown flag --plan",
+            ),
+            (
+                &["status", "--handel", "h"][..],
+                "client status: unknown flag --handel",
+            ),
+        ] {
+            let args: Vec<String> = ["127.0.0.1:9"]
+                .iter()
+                .chain(args)
+                .map(|s| s.to_string())
+                .collect();
+            assert_eq!(client_main(&args).unwrap_err(), err);
+        }
+        let err = serve_main(&sv(&["--state", "unused", "--slot", "4"]));
+        assert_eq!(err.unwrap_err(), "serve: unknown flag --slot");
     }
 }

@@ -32,7 +32,7 @@ use vulnstack_core::{FairPool, Participant};
 use crate::json::{self, obj, s, Value};
 use crate::net::Conn;
 use crate::proto::{self, ErrorCode, Frame, Request};
-use crate::service::{engine_for, RunCtx, RunOutput};
+use crate::service::{self, RunCtx, RunOutput};
 use crate::spec::CampaignSpec;
 
 /// Daemon configuration (from `vulnstack serve ...`).
@@ -197,7 +197,7 @@ impl Daemon {
             gate: Some(&c.part as &dyn ClaimGate),
             tee: Some(&tee),
         };
-        let result = engine_for(c.spec.engine).run(&c.spec, &ctx);
+        let result = service::run(&c.spec, &ctx);
         c.part.retire();
         let phase = match result {
             Ok(out) if out.stopped => Phase::Cancelled(out),

@@ -17,8 +17,7 @@
 //!   codes; malformed input is answered, never panicked on.
 //! * [`spec`] — campaign specifications and their content-addressed
 //!   handles.
-//! * [`service`] — the five campaign engines behind one uniformly
-//!   dispatched trait.
+//! * [`service`] — runs a spec on the campaign engine it names.
 //! * [`daemon`] / [`client`] / [`cli`] — the two ends of the socket and
 //!   their command-line front ends.
 

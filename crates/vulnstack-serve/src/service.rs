@@ -1,11 +1,9 @@
-//! Uniform campaign-engine dispatch.
+//! Campaign dispatch: [`run`] runs a spec on the engine it names.
 //!
-//! Each of the workspace's campaign entry points (plus the hardened SVF
-//! variant) is wrapped in one object-safe [`CampaignEngine`]
-//! implementation, so the daemon runs every campaign the same way: look the engine up by name,
-//! hand it the spec plus a [`RunCtx`] carrying the journal path, the
-//! fair-share admission gate and the record tee, and collect a
-//! [`RunOutput`]. Nothing engine-specific leaks into the daemon loop.
+//! The daemon runs every campaign the same way: it hands [`run`] the
+//! spec plus a [`RunCtx`] carrying the journal path, the fair-share
+//! admission gate and the record tee, and collects a [`RunOutput`].
+//! Nothing engine-specific leaks into the daemon loop.
 //!
 //! Every run is journal-backed (`ResumeOrStart`): a campaign interrupted
 //! by cancellation or a daemon crash resumes bit-identically from its
@@ -20,7 +18,6 @@ use vulnstack_gefin::{
     Prepared, PvfMode,
 };
 use vulnstack_llfi::svf_campaign;
-use vulnstack_workloads::Workload;
 
 use crate::json::{self, obj, Value};
 use crate::spec::{CampaignSpec, Engine};
@@ -61,68 +58,6 @@ pub struct RunOutput {
     pub stopped: bool,
 }
 
-/// One campaign engine behind the uniform dispatch.
-pub trait CampaignEngine: Send + Sync {
-    /// The engine name a spec selects (`avf`, `pvf`, ...).
-    fn name(&self) -> &'static str;
-    /// Runs the campaign to completion (or to a gate stop).
-    fn run(&self, spec: &CampaignSpec, ctx: &RunCtx<'_>) -> Result<RunOutput, String>;
-}
-
-impl std::fmt::Debug for dyn CampaignEngine {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "CampaignEngine({})", self.name())
-    }
-}
-
-/// The engine registry. Dispatch is by name; the set is closed and
-/// mirrors [`Engine::ALL`].
-pub fn engines() -> &'static [&'static dyn CampaignEngine] {
-    &[
-        &AvfEngine,
-        &PvfEngine,
-        &SweepEngine,
-        &SvfEngine,
-        &SvfHardenedEngine,
-    ]
-}
-
-/// Looks an engine up by its spec name.
-pub fn engine_for(e: Engine) -> &'static dyn CampaignEngine {
-    engines()
-        .iter()
-        .copied()
-        .find(|eng| eng.name() == e.name())
-        .expect("every Engine variant has a registered CampaignEngine")
-}
-
-fn build_workload(spec: &CampaignSpec) -> Result<Workload, String> {
-    let base = spec.workload.build();
-    if spec.hardened && spec.engine != Engine::SvfHardened {
-        let module = vulnstack_ft::harden(&base.module).map_err(|e| e.to_string())?;
-        Ok(Workload { module, ..base })
-    } else {
-        Ok(base)
-    }
-}
-
-fn journal_opts<'a>(ctx: &'a RunCtx<'_>, label: &'a str) -> JournalOpts<'a> {
-    JournalOpts {
-        path: ctx.journal,
-        mode: ResumeMode::ResumeOrStart,
-        policy: RunPolicy::default(),
-        workload: label,
-    }
-}
-
-fn stream_opts<'a>(ctx: &'a RunCtx<'_>) -> StreamOpts<'a> {
-    StreamOpts {
-        gate: ctx.gate,
-        tee: ctx.tee,
-        ..StreamOpts::from_env()
-    }
-}
-
 /// A canonical summary report for the non-AVF engines: tally plus
 /// engine/workload identity, serialized with sorted keys so repeated
 /// runs compare bytewise.
@@ -145,199 +80,129 @@ fn tally_report(
     json::write(&obj(fields)) + "\n"
 }
 
-struct AvfEngine;
-
-impl CampaignEngine for AvfEngine {
-    fn name(&self) -> &'static str {
-        "avf"
-    }
-
-    fn run(&self, spec: &CampaignSpec, ctx: &RunCtx<'_>) -> Result<RunOutput, String> {
-        let w = build_workload(spec)?;
-        let label = spec.label();
-        let prep = Prepared::new(&w, spec.model).map_err(|e| e.to_string())?;
-        let plan = InjectionPlan::Sampled {
-            n: spec.faults,
-            seed: spec.seed,
-        };
-        let journal = journal_opts(ctx, &label);
-        let (r, _prune) = avf_campaign(
-            &prep,
-            spec.structure,
-            &plan,
-            &spec.models,
-            ctx.threads,
-            Some(&journal),
-            stream_opts(ctx),
-            None,
-        )
-        .map_err(|e| e.to_string())?;
-        let model_report = vec![(spec.structure.name(), r.per_model)];
-        Ok(RunOutput {
-            report: avf_report_json(&label, &plan, &model_report),
-            stopped: r.stats.stopped,
-            stats: r.stats,
-            quarantined: r.quarantined.len(),
-        })
-    }
-}
-
-struct PvfEngine;
-
-impl CampaignEngine for PvfEngine {
-    fn name(&self) -> &'static str {
-        "pvf"
-    }
-
-    fn run(&self, spec: &CampaignSpec, ctx: &RunCtx<'_>) -> Result<RunOutput, String> {
-        let w = build_workload(spec)?;
-        let label = spec.label();
-        let mode = match spec.mode {
-            "woi" => PvfMode::Woi,
-            "wi" => PvfMode::Wi,
-            _ => PvfMode::Wd,
-        };
-        let prep = FuncPrepared::new(&w, spec.isa).map_err(|e| e.to_string())?;
-        let journal = journal_opts(ctx, &label);
-        let out = pvf_campaign(
-            &prep,
-            mode,
-            spec.faults,
-            spec.seed,
-            ctx.threads,
-            Some(&journal),
-            stream_opts(ctx),
-            None,
-        )
-        .map_err(|e| e.to_string())?;
-        Ok(RunOutput {
-            report: tally_report(
-                "pvf",
-                &label,
-                vec![("mode", json::s(spec.mode))],
-                &out.tally,
-            ),
-            stopped: out.stats.stopped,
-            stats: out.stats,
-            quarantined: out.quarantined.len(),
-        })
-    }
-}
-
-struct SweepEngine;
-
-impl CampaignEngine for SweepEngine {
-    fn name(&self) -> &'static str {
-        "sweep"
-    }
-
-    fn run(&self, spec: &CampaignSpec, ctx: &RunCtx<'_>) -> Result<RunOutput, String> {
-        let w = build_workload(spec)?;
-        let label = spec.label();
-        let prep = Prepared::new(&w, spec.model).map_err(|e| e.to_string())?;
-        let journal = journal_opts(ctx, &label);
-        let (out, _prune) = temporal_campaign(
-            &prep,
-            spec.structure,
-            spec.windows,
-            spec.per_window,
-            spec.seed,
-            ctx.threads,
-            false,
-            Some(&journal),
-            stream_opts(ctx),
-            None,
-        )
-        .map_err(|e| e.to_string())?;
-        let mut total = vulnstack_core::Tally::default();
-        for t in &out.profile.tallies {
-            total.masked += t.masked;
-            total.sdc += t.sdc;
-            total.crash += t.crash;
-            total.detected += t.detected;
+/// Runs `spec` to completion (or to a gate stop) on the engine it names.
+/// `svf-hardened` is the `svf` engine over the hardened workload, so it
+/// streams the same records as `svf` with `hardened` set; only the
+/// report's `engine` field differs.
+///
+/// # Errors
+///
+/// The engine's failure (workload hardening, golden-run preparation or
+/// the journal) as a message for the client.
+pub fn run(spec: &CampaignSpec, ctx: &RunCtx<'_>) -> Result<RunOutput, String> {
+    let hardened = spec.hardened || spec.engine == Engine::SvfHardened;
+    let w = vulnstack_ft::workload(spec.workload, hardened).map_err(|e| e.to_string())?;
+    let label = spec.label();
+    let journal = JournalOpts {
+        path: ctx.journal,
+        mode: ResumeMode::ResumeOrStart,
+        policy: RunPolicy::default(),
+        workload: &label,
+    };
+    let stream = StreamOpts {
+        gate: ctx.gate,
+        tee: ctx.tee,
+        ..StreamOpts::from_env()
+    };
+    let engine = spec.engine.name();
+    let (report, stats, quarantined) = match spec.engine {
+        Engine::Avf => {
+            let prep = Prepared::new(&w, spec.model).map_err(|e| e.to_string())?;
+            let plan = InjectionPlan::Sampled {
+                n: spec.faults,
+                seed: spec.seed,
+            };
+            let (r, _prune) = avf_campaign(
+                &prep,
+                spec.structure,
+                &plan,
+                &spec.models,
+                ctx.threads,
+                Some(&journal),
+                stream,
+                None,
+            )
+            .map_err(|e| e.to_string())?;
+            let model_report = [(spec.structure.name(), r.per_model)];
+            let report = avf_report_json(&label, &plan, &model_report);
+            (report, r.stats, r.quarantined.len())
         }
-        let series = Value::Arr(out.profile.series().into_iter().map(Value::Num).collect());
-        Ok(RunOutput {
-            report: tally_report(
-                "sweep",
-                &label,
-                vec![
-                    ("structure", json::s(out.profile.structure.name())),
-                    ("windows", json::n(spec.windows as u64)),
-                    ("series", series),
-                ],
-                &total,
-            ),
-            stopped: out.stats.stopped,
-            stats: out.stats,
-            quarantined: out.quarantined.len(),
-        })
-    }
-}
-
-struct SvfEngine;
-
-impl CampaignEngine for SvfEngine {
-    fn name(&self) -> &'static str {
-        "svf"
-    }
-
-    fn run(&self, spec: &CampaignSpec, ctx: &RunCtx<'_>) -> Result<RunOutput, String> {
-        let w = build_workload(spec)?;
-        let label = spec.label();
-        let journal = journal_opts(ctx, &label);
-        let out = svf_campaign(
-            &w.module,
-            &w.input,
-            &w.expected_output,
-            spec.faults,
-            spec.seed,
-            ctx.threads,
-            Some(&journal),
-            stream_opts(ctx),
-            None,
-        )
-        .map_err(|e| e.to_string())?;
-        Ok(RunOutput {
-            report: tally_report("svf", &label, vec![], &out.tally),
-            stopped: out.stats.stopped,
-            stats: out.stats,
-            quarantined: out.quarantined.len(),
-        })
-    }
-}
-
-struct SvfHardenedEngine;
-
-impl CampaignEngine for SvfHardenedEngine {
-    fn name(&self) -> &'static str {
-        "svf-hardened"
-    }
-
-    fn run(&self, spec: &CampaignSpec, ctx: &RunCtx<'_>) -> Result<RunOutput, String> {
-        let w = spec.workload.build();
-        let label = spec.label();
-        let journal = journal_opts(ctx, &label);
-        let hardened = vulnstack_ft::harden(&w.module).map_err(|e| e.to_string())?;
-        let out = svf_campaign(
-            &hardened,
-            &w.input,
-            &w.expected_output,
-            spec.faults,
-            spec.seed,
-            ctx.threads,
-            Some(&journal),
-            stream_opts(ctx),
-            None,
-        )
-        .map_err(|e| e.to_string())?;
-        Ok(RunOutput {
-            report: tally_report("svf-hardened", &label, vec![], &out.tally),
-            stopped: out.stats.stopped,
-            stats: out.stats,
-            quarantined: out.quarantined.len(),
-        })
-    }
+        Engine::Pvf => {
+            let mode = match spec.mode {
+                "woi" => PvfMode::Woi,
+                "wi" => PvfMode::Wi,
+                _ => PvfMode::Wd,
+            };
+            let prep = FuncPrepared::new(&w, spec.isa).map_err(|e| e.to_string())?;
+            let out = pvf_campaign(
+                &prep,
+                mode,
+                spec.faults,
+                spec.seed,
+                ctx.threads,
+                Some(&journal),
+                stream,
+                None,
+            )
+            .map_err(|e| e.to_string())?;
+            let extra = vec![("mode", json::s(spec.mode))];
+            let report = tally_report(engine, &label, extra, &out.tally);
+            (report, out.stats, out.quarantined.len())
+        }
+        Engine::Sweep => {
+            let prep = Prepared::new(&w, spec.model).map_err(|e| e.to_string())?;
+            let (out, _prune) = temporal_campaign(
+                &prep,
+                spec.structure,
+                spec.windows,
+                spec.per_window,
+                spec.seed,
+                ctx.threads,
+                false,
+                Some(&journal),
+                stream,
+                None,
+            )
+            .map_err(|e| e.to_string())?;
+            let mut total = vulnstack_core::Tally::default();
+            for t in &out.profile.tallies {
+                total.masked += t.masked;
+                total.sdc += t.sdc;
+                total.crash += t.crash;
+                total.detected += t.detected;
+            }
+            let series = Value::Arr(out.profile.series().into_iter().map(Value::Num).collect());
+            let extra = vec![
+                ("structure", json::s(out.profile.structure.name())),
+                ("windows", json::n(spec.windows as u64)),
+                ("series", series),
+            ];
+            let report = tally_report(engine, &label, extra, &total);
+            (report, out.stats, out.quarantined.len())
+        }
+        Engine::Svf | Engine::SvfHardened => {
+            let out = svf_campaign(
+                &w.module,
+                &w.input,
+                &w.expected_output,
+                spec.faults,
+                spec.seed,
+                ctx.threads,
+                Some(&journal),
+                stream,
+                None,
+            )
+            .map_err(|e| e.to_string())?;
+            let report = tally_report(engine, &label, vec![], &out.tally);
+            (report, out.stats, out.quarantined.len())
+        }
+    };
+    Ok(RunOutput {
+        report,
+        stopped: stats.stopped,
+        stats,
+        quarantined,
+    })
 }
 
 #[cfg(test)]
@@ -349,15 +214,75 @@ mod tests {
         CampaignSpec::parse(&crate::json::parse(text).unwrap()).unwrap()
     }
 
+    fn tmp_dir(tag: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("vs-serve-{tag}-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
     #[test]
-    fn registry_covers_every_engine_uniquely() {
-        let mut names: Vec<_> = engines().iter().map(|e| e.name()).collect();
-        names.sort_unstable();
-        names.dedup();
-        assert_eq!(names.len(), Engine::ALL.len());
+    fn every_engine_runs_every_site() {
+        let dir = tmp_dir("all");
         for e in Engine::ALL {
-            assert_eq!(engine_for(e).name(), e.name());
+            let s = spec(&format!(
+                r#"{{"engine":"{}","workload":"crc32","faults":2,"windows":1,"per_window":1}}"#,
+                e.name()
+            ));
+            let journal = dir.join(format!("{}.journal", e.name()));
+            let ctx = RunCtx {
+                journal: &journal,
+                threads: 1,
+                gate: None,
+                tee: None,
+            };
+            let out = run(&s, &ctx).unwrap();
+            let sites = if e == Engine::Sweep { 1 } else { 2 };
+            assert!(!out.stopped, "{}", e.name());
+            assert_eq!(out.stats.executed, sites, "{}", e.name());
+            assert_eq!(out.quarantined, 0, "{}", e.name());
+            assert!(
+                out.report
+                    .contains(&format!("\"workload\":\"{}\"", s.label())),
+                "{}: {}",
+                e.name(),
+                out.report
+            );
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn svf_hardened_is_svf_over_the_hardened_workload() {
+        let dir = tmp_dir("hard");
+        let run_teed = |text: &str, name: &str| {
+            let journal = dir.join(name);
+            let records = vulnstack_core::Collector::default();
+            let tee = records.tee();
+            let ctx = RunCtx {
+                journal: &journal,
+                threads: 2,
+                gate: None,
+                tee: Some(&tee),
+            };
+            let out = run(&spec(text), &ctx).unwrap();
+            (out.report, records.sorted())
+        };
+        let (hard_report, hard_records) = run_teed(
+            r#"{"engine":"svf-hardened","workload":"crc32","faults":12,"seed":4}"#,
+            "svf-hardened.journal",
+        );
+        let (svf_report, svf_records) = run_teed(
+            r#"{"engine":"svf","workload":"crc32","faults":12,"seed":4,"hardened":true}"#,
+            "svf.journal",
+        );
+        assert_eq!(hard_records.len(), 12);
+        assert_eq!(hard_records, svf_records);
+        assert!(hard_report.contains("\"engine\":\"svf-hardened\""));
+        assert_eq!(
+            hard_report.replace("\"engine\":\"svf-hardened\"", "\"engine\":\"svf\""),
+            svf_report
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -372,13 +297,13 @@ mod tests {
             gate: None,
             tee: None,
         };
-        let out = engine_for(s.engine).run(&s, &ctx).unwrap();
+        let out = run(&s, &ctx).unwrap();
         assert!(!out.stopped);
         assert_eq!(out.stats.executed, 12);
         assert!(out.report.starts_with("{\"crash\":"));
         assert!(out.report.contains("\"engine\":\"svf\""));
         // Re-running the same spec replays the journal bit-identically.
-        let again = engine_for(s.engine).run(&s, &ctx).unwrap();
+        let again = run(&s, &ctx).unwrap();
         assert_eq!(again.report, out.report);
         assert_eq!(again.stats.replayed, 12);
         assert_eq!(again.stats.executed, 0);
@@ -400,7 +325,7 @@ mod tests {
             gate: None,
             tee: Some(&tee),
         };
-        engine_for(s.engine).run(&s, &ctx).unwrap();
+        run(&s, &ctx).unwrap();
         let mut got = seen.lock().unwrap().clone();
         got.sort_unstable();
         assert_eq!(got, (0..9).collect::<Vec<u64>>());

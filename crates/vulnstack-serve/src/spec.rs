@@ -16,8 +16,8 @@ use vulnstack_workloads::WorkloadId;
 
 use crate::json::{self, Value};
 
-/// Which campaign engine runs the spec. The five engines the platform
-/// exposes, uniformly dispatched via [`crate::service`].
+/// Which campaign engine runs the spec: the five engines the platform
+/// exposes, dispatched by [`crate::service::run`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Engine {
     /// GeFIN microarchitectural AVF/HVF campaign.
@@ -90,7 +90,7 @@ pub struct CampaignSpec {
     pub engine: Engine,
     pub workload: WorkloadId,
     /// Run the fault-tolerance-hardened variant of the workload
-    /// (ignored by `svf-hardened`, which hardens internally).
+    /// (`svf-hardened` always does).
     pub hardened: bool,
     pub priority: Priority,
     pub faults: usize,
@@ -283,10 +283,6 @@ impl CampaignSpec {
                 .ok_or("\"per_window\" must be an integer in 1..=10000")?
                 as usize,
         };
-        // Cross-field checks mirroring the CLI: the microarchitectural
-        // engines need a core model whose ISA can run the workload; that
-        // is validated at prepare time, but the va32/va64 split for pvf
-        // is caught here.
         Ok(CampaignSpec {
             engine,
             workload,
@@ -363,6 +359,37 @@ mod tests {
         ] {
             let e = parse_spec(spec).unwrap_err();
             assert!(e.contains(needle), "{spec}: {e}");
+        }
+    }
+
+    #[test]
+    fn handles_match_those_earlier_builds_persisted() {
+        // A handle names a campaign's spec and journal files in the
+        // daemon's state directory: a restarted daemon re-attaches only
+        // the campaigns whose handles it recomputes unchanged.
+        for (text, handle) in [
+            (
+                r#"{"engine":"avf","workload":"qsort","model":"A9","structure":"RF","faults":20,"seed":5}"#,
+                "ea1349f81c6cd554",
+            ),
+            (
+                r#"{"engine":"pvf","workload":"sha","isa":"va32","mode":"woi","faults":40}"#,
+                "33c097e925643699",
+            ),
+            (
+                r#"{"engine":"sweep","workload":"crc32","structure":"LSQ","windows":4,"per_window":2}"#,
+                "4dd221ee98062d6d",
+            ),
+            (
+                r#"{"engine":"svf","workload":"crc32","faults":40,"hardened":true}"#,
+                "b04524cf7ef3eb6d",
+            ),
+            (
+                r#"{"engine":"svf-hardened","workload":"crc32","faults":40}"#,
+                "6412db130e12900c",
+            ),
+        ] {
+            assert_eq!(parse_spec(text).unwrap().handle(), handle, "{text}");
         }
     }
 

@@ -8,7 +8,6 @@
 
 use vulnstack_core::report::{pct, pct2, Table};
 use vulnstack_core::StreamOpts;
-use vulnstack_ft::harden;
 use vulnstack_gefin::{avf_campaign, default_threads, InjectionPlan, Prepared};
 use vulnstack_microarch::ooo::HwStructure;
 use vulnstack_microarch::{CoreModel, FaultModel};
@@ -18,10 +17,7 @@ fn main() {
     let faults = 100;
     let threads = default_threads();
     let base = WorkloadId::Sha.build();
-    let hard = Workload {
-        module: harden(&base.module).unwrap(),
-        ..base.clone()
-    };
+    let hard = vulnstack_ft::workload(WorkloadId::Sha, true).unwrap();
 
     // Software-level view (what a developer using an LLFI-style tool
     // sees). Every campaign here runs unjournaled with the default

@@ -81,29 +81,61 @@ struct Opts {
     switches: Vec<String>,
 }
 
-fn parse_opts(rest: &[String]) -> Result<Opts, String> {
-    let mut flags = HashMap::new();
-    let mut switches = Vec::new();
-    let mut i = 0;
-    while i < rest.len() {
-        let a = &rest[i];
-        if let Some(name) = a.strip_prefix("--") {
-            // Value-less switches.
-            if matches!(name, "breakdown" | "hardened" | "resume") {
-                switches.push(name.to_string());
-                i += 1;
-                continue;
-            }
-            let v = rest
-                .get(i + 1)
-                .ok_or_else(|| format!("--{name} needs a value"))?;
-            flags.insert(name.to_string(), v.clone());
-            i += 2;
-        } else {
-            return Err(format!("unexpected argument {a}"));
-        }
+/// The value flags and the switches subcommand `cmd` takes.
+fn accepted_flags(cmd: &str) -> (&'static [&'static str], &'static [&'static str]) {
+    const HARDENED: &[&str] = &["hardened"];
+    const JOURNALED: &[&str] = &["hardened", "resume"];
+    match cmd {
+        "run" | "ace" => (&["model"], HARDENED),
+        "avf" => (
+            &[
+                "model",
+                "structure",
+                "faults",
+                "seed",
+                "plan",
+                "at",
+                "models",
+                "json",
+                "journal",
+            ],
+            JOURNALED,
+        ),
+        "pvf" => (&["isa", "mode", "faults", "seed", "journal"], JOURNALED),
+        "svf" => (
+            &["faults", "seed", "journal"],
+            &["breakdown", "hardened", "resume"],
+        ),
+        "analyze" | "analyze attack" => (&["isa", "json"], HARDENED),
+        "analyze prune-audit" => (&["model", "faults", "seed", "json"], HARDENED),
+        "disasm" => (&["isa", "limit"], HARDENED),
+        "trace" => (
+            &[
+                "model",
+                "limit",
+                "structure",
+                "cycle",
+                "bit",
+                "site",
+                "faults",
+                "seed",
+            ],
+            HARDENED,
+        ),
+        "ir" => (&[], HARDENED),
+        _ => (&[], &[]),
     }
-    Ok(Opts { flags, switches })
+}
+
+/// Parses the flags after subcommand `cmd`'s positional argument; a
+/// flag `cmd` does not take is an error.
+fn parse_opts(cmd: &str, rest: &[String]) -> Result<Opts, String> {
+    let (values, switches) = accepted_flags(cmd);
+    let f = vulnstack_serve::cli::parse_flags(cmd, rest, values, switches)?;
+    Ok(Opts {
+        flags: f.values,
+        switches: f.switches,
+    })
 }
 
 impl Opts {
@@ -148,12 +180,10 @@ impl Opts {
         self.switches.iter().any(|s| s == name)
     }
 
-    /// The injection plan. `--plan sampled|pruned|exhaustive` wins;
-    /// without the flag the `VULNSTACK_PRUNE` environment knob decides
-    /// between sampled and pruned (default: sampled). `--plan
-    /// exhaustive` enumerates every (site, model) pair at one fixed
-    /// cycle (`--at`, default mid-run) and always executes through the
-    /// pruner.
+    /// The injection plan from `--plan sampled|pruned|exhaustive`
+    /// (default: sampled). `--plan exhaustive` enumerates every (site,
+    /// model) pair at one fixed cycle (`--at`, default mid-run) and
+    /// always executes through the pruner.
     fn plan(&self, faults: usize, seed: u64, mid_cycle: u64) -> Result<InjectionPlan, String> {
         let at = match self.flags.get("at") {
             None => None,
@@ -163,9 +193,7 @@ impl Opts {
             ),
         };
         let plan = match self.flags.get("plan").map(String::as_str) {
-            None if vulnstack_gefin::prune_default() => InjectionPlan::Pruned { n: faults, seed },
-            None => InjectionPlan::Sampled { n: faults, seed },
-            Some("sampled") => InjectionPlan::Sampled { n: faults, seed },
+            None | Some("sampled") => InjectionPlan::Sampled { n: faults, seed },
             Some("pruned") => InjectionPlan::Pruned { n: faults, seed },
             Some("exhaustive") => InjectionPlan::Exhaustive {
                 cycle: at.unwrap_or(mid_cycle),
@@ -263,13 +291,7 @@ use vulnstack_gefin::{avf_report_json, ModelReport};
 
 fn workload(name: &str, hardened: bool) -> Result<Workload, String> {
     let id = WorkloadId::from_name(name).ok_or_else(|| format!("unknown workload {name}"))?;
-    let base = id.build();
-    if hardened {
-        let module = vulnstack_ft::harden(&base.module).map_err(|e| e.to_string())?;
-        Ok(Workload { module, ..base })
-    } else {
-        Ok(base)
-    }
+    vulnstack_ft::workload(id, hardened).map_err(|e| e.to_string())
 }
 
 /// Builds the attack-surface report for `target` — the literal string
@@ -416,7 +438,10 @@ fn run(args: &[String]) -> Result<(), String> {
             .get(2)
             .cloned()
             .ok_or_else(|| format!("analyze {name} needs a target"))?;
-        let opts = parse_opts(if args.len() > 3 { &args[3..] } else { &[] })?;
+        let opts = parse_opts(
+            &format!("analyze {name}"),
+            if args.len() > 3 { &args[3..] } else { &[] },
+        )?;
         return if name == "attack" {
             analyze_attack(&target, &opts)
         } else {
@@ -432,7 +457,7 @@ fn run(args: &[String]) -> Result<(), String> {
         return vulnstack_serve::client_main(&args[1..]);
     }
     let rest = if args.len() > 2 { &args[2..] } else { &[] };
-    let opts = parse_opts(rest)?;
+    let opts = parse_opts(cmd, rest)?;
 
     match cmd {
         "list" => {
@@ -889,16 +914,24 @@ mod tests {
 
     #[test]
     fn parses_flags_and_switches() {
-        let o = parse_opts(&sv(&["--model", "A9", "--faults", "64", "--breakdown"])).unwrap();
+        let o = parse_opts(
+            "avf",
+            &sv(&["--model", "A9", "--faults", "64", "--hardened"]),
+        )
+        .unwrap();
         assert_eq!(o.model().unwrap(), CoreModel::A9);
         assert_eq!(o.faults().unwrap(), 64);
+        assert!(o.switch("hardened"));
+        assert!(!o.switch("resume"));
+        let o = parse_opts("svf", &sv(&["--faults", "0", "--breakdown"])).unwrap();
+        assert_eq!(o.faults().unwrap(), 0);
         assert!(o.switch("breakdown"));
         assert!(!o.switch("hardened"));
     }
 
     #[test]
     fn defaults_are_sensible() {
-        let o = parse_opts(&[]).unwrap();
+        let o = parse_opts("avf", &[]).unwrap();
         assert_eq!(o.model().unwrap(), CoreModel::A72);
         assert_eq!(o.isa().unwrap(), Isa::Va64);
         assert_eq!(o.seed().unwrap(), 2021);
@@ -906,32 +939,50 @@ mod tests {
 
     #[test]
     fn rejects_missing_values_and_junk() {
-        assert!(parse_opts(&sv(&["--model"])).is_err());
-        assert!(parse_opts(&sv(&["stray"])).is_err());
-        let o = parse_opts(&sv(&["--model", "Z80"])).unwrap();
+        assert!(parse_opts("avf", &sv(&["--model"])).is_err());
+        assert!(parse_opts("avf", &sv(&["stray"])).is_err());
+        // A misspelled flag, or one another subcommand takes, fails
+        // naming the subcommand and the flag.
+        for (cmd, args, err) in [
+            ("svf", &["--fault", "3"][..], "svf: unknown flag --fault"),
+            ("avf", &["--breakdown"][..], "avf: unknown flag --breakdown"),
+            ("pvf", &["--model", "A9"][..], "pvf: unknown flag --model"),
+            (
+                "list",
+                &["--faults", "3"][..],
+                "list: unknown flag --faults",
+            ),
+            (
+                "analyze attack",
+                &["--limit", "3"][..],
+                "analyze attack: unknown flag --limit",
+            ),
+        ] {
+            assert_eq!(parse_opts(cmd, &sv(args)).err().as_deref(), Some(err));
+        }
+        let o = parse_opts("avf", &sv(&["--model", "Z80"])).unwrap();
         assert!(o.model().is_err());
-        let o = parse_opts(&sv(&["--isa", "mips"])).unwrap();
+        let o = parse_opts("pvf", &sv(&["--isa", "mips"])).unwrap();
         assert!(o.isa().is_err());
     }
 
     #[test]
     fn plan_flag_parses_and_rejects_junk() {
-        let o = parse_opts(&sv(&["--plan", "pruned"])).unwrap();
+        let o = parse_opts("avf", &sv(&["--plan", "pruned"])).unwrap();
         assert_eq!(
             o.plan(10, 7, 100).unwrap(),
             InjectionPlan::Pruned { n: 10, seed: 7 }
         );
-        let o = parse_opts(&sv(&["--plan", "sampled"])).unwrap();
+        let o = parse_opts("avf", &sv(&["--plan", "sampled"])).unwrap();
         assert_eq!(
             o.plan(10, 7, 100).unwrap(),
             InjectionPlan::Sampled { n: 10, seed: 7 }
         );
-        let o = parse_opts(&sv(&["--plan", "psychic"])).unwrap();
+        let o = parse_opts("avf", &sv(&["--plan", "psychic"])).unwrap();
         assert!(o.plan(10, 7, 100).is_err());
-        // Without the flag the VULNSTACK_PRUNE knob decides; the test
-        // runner does not set it, so the default is the sampled plan.
+        // Without the flag the plan is sampled.
         assert_eq!(
-            parse_opts(&[]).unwrap().plan(10, 7, 100).unwrap(),
+            parse_opts("avf", &[]).unwrap().plan(10, 7, 100).unwrap(),
             InjectionPlan::Sampled { n: 10, seed: 7 }
         );
     }
@@ -939,58 +990,62 @@ mod tests {
     #[test]
     fn exhaustive_plan_takes_an_injection_cycle() {
         // Default: mid-run.
-        let o = parse_opts(&sv(&["--plan", "exhaustive"])).unwrap();
+        let o = parse_opts("avf", &sv(&["--plan", "exhaustive"])).unwrap();
         assert_eq!(
             o.plan(10, 7, 100).unwrap(),
             InjectionPlan::Exhaustive { cycle: 100 }
         );
         // Explicit --at pins the cycle.
-        let o = parse_opts(&sv(&["--plan", "exhaustive", "--at", "42"])).unwrap();
+        let o = parse_opts("avf", &sv(&["--plan", "exhaustive", "--at", "42"])).unwrap();
         assert_eq!(
             o.plan(10, 7, 100).unwrap(),
             InjectionPlan::Exhaustive { cycle: 42 }
         );
         // --at is meaningless for sampled/pruned plans.
-        let o = parse_opts(&sv(&["--plan", "pruned", "--at", "42"])).unwrap();
+        let o = parse_opts("avf", &sv(&["--plan", "pruned", "--at", "42"])).unwrap();
         assert!(o.plan(10, 7, 100).is_err());
-        let o = parse_opts(&sv(&["--plan", "exhaustive", "--at", "soon"])).unwrap();
+        let o = parse_opts("avf", &sv(&["--plan", "exhaustive", "--at", "soon"])).unwrap();
         assert!(o.plan(10, 7, 100).is_err());
     }
 
     #[test]
     fn models_flag_parses_lists_and_rejects_junk() {
         assert_eq!(
-            parse_opts(&[]).unwrap().models().unwrap(),
+            parse_opts("avf", &[]).unwrap().models().unwrap(),
             vec![FaultModel::BitFlip]
         );
-        let o = parse_opts(&sv(&["--models", "all"])).unwrap();
+        let o = parse_opts("avf", &sv(&["--models", "all"])).unwrap();
         assert_eq!(o.models().unwrap(), FaultModel::ALL.to_vec());
-        let o = parse_opts(&sv(&["--models", "stuck-at, bit-flip"])).unwrap();
+        let o = parse_opts("avf", &sv(&["--models", "stuck-at, bit-flip"])).unwrap();
         assert_eq!(
             o.models().unwrap(),
             vec![FaultModel::StuckAt, FaultModel::BitFlip]
         );
-        let o = parse_opts(&sv(&["--models", "gamma-ray"])).unwrap();
+        let o = parse_opts("avf", &sv(&["--models", "gamma-ray"])).unwrap();
         assert!(o.models().is_err());
     }
 
     #[test]
     fn journal_flags_parse_and_validate() {
-        let o = parse_opts(&sv(&["--journal", "j.log", "--resume"])).unwrap();
+        let o = parse_opts("avf", &sv(&["--journal", "j.log", "--resume"])).unwrap();
         let j = o.journal("crc32").unwrap().unwrap();
         assert_eq!(j.mode, ResumeMode::ResumeRequired);
         assert_eq!(j.path, Path::new("j.log"));
         assert_eq!(j.workload, "crc32");
 
-        let o = parse_opts(&sv(&["--journal", "j.log"])).unwrap();
+        let o = parse_opts("svf", &sv(&["--journal", "j.log"])).unwrap();
         assert_eq!(
             o.journal("x").unwrap().unwrap().mode,
             ResumeMode::ResumeOrStart
         );
 
-        let o = parse_opts(&sv(&["--resume"])).unwrap();
+        let o = parse_opts("avf", &sv(&["--resume"])).unwrap();
         assert!(o.journal("x").is_err(), "--resume alone must be rejected");
-        assert!(parse_opts(&[]).unwrap().journal("x").unwrap().is_none());
+        assert!(parse_opts("avf", &[])
+            .unwrap()
+            .journal("x")
+            .unwrap()
+            .is_none());
     }
 
     #[test]

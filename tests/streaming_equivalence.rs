@@ -1,28 +1,24 @@
 //! Streaming-equivalence: the bounded-memory sink pipeline must be an
 //! *observationally invisible* part of every campaign. For every engine
-//! family the campaign's tallies — and, via the spill file, its full
+//! family the campaign's tallies — and, via the stream's tee, its full
 //! record stream — must be bit-identical to running each site on its own
 //! (or, for PVF, whose per-site runner is private, to the same campaign
 //! at another thread count and channel bound), through the tightest
-//! possible channel (capacity 1, maximum backpressure), through panics
-//! mid-stream, and under memory-quota shedding (which may drop telemetry
-//! spans but never records). `tests/pipeline_digests.rs` pins the
-//! records themselves.
+//! possible channel (capacity 1, maximum backpressure) and through
+//! panics mid-stream. `tests/pipeline_digests.rs` pins the records
+//! themselves.
 
 mod common;
 
-use std::path::Path;
 use std::sync::OnceLock;
 
-use common::{avf, avf_with, decoded, reference, svf_reference, tmp, Collector};
-use vulnstack_core::trace::CampaignMetrics;
+use common::{avf_with, decoded, reference, svf_reference, tmp, Collector};
 use vulnstack_core::{
-    Campaign, CampaignJournal, Fingerprint, JournalOpts, MemQuota, ResumeMode, RunPolicy,
-    StreamOpts,
+    Campaign, CampaignJournal, Fingerprint, JournalOpts, ResumeMode, RunPolicy, StreamOpts,
 };
 use vulnstack_gefin::{
-    avf_campaign, decode_record, draw_sites, encode_record, per_model_tallies, pvf_campaign,
-    run_one_model, temporal_campaign, FuncPrepared, InjectionPlan, ModelSite, Prepared, PvfMode,
+    decode_record, draw_sites, encode_record, per_model_tallies, pvf_campaign, run_one_model,
+    temporal_campaign, FuncPrepared, InjectionPlan, ModelSite, Prepared, PvfMode,
 };
 use vulnstack_isa::Isa;
 use vulnstack_llfi::svf_campaign;
@@ -47,65 +43,27 @@ fn crc32() -> &'static Workload {
     W.get_or_init(|| WorkloadId::Crc32.build())
 }
 
-/// Streaming options pinned to an explicit channel bound plus a spill
-/// file, independent of the environment.
-fn spill_opts(cap: usize, spill: &Path) -> StreamOpts<'_> {
-    StreamOpts {
-        channel_cap: cap,
-        spill: Some(spill),
-        gate: None,
-        tee: None,
-    }
-}
-
 const SAMPLED: InjectionPlan = InjectionPlan::Sampled { n: N, seed: SEED };
 const BIT_FLIP: &[FaultModel] = &[FaultModel::BitFlip];
-
-/// Reads a spill file back and orders its payloads by site index — the
-/// settle order varies with threading, the indexed record set must not.
-fn spilled_by_index(records: &vulnstack_core::RecordHandle) -> Vec<(u64, String)> {
-    let mut got = records.payloads().expect("readable spill");
-    got.sort();
-    got
-}
 
 #[test]
 fn streamed_avf_records_are_bit_identical_to_legacy_collect() {
     let prep = prep();
     let baseline = reference(prep, STRUCTURE, &SAMPLED, BIT_FLIP);
-    let want: Vec<(u64, String)> = baseline
-        .iter()
-        .enumerate()
-        .map(|(i, r)| (i as u64, encode_record(r)))
-        .collect();
     // Channel capacities 1 (every push blocks: maximum backpressure) and
     // a comfortable bound must both reproduce the individual runs.
     for cap in [1usize, 64] {
-        let spill = tmp(&format!("avf-cap{cap}.records"));
-        let (out, stats) = avf_campaign(
-            prep,
-            STRUCTURE,
-            &SAMPLED,
-            BIT_FLIP,
-            4,
-            None,
-            spill_opts(cap, &spill),
-            None,
-        )
-        .unwrap();
+        let (out, stats, records) =
+            avf_with(prep, STRUCTURE, &SAMPLED, BIT_FLIP, 4, None, cap, None).unwrap();
         assert!(stats.is_none(), "cap={cap}: sampled plans do not prune");
         assert_eq!(out.stats.executed, N, "cap={cap}");
-        let handle = out.records.expect("spill requested");
-        assert_eq!(handle.count(), N as u64);
         assert_eq!(
-            spilled_by_index(&handle),
-            want,
-            "cap={cap}: spilled records must be bit-identical to individual runs"
+            records, baseline,
+            "cap={cap}: streamed records must be bit-identical to individual runs"
         );
         // The incremental per-model accumulation must agree with a
         // whole-vector pass over the same records.
         assert_eq!(out.per_model, per_model_tallies(&baseline));
-        let _ = std::fs::remove_file(&spill);
     }
 }
 
@@ -117,21 +75,10 @@ fn streamed_exhaustive_model_sweep_matches_the_models_engine() {
     // model) product small enough for a debug-build test.
     let models = [FaultModel::ByteCorrupt, FaultModel::InstrSkip];
     let plan = InjectionPlan::Exhaustive { cycle };
-    // Through a small spill-backed channel at 4 threads, and through a
-    // capacity-1 channel on one thread: the same records, the same
-    // pruning verdicts.
-    let spill = tmp("avf-exhaustive.records");
-    let (out, stats) = avf_campaign(
-        prep,
-        STRUCTURE,
-        &plan,
-        &models,
-        4,
-        None,
-        spill_opts(8, &spill),
-        None,
-    )
-    .unwrap();
+    // Through a small channel at 4 threads, and through a capacity-1
+    // channel on one thread: the same records, the same pruning verdicts.
+    let (out, stats, streamed) =
+        avf_with(prep, STRUCTURE, &plan, &models, 4, None, 8, None).unwrap();
     let (serial, serial_stats, records) =
         avf_with(prep, STRUCTURE, &plan, &models, 1, None, 1, None).unwrap();
     let stats = stats.expect("exhaustive plans execute through the pruner");
@@ -140,15 +87,8 @@ fn streamed_exhaustive_model_sweep_matches_the_models_engine() {
     assert_eq!(stats.dead_masked, serial_stats.dead_masked);
     assert_eq!(out.tally, serial.tally);
     assert_eq!(out.per_model, per_model_tallies(&records));
-    let want: Vec<(u64, String)> = records
-        .iter()
-        .enumerate()
-        .map(|(i, r)| (i as u64, encode_record(r)))
-        .collect();
-    let handle = out.records.expect("spill requested");
     assert_eq!(
-        spilled_by_index(&handle),
-        want,
+        streamed, records,
         "exhaustive streamed records must be bit-identical"
     );
     // Every 64th pair against its own individual injection.
@@ -160,7 +100,6 @@ fn streamed_exhaustive_model_sweep_matches_the_models_engine() {
         };
         assert_eq!(&run_one_model(prep, STRUCTURE, site), rec, "pair {i}");
     }
-    let _ = std::fs::remove_file(&spill);
 }
 
 #[test]
@@ -265,7 +204,8 @@ fn streamed_pvf_and_svf_match_their_legacy_campaigns() {
     }
     let baseline = svf_reference(w, N, SEED);
     // Capacity 1 exercises backpressure on the software engine too.
-    let spill = tmp("svf.records");
+    let seen = Collector::default();
+    let tee = seen.tee();
     let out = svf_campaign(
         &w.module,
         &w.input,
@@ -274,23 +214,24 @@ fn streamed_pvf_and_svf_match_their_legacy_campaigns() {
         SEED,
         4,
         None,
-        spill_opts(1, &spill),
+        StreamOpts {
+            channel_cap: 1,
+            tee: Some(&tee),
+            ..StreamOpts::from_env()
+        },
         None,
     )
     .unwrap();
     assert_eq!(out.tally, baseline);
-    let handle = out.records.expect("spill requested");
-    assert_eq!(handle.count(), N as u64);
-    // Every spilled payload is a decodable effect name.
-    handle
-        .for_each_payload(|_, p| {
-            assert!(
-                vulnstack_core::FaultEffect::from_name(p).is_some(),
-                "undecodable spill payload {p:?}"
-            );
-        })
-        .unwrap();
-    let _ = std::fs::remove_file(&spill);
+    let records = seen.sorted();
+    assert_eq!(records.len(), N);
+    // Every streamed payload is a decodable effect name.
+    for (_, p) in &records {
+        assert!(
+            vulnstack_core::FaultEffect::from_name(p).is_some(),
+            "undecodable payload {p:?}"
+        );
+    }
 }
 
 /// A worker panic mid-stream degrades to a durable quarantine record —
@@ -334,7 +275,6 @@ fn a_panic_mid_stream_quarantines_without_stalling_the_pipeline() {
     // the full channel, the worst interleaving for a stalled sink.
     let cap1 = StreamOpts {
         channel_cap: 1,
-        spill: None,
         gate: None,
         tee: None,
     };
@@ -389,43 +329,4 @@ fn a_panic_mid_stream_quarantines_without_stalling_the_pipeline() {
         .collect();
     assert_eq!(replayed, want);
     let _ = std::fs::remove_file(&path);
-}
-
-/// Memory-quota pressure sheds telemetry spans (counted degradation),
-/// never records: a streamed campaign under a starved quota produces
-/// bit-identical results.
-#[test]
-fn quota_shedding_degrades_telemetry_but_never_records() {
-    let prep = prep();
-    let baseline = reference(prep, STRUCTURE, &SAMPLED, BIT_FLIP);
-    let (plain, _, _) = avf(prep, STRUCTURE, &SAMPLED, BIT_FLIP, 4);
-    // A quota that fits almost nothing: spans must shed immediately.
-    let quota = MemQuota::with_limit(64);
-    let metrics = CampaignMetrics::with_quota("quota-shed", &quota);
-    let spill = tmp("quota-shed.records");
-    let (out, _) = avf_campaign(
-        prep,
-        STRUCTURE,
-        &SAMPLED,
-        BIT_FLIP,
-        4,
-        None,
-        spill_opts(4, &spill),
-        Some(&metrics),
-    )
-    .unwrap();
-    assert_eq!(out.tally, plain.tally, "shedding must not touch records");
-    let want: Vec<(u64, String)> = baseline
-        .iter()
-        .enumerate()
-        .map(|(i, r)| (i as u64, encode_record(r)))
-        .collect();
-    assert_eq!(spilled_by_index(&out.records.expect("spill")), want);
-    let report = metrics.report();
-    assert_eq!(report.sites, N as u64, "site counts stay exact");
-    assert!(report.spans_shed > 0, "a 64 B quota must shed spans");
-    assert!(quota.shedding_started());
-    let shed = quota.shed_report();
-    assert!(shed.events > 0 && shed.bytes > 0, "{shed:?}");
-    let _ = std::fs::remove_file(&spill);
 }
