@@ -55,6 +55,19 @@ impl std::fmt::Display for PvfMode {
     }
 }
 
+impl std::str::FromStr for PvfMode {
+    type Err = String;
+
+    /// Parses [`PvfMode::name`] in any letter case (`wd`, `woi`, `wi`
+    /// on the command line).
+    fn from_str(s: &str) -> Result<PvfMode, String> {
+        PvfMode::ALL
+            .into_iter()
+            .find(|m| m.name().eq_ignore_ascii_case(s))
+            .ok_or_else(|| format!("unknown mode {s} (expected wd|woi|wi)"))
+    }
+}
+
 fn classify_outcome(prep: &FuncPrepared, out: &vulnstack_microarch::SimOutcome) -> FaultEffect {
     FaultEffect::classify(
         out.status,

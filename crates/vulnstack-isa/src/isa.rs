@@ -103,6 +103,18 @@ impl std::fmt::Display for Isa {
     }
 }
 
+impl std::str::FromStr for Isa {
+    type Err = String;
+
+    /// Parses [`Isa::name`].
+    fn from_str(s: &str) -> Result<Isa, String> {
+        [Isa::Va32, Isa::Va64]
+            .into_iter()
+            .find(|i| i.name() == s)
+            .ok_or_else(|| format!("unknown isa {s} (expected va32|va64)"))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

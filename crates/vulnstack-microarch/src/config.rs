@@ -46,6 +46,18 @@ impl std::fmt::Display for CoreModel {
     }
 }
 
+impl std::str::FromStr for CoreModel {
+    type Err = String;
+
+    /// Parses [`CoreModel::name`] in any letter case.
+    fn from_str(s: &str) -> Result<CoreModel, String> {
+        CoreModel::ALL
+            .into_iter()
+            .find(|m| m.name().eq_ignore_ascii_case(s))
+            .ok_or_else(|| format!("unknown model {s}"))
+    }
+}
+
 /// Geometry of one cache level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {

@@ -127,6 +127,18 @@ impl std::fmt::Display for HwStructure {
     }
 }
 
+impl std::str::FromStr for HwStructure {
+    type Err = String;
+
+    /// Parses [`HwStructure::name`] in any letter case.
+    fn from_str(s: &str) -> Result<HwStructure, String> {
+        HwStructure::ALL
+            .into_iter()
+            .find(|x| x.name().eq_ignore_ascii_case(s))
+            .ok_or_else(|| format!("unknown structure {s}"))
+    }
+}
+
 /// Runtime fault model for dynamic injection (ARMORY-style multi-model
 /// campaigns). Mirrors the static `vulnstack-analyze` model enum; names
 /// match so records and reports line up across the stack.
@@ -166,6 +178,18 @@ impl FaultModel {
     /// Inverse of [`FaultModel::name`] (journal record decode).
     pub fn from_name(s: &str) -> Option<FaultModel> {
         FaultModel::ALL.into_iter().find(|m| m.name() == s)
+    }
+
+    /// Parses a model set: `all`, or comma-separated names.
+    ///
+    /// # Errors
+    ///
+    /// The first name that is not a model.
+    pub fn parse_list(list: &str) -> Result<Vec<FaultModel>, String> {
+        if list == "all" {
+            return Ok(FaultModel::ALL.to_vec());
+        }
+        list.split(',').map(str::parse).collect()
     }
 
     /// True for models whose corruption is a one-time value change that
@@ -208,6 +232,17 @@ impl FaultModel {
 impl std::fmt::Display for FaultModel {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.name())
+    }
+}
+
+impl std::str::FromStr for FaultModel {
+    type Err = String;
+
+    /// Parses [`FaultModel::name`], ignoring surrounding whitespace.
+    fn from_str(s: &str) -> Result<FaultModel, String> {
+        FaultModel::from_name(s.trim()).ok_or_else(|| {
+            format!("unknown fault model {s} (expected bit-flip|byte-corrupt|instr-skip|stuck-at, or all)")
+        })
     }
 }
 

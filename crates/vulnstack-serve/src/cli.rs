@@ -10,7 +10,7 @@ use std::path::PathBuf;
 use crate::client::Client;
 use crate::daemon::{self, DaemonOpts};
 use crate::json::{self, Value};
-use crate::spec::CampaignSpec;
+use crate::spec::{CampaignSpec, Engine};
 
 /// One subcommand's parsed flags.
 #[derive(Debug, Default)]
@@ -21,11 +21,19 @@ pub struct Flags {
     pub switches: Vec<String>,
 }
 
-/// Parses the flags of subcommand `cmd`: each of `values` takes one
-/// argument, each of `switches` none. A positional argument, a value
-/// flag without its value, or any flag `cmd` does not take is an error
-/// naming `cmd`, so a misspelled flag fails instead of silently running
-/// a different experiment.
+impl Flags {
+    /// True when `--name` was given.
+    pub fn switch(&self, name: &str) -> bool {
+        self.switches.iter().any(|s| s == name)
+    }
+}
+
+/// Parses the flags of subcommand `cmd`: each flag named in `values`
+/// takes one argument, each named in `switches` none (both lists are
+/// space-separated). A positional argument, a value flag without its
+/// value, or any flag `cmd` does not take is an error naming `cmd`, so a
+/// misspelled flag fails instead of silently running a different
+/// experiment.
 ///
 /// # Errors
 ///
@@ -33,9 +41,10 @@ pub struct Flags {
 pub fn parse_flags(
     cmd: &str,
     rest: &[String],
-    values: &[&str],
-    switches: &[&str],
+    values: &str,
+    switches: &str,
 ) -> Result<Flags, String> {
+    let takes = |list: &str, name: &str| list.split_whitespace().any(|n| n == name);
     let mut flags = Flags::default();
     let mut i = 0;
     while i < rest.len() {
@@ -43,10 +52,10 @@ pub fn parse_flags(
         let Some(name) = a.strip_prefix("--") else {
             return Err(format!("unexpected argument {a}"));
         };
-        if switches.contains(&name) {
+        if takes(switches, name) {
             flags.switches.push(name.to_string());
             i += 1;
-        } else if values.contains(&name) {
+        } else if takes(values, name) {
             let v = rest
                 .get(i + 1)
                 .ok_or_else(|| format!("--{name} needs a value"))?;
@@ -58,11 +67,6 @@ pub fn parse_flags(
     }
     Ok(flags)
 }
-
-/// The spec fields `client run` takes as string flags.
-const SPEC_STRINGS: [&str; 6] = ["model", "structure", "models", "isa", "mode", "priority"];
-/// The spec fields `client run` takes as number flags.
-const SPEC_NUMBERS: [&str; 4] = ["faults", "seed", "windows", "per_window"];
 
 fn parse_num(flags: &HashMap<String, String>, key: &str, default: u64) -> Result<u64, String> {
     match flags.get(key) {
@@ -77,7 +81,7 @@ fn parse_num(flags: &HashMap<String, String>, key: &str, default: u64) -> Result
 /// endpoint is printed and written to `<state>/endpoint`) or
 /// `unix:/path/to.sock`.
 pub fn serve_main(args: &[String]) -> Result<(), String> {
-    let flags = parse_flags("serve", args, &["state", "listen", "slots", "threads"], &[])?.values;
+    let flags = parse_flags("serve", args, "state listen slots threads", "")?.values;
     let state = flags
         .get("state")
         .ok_or("serve needs --state DIR (spec/journal directory)")?;
@@ -93,42 +97,31 @@ pub fn serve_main(args: &[String]) -> Result<(), String> {
     daemon::serve(&opts)
 }
 
-/// Parses `client run`'s flags: the spec fields, `--engine`, `--json`
-/// and the `--hardened` switch.
+/// Parses `client run`'s flags: `--engine`, `--json`, and every spec
+/// field as a flag, as `vulnstack avf|pvf|svf` name them.
 fn parse_run_flags(rest: &[String]) -> Result<Flags, String> {
-    let values: Vec<&str> = ["engine", "json"]
-        .into_iter()
-        .chain(SPEC_STRINGS)
-        .chain(SPEC_NUMBERS)
-        .collect();
-    parse_flags("client run", rest, &values, &["hardened"])
+    let values = "engine json priority faults seed model structure models isa mode windows \
+                  per_window plan at";
+    parse_flags("client run", rest, values, "hardened")
 }
 
-/// Builds a spec object from client flags; `workload` is positional.
-fn spec_from_flags(workload: &str, flags: &Flags) -> Result<Value, String> {
-    let mut fields: Vec<(&str, Value)> = vec![("workload", json::s(workload))];
-    fields.push((
-        "engine",
-        json::s(flags.values.get("engine").map_or("avf", String::as_str)),
-    ));
-    for key in SPEC_STRINGS {
-        if let Some(v) = flags.values.get(key) {
-            fields.push((key, json::s(v)));
-        }
+/// The spec `client run` submits: the canonical form of the one the CLI
+/// builds from the same flags (`--engine`, default `avf`, names the
+/// engine), validated as the daemon will validate it so a bad value
+/// fails before the network.
+fn run_spec(workload: &str, flags: &Flags) -> Result<Value, String> {
+    let engine = flags
+        .values
+        .get("engine")
+        .map_or(Ok(Engine::Avf), |e| e.parse())?;
+    let spec = CampaignSpec::from_flags(engine, workload, flags)?;
+    let doc = spec.canonical();
+    // JSON numbers are doubles: a seed or cycle above 2^53 would reach
+    // the daemon as a different campaign.
+    if CampaignSpec::parse(&doc)? != spec {
+        return Err("--seed and --at must not exceed 2^53 over the wire".to_string());
     }
-    for key in SPEC_NUMBERS {
-        if let Some(v) = flags.values.get(key) {
-            let n: u64 = v.parse().map_err(|_| format!("bad --{key} {v}"))?;
-            fields.push((key, json::n(n)));
-        }
-    }
-    if flags.switches.iter().any(|s| s == "hardened") {
-        fields.push(("hardened", Value::Bool(true)));
-    }
-    let spec = json::obj(fields);
-    // Validate locally so a typo fails before touching the daemon.
-    CampaignSpec::parse(&spec)?;
-    Ok(spec)
+    Ok(doc)
 }
 
 /// `vulnstack client <addr> <action> ...`
@@ -150,7 +143,7 @@ pub fn client_main(args: &[String]) -> Result<(), String> {
                 .filter(|w| !w.starts_with("--"))
                 .ok_or("client run needs a workload name")?;
             let flags = parse_run_flags(args.get(3..).unwrap_or(&[]))?;
-            let spec = spec_from_flags(workload, &flags)?;
+            let spec = run_spec(workload, &flags)?;
             let mut client = Client::connect(addr)?;
             let mut streamed = 0u64;
             let done = client.run_campaign(&spec, |_r| streamed += 1)?;
@@ -168,7 +161,7 @@ pub fn client_main(args: &[String]) -> Result<(), String> {
             Ok(())
         }
         "list" => {
-            parse_flags("client list", args.get(2..).unwrap_or(&[]), &[], &[])?;
+            parse_flags("client list", args.get(2..).unwrap_or(&[]), "", "")?;
             let mut client = Client::connect(addr)?;
             let resp = client.call("list", vec![])?;
             let Some(Value::Arr(items)) = resp.get("campaigns") else {
@@ -191,7 +184,7 @@ pub fn client_main(args: &[String]) -> Result<(), String> {
         }
         "status" | "cancel" => {
             let cmd = format!("client {action}");
-            let flags = parse_flags(&cmd, args.get(2..).unwrap_or(&[]), &["handle"], &[])?;
+            let flags = parse_flags(&cmd, args.get(2..).unwrap_or(&[]), "handle", "")?;
             let handle = flags
                 .values
                 .get("handle")
@@ -202,7 +195,7 @@ pub fn client_main(args: &[String]) -> Result<(), String> {
             Ok(())
         }
         "shutdown" => {
-            parse_flags("client shutdown", args.get(2..).unwrap_or(&[]), &[], &[])?;
+            parse_flags("client shutdown", args.get(2..).unwrap_or(&[]), "", "")?;
             let mut client = Client::connect(addr)?;
             client.call("shutdown", vec![])?;
             Ok(())
@@ -226,7 +219,7 @@ mod tests {
     }
 
     #[test]
-    fn spec_from_flags_builds_a_valid_spec() {
+    fn run_spec_builds_a_valid_spec() {
         let f = flags(&[
             "--engine",
             "avf",
@@ -241,16 +234,24 @@ mod tests {
             "--priority",
             "high",
         ]);
-        let spec = spec_from_flags("qsort", &f).unwrap();
+        let spec = run_spec("qsort", &f).unwrap();
         let parsed = CampaignSpec::parse(&spec).unwrap();
         assert_eq!(parsed.faults, 25);
         assert_eq!(parsed.priority.name(), "high");
+        // The client submits the canonical form.
+        assert_eq!(spec, parsed.canonical());
     }
 
     #[test]
     fn bad_flags_fail_before_the_network() {
-        assert!(spec_from_flags("qsort", &flags(&["--faults", "zero"])).is_err());
-        assert!(spec_from_flags("noexist", &flags(&[])).is_err());
+        assert!(run_spec("qsort", &flags(&["--faults", "zero"])).is_err());
+        assert!(run_spec("noexist", &flags(&[])).is_err());
+        // 2^53 + 1 rounds to 2^53 as a JSON number: refused, not changed.
+        assert!(run_spec("qsort", &flags(&["--seed", "9007199254740992"])).is_ok());
+        assert_eq!(
+            run_spec("qsort", &flags(&["--seed", "9007199254740993"])).unwrap_err(),
+            "--seed and --at must not exceed 2^53 over the wire"
+        );
         assert!(parse_run_flags(&sv(&["stray"])).is_err());
         // A misspelled or foreign flag fails naming the subcommand and
         // the flag, before any connection is attempted.
@@ -260,8 +261,8 @@ mod tests {
                 "client run: unknown flag --fault",
             ),
             (
-                &["run", "qsort", "--plan", "pruned"][..],
-                "client run: unknown flag --plan",
+                &["run", "qsort", "--breakdown"][..],
+                "client run: unknown flag --breakdown",
             ),
             (
                 &["status", "--handel", "h"][..],

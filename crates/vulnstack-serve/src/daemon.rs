@@ -26,8 +26,9 @@ use std::path::PathBuf;
 use std::sync::mpsc::{self, Sender};
 use std::sync::{Arc, Condvar, Mutex};
 
+use vulnstack_core::report::write_atomic;
 use vulnstack_core::sched::ClaimGate;
-use vulnstack_core::{FairPool, Participant};
+use vulnstack_core::{FairPool, Participant, ResumeMode};
 
 use crate::json::{self, obj, s, Value};
 use crate::net::Conn;
@@ -51,7 +52,7 @@ pub struct DaemonOpts {
 }
 
 /// Where a campaign is in its lifecycle.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 enum Phase {
     Running,
     Done(RunOutput),
@@ -106,14 +107,26 @@ impl Campaign {
         )
     }
 
-    fn done_event(handle: &str, phase: &Phase) -> String {
-        let mut fields = vec![("handle", s(handle)), ("state", s(phase.name()))];
+    /// The fields `status` and `list` report for every campaign.
+    fn summary(&self, st: &StreamState) -> Vec<(&'static str, Value)> {
+        vec![
+            ("handle", s(&self.handle)),
+            ("engine", s(self.spec.engine.name())),
+            ("workload", s(self.spec.workload.name())),
+            ("priority", s(self.spec.priority.name())),
+            ("state", s(st.phase.name())),
+            ("records", json::n(st.records.len() as u64)),
+        ]
+    }
+
+    fn done_event(&self, phase: &Phase) -> String {
+        let mut fields = vec![("handle", s(&self.handle)), ("state", s(phase.name()))];
         match phase {
             Phase::Done(out) | Phase::Cancelled(out) => {
-                fields.push(("report", s(&out.report)));
-                fields.push(("replayed", json::n(out.stats.replayed as u64)));
-                fields.push(("executed", json::n(out.stats.executed as u64)));
-                fields.push(("quarantined", json::n(out.quarantined as u64)));
+                fields.push(("report", s(&out.report(&self.spec))));
+                fields.push(("replayed", json::n(out.stats().replayed as u64)));
+                fields.push(("executed", json::n(out.stats().executed as u64)));
+                fields.push(("quarantined", json::n(out.stats().quarantined as u64)));
             }
             Phase::Failed(msg) => fields.push(("message", s(msg))),
             Phase::Running => {}
@@ -155,7 +168,8 @@ impl Daemon {
         if persist {
             let text = json::write(&spec.canonical()) + "\n";
             let path = self.spec_path(&handle);
-            std::fs::write(&path, text).map_err(|e| format!("write {}: {e}", path.display()))?;
+            write_atomic(&path, text.as_bytes())
+                .map_err(|e| format!("write {}: {e}", path.display()))?;
         }
         let part = self.pool.register(spec.priority.weight());
         let campaign = Arc::new(Campaign {
@@ -192,7 +206,7 @@ impl Daemon {
             Campaign::broadcast(&mut st, &line);
         };
         let ctx = RunCtx {
-            journal: &journal,
+            journal: Some((&journal, ResumeMode::ResumeOrStart)),
             threads: self.threads,
             gate: Some(&c.part as &dyn ClaimGate),
             tee: Some(&tee),
@@ -200,12 +214,12 @@ impl Daemon {
         let result = service::run(&c.spec, &ctx);
         c.part.retire();
         let phase = match result {
-            Ok(out) if out.stopped => Phase::Cancelled(out),
+            Ok(out) if out.stats().stopped => Phase::Cancelled(out),
             Ok(out) => Phase::Done(out),
             Err(e) => Phase::Failed(e),
         };
         let mut st = c.stream.lock().unwrap();
-        let line = Campaign::done_event(&c.handle, &phase);
+        let line = c.done_event(&phase);
         st.phase = phase;
         Campaign::broadcast(&mut st, &line);
         st.subs.clear();
@@ -279,11 +293,15 @@ pub fn serve(opts: &DaemonOpts) -> Result<(), String> {
         (Listener::Tcp(l), local.to_string())
     };
 
-    // The endpoint file lets scripts find a port-0 daemon; written
-    // atomically-enough (tiny) and removed never — it names the current
-    // endpoint for the lifetime of the state dir.
+    // The endpoint file lets scripts find a port-0 daemon; it is never
+    // removed — it names the current endpoint for the lifetime of the
+    // state dir. A rename replaces it whole, so no reader sees it torn.
+    // It is not fsynced: it only matters while this daemon runs, and
+    // `write_atomic`'s two fsyncs would add about a third to start-up.
     let endpoint = opts.state.join("endpoint");
-    std::fs::write(&endpoint, format!("{addr}\n"))
+    let tmp = opts.state.join(".endpoint.tmp");
+    std::fs::write(&tmp, format!("{addr}\n"))
+        .and_then(|()| std::fs::rename(&tmp, &endpoint))
         .map_err(|e| format!("write {}: {e}", endpoint.display()))?;
     println!("listening on {addr}");
 
@@ -387,18 +405,11 @@ fn dispatch(daemon: &Arc<Daemon>, req: &Request, tx: &Sender<String>) -> bool {
         }
         "status" => with_campaign(daemon, req, tx, |c| {
             let st = c.stream.lock().unwrap();
-            let mut fields = vec![
-                ("handle", s(&c.handle)),
-                ("engine", s(c.spec.engine.name())),
-                ("workload", s(c.spec.workload.name())),
-                ("priority", s(c.spec.priority.name())),
-                ("state", s(st.phase.name())),
-                ("records", json::n(st.records.len() as u64)),
-                ("grants", json::n(c.part.grants())),
-            ];
+            let mut fields = c.summary(&st);
+            fields.push(("grants", json::n(c.part.grants())));
             match &st.phase {
                 Phase::Done(out) | Phase::Cancelled(out) => {
-                    fields.push(("report", s(&out.report)));
+                    fields.push(("report", s(&out.report(&c.spec))));
                 }
                 Phase::Failed(msg) => fields.push(("message", s(msg))),
                 Phase::Running => {}
@@ -425,7 +436,7 @@ fn dispatch(daemon: &Arc<Daemon>, req: &Request, tx: &Sender<String>) -> bool {
             if matches!(st.phase, Phase::Running) {
                 st.subs.push(tx.clone());
             } else {
-                ok = ok && send(Campaign::done_event(&c.handle, &st.phase));
+                ok = ok && send(c.done_event(&st.phase));
             }
             ok
         }
@@ -437,17 +448,7 @@ fn dispatch(daemon: &Arc<Daemon>, req: &Request, tx: &Sender<String>) -> bool {
             let reg = daemon.campaigns.lock().unwrap();
             let items: Vec<Value> = reg
                 .values()
-                .map(|c| {
-                    let st = c.stream.lock().unwrap();
-                    obj(vec![
-                        ("handle", s(&c.handle)),
-                        ("engine", s(c.spec.engine.name())),
-                        ("workload", s(c.spec.workload.name())),
-                        ("priority", s(c.spec.priority.name())),
-                        ("state", s(st.phase.name())),
-                        ("records", json::n(st.records.len() as u64)),
-                    ])
-                })
+                .map(|c| obj(c.summary(&c.stream.lock().unwrap())))
                 .collect();
             send(proto::ok_response(
                 req.id,

@@ -15,11 +15,14 @@
 //!   hand-rolled and canonical).
 //! * [`proto`] — request/response/event framing with stable error
 //!   codes; malformed input is answered, never panicked on.
-//! * [`spec`] — campaign specifications and their content-addressed
-//!   handles.
-//! * [`service`] — runs a spec on the campaign engine it names.
+//! * [`spec`] — the one campaign description: built from flags by
+//!   `vulnstack avf|pvf|svf` and `vulnstack client run`, parsed from
+//!   JSON by the daemon, with content-addressed handles.
+//! * [`service`] — runs a spec on the campaign engine it names, for the
+//!   CLI and the daemon alike.
 //! * [`daemon`] / [`client`] / [`cli`] — the two ends of the socket and
-//!   their command-line front ends.
+//!   their command-line front ends; [`cli`] also holds the flag parser
+//!   every `vulnstack` subcommand shares.
 
 pub mod cli;
 pub mod client;

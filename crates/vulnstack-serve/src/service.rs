@@ -1,32 +1,34 @@
 //! Campaign dispatch: [`run`] runs a spec on the engine it names.
 //!
-//! The daemon runs every campaign the same way: it hands [`run`] the
-//! spec plus a [`RunCtx`] carrying the journal path, the fair-share
-//! admission gate and the record tee, and collects a [`RunOutput`].
-//! Nothing engine-specific leaks into the daemon loop.
-//!
-//! Every run is journal-backed (`ResumeOrStart`): a campaign interrupted
-//! by cancellation or a daemon crash resumes bit-identically from its
-//! journal on the next run of the same spec.
+//! `vulnstack avf|pvf|svf` and the daemon run a campaign the same way:
+//! they hand [`run`] a [`CampaignSpec`] plus a [`RunCtx`] carrying the
+//! journal, the worker count, the fair-share admission gate and the
+//! record tee, and get the engine's typed results back. The CLI prints
+//! them; the daemon sends [`RunOutput::report`], which for avf is the
+//! file `vulnstack avf --json` writes. The daemon journals every run
+//! (`ResumeOrStart`), so a campaign interrupted by cancellation or a
+//! crash resumes bit-identically on the next run of the same spec.
 
 use std::path::Path;
 
 use vulnstack_core::sched::ClaimGate;
 use vulnstack_core::{JournalOpts, RecordTee, ResumeMode, ResumeStats, RunPolicy, StreamOpts};
 use vulnstack_gefin::{
-    avf_campaign, avf_report_json, pvf_campaign, temporal_campaign, FuncPrepared, InjectionPlan,
-    Prepared, PvfMode,
+    avf_campaign, avf_report_json, pvf_campaign, temporal_campaign, AvfStreamed, FuncPrepared,
+    InjectionPlan, Prepared, PruneStats, PvfStreamed, TemporalStreamed,
 };
-use vulnstack_llfi::svf_campaign;
+use vulnstack_llfi::{svf_campaign, SvfStreamed};
+use vulnstack_workloads::Workload;
 
 use crate::json::{self, obj, Value};
 use crate::spec::{CampaignSpec, Engine};
 
-/// Per-run context supplied by the daemon: where the journal lives, how
-/// many worker threads the engine may spawn, and the shared-pool gate
-/// and subscriber tee threaded through [`StreamOpts`].
+/// Per-run context supplied by the front end: the journal and how to
+/// open it (`None` runs unjournaled), how many worker threads the
+/// engine may spawn, and the shared-pool gate and subscriber tee
+/// threaded through [`StreamOpts`].
 pub struct RunCtx<'a> {
-    pub journal: &'a Path,
+    pub journal: Option<(&'a Path, ResumeMode)>,
     pub threads: usize,
     pub gate: Option<&'a dyn ClaimGate>,
     pub tee: Option<RecordTee<'a>>,
@@ -43,41 +45,145 @@ impl std::fmt::Debug for RunCtx<'_> {
     }
 }
 
-/// What a finished (or stopped) campaign run produced.
-#[derive(Debug, Clone)]
-pub struct RunOutput {
-    /// The final machine-readable report, newline-terminated. For the
-    /// `avf` engine this is byte-identical to `vulnstack avf --json`.
-    pub report: String,
-    /// Replay/execute accounting from the journal layer.
-    pub stats: ResumeStats,
-    /// Sites quarantined after repeated panics.
-    pub quarantined: usize,
-    /// True when the admission gate stopped the run early (cancellation
-    /// or shutdown); the journal holds the completed prefix.
-    pub stopped: bool,
+impl RunCtx<'_> {
+    fn journal<'b>(&'b self, label: &'b str) -> Option<JournalOpts<'b>> {
+        self.journal.map(|(path, mode)| JournalOpts {
+            path,
+            mode,
+            policy: RunPolicy::default(),
+            workload: label,
+        })
+    }
+
+    fn stream(&self) -> StreamOpts<'_> {
+        StreamOpts {
+            gate: self.gate,
+            tee: self.tee,
+            ..StreamOpts::from_env()
+        }
+    }
 }
 
-/// A canonical summary report for the non-AVF engines: tally plus
-/// engine/workload identity, serialized with sorted keys so repeated
-/// runs compare bytewise.
-fn tally_report(
-    engine: &str,
-    label: &str,
-    extra: Vec<(&str, Value)>,
-    tally: &vulnstack_core::Tally,
-) -> String {
-    let mut fields = vec![
-        ("engine", json::s(engine)),
-        ("workload", json::s(label)),
-        ("injections", json::n(tally.total())),
-        ("masked", json::n(tally.masked)),
-        ("sdc", json::n(tally.sdc)),
-        ("crash", json::n(tally.crash)),
-        ("detected", json::n(tally.detected)),
-    ];
-    fields.extend(extra);
-    json::write(&obj(fields)) + "\n"
+/// One avf campaign's results: the plan it ran (an exhaustive plan's
+/// cycle resolved against the golden run), the structure's aggregates,
+/// and the pruner's accounting (pruned and exhaustive plans).
+#[derive(Debug)]
+pub struct AvfRun {
+    pub plan: InjectionPlan,
+    pub result: AvfStreamed,
+    pub prune: Option<PruneStats>,
+}
+
+/// What a finished (or stopped) run produced: the engine's own results,
+/// tally, resume accounting and quarantines included.
+#[derive(Debug)]
+pub enum RunOutput {
+    Avf(AvfRun),
+    Pvf(PvfStreamed),
+    Sweep(TemporalStreamed),
+    Svf(SvfStreamed),
+}
+
+impl RunOutput {
+    /// Replay/execute accounting; `stopped` when the admission gate
+    /// ended the run early (cancellation or shutdown) and the journal
+    /// holds the completed prefix.
+    pub fn stats(&self) -> &ResumeStats {
+        match self {
+            RunOutput::Avf(r) => &r.result.stats,
+            RunOutput::Pvf(o) => &o.stats,
+            RunOutput::Sweep(o) => &o.stats,
+            RunOutput::Svf(o) => &o.stats,
+        }
+    }
+
+    /// The report of `spec`'s run, newline-terminated: [`avf_report`]
+    /// over this one structure, or the tally with the engine and
+    /// workload, keys sorted so repeated runs compare bytewise.
+    pub fn report(&self, spec: &CampaignSpec) -> String {
+        let label = spec.label();
+        let (tally, extra) = match self {
+            RunOutput::Avf(r) => return avf_report(&label, std::slice::from_ref(r)),
+            RunOutput::Pvf(o) => {
+                let mode = spec.mode.name().to_ascii_lowercase();
+                (o.tally, vec![("mode", json::s(&mode))])
+            }
+            RunOutput::Sweep(o) => {
+                let mut total = vulnstack_core::Tally::default();
+                o.profile.tallies.iter().for_each(|t| total.merge(t));
+                let series = o.profile.series().into_iter().map(Value::Num).collect();
+                let extra = vec![
+                    ("structure", json::s(o.profile.structure.name())),
+                    ("windows", json::n(spec.windows as u64)),
+                    ("series", Value::Arr(series)),
+                ];
+                (total, extra)
+            }
+            RunOutput::Svf(o) => (o.tally, vec![]),
+        };
+        let mut fields = vec![
+            ("engine", json::s(spec.engine.name())),
+            ("workload", json::s(&label)),
+            ("injections", json::n(tally.total())),
+            ("masked", json::n(tally.masked)),
+            ("sdc", json::n(tally.sdc)),
+            ("crash", json::n(tally.crash)),
+            ("detected", json::n(tally.detected)),
+        ];
+        fields.extend(extra);
+        json::write(&obj(fields)) + "\n"
+    }
+}
+
+/// The avf report over the runs of one spec on one or more structures:
+/// the file `vulnstack avf --json` writes and the daemon's avf report.
+///
+/// # Panics
+///
+/// Panics on an empty `runs`.
+pub fn avf_report(label: &str, runs: &[AvfRun]) -> String {
+    let per_structure: Vec<_> = runs
+        .iter()
+        .map(|r| (r.result.structure.name(), r.result.per_model.clone()))
+        .collect();
+    avf_report_json(label, &runs[0].plan, &per_structure)
+}
+
+/// The workload `spec` injects into, hardened when [`CampaignSpec::ft`];
+/// fails when hardening does.
+pub fn workload(spec: &CampaignSpec) -> Result<Workload, String> {
+    vulnstack_ft::workload(spec.workload, spec.ft()).map_err(|e| e.to_string())
+}
+
+/// The golden run of `spec`'s workload on its core model, which the
+/// avf campaigns of every structure can share; fails when hardening or
+/// the golden run does.
+pub fn prepare(spec: &CampaignSpec) -> Result<Prepared, String> {
+    Prepared::new(&workload(spec)?, spec.model).map_err(|e| e.to_string())
+}
+
+/// Runs `spec`'s avf campaign on `spec.structure` over `prep`; fails
+/// when the journal does.
+pub fn run_avf(spec: &CampaignSpec, prep: &Prepared, ctx: &RunCtx<'_>) -> Result<AvfRun, String> {
+    let label = spec.label();
+    let plan = spec.injection_plan(prep.golden.cycles / 2);
+    let journal = ctx.journal(&label);
+    let (result, prune) = avf_campaign(
+        prep,
+        spec.structure,
+        &plan,
+        &spec.models,
+        ctx.threads,
+        journal.as_ref(),
+        ctx.stream(),
+        None,
+    )
+    .map_err(|e| e.to_string())?;
+    Ok(AvfRun {
+        plan,
+        result,
+        prune,
+    })
 }
 
 /// Runs `spec` to completion (or to a gate stop) on the engine it names.
@@ -90,118 +196,42 @@ fn tally_report(
 /// The engine's failure (workload hardening, golden-run preparation or
 /// the journal) as a message for the client.
 pub fn run(spec: &CampaignSpec, ctx: &RunCtx<'_>) -> Result<RunOutput, String> {
-    let hardened = spec.hardened || spec.engine == Engine::SvfHardened;
-    let w = vulnstack_ft::workload(spec.workload, hardened).map_err(|e| e.to_string())?;
     let label = spec.label();
-    let journal = JournalOpts {
-        path: ctx.journal,
-        mode: ResumeMode::ResumeOrStart,
-        policy: RunPolicy::default(),
-        workload: &label,
-    };
-    let stream = StreamOpts {
-        gate: ctx.gate,
-        tee: ctx.tee,
-        ..StreamOpts::from_env()
-    };
-    let engine = spec.engine.name();
-    let (report, stats, quarantined) = match spec.engine {
-        Engine::Avf => {
-            let prep = Prepared::new(&w, spec.model).map_err(|e| e.to_string())?;
-            let plan = InjectionPlan::Sampled {
-                n: spec.faults,
-                seed: spec.seed,
-            };
-            let (r, _prune) = avf_campaign(
-                &prep,
-                spec.structure,
-                &plan,
-                &spec.models,
-                ctx.threads,
-                Some(&journal),
-                stream,
-                None,
-            )
-            .map_err(|e| e.to_string())?;
-            let model_report = [(spec.structure.name(), r.per_model)];
-            let report = avf_report_json(&label, &plan, &model_report);
-            (report, r.stats, r.quarantined.len())
-        }
+    let journal = ctx.journal(&label);
+    let (threads, journal, stream) = (ctx.threads, journal.as_ref(), ctx.stream());
+    let (faults, seed) = (spec.faults, spec.seed);
+    Ok(match spec.engine {
+        Engine::Avf => RunOutput::Avf(run_avf(spec, &prepare(spec)?, ctx)?),
         Engine::Pvf => {
-            let mode = match spec.mode {
-                "woi" => PvfMode::Woi,
-                "wi" => PvfMode::Wi,
-                _ => PvfMode::Wd,
-            };
-            let prep = FuncPrepared::new(&w, spec.isa).map_err(|e| e.to_string())?;
+            let prep = FuncPrepared::new(&workload(spec)?, spec.isa).map_err(|e| e.to_string())?;
             let out = pvf_campaign(
-                &prep,
-                mode,
-                spec.faults,
-                spec.seed,
-                ctx.threads,
-                Some(&journal),
-                stream,
-                None,
-            )
-            .map_err(|e| e.to_string())?;
-            let extra = vec![("mode", json::s(spec.mode))];
-            let report = tally_report(engine, &label, extra, &out.tally);
-            (report, out.stats, out.quarantined.len())
+                &prep, spec.mode, faults, seed, threads, journal, stream, None,
+            );
+            RunOutput::Pvf(out.map_err(|e| e.to_string())?)
         }
         Engine::Sweep => {
-            let prep = Prepared::new(&w, spec.model).map_err(|e| e.to_string())?;
-            let (out, _prune) = temporal_campaign(
-                &prep,
-                spec.structure,
-                spec.windows,
-                spec.per_window,
-                spec.seed,
-                ctx.threads,
-                false,
-                Some(&journal),
-                stream,
-                None,
-            )
-            .map_err(|e| e.to_string())?;
-            let mut total = vulnstack_core::Tally::default();
-            for t in &out.profile.tallies {
-                total.masked += t.masked;
-                total.sdc += t.sdc;
-                total.crash += t.crash;
-                total.detected += t.detected;
-            }
-            let series = Value::Arr(out.profile.series().into_iter().map(Value::Num).collect());
-            let extra = vec![
-                ("structure", json::s(out.profile.structure.name())),
-                ("windows", json::n(spec.windows as u64)),
-                ("series", series),
-            ];
-            let report = tally_report(engine, &label, extra, &total);
-            (report, out.stats, out.quarantined.len())
+            let (structure, windows, per_window) = (spec.structure, spec.windows, spec.per_window);
+            let prep = prepare(spec)?;
+            let out = temporal_campaign(
+                &prep, structure, windows, per_window, seed, threads, false, journal, stream, None,
+            );
+            RunOutput::Sweep(out.map_err(|e| e.to_string())?.0)
         }
         Engine::Svf | Engine::SvfHardened => {
+            let w = workload(spec)?;
             let out = svf_campaign(
                 &w.module,
                 &w.input,
                 &w.expected_output,
-                spec.faults,
-                spec.seed,
-                ctx.threads,
-                Some(&journal),
+                faults,
+                seed,
+                threads,
+                journal,
                 stream,
                 None,
-            )
-            .map_err(|e| e.to_string())?;
-            let report = tally_report(engine, &label, vec![], &out.tally);
-            (report, out.stats, out.quarantined.len())
+            );
+            RunOutput::Svf(out.map_err(|e| e.to_string())?)
         }
-    };
-    Ok(RunOutput {
-        report,
-        stopped: stats.stopped,
-        stats,
-        quarantined,
     })
 }
 
@@ -230,22 +260,21 @@ mod tests {
             ));
             let journal = dir.join(format!("{}.journal", e.name()));
             let ctx = RunCtx {
-                journal: &journal,
+                journal: Some((&journal, ResumeMode::ResumeOrStart)),
                 threads: 1,
                 gate: None,
                 tee: None,
             };
             let out = run(&s, &ctx).unwrap();
             let sites = if e == Engine::Sweep { 1 } else { 2 };
-            assert!(!out.stopped, "{}", e.name());
-            assert_eq!(out.stats.executed, sites, "{}", e.name());
-            assert_eq!(out.quarantined, 0, "{}", e.name());
+            assert!(!out.stats().stopped, "{}", e.name());
+            assert_eq!(out.stats().executed, sites, "{}", e.name());
+            assert_eq!(out.stats().quarantined, 0, "{}", e.name());
+            let report = out.report(&s);
             assert!(
-                out.report
-                    .contains(&format!("\"workload\":\"{}\"", s.label())),
-                "{}: {}",
+                report.contains(&format!("\"workload\":\"{}\"", s.label())),
+                "{}: {report}",
                 e.name(),
-                out.report
             );
         }
         let _ = std::fs::remove_dir_all(&dir);
@@ -259,13 +288,14 @@ mod tests {
             let records = vulnstack_core::Collector::default();
             let tee = records.tee();
             let ctx = RunCtx {
-                journal: &journal,
+                journal: Some((&journal, ResumeMode::ResumeOrStart)),
                 threads: 2,
                 gate: None,
                 tee: Some(&tee),
             };
-            let out = run(&spec(text), &ctx).unwrap();
-            (out.report, records.sorted())
+            let s = spec(text);
+            let out = run(&s, &ctx).unwrap();
+            (out.report(&s), records.sorted())
         };
         let (hard_report, hard_records) = run_teed(
             r#"{"engine":"svf-hardened","workload":"crc32","faults":12,"seed":4}"#,
@@ -292,21 +322,22 @@ mod tests {
         let journal = dir.join("svc.journal");
         let s = spec(r#"{"engine":"svf","workload":"crc32","faults":12,"seed":7}"#);
         let ctx = RunCtx {
-            journal: &journal,
+            journal: Some((&journal, ResumeMode::ResumeOrStart)),
             threads: 2,
             gate: None,
             tee: None,
         };
         let out = run(&s, &ctx).unwrap();
-        assert!(!out.stopped);
-        assert_eq!(out.stats.executed, 12);
-        assert!(out.report.starts_with("{\"crash\":"));
-        assert!(out.report.contains("\"engine\":\"svf\""));
+        assert!(!out.stats().stopped);
+        assert_eq!(out.stats().executed, 12);
+        let report = out.report(&s);
+        assert!(report.starts_with("{\"crash\":"));
+        assert!(report.contains("\"engine\":\"svf\""));
         // Re-running the same spec replays the journal bit-identically.
         let again = run(&s, &ctx).unwrap();
-        assert_eq!(again.report, out.report);
-        assert_eq!(again.stats.replayed, 12);
-        assert_eq!(again.stats.executed, 0);
+        assert_eq!(again.report(&s), report);
+        assert_eq!(again.stats().replayed, 12);
+        assert_eq!(again.stats().executed, 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -320,7 +351,7 @@ mod tests {
         let seen: Mutex<Vec<u64>> = Mutex::new(Vec::new());
         let tee = |i: u64, _p: &str| seen.lock().unwrap().push(i);
         let ctx = RunCtx {
-            journal: &journal,
+            journal: Some((&journal, ResumeMode::ResumeOrStart)),
             threads: 2,
             gate: None,
             tee: Some(&tee),

@@ -13,20 +13,20 @@
 //! vulnstack harden   <workload>
 //! ```
 
-use std::collections::HashMap;
 use std::path::Path;
 use std::process::ExitCode;
 
 use vulnstack_compiler::{compile, CompileOpts};
 use vulnstack_core::report::{pct, pct2, Table};
-use vulnstack_core::{JournalOpts, Quarantine, ResumeMode, ResumeStats, RunPolicy, StreamOpts};
-use vulnstack_gefin::{
-    avf_campaign, default_threads, pvf_campaign, FuncPrepared, InjectionPlan, Prepared, PruneStats,
-    PvfMode,
-};
+use vulnstack_core::{Quarantine, ResumeMode, ResumeStats, Tally};
+use vulnstack_gefin::{default_threads, Prepared};
 use vulnstack_isa::Isa;
 use vulnstack_microarch::ooo::HwStructure;
-use vulnstack_microarch::{CoreModel, FaultModel};
+use vulnstack_microarch::FaultModel;
+use vulnstack_serve::cli::Flags;
+use vulnstack_serve::service::{self, RunCtx, RunOutput};
+use vulnstack_serve::spec::{journal_from_flags, Plan};
+use vulnstack_serve::{CampaignSpec, Engine};
 use vulnstack_workloads::{Workload, WorkloadId};
 
 fn main() -> ExitCode {
@@ -76,179 +76,46 @@ fn usage() {
     eprintln!("  vulnstack client  <addr> list|shutdown | status|cancel --handle H");
 }
 
-struct Opts {
-    flags: HashMap<String, String>,
-    switches: Vec<String>,
-}
-
-/// The value flags and the switches subcommand `cmd` takes.
-fn accepted_flags(cmd: &str) -> (&'static [&'static str], &'static [&'static str]) {
-    const HARDENED: &[&str] = &["hardened"];
-    const JOURNALED: &[&str] = &["hardened", "resume"];
+/// The value flags and the switches subcommand `cmd` takes, each list
+/// space-separated.
+fn accepted_flags(cmd: &str) -> (&'static str, &'static str) {
     match cmd {
-        "run" | "ace" => (&["model"], HARDENED),
+        "run" | "ace" => ("model", "hardened"),
         "avf" => (
-            &[
-                "model",
-                "structure",
-                "faults",
-                "seed",
-                "plan",
-                "at",
-                "models",
-                "json",
-                "journal",
-            ],
-            JOURNALED,
+            "model structure faults seed plan at models json journal",
+            "hardened resume",
         ),
-        "pvf" => (&["isa", "mode", "faults", "seed", "journal"], JOURNALED),
-        "svf" => (
-            &["faults", "seed", "journal"],
-            &["breakdown", "hardened", "resume"],
-        ),
-        "analyze" | "analyze attack" => (&["isa", "json"], HARDENED),
-        "analyze prune-audit" => (&["model", "faults", "seed", "json"], HARDENED),
-        "disasm" => (&["isa", "limit"], HARDENED),
+        "pvf" => ("isa mode faults seed journal", "hardened resume"),
+        "svf" => ("faults seed journal", "breakdown hardened resume"),
+        "analyze" | "analyze attack" => ("isa json", "hardened"),
+        "analyze prune-audit" => ("model faults seed json", "hardened"),
+        "disasm" => ("isa limit", "hardened"),
         "trace" => (
-            &[
-                "model",
-                "limit",
-                "structure",
-                "cycle",
-                "bit",
-                "site",
-                "faults",
-                "seed",
-            ],
-            HARDENED,
+            "model limit structure cycle bit site faults seed",
+            "hardened",
         ),
-        "ir" => (&[], HARDENED),
-        _ => (&[], &[]),
+        "ir" => ("", "hardened"),
+        _ => ("", ""),
     }
 }
 
 /// Parses the flags after subcommand `cmd`'s positional argument; a
 /// flag `cmd` does not take is an error.
-fn parse_opts(cmd: &str, rest: &[String]) -> Result<Opts, String> {
+fn parse_opts(cmd: &str, rest: &[String]) -> Result<Flags, String> {
     let (values, switches) = accepted_flags(cmd);
-    let f = vulnstack_serve::cli::parse_flags(cmd, rest, values, switches)?;
-    Ok(Opts {
-        flags: f.values,
-        switches: f.switches,
-    })
+    vulnstack_serve::cli::parse_flags(cmd, rest, values, switches)
 }
 
-impl Opts {
-    fn model(&self) -> Result<CoreModel, String> {
-        let name = self.flags.get("model").map_or("A72", String::as_str);
-        CoreModel::ALL
-            .into_iter()
-            .find(|m| m.name().eq_ignore_ascii_case(name))
-            .ok_or_else(|| format!("unknown model {name}"))
-    }
+/// `--isa`, default va64.
+fn isa(opts: &Flags) -> Result<Isa, String> {
+    opts.values.get("isa").map_or(Ok(Isa::Va64), |i| i.parse())
+}
 
-    fn isa(&self) -> Result<Isa, String> {
-        match self.flags.get("isa").map_or("va64", String::as_str) {
-            "va32" => Ok(Isa::Va32),
-            "va64" => Ok(Isa::Va64),
-            other => Err(format!("unknown isa {other}")),
-        }
-    }
-
-    fn faults(&self) -> Result<usize, String> {
-        match self.flags.get("faults") {
-            None => Ok(vulnstack_gefin::default_faults(150)),
-            Some(v) => v.parse().map_err(|_| format!("bad fault count {v}")),
-        }
-    }
-
-    fn seed(&self) -> Result<u64, String> {
-        match self.flags.get("seed") {
-            None => Ok(2021),
-            Some(v) => v.parse().map_err(|_| format!("bad seed {v}")),
-        }
-    }
-
-    fn limit(&self) -> Result<usize, String> {
-        match self.flags.get("limit") {
-            None => Ok(48),
-            Some(v) => v.parse().map_err(|_| format!("bad limit {v}")),
-        }
-    }
-
-    fn switch(&self, name: &str) -> bool {
-        self.switches.iter().any(|s| s == name)
-    }
-
-    /// The injection plan from `--plan sampled|pruned|exhaustive`
-    /// (default: sampled). `--plan exhaustive` enumerates every (site,
-    /// model) pair at one fixed cycle (`--at`, default mid-run) and
-    /// always executes through the pruner.
-    fn plan(&self, faults: usize, seed: u64, mid_cycle: u64) -> Result<InjectionPlan, String> {
-        let at = match self.flags.get("at") {
-            None => None,
-            Some(v) => Some(
-                v.parse::<u64>()
-                    .map_err(|_| format!("bad injection cycle {v}"))?,
-            ),
-        };
-        let plan = match self.flags.get("plan").map(String::as_str) {
-            None | Some("sampled") => InjectionPlan::Sampled { n: faults, seed },
-            Some("pruned") => InjectionPlan::Pruned { n: faults, seed },
-            Some("exhaustive") => InjectionPlan::Exhaustive {
-                cycle: at.unwrap_or(mid_cycle),
-            },
-            Some(other) => {
-                return Err(format!(
-                    "unknown plan {other} (expected sampled|pruned|exhaustive)"
-                ))
-            }
-        };
-        if at.is_some() && !matches!(plan, InjectionPlan::Exhaustive { .. }) {
-            return Err("--at only applies to --plan exhaustive".to_string());
-        }
-        Ok(plan)
-    }
-
-    /// The fault-model set from `--models` (comma-separated names, or
-    /// `all`); defaults to the classic single-bit transient flip.
-    fn models(&self) -> Result<Vec<FaultModel>, String> {
-        match self.flags.get("models").map(String::as_str) {
-            None => Ok(vec![FaultModel::BitFlip]),
-            Some("all") => Ok(FaultModel::ALL.to_vec()),
-            Some(list) => list
-                .split(',')
-                .map(|n| {
-                    FaultModel::from_name(n.trim()).ok_or_else(|| {
-                        format!(
-                            "unknown fault model {n} (expected \
-                             bit-flip|byte-corrupt|instr-skip|stuck-at, or all)"
-                        )
-                    })
-                })
-                .collect(),
-        }
-    }
-
-    /// Journaling options from `--journal PATH` / `--resume`: `--journal`
-    /// alone resumes an existing journal or starts one; adding `--resume`
-    /// insists the journal already exists (a typo'd path fails loudly
-    /// instead of silently restarting the campaign from scratch).
-    fn journal<'a>(&'a self, workload: &'a str) -> Result<Option<JournalOpts<'a>>, String> {
-        match self.flags.get("journal") {
-            None if self.switch("resume") => Err("--resume requires --journal PATH".to_string()),
-            None => Ok(None),
-            Some(p) => Ok(Some(JournalOpts {
-                path: Path::new(p),
-                mode: if self.switch("resume") {
-                    ResumeMode::ResumeRequired
-                } else {
-                    ResumeMode::ResumeOrStart
-                },
-                policy: RunPolicy::default(),
-                workload,
-            })),
-        }
+/// `--limit`, default 48.
+fn limit(opts: &Flags) -> Result<usize, String> {
+    match opts.values.get("limit") {
+        None => Ok(48),
+        Some(v) => v.parse().map_err(|_| format!("bad limit {v}")),
     }
 }
 
@@ -259,14 +126,14 @@ impl Opts {
 /// of an AVF run, which covers several, or `PVF`/`SVF` — because site
 /// indices restart in every campaign.
 fn report_resume(
-    journal: Option<&JournalOpts<'_>>,
+    journal: Option<(&Path, ResumeMode)>,
     stats: &ResumeStats,
-    quarantined: &[(&str, Quarantine)],
+    quarantined: &[(&str, &Quarantine)],
 ) {
-    if let Some(j) = journal {
+    if let Some((path, _)) = journal {
         println!(
             "journal {}: {} replayed, {} executed{}",
-            j.path.display(),
+            path.display(),
             stats.replayed,
             stats.executed,
             if stats.truncated_bytes > 0 {
@@ -284,10 +151,154 @@ fn report_resume(
     }
 }
 
-// The per-structure/per-model JSON report builder lives in
-// `vulnstack_gefin::report` so the serve daemon and this CLI produce
-// byte-identical files from the same campaign results.
-use vulnstack_gefin::{avf_report_json, ModelReport};
+/// `vulnstack avf|pvf|svf <workload>`: the flags become a
+/// [`CampaignSpec`] that runs through [`service`] as a daemon campaign
+/// does; this prints its results.
+fn campaign(engine: Engine, name: &str, opts: &Flags) -> Result<(), String> {
+    let spec = CampaignSpec::from_flags(engine, name, opts)?;
+    let ctx = RunCtx {
+        journal: journal_from_flags(opts)?,
+        threads: default_threads(),
+        gate: None,
+        tee: None,
+    };
+    if engine == Engine::Avf {
+        return avf(&spec, opts, &ctx);
+    }
+    if opts.switch("breakdown") {
+        return svf_breakdown(&spec, &ctx);
+    }
+    let (what, tag, tally, quarantined, stats) = match service::run(&spec, &ctx)? {
+        RunOutput::Pvf(o) => {
+            let what = format!("PVF[{}] on {}", spec.mode, spec.isa);
+            (what, "PVF", o.tally, o.quarantined, o.stats)
+        }
+        RunOutput::Svf(o) => ("SVF".to_string(), "SVF", o.tally, o.quarantined, o.stats),
+        _ => unreachable!("{engine:?} is not a pvf or svf campaign"),
+    };
+    let quarantined: Vec<_> = quarantined.iter().map(|q| (tag, q)).collect();
+    report_resume(ctx.journal, &stats, &quarantined);
+    let vf = tally.vf();
+    println!(
+        "{name} {what}: SDC {} Crash {} detected {} total {}",
+        pct(vf.sdc),
+        pct(vf.crash),
+        pct(vf.detected),
+        pct(vf.total())
+    );
+    Ok(())
+}
+
+/// An AVF table with first columns `name` and `count`.
+fn avf_table(name: &str, count: &str) -> Table {
+    Table::new(&[
+        name, count, "masked", "SDC", "Crash", "detected", "AVF", "HVF",
+    ])
+}
+
+/// An AVF table row: `name`, `count`, then `tally`'s effects, AVF and
+/// `hvf`.
+fn avf_row(name: &str, count: u64, tally: &Tally, hvf: f64) -> Vec<String> {
+    let effects = [tally.masked, tally.sdc, tally.crash, tally.detected];
+    let mut row = vec![name.to_string(), count.to_string()];
+    row.extend(effects.iter().map(u64::to_string));
+    row.extend([pct2(tally.vf().total()), pct(hvf)]);
+    row
+}
+
+/// `vulnstack avf`: one spec per structure (every structure without
+/// `--structure`), all sharing one golden preparation.
+fn avf(spec: &CampaignSpec, opts: &Flags, ctx: &RunCtx<'_>) -> Result<(), String> {
+    let structures = if opts.values.contains_key("structure") {
+        vec![spec.structure]
+    } else if ctx.journal.is_some() {
+        // A journal records exactly one campaign; one file cannot hold
+        // the whole all-structures sweep.
+        return Err("--journal requires --structure (one journal per campaign)".into());
+    } else {
+        HwStructure::ALL.to_vec()
+    };
+    let prep = service::prepare(spec)?;
+    let runs = structures
+        .into_iter()
+        .map(|structure| {
+            let spec = CampaignSpec {
+                structure,
+                ..spec.clone()
+            };
+            service::run_avf(&spec, &prep, ctx)
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    let mut t = avf_table("structure", "bits");
+    for r in runs.iter().map(|r| &r.result) {
+        t.row(&avf_row(r.structure.name(), r.bits, &r.tally, r.hvf()));
+    }
+    println!("{}", t.render());
+    // Multi-model or exhaustive campaigns add per-model tables.
+    if spec.models != [FaultModel::BitFlip] || spec.plan == Plan::Exhaustive {
+        for r in runs.iter().map(|r| &r.result) {
+            let mut t = avf_table("model", "injections");
+            for (m, tally, fpm) in &r.per_model {
+                t.row(&avf_row(m.name(), tally.total(), tally, fpm.hvf()));
+            }
+            println!("{} per-model:", r.structure);
+            println!("{}", t.render());
+        }
+    }
+    if let Some(path) = opts.values.get("json") {
+        let report = service::avf_report(&spec.label(), &runs);
+        vulnstack_core::report::write_atomic(path, report.as_bytes()).map_err(|e| e.to_string())?;
+        println!("wrote {path}");
+    }
+    for r in &runs {
+        if let Some(s) = &r.prune {
+            println!(
+                "{} pruning: {} sites = {} dead ({} static) + {} memoized ({} pilots) + \
+                 {} singletons; {} early-terminated, {} proven hangs",
+                r.result.structure,
+                s.sites,
+                s.dead_masked,
+                s.static_dead,
+                s.memo_hits,
+                s.pilot_runs,
+                s.singleton_runs,
+                s.early_terminated,
+                s.runaway_terminated
+            );
+        }
+    }
+    let mut quarantined = Vec::new();
+    for r in runs.iter().map(|r| &r.result) {
+        quarantined.extend(r.quarantined.iter().map(|q| (r.structure.name(), q)));
+    }
+    let stats = &runs.last().expect("at least one structure").result.stats;
+    report_resume(ctx.journal, stats, &quarantined);
+    Ok(())
+}
+
+/// `vulnstack svf --breakdown`: the SVF tally split by the class of the
+/// instruction each fault lands on. It re-runs every injection to read
+/// its landing site, which journaled records do not carry.
+fn svf_breakdown(spec: &CampaignSpec, ctx: &RunCtx<'_>) -> Result<(), String> {
+    if ctx.journal.is_some() {
+        return Err("--journal is not supported with --breakdown".into());
+    }
+    let w = service::workload(spec)?;
+    let b = vulnstack_llfi::svf_breakdown(&w.module, &w.input, spec.faults, spec.seed);
+    let mut t = Table::new(&["class", "masked", "SDC", "Crash", "detected", "SVF"]);
+    for (class, tally) in &b {
+        t.row(&[
+            class.name().into(),
+            tally.masked.to_string(),
+            tally.sdc.to_string(),
+            tally.crash.to_string(),
+            tally.detected.to_string(),
+            pct(tally.vf().total()),
+        ]);
+    }
+    println!("{}", t.render());
+    Ok(())
+}
 
 fn workload(name: &str, hardened: bool) -> Result<Workload, String> {
     let id = WorkloadId::from_name(name).ok_or_else(|| format!("unknown workload {name}"))?;
@@ -297,9 +308,9 @@ fn workload(name: &str, hardened: bool) -> Result<Workload, String> {
 /// Builds the attack-surface report for `target` — the literal string
 /// `kernel` (boot stub + trap handler, the syscall path) or a workload
 /// name — and prints/writes it per `--json`.
-fn analyze_attack(target: &str, opts: &Opts) -> Result<(), String> {
+fn analyze_attack(target: &str, opts: &Flags) -> Result<(), String> {
     use vulnstack_analyze::{attack_surface, build_cfg_segments, TextSegment};
-    let isa = opts.isa()?;
+    let isa = isa(opts)?;
     let report = if target == "kernel" {
         let k = vulnstack_kernel::build_kernel(isa).map_err(|e| e.to_string())?;
         let segs = [
@@ -321,7 +332,7 @@ fn analyze_attack(target: &str, opts: &Opts) -> Result<(), String> {
             compile(&w.module, isa, &CompileOpts::default()).map_err(|e| e.to_string())?;
         attack_surface(&vulnstack_analyze::build_cfg(&compiled), target)
     };
-    if let Some(path) = opts.flags.get("json") {
+    if let Some(path) = opts.values.get("json") {
         vulnstack_core::report::write_atomic(path, report.to_json().as_bytes())
             .map_err(|e| e.to_string())?;
         println!("wrote {path}");
@@ -355,9 +366,12 @@ fn analyze_attack(target: &str, opts: &Opts) -> Result<(), String> {
 
 /// Audits the static pruning oracle against the dynamic class table for
 /// one workload: every statically-dead site must be dynamically dead.
-fn analyze_prune_audit(target: &str, opts: &Opts) -> Result<(), String> {
-    let w = workload(target, opts.switch("hardened"))?;
-    let model = opts.model()?;
+fn analyze_prune_audit(target: &str, opts: &Flags) -> Result<(), String> {
+    // The sites audited are those of the RF campaign `vulnstack avf`
+    // runs with the same flags.
+    let spec = CampaignSpec::from_flags(Engine::Avf, target, opts)?;
+    let w = service::workload(&spec)?;
+    let model = spec.model;
     let prep = Prepared::new(&w, model).map_err(|e| e.to_string())?;
     let oracle = vulnstack_gefin::static_classifier(&prep.image);
     let nphys = prep.cfg.phys_regs as usize;
@@ -371,12 +385,8 @@ fn analyze_prune_audit(target: &str, opts: &Opts) -> Result<(), String> {
     let rf_pvf = vulnstack_analyze::analyze(&compiled).pvf.rf_pvf;
 
     // Sample the lattice on real campaign sites.
-    let sites = vulnstack_gefin::draw_sites(
-        &prep,
-        HwStructure::RegisterFile,
-        opts.faults()?,
-        opts.seed()?,
-    );
+    let sites =
+        vulnstack_gefin::draw_sites(&prep, HwStructure::RegisterFile, spec.faults, spec.seed);
     let mut static_dead_sites = 0u64;
     let mut dynamic_dead_sites = 0u64;
     let mut violations = 0u64;
@@ -407,7 +417,7 @@ fn analyze_prune_audit(target: &str, opts: &Opts) -> Result<(), String> {
         pct2(dynamic_live),
         pct2(static_dead)
     );
-    if let Some(path) = opts.flags.get("json") {
+    if let Some(path) = opts.values.get("json") {
         let json = format!(
             "{{\n  \"workload\": \"{target}\", \"model\": \"{model}\", \"nphys\": {nphys},\n  \
              \"static_dead_regs\": [{}],\n  \"static_dead_fraction\": {static_dead:.6},\n  \
@@ -476,9 +486,9 @@ fn run(args: &[String]) -> Result<(), String> {
             Ok(())
         }
         "run" => {
-            let w = workload(&name, opts.switch("hardened"))?;
-            let model = opts.model()?;
-            let prep = Prepared::new(&w, model).map_err(|e| e.to_string())?;
+            // The golden run `vulnstack avf` injects into.
+            let spec = CampaignSpec::from_flags(Engine::Avf, &name, &opts)?;
+            let (model, prep) = (spec.model, service::prepare(&spec)?);
             println!(
                 "{name} on {model}: {} instructions, {} cycles (IPC {:.2}), output {} bytes OK",
                 prep.golden.instrs,
@@ -488,238 +498,10 @@ fn run(args: &[String]) -> Result<(), String> {
             );
             Ok(())
         }
-        "avf" => {
-            let hardened = opts.switch("hardened");
-            let w = workload(&name, hardened)?;
-            let label = if hardened {
-                format!("{name}+ft")
-            } else {
-                name.clone()
-            };
-            let model = opts.model()?;
-            let faults = opts.faults()?;
-            let seed = opts.seed()?;
-            let prep = Prepared::new(&w, model).map_err(|e| e.to_string())?;
-            let structures: Vec<HwStructure> = match opts.flags.get("structure") {
-                None => HwStructure::ALL.to_vec(),
-                Some(s) => vec![HwStructure::ALL
-                    .into_iter()
-                    .find(|x| x.name().eq_ignore_ascii_case(s))
-                    .ok_or_else(|| format!("unknown structure {s}"))?],
-            };
-            let journal = opts.journal(&label)?;
-            if journal.is_some() && !opts.flags.contains_key("structure") {
-                // A journal records exactly one campaign; one file cannot
-                // hold the whole all-structures sweep.
-                return Err("--journal requires --structure (one journal per campaign)".into());
-            }
-            let mut t = Table::new(&[
-                "structure",
-                "bits",
-                "masked",
-                "SDC",
-                "Crash",
-                "detected",
-                "AVF",
-                "HVF",
-            ]);
-            let models = opts.models()?;
-            let plan = opts.plan(faults, seed, prep.golden.cycles / 2)?;
-            // Single-model sampled/pruned campaigns print the single-table
-            // report; multi-model or exhaustive campaigns add per-model
-            // tables. Either way every campaign streams through the
-            // bounded sink (records never collect in RAM).
-            let single_table = models == [FaultModel::BitFlip]
-                && !matches!(plan, InjectionPlan::Exhaustive { .. });
-            let mut stats = ResumeStats::default();
-            let mut quarantined: Vec<(&str, Quarantine)> = Vec::new();
-            let mut prune_report: Vec<(&'static str, PruneStats)> = Vec::new();
-            let mut model_report: Vec<ModelReport> = Vec::new();
-            for st in structures {
-                let (r, prune) = avf_campaign(
-                    &prep,
-                    st,
-                    &plan,
-                    &models,
-                    default_threads(),
-                    journal.as_ref(),
-                    StreamOpts::from_env(),
-                    None,
-                )
-                .map_err(|e| e.to_string())?;
-                if let Some(s) = prune {
-                    prune_report.push((st.name(), s));
-                }
-                t.row(&[
-                    st.name().into(),
-                    r.bits.to_string(),
-                    r.tally.masked.to_string(),
-                    r.tally.sdc.to_string(),
-                    r.tally.crash.to_string(),
-                    r.tally.detected.to_string(),
-                    pct2(r.avf().total()),
-                    pct(r.hvf()),
-                ]);
-                stats = r.stats;
-                quarantined.extend(r.quarantined.into_iter().map(|q| (st.name(), q)));
-                model_report.push((st.name(), r.per_model));
-            }
-            println!("{}", t.render());
-            if !single_table {
-                for (st, tallies) in &model_report {
-                    let mut mt = Table::new(&[
-                        "model",
-                        "injections",
-                        "masked",
-                        "SDC",
-                        "Crash",
-                        "detected",
-                        "AVF",
-                        "HVF",
-                    ]);
-                    for (m, tally, fpm) in tallies {
-                        mt.row(&[
-                            m.name().into(),
-                            tally.total().to_string(),
-                            tally.masked.to_string(),
-                            tally.sdc.to_string(),
-                            tally.crash.to_string(),
-                            tally.detected.to_string(),
-                            pct2(tally.vf().total()),
-                            pct(fpm.hvf()),
-                        ]);
-                    }
-                    println!("{st} per-model:");
-                    println!("{}", mt.render());
-                }
-            }
-            if let Some(path) = opts.flags.get("json") {
-                vulnstack_core::report::write_atomic(
-                    path,
-                    avf_report_json(&label, &plan, &model_report).as_bytes(),
-                )
-                .map_err(|e| e.to_string())?;
-                println!("wrote {path}");
-            }
-            for (st, s) in &prune_report {
-                println!(
-                    "{st} pruning: {} sites = {} dead ({} static) + {} memoized ({} pilots) + \
-                     {} singletons; {} early-terminated, {} proven hangs",
-                    s.sites,
-                    s.dead_masked,
-                    s.static_dead,
-                    s.memo_hits,
-                    s.pilot_runs,
-                    s.singleton_runs,
-                    s.early_terminated,
-                    s.runaway_terminated
-                );
-            }
-            report_resume(journal.as_ref(), &stats, &quarantined);
-            Ok(())
-        }
-        "pvf" => {
-            let hardened = opts.switch("hardened");
-            let w = workload(&name, hardened)?;
-            let label = if hardened {
-                format!("{name}+ft")
-            } else {
-                name.clone()
-            };
-            let isa = opts.isa()?;
-            let faults = opts.faults()?;
-            let seed = opts.seed()?;
-            let mode = match opts.flags.get("mode").map_or("wd", String::as_str) {
-                "wd" => PvfMode::Wd,
-                "woi" => PvfMode::Woi,
-                "wi" => PvfMode::Wi,
-                other => return Err(format!("unknown mode {other}")),
-            };
-            let prep = FuncPrepared::new(&w, isa).map_err(|e| e.to_string())?;
-            let journal = opts.journal(&label)?;
-            let out = pvf_campaign(
-                &prep,
-                mode,
-                faults,
-                seed,
-                default_threads(),
-                journal.as_ref(),
-                StreamOpts::from_env(),
-                None,
-            )
-            .map_err(|e| e.to_string())?;
-            let quarantined: Vec<_> = out.quarantined.into_iter().map(|q| ("PVF", q)).collect();
-            report_resume(journal.as_ref(), &out.stats, &quarantined);
-            let vf = out.tally.vf();
-            println!(
-                "{name} PVF[{mode}] on {isa}: SDC {} Crash {} detected {} total {}",
-                pct(vf.sdc),
-                pct(vf.crash),
-                pct(vf.detected),
-                pct(vf.total())
-            );
-            Ok(())
-        }
-        "svf" => {
-            let hardened = opts.switch("hardened");
-            let w = workload(&name, hardened)?;
-            let label = if hardened {
-                format!("{name}+ft")
-            } else {
-                name.clone()
-            };
-            let faults = opts.faults()?;
-            let seed = opts.seed()?;
-            let journal = opts.journal(&label)?;
-            if opts.switch("breakdown") {
-                if journal.is_some() {
-                    // The breakdown path re-runs every injection to read
-                    // its landing site; journaled records don't carry it.
-                    return Err("--journal is not supported with --breakdown".into());
-                }
-                let b = vulnstack_llfi::svf_breakdown(&w.module, &w.input, faults, seed);
-                let mut t = Table::new(&["class", "masked", "SDC", "Crash", "detected", "SVF"]);
-                for (class, tally) in &b {
-                    t.row(&[
-                        class.name().into(),
-                        tally.masked.to_string(),
-                        tally.sdc.to_string(),
-                        tally.crash.to_string(),
-                        tally.detected.to_string(),
-                        pct(tally.vf().total()),
-                    ]);
-                }
-                println!("{}", t.render());
-            } else {
-                let out = vulnstack_llfi::svf_campaign(
-                    &w.module,
-                    &w.input,
-                    &w.expected_output,
-                    faults,
-                    seed,
-                    default_threads(),
-                    journal.as_ref(),
-                    StreamOpts::from_env(),
-                    None,
-                )
-                .map_err(|e| e.to_string())?;
-                let quarantined: Vec<_> = out.quarantined.into_iter().map(|q| ("SVF", q)).collect();
-                report_resume(journal.as_ref(), &out.stats, &quarantined);
-                let vf = out.tally.vf();
-                println!(
-                    "{name} SVF: SDC {} Crash {} detected {} total {}",
-                    pct(vf.sdc),
-                    pct(vf.crash),
-                    pct(vf.detected),
-                    pct(vf.total())
-                );
-            }
-            Ok(())
-        }
+        "avf" | "pvf" | "svf" => campaign(cmd.parse()?, &name, &opts),
         "ace" => {
-            let w = workload(&name, opts.switch("hardened"))?;
-            let model = opts.model()?;
-            let prep = Prepared::new(&w, model).map_err(|e| e.to_string())?;
+            let spec = CampaignSpec::from_flags(Engine::Avf, &name, &opts)?;
+            let (model, prep) = (spec.model, service::prepare(&spec)?);
             let ace = vulnstack_gefin::ace_analysis(&prep);
             println!(
                 "{name} on {model}: ACE RF AVF ≈ {} | ACE LSQ AVF ≈ {} ({} cycles, analytical)",
@@ -732,11 +514,11 @@ fn run(args: &[String]) -> Result<(), String> {
         }
         "analyze" => {
             let w = workload(&name, opts.switch("hardened"))?;
-            let isa = opts.isa()?;
+            let isa = isa(&opts)?;
             let compiled =
                 compile(&w.module, isa, &CompileOpts::default()).map_err(|e| e.to_string())?;
             let sa = vulnstack_analyze::analyze(&compiled);
-            if let Some(path) = opts.flags.get("json") {
+            if let Some(path) = opts.values.get("json") {
                 vulnstack_core::report::write_atomic(path, sa.to_json().as_bytes())
                     .map_err(|e| e.to_string())?;
                 println!("wrote {path}");
@@ -774,8 +556,8 @@ fn run(args: &[String]) -> Result<(), String> {
         }
         "disasm" => {
             let w = workload(&name, opts.switch("hardened"))?;
-            let isa = opts.isa()?;
-            let limit = opts.limit()?;
+            let isa = isa(&opts)?;
+            let limit = limit(&opts)?;
             let compiled =
                 compile(&w.module, isa, &CompileOpts::default()).map_err(|e| e.to_string())?;
             let bytes = compiled.text_bytes();
@@ -791,35 +573,34 @@ fn run(args: &[String]) -> Result<(), String> {
             Ok(())
         }
         "trace" => {
-            let w = workload(&name, opts.switch("hardened"))?;
-            let model = opts.model()?;
-            let limit = opts.limit()?;
-            if let Some(s) = opts.flags.get("structure") {
+            // The flags describe the avf campaign whose faults
+            // `--structure` replays.
+            let spec = CampaignSpec::from_flags(Engine::Avf, &name, &opts)?;
+            let w = service::workload(&spec)?;
+            let model = spec.model;
+            let limit = limit(&opts)?;
+            if opts.values.contains_key("structure") {
                 // Fault-lifetime replay: inject one fault and print its
                 // full event log (injection → consumption → squash /
                 // repair → architectural corruption → outcome).
-                let st = HwStructure::ALL
-                    .into_iter()
-                    .find(|x| x.name().eq_ignore_ascii_case(s))
-                    .ok_or_else(|| format!("unknown structure {s}"))?;
+                let st = spec.structure;
                 let prep = Prepared::new(&w, model).map_err(|e| e.to_string())?;
-                let (cycle, bit) = match opts.flags.get("site") {
+                let (cycle, bit) = match opts.values.get("site") {
                     Some(k) => {
                         // Replay site K of the campaign `vulnstack avf`
                         // would run with the same --faults/--seed.
                         let k: usize = k.parse().map_err(|_| format!("bad site {k}"))?;
-                        let sites =
-                            vulnstack_gefin::draw_sites(&prep, st, opts.faults()?, opts.seed()?);
+                        let sites = vulnstack_gefin::draw_sites(&prep, st, spec.faults, spec.seed);
                         *sites.get(k).ok_or_else(|| {
                             format!("site {k} out of range (campaign has {})", sites.len())
                         })?
                     }
                     None => {
-                        let cycle = match opts.flags.get("cycle") {
+                        let cycle = match opts.values.get("cycle") {
                             Some(v) => v.parse().map_err(|_| format!("bad cycle {v}"))?,
                             None => prep.golden.cycles / 2,
                         };
-                        let bit = match opts.flags.get("bit") {
+                        let bit = match opts.values.get("bit") {
                             Some(v) => v.parse().map_err(|_| format!("bad bit {v}"))?,
                             None => 0,
                         };
@@ -907,9 +688,16 @@ fn run(args: &[String]) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vulnstack_gefin::InjectionPlan;
+    use vulnstack_microarch::CoreModel;
 
     fn sv(args: &[&str]) -> Vec<String> {
         args.iter().map(|s| s.to_string()).collect()
+    }
+
+    /// The spec subcommand `cmd` builds from `args` on qsort.
+    fn spec(cmd: &str, args: &[&str]) -> Result<CampaignSpec, String> {
+        CampaignSpec::from_flags(cmd.parse()?, "qsort", &parse_opts(cmd, &sv(args))?)
     }
 
     #[test]
@@ -919,22 +707,28 @@ mod tests {
             &sv(&["--model", "A9", "--faults", "64", "--hardened"]),
         )
         .unwrap();
-        assert_eq!(o.model().unwrap(), CoreModel::A9);
-        assert_eq!(o.faults().unwrap(), 64);
-        assert!(o.switch("hardened"));
+        let s = CampaignSpec::from_flags(Engine::Avf, "qsort", &o).unwrap();
+        assert_eq!(s.model, CoreModel::A9);
+        assert_eq!(s.faults, 64);
+        assert!(s.hardened);
+        assert_eq!(s.label(), "qsort+ft");
         assert!(!o.switch("resume"));
         let o = parse_opts("svf", &sv(&["--faults", "0", "--breakdown"])).unwrap();
-        assert_eq!(o.faults().unwrap(), 0);
+        let s = CampaignSpec::from_flags(Engine::Svf, "qsort", &o).unwrap();
+        assert_eq!(s.faults, 0);
         assert!(o.switch("breakdown"));
-        assert!(!o.switch("hardened"));
+        assert!(!s.hardened);
     }
 
     #[test]
     fn defaults_are_sensible() {
-        let o = parse_opts("avf", &[]).unwrap();
-        assert_eq!(o.model().unwrap(), CoreModel::A72);
-        assert_eq!(o.isa().unwrap(), Isa::Va64);
-        assert_eq!(o.seed().unwrap(), 2021);
+        let s = spec("avf", &[]).unwrap();
+        assert_eq!(s.model, CoreModel::A72);
+        assert_eq!(s.isa, Isa::Va64);
+        assert_eq!(s.seed, 2021);
+        assert_eq!(s.mode, vulnstack_gefin::PvfMode::Wd);
+        assert_eq!(s.plan, Plan::Sampled);
+        assert_eq!(isa(&parse_opts("disasm", &[]).unwrap()), Ok(Isa::Va64));
     }
 
     #[test]
@@ -960,92 +754,127 @@ mod tests {
         ] {
             assert_eq!(parse_opts(cmd, &sv(args)).err().as_deref(), Some(err));
         }
-        let o = parse_opts("avf", &sv(&["--model", "Z80"])).unwrap();
-        assert!(o.model().is_err());
-        let o = parse_opts("pvf", &sv(&["--isa", "mips"])).unwrap();
-        assert!(o.isa().is_err());
+        // Bad values fail with the same message the daemon gives.
+        for (cmd, args, err) in [
+            ("avf", &["--model", "Z80"][..], "unknown model Z80"),
+            ("avf", &["--structure", "TLB"][..], "unknown structure TLB"),
+            (
+                "pvf",
+                &["--isa", "mips"][..],
+                "unknown isa mips (expected va32|va64)",
+            ),
+            (
+                "pvf",
+                &["--mode", "xx"][..],
+                "unknown mode xx (expected wd|woi|wi)",
+            ),
+            ("svf", &["--faults", "x"][..], "bad --faults x"),
+            ("svf", &["--seed", "-1"][..], "bad --seed -1"),
+        ] {
+            assert_eq!(spec(cmd, args).err().as_deref(), Some(err), "{args:?}");
+        }
+        assert!(isa(&parse_opts("disasm", &sv(&["--isa", "mips"])).unwrap()).is_err());
     }
 
     #[test]
     fn plan_flag_parses_and_rejects_junk() {
-        let o = parse_opts("avf", &sv(&["--plan", "pruned"])).unwrap();
+        let plan = |args: &[&str]| {
+            let args = [&["--faults", "10", "--seed", "7"][..], args].concat();
+            spec("avf", &args).map(|s| s.injection_plan(100))
+        };
         assert_eq!(
-            o.plan(10, 7, 100).unwrap(),
-            InjectionPlan::Pruned { n: 10, seed: 7 }
+            plan(&["--plan", "pruned"]),
+            Ok(InjectionPlan::Pruned { n: 10, seed: 7 })
         );
-        let o = parse_opts("avf", &sv(&["--plan", "sampled"])).unwrap();
         assert_eq!(
-            o.plan(10, 7, 100).unwrap(),
-            InjectionPlan::Sampled { n: 10, seed: 7 }
+            plan(&["--plan", "sampled"]),
+            Ok(InjectionPlan::Sampled { n: 10, seed: 7 })
         );
-        let o = parse_opts("avf", &sv(&["--plan", "psychic"])).unwrap();
-        assert!(o.plan(10, 7, 100).is_err());
+        assert_eq!(
+            plan(&["--plan", "psychic"]),
+            Err("unknown plan psychic (expected sampled|pruned|exhaustive)".to_string())
+        );
         // Without the flag the plan is sampled.
-        assert_eq!(
-            parse_opts("avf", &[]).unwrap().plan(10, 7, 100).unwrap(),
-            InjectionPlan::Sampled { n: 10, seed: 7 }
-        );
+        assert_eq!(plan(&[]), Ok(InjectionPlan::Sampled { n: 10, seed: 7 }));
     }
 
     #[test]
     fn exhaustive_plan_takes_an_injection_cycle() {
+        let plan = |args: &[&str]| spec("avf", args).map(|s| s.injection_plan(100));
         // Default: mid-run.
-        let o = parse_opts("avf", &sv(&["--plan", "exhaustive"])).unwrap();
         assert_eq!(
-            o.plan(10, 7, 100).unwrap(),
-            InjectionPlan::Exhaustive { cycle: 100 }
+            plan(&["--plan", "exhaustive"]),
+            Ok(InjectionPlan::Exhaustive { cycle: 100 })
         );
         // Explicit --at pins the cycle.
-        let o = parse_opts("avf", &sv(&["--plan", "exhaustive", "--at", "42"])).unwrap();
         assert_eq!(
-            o.plan(10, 7, 100).unwrap(),
-            InjectionPlan::Exhaustive { cycle: 42 }
+            plan(&["--plan", "exhaustive", "--at", "42"]),
+            Ok(InjectionPlan::Exhaustive { cycle: 42 })
         );
         // --at is meaningless for sampled/pruned plans.
-        let o = parse_opts("avf", &sv(&["--plan", "pruned", "--at", "42"])).unwrap();
-        assert!(o.plan(10, 7, 100).is_err());
-        let o = parse_opts("avf", &sv(&["--plan", "exhaustive", "--at", "soon"])).unwrap();
-        assert!(o.plan(10, 7, 100).is_err());
+        assert_eq!(
+            plan(&["--plan", "pruned", "--at", "42"]),
+            Err("--at only applies to --plan exhaustive".to_string())
+        );
+        assert!(plan(&["--plan", "exhaustive", "--at", "soon"]).is_err());
     }
 
     #[test]
     fn models_flag_parses_lists_and_rejects_junk() {
+        let models = |args: &[&str]| spec("avf", args).map(|s| s.models);
+        assert_eq!(models(&[]), Ok(vec![FaultModel::BitFlip]));
+        assert_eq!(models(&["--models", "all"]), Ok(FaultModel::ALL.to_vec()));
         assert_eq!(
-            parse_opts("avf", &[]).unwrap().models().unwrap(),
-            vec![FaultModel::BitFlip]
+            models(&["--models", "stuck-at, bit-flip"]),
+            Ok(vec![FaultModel::StuckAt, FaultModel::BitFlip])
         );
-        let o = parse_opts("avf", &sv(&["--models", "all"])).unwrap();
-        assert_eq!(o.models().unwrap(), FaultModel::ALL.to_vec());
-        let o = parse_opts("avf", &sv(&["--models", "stuck-at, bit-flip"])).unwrap();
-        assert_eq!(
-            o.models().unwrap(),
-            vec![FaultModel::StuckAt, FaultModel::BitFlip]
-        );
-        let o = parse_opts("avf", &sv(&["--models", "gamma-ray"])).unwrap();
-        assert!(o.models().is_err());
+        assert!(models(&["--models", "gamma-ray"]).is_err());
     }
 
     #[test]
     fn journal_flags_parse_and_validate() {
         let o = parse_opts("avf", &sv(&["--journal", "j.log", "--resume"])).unwrap();
-        let j = o.journal("crc32").unwrap().unwrap();
-        assert_eq!(j.mode, ResumeMode::ResumeRequired);
-        assert_eq!(j.path, Path::new("j.log"));
-        assert_eq!(j.workload, "crc32");
+        assert_eq!(
+            journal_from_flags(&o),
+            Ok(Some((Path::new("j.log"), ResumeMode::ResumeRequired)))
+        );
 
         let o = parse_opts("svf", &sv(&["--journal", "j.log"])).unwrap();
         assert_eq!(
-            o.journal("x").unwrap().unwrap().mode,
-            ResumeMode::ResumeOrStart
+            journal_from_flags(&o),
+            Ok(Some((Path::new("j.log"), ResumeMode::ResumeOrStart)))
         );
 
         let o = parse_opts("avf", &sv(&["--resume"])).unwrap();
-        assert!(o.journal("x").is_err(), "--resume alone must be rejected");
-        assert!(parse_opts("avf", &[])
-            .unwrap()
-            .journal("x")
-            .unwrap()
-            .is_none());
+        assert!(
+            journal_from_flags(&o).is_err(),
+            "--resume alone must be rejected"
+        );
+        assert_eq!(
+            journal_from_flags(&parse_opts("avf", &[]).unwrap()),
+            Ok(None)
+        );
+
+        // One journal holds one campaign, and the breakdown has none;
+        // both refusals come before any golden run.
+        for (cmd, args, err) in [
+            (
+                "avf",
+                &["--journal", "j.log"][..],
+                "--journal requires --structure (one journal per campaign)",
+            ),
+            (
+                "svf",
+                &["--journal", "j.log", "--breakdown"][..],
+                "--journal is not supported with --breakdown",
+            ),
+        ] {
+            let o = parse_opts(cmd, &sv(args)).unwrap();
+            assert_eq!(
+                campaign(cmd.parse().unwrap(), "crc32", &o),
+                Err(err.to_string())
+            );
+        }
     }
 
     #[test]

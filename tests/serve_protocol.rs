@@ -75,13 +75,6 @@ impl Drop for Daemon {
     }
 }
 
-fn avf_spec() -> Value {
-    json::parse(
-        r#"{"engine":"avf","workload":"qsort","model":"A9","structure":"RF","faults":20,"seed":5}"#,
-    )
-    .unwrap()
-}
-
 fn svf_spec(workload: &str, faults: u64, priority: &str) -> Value {
     json::parse(&format!(
         r#"{{"engine":"svf","workload":"{workload}","faults":{faults},"seed":11,"priority":"{priority}"}}"#
@@ -96,50 +89,58 @@ fn by_index(mut records: Vec<StreamedRecord>) -> Vec<StreamedRecord> {
     records
 }
 
-/// Tentpole: submit over a real socket, stream every record, and check
-/// the final report byte-identical to `vulnstack avf --json` for the
-/// same campaign — the daemon and the CLI share one report builder.
+/// Submit over a real socket, stream every record, and check the final
+/// report byte-identical to `vulnstack avf --json` for the same
+/// campaign, on the sampled and the pruned plan — the daemon and the
+/// CLI run one spec through one runner and one report builder.
 #[test]
 fn submit_stream_complete_matches_cli_byte_for_byte() {
     let state = temp_dir("cli-cmp");
     let daemon = Daemon::spawn_tcp(&state);
     let mut client = Client::connect(&daemon.addr).unwrap();
-    let mut records = Vec::new();
-    let done = client
-        .run_campaign(&avf_spec(), |r| records.push(r.clone()))
+    for plan in ["sampled", "pruned"] {
+        let spec = json::parse(&format!(
+            r#"{{"engine":"avf","workload":"qsort","model":"A9","structure":"RF","faults":20,"seed":5,"plan":"{plan}"}}"#
+        ))
         .unwrap();
-    assert_eq!(done.state, "done");
-    assert_eq!(records.len(), 20, "one streamed record per injection");
-    let indices: Vec<u64> = by_index(records).iter().map(|r| r.index).collect();
-    assert_eq!(indices, (0..20).collect::<Vec<u64>>());
+        let mut records = Vec::new();
+        let done = client
+            .run_campaign(&spec, |r| records.push(r.clone()))
+            .unwrap();
+        assert_eq!(done.state, "done", "{plan}");
+        assert_eq!(records.len(), 20, "one streamed record per injection");
+        let indices: Vec<u64> = by_index(records).iter().map(|r| r.index).collect();
+        assert_eq!(indices, (0..20).collect::<Vec<u64>>());
 
-    let cli_json = state.join("cli.json");
-    let status = Command::new(bin())
-        .args([
-            "avf",
-            "qsort",
-            "--model",
-            "A9",
-            "--structure",
-            "RF",
-            "--faults",
-            "20",
-            "--seed",
-            "5",
-            "--plan",
-            "sampled",
-            "--json",
-        ])
-        .arg(&cli_json)
-        .stdout(Stdio::null())
-        .status()
-        .unwrap();
-    assert!(status.success());
-    let cli_bytes = std::fs::read_to_string(&cli_json).unwrap();
-    assert_eq!(
-        done.report, cli_bytes,
-        "daemon report and CLI --json must be byte-identical"
-    );
+        let cli_json = state.join(format!("cli-{plan}.json"));
+        let status = Command::new(bin())
+            .args([
+                "avf",
+                "qsort",
+                "--model",
+                "A9",
+                "--structure",
+                "RF",
+                "--faults",
+                "20",
+                "--seed",
+                "5",
+                "--plan",
+                plan,
+                "--json",
+            ])
+            .arg(&cli_json)
+            .stdout(Stdio::null())
+            .status()
+            .unwrap();
+        assert!(status.success());
+        let cli_bytes = std::fs::read_to_string(&cli_json).unwrap();
+        assert!(cli_bytes.contains(&format!("\"plan\":\"{plan}\"")));
+        assert_eq!(
+            done.report, cli_bytes,
+            "{plan}: daemon report and CLI --json must be byte-identical"
+        );
+    }
     drop(daemon);
     let _ = std::fs::remove_dir_all(&state);
 }
