@@ -4,7 +4,7 @@
 
 use vulnstack_bench::{figure_header, master_seed, prepare_or_die, sub_seed};
 use vulnstack_core::report::{pct, Table};
-use vulnstack_core::StreamOpts;
+use vulnstack_core::RunOpts;
 use vulnstack_gefin::{default_faults, default_threads, temporal_campaign};
 use vulnstack_microarch::ooo::HwStructure;
 use vulnstack_microarch::CoreModel;
@@ -30,11 +30,8 @@ fn main() {
                 windows,
                 per_window,
                 sub_seed(seed, &[id.name(), st.name(), "temporal"]),
-                default_threads(),
                 false,
-                None,
-                StreamOpts::from_env(),
-                None,
+                &RunOpts::new(default_threads()),
             )
             .expect("an unjournaled campaign does no I/O");
             let p = out.profile;

@@ -11,7 +11,7 @@ use vulnstack_bench::{avf_records, figure_header, master_seed, prepare_or_die, s
 use vulnstack_core::report::Table;
 use vulnstack_core::sched::sort_order_by;
 use vulnstack_core::trace::CampaignMetrics;
-use vulnstack_core::{Campaign, StreamOpts, Tally};
+use vulnstack_core::{Campaign, Fingerprint, RunOpts, Tally};
 use vulnstack_gefin::avf::run_one_with;
 use vulnstack_gefin::{
     decode_record, default_faults, default_threads, draw_sites, encode_record, InjectEngine,
@@ -57,12 +57,11 @@ fn main() {
     Campaign {
         items: &sites,
         order: &order,
-        threads,
-        journal: None,
+        fingerprint: Fingerprint::default(),
+        meta: Vec::new(),
     }
     .run(
-        StreamOpts::from_env(),
-        None,
+        &RunOpts::new(threads),
         |_, &(c, b)| {
             encode_record(&run_one_with(
                 &prep,

@@ -14,7 +14,7 @@ use std::collections::BTreeMap;
 use vulnstack_core::effects::{Tally, VulnFactor};
 use vulnstack_core::stack::{FpmDist, StructureAvf, WeightedAvf};
 use vulnstack_core::trace::CampaignMetrics;
-use vulnstack_core::{Collector, StreamOpts};
+use vulnstack_core::{Collector, RunOpts, StreamOpts};
 use vulnstack_gefin::{
     avf_campaign, decode_record, default_threads, pvf_campaign, AvfStreamed, FuncPrepared,
     InjectionPlan, InjectionRecord, Prepared, PruneStats, PvfMode,
@@ -70,20 +70,16 @@ pub fn avf_records(
 ) -> (AvfStreamed, Option<PruneStats>, Vec<InjectionRecord>) {
     let seen = Collector::default();
     let tee = seen.tee();
-    let (r, prune) = avf_campaign(
-        prep,
-        structure,
-        plan,
-        &[FaultModel::BitFlip],
-        default_threads(),
-        None,
-        StreamOpts {
+    let opts = RunOpts {
+        stream: StreamOpts {
             tee: Some(&tee),
             ..StreamOpts::from_env()
         },
         metrics,
-    )
-    .expect(NO_IO);
+        ..RunOpts::new(default_threads())
+    };
+    let (r, prune) =
+        avf_campaign(prep, structure, plan, &[FaultModel::BitFlip], &opts).expect(NO_IO);
     let records = seen
         .sorted()
         .iter()
@@ -231,18 +227,9 @@ impl PvfSuite {
 
 /// An unjournaled PVF campaign's tally on the default thread count.
 fn pvf_tally(prep: &FuncPrepared, mode: PvfMode, faults: usize, seed: u64) -> Tally {
-    pvf_campaign(
-        prep,
-        mode,
-        faults,
-        seed,
-        default_threads(),
-        None,
-        StreamOpts::from_env(),
-        None,
-    )
-    .expect(NO_IO)
-    .tally
+    pvf_campaign(prep, mode, faults, seed, &RunOpts::new(default_threads()))
+        .expect(NO_IO)
+        .tally
 }
 
 /// Runs the SVF (LLFI-style) campaign for one workload.
@@ -258,10 +245,7 @@ pub fn svf_suite(workload: &Workload, faults: usize, seed: u64) -> Tally {
         &workload.expected_output,
         faults,
         sub_seed(seed, &[workload.id.name(), "svf"]),
-        default_threads(),
-        None,
-        StreamOpts::from_env(),
-        None,
+        &RunOpts::new(default_threads()),
     )
     .unwrap_or_else(|e| panic!("{}: {e}", workload.id))
     .tally

@@ -1,8 +1,10 @@
 //! The campaign executor: the one path every injection campaign runs.
 //!
 //! A campaign is a fixed list of fault sites in sampling order, the
-//! order in which workers claim them, a worker count, and an optional
-//! journal. [`Campaign::run`] is the whole pipeline:
+//! order in which workers claim them, and the identity its journal
+//! records. How it runs — worker count, journal, stream and metrics —
+//! is one [`RunOpts`] that the front ends build and the engines pass
+//! through untouched. [`Campaign::run`] is the whole pipeline:
 //!
 //! 1. **journal open/replay** — a journaled campaign opens (or creates)
 //!    its journal, refuses a journal written for a different campaign
@@ -21,34 +23,45 @@
 //! Engines differ only in how they draw their sites, fingerprint their
 //! journal, run one site, and fold its encoded record.
 
-use std::path::Path;
-
+use crate::effects::{FaultEffect, Tally};
 use crate::journal::{
     EntryKind, Fingerprint, Journal, JournalError, JournalOpts, Replay, ResumeMode, ResumeStats,
 };
-use crate::sched::{self, Quarantine, RunPolicy, SiteResult};
+use crate::sched::{self, Quarantine, SiteResult};
 use crate::sink::{self, StreamOpts};
 use crate::trace::CampaignMetrics;
 
-/// The journal of a campaign: where it lives and the identity its
-/// records are bound to.
-#[derive(Debug)]
-pub struct CampaignJournal<'a> {
-    /// Path, treatment of an existing file, retry policy and workload
-    /// label.
-    pub opts: &'a JournalOpts<'a>,
-    /// Campaign identity, checked against the journal header on resume.
-    pub fingerprint: Fingerprint,
-    /// Engine-derived identity too large for the fingerprint proper
-    /// (e.g. a pruning class-table digest), as `(key, payload)` pairs.
-    /// Written after the header on create; on resume each pair must
-    /// match what the journal replays, or the resume is refused with
-    /// [`JournalError::MetaMismatch`].
-    pub meta: Vec<(String, String)>,
+/// How a campaign runs: built once by a front end (the CLI, the daemon,
+/// a bench binary, a test) and handed unchanged through an engine's
+/// entry point to [`Campaign::run`].
+#[derive(Debug, Clone, Copy)]
+pub struct RunOpts<'a> {
+    /// Worker threads.
+    pub threads: usize,
+    /// The journal, for a durable, resumable campaign.
+    pub journal: Option<JournalOpts<'a>>,
+    /// The sink channel bound, the admission gate and the record tee.
+    pub stream: StreamOpts<'a>,
+    /// Per-site spans, plus the counters the engines record as they
+    /// inject (restore distance, early extinction, watchdog expiries).
+    pub metrics: Option<&'a CampaignMetrics>,
 }
 
-/// One campaign: its fault sites, their claim order, the worker count,
-/// and an optional journal.
+impl RunOpts<'static> {
+    /// An unjournaled run on `threads` workers with the default stream
+    /// and no metrics.
+    pub fn new(threads: usize) -> RunOpts<'static> {
+        RunOpts {
+            threads,
+            journal: None,
+            stream: StreamOpts::from_env(),
+            metrics: None,
+        }
+    }
+}
+
+/// One campaign: its fault sites, their claim order, and the identity
+/// its journal is bound to.
 #[derive(Debug)]
 pub struct Campaign<'a, T> {
     /// The fault sites, in sampling order: index `i` is site `i`.
@@ -57,10 +70,16 @@ pub struct Campaign<'a, T> {
     /// into `items`, usually sorted by injection cycle for checkpoint
     /// locality. Records are reported by site index regardless.
     pub order: &'a [usize],
-    /// Worker threads.
-    pub threads: usize,
-    /// The journal, for a durable, resumable campaign.
-    pub journal: Option<CampaignJournal<'a>>,
+    /// Campaign identity, checked against the journal header on resume.
+    /// Its `workload` is the journal's label ([`JournalOpts::workload`]),
+    /// which [`Campaign::run`] fills in; engines leave it empty.
+    pub fingerprint: Fingerprint,
+    /// Engine-derived identity too large for the fingerprint proper
+    /// (e.g. a pruning class-table digest), as `(key, payload)` pairs.
+    /// Written after the header on create; on resume each pair must
+    /// match what the journal replays, or the resume is refused with
+    /// [`JournalError::MetaMismatch`].
+    pub meta: Vec<(String, String)>,
 }
 
 /// What a campaign run leaves besides the caller's fold: the quarantine
@@ -74,14 +93,30 @@ pub struct CampaignRun {
     pub stats: ResumeStats,
 }
 
+/// Results of a campaign whose record is one fault effect per site (PVF
+/// and SVF): the tally folded effect by effect on the sink thread, never
+/// a collected outcome vector.
+#[derive(Debug)]
+pub struct TallyStreamed {
+    /// Tally over the completed injections.
+    pub tally: Tally,
+    /// Sites whose every injection attempt panicked.
+    pub quarantined: Vec<Quarantine>,
+    /// Replay/execute accounting (nothing replayed for unjournaled
+    /// runs).
+    pub stats: ResumeStats,
+}
+
 impl<T: Sync> Campaign<'_, T> {
-    /// Runs the campaign. `runner` executes site `i` and returns its
-    /// encoded record; `valid` tells whether a replayed journal payload
-    /// decodes (one that does not is reported as corruption, never
-    /// silently dropped); `fold` sees every completed site exactly once
-    /// as `(site index, payload)` — replayed sites first, then fresh
-    /// ones as they settle — on the sink thread. Quarantined sites are
-    /// returned in [`CampaignRun::quarantined`] instead.
+    /// Runs the campaign as `opts` says. `runner` executes site `i` and
+    /// returns its encoded record; `valid` tells whether a replayed
+    /// journal payload decodes (one that does not is reported as
+    /// corruption, never silently dropped); `fold` sees every completed
+    /// site exactly once as `(site index, payload)` — replayed sites
+    /// first, then fresh ones as they settle — on the sink thread.
+    /// Quarantined sites are returned in [`CampaignRun::quarantined`]
+    /// instead. With metrics, each executed site records one span;
+    /// replayed sites record none.
     ///
     /// # Errors
     ///
@@ -93,12 +128,11 @@ impl<T: Sync> Campaign<'_, T> {
     ///
     /// Panics before any site runs if `order` is not a permutation of
     /// the site indices (a missing, duplicate or out-of-range index), or
-    /// if the journal fingerprint's `samples` differs from the site
-    /// count (caller bugs).
+    /// if a journaled campaign's fingerprint `samples` differs from the
+    /// site count (caller bugs).
     pub fn run<F, V, G>(
         &self,
-        stream: StreamOpts<'_>,
-        metrics: Option<&CampaignMetrics>,
+        opts: &RunOpts<'_>,
         runner: F,
         valid: V,
         mut fold: G,
@@ -111,17 +145,14 @@ impl<T: Sync> Campaign<'_, T> {
         let n = self.items.len();
         assert_eq!(self.order.len(), n, "order must cover every item");
         sched::assert_distinct_in_range(self.order, n);
-        let (journal, replay) = match &self.journal {
+        let (journal, replay) = match &opts.journal {
             Some(j) => {
-                let (journal, replay) = j.open(n)?;
+                let (journal, replay) = self.open(j)?;
                 (Some(journal), replay)
             }
             None => (None, Replay::default()),
         };
-        let policy = self
-            .journal
-            .as_ref()
-            .map_or_else(RunPolicy::default, |j| j.opts.policy);
+        let stream = opts.stream;
 
         let mut have = vec![false; n];
         let mut quarantined: Vec<Quarantine> = Vec::new();
@@ -172,8 +203,7 @@ impl<T: Sync> Campaign<'_, T> {
             sched::drive_ordered_resilient(
                 self.items,
                 &missing,
-                self.threads,
-                policy,
+                opts.threads,
                 runner,
                 |i, outcome| match outcome {
                     SiteResult::Done(payload) => handle.push_done(i as u64, payload),
@@ -181,7 +211,7 @@ impl<T: Sync> Campaign<'_, T> {
                         handle.push_quarantined(i as u64, q.attempts, q.message);
                     }
                 },
-                metrics,
+                opts.metrics,
                 stream.gate,
             )
         })?;
@@ -213,19 +243,49 @@ impl<T: Sync> Campaign<'_, T> {
             quarantined,
         })
     }
-}
 
-impl CampaignJournal<'_> {
+    /// [`Campaign::run`] for a campaign whose record is the site's fault
+    /// effect, folded into a tally.
+    ///
+    /// # Errors
+    ///
+    /// As [`Campaign::run`].
+    pub fn run_tally<F>(&self, opts: &RunOpts<'_>, runner: F) -> Result<TallyStreamed, JournalError>
+    where
+        F: Fn(usize, &T) -> FaultEffect + Sync,
+    {
+        let mut tally = Tally::default();
+        let out = self.run(
+            opts,
+            |i, item| runner(i, item).name().to_string(),
+            |p| FaultEffect::from_name(p).is_some(),
+            |_, payload| {
+                if let Some(e) = FaultEffect::from_name(payload) {
+                    tally.add(e);
+                }
+            },
+        )?;
+        Ok(TallyStreamed {
+            tally,
+            quarantined: out.quarantined,
+            stats: out.stats,
+        })
+    }
+
     /// Opens (or creates) the journal per the resume mode, writing the
     /// metadata on create and verifying it against the replay on resume.
-    fn open(&self, sites: usize) -> Result<(Journal, Replay), JournalError> {
+    fn open(&self, opts: &JournalOpts<'_>) -> Result<(Journal, Replay), JournalError> {
+        let fingerprint = Fingerprint {
+            workload: opts.workload.to_string(),
+            ..self.fingerprint.clone()
+        };
         assert_eq!(
-            self.fingerprint.samples, sites as u64,
+            fingerprint.samples,
+            self.items.len() as u64,
             "fingerprint samples must match the site count"
         );
-        let path: &Path = self.opts.path;
-        let resume = match self.opts.mode {
-            ResumeMode::Fresh => false,
+        let path = opts.path;
+        let resume = match opts.mode {
             // A zero-length file means the previous run died before the
             // header write became durable: nothing to resume.
             ResumeMode::ResumeOrStart => {
@@ -234,13 +294,13 @@ impl CampaignJournal<'_> {
             ResumeMode::ResumeRequired => true,
         };
         if !resume {
-            let journal = Journal::create(path, &self.fingerprint)?;
+            let journal = Journal::create(path, &fingerprint)?;
             for (key, payload) in &self.meta {
                 journal.append_meta(key, payload)?;
             }
             return Ok((journal, Replay::default()));
         }
-        let (journal, replay) = Journal::resume(path, &self.fingerprint)?;
+        let (journal, replay) = Journal::resume(path, &fingerprint)?;
         // Verify every expected metadata pair against the replay. A
         // missing key (e.g. its line was corrupt and truncated away) is
         // as fatal as a mismatch: resuming without agreeing on the
@@ -263,7 +323,7 @@ impl CampaignJournal<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::path::PathBuf;
+    use std::path::{Path, PathBuf};
     use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
     use std::sync::Mutex;
     use std::time::{Duration, Instant};
@@ -291,16 +351,30 @@ mod tests {
         JournalOpts {
             path,
             mode,
-            policy: RunPolicy::default(),
             workload: "crc32",
         }
     }
 
-    fn stream_opts() -> StreamOpts<'static> {
-        StreamOpts {
-            channel_cap: 4,
-            gate: None,
-            tee: None,
+    /// A run on `threads` workers through a 4-record sink channel.
+    fn run_opts<'a>(threads: usize, journal: Option<JournalOpts<'a>>) -> RunOpts<'a> {
+        RunOpts {
+            threads,
+            journal,
+            stream: StreamOpts {
+                channel_cap: 4,
+                ..StreamOpts::from_env()
+            },
+            metrics: None,
+        }
+    }
+
+    /// A campaign over `items` claimed in `order`, with no metadata.
+    fn campaign<'a, T>(items: &'a [T], order: &'a [usize]) -> Campaign<'a, T> {
+        Campaign {
+            items,
+            order,
+            fingerprint: fp(items.len() as u64),
+            meta: Vec::new(),
         }
     }
 
@@ -313,20 +387,14 @@ mod tests {
         runner: impl Fn(usize, &T) -> String + Sync,
     ) -> (Vec<(u64, String)>, CampaignRun) {
         let mut got = Vec::new();
-        let out = Campaign {
-            items,
-            order,
-            threads,
-            journal: None,
-        }
-        .run(
-            stream_opts(),
-            None,
-            runner,
-            |_| true,
-            |i, p| got.push((i, p.to_string())),
-        )
-        .unwrap();
+        let out = campaign(items, order)
+            .run(
+                &run_opts(threads, None),
+                runner,
+                |_| true,
+                |i, p| got.push((i, p.to_string())),
+            )
+            .unwrap();
         got.sort();
         (got, out)
     }
@@ -461,20 +529,18 @@ mod tests {
         let order = sched::sort_order_by(&items, |&x| std::cmp::Reverse(x));
         let metrics = CampaignMetrics::new("campaign-test");
         let mut folded = 0;
-        Campaign {
-            items: &items,
-            order: &order,
-            threads: 4,
-            journal: None,
-        }
-        .run(
-            stream_opts(),
-            Some(&metrics),
-            |i, &x| (i as u64 * 1000 + x).to_string(),
-            |_| true,
-            |_, _| folded += 1,
-        )
-        .unwrap();
+        let opts = RunOpts {
+            metrics: Some(&metrics),
+            ..run_opts(4, None)
+        };
+        campaign(&items, &order)
+            .run(
+                &opts,
+                |i, &x| (i as u64 * 1000 + x).to_string(),
+                |_| true,
+                |_, _| folded += 1,
+            )
+            .unwrap();
         assert_eq!(folded, 40);
         let report = metrics.report();
         assert_eq!(report.sites, 40);
@@ -495,32 +561,21 @@ mod tests {
         };
         let path = tmp("poison-both.journal");
         let _ = std::fs::remove_file(&path);
-        let jopts = opts(&path, ResumeMode::Fresh);
-        let run = |journal: Option<CampaignJournal<'_>>| {
+        let run = |journal: Option<JournalOpts<'_>>| {
             let mut got = Vec::new();
-            let out = Campaign {
-                items: &items,
-                order: &order,
-                threads: 3,
-                journal,
-            }
-            .run(
-                stream_opts(),
-                None,
-                runner,
-                |_| true,
-                |i, p| got.push((i, p.to_string())),
-            )
-            .unwrap();
+            let out = campaign(&items, &order)
+                .run(
+                    &run_opts(3, journal),
+                    runner,
+                    |_| true,
+                    |i, p| got.push((i, p.to_string())),
+                )
+                .unwrap();
             got.sort();
             (got, out)
         };
         let (plain, plain_out) = run(None);
-        let (journaled, journaled_out) = run(Some(CampaignJournal {
-            opts: &jopts,
-            fingerprint: fp(12),
-            meta: Vec::new(),
-        }));
+        let (journaled, journaled_out) = run(Some(opts(&path, ResumeMode::ResumeOrStart)));
         assert_eq!(plain_out.quarantined.len(), 1);
         let q = &plain_out.quarantined[0];
         assert_eq!((q.index, q.attempts), (5, 3), "1 try + 2 retries");
@@ -532,31 +587,28 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
-    /// A journaled campaign over `items` whose records are `x * 10`.
-    fn journaled<'a>(
+    /// A campaign over `items` with metadata `meta`.
+    fn with_meta<'a>(
         items: &'a [u64],
         order: &'a [usize],
-        jopts: &'a JournalOpts<'a>,
         meta: &[(String, String)],
-        threads: usize,
     ) -> Campaign<'a, u64> {
         Campaign {
-            items,
-            order,
-            threads,
-            journal: Some(CampaignJournal {
-                opts: jopts,
-                fingerprint: fp(items.len() as u64),
-                meta: meta.to_vec(),
-            }),
+            meta: meta.to_vec(),
+            ..campaign(items, order)
         }
     }
 
-    fn run_tens(c: &Campaign<'_, u64>) -> Result<(Vec<(u64, String)>, CampaignRun), JournalError> {
+    /// Runs `c` journaled as `jopts` on `threads` workers with records
+    /// `x * 10`.
+    fn run_tens(
+        c: &Campaign<'_, u64>,
+        jopts: JournalOpts<'_>,
+        threads: usize,
+    ) -> Result<(Vec<(u64, String)>, CampaignRun), JournalError> {
         let mut got = Vec::new();
         let out = c.run(
-            stream_opts(),
-            None,
+            &run_opts(threads, Some(jopts)),
             |_, &x| (x * 10).to_string(),
             |s| s.parse::<u64>().is_ok(),
             |i, p| got.push((i, p.to_string())),
@@ -573,8 +625,9 @@ mod tests {
         let order = identity(12);
         let expect: Vec<(u64, String)> = items.iter().map(|&x| (x, (x * 10).to_string())).collect();
 
-        let fresh = opts(&path, ResumeMode::Fresh);
-        let (got, full) = run_tens(&journaled(&items, &order, &fresh, &[], 3)).unwrap();
+        let c = campaign(&items, &order);
+        let start = opts(&path, ResumeMode::ResumeOrStart);
+        let (got, full) = run_tens(&c, start, 3).unwrap();
         assert_eq!(full.stats.executed, 12);
         assert_eq!(full.stats.replayed, 0);
         assert_eq!(got, expect);
@@ -585,14 +638,13 @@ mod tests {
         let keep: Vec<&str> = content.lines().take(8).collect();
         std::fs::write(&path, format!("{}\n", keep.join("\n"))).unwrap();
         let required = opts(&path, ResumeMode::ResumeRequired);
-        let (got, resumed) = run_tens(&journaled(&items, &order, &required, &[], 3)).unwrap();
+        let (got, resumed) = run_tens(&c, required, 3).unwrap();
         assert_eq!(resumed.stats.replayed, 7);
         assert_eq!(resumed.stats.executed, 5);
         assert_eq!(got, expect, "resumed records must be bit-identical");
 
         // A third run replays everything.
-        let either = opts(&path, ResumeMode::ResumeOrStart);
-        let (got, noop) = run_tens(&journaled(&items, &order, &either, &[], 3)).unwrap();
+        let (got, noop) = run_tens(&c, start, 3).unwrap();
         assert_eq!(noop.stats.executed, 0);
         assert_eq!(noop.stats.replayed, 12);
         assert_eq!(got, expect);
@@ -606,10 +658,9 @@ mod tests {
         let items: Vec<u64> = (0..6).collect();
         let order = identity(6);
         let meta = vec![("class-table".to_string(), "fnv=00ddc0ffee".to_string())];
-        let fresh = opts(&path, ResumeMode::Fresh);
-        let (a, _) = run_tens(&journaled(&items, &order, &fresh, &meta, 2)).unwrap();
-        let required = opts(&path, ResumeMode::ResumeRequired);
-        let (b, resumed) = run_tens(&journaled(&items, &order, &required, &meta, 2)).unwrap();
+        let c = with_meta(&items, &order, &meta);
+        let (a, _) = run_tens(&c, opts(&path, ResumeMode::ResumeOrStart), 2).unwrap();
+        let (b, resumed) = run_tens(&c, opts(&path, ResumeMode::ResumeRequired), 2).unwrap();
         assert_eq!(resumed.stats.executed, 0);
         assert_eq!(resumed.stats.replayed, 6);
         assert_eq!(a, b);
@@ -624,10 +675,9 @@ mod tests {
         let order = identity(4);
         let run = |mode, payload: &str| {
             let meta = vec![("class-table".to_string(), payload.to_string())];
-            let o = opts(&path, mode);
-            run_tens(&journaled(&items, &order, &o, &meta, 1)).map(|_| ())
+            run_tens(&with_meta(&items, &order, &meta), opts(&path, mode), 1).map(|_| ())
         };
-        run(ResumeMode::Fresh, "fnv=1111111111111111").unwrap();
+        run(ResumeMode::ResumeOrStart, "fnv=1111111111111111").unwrap();
         match run(ResumeMode::ResumeRequired, "fnv=2222222222222222") {
             Err(JournalError::MetaMismatch {
                 key,
@@ -660,11 +710,9 @@ mod tests {
         )];
         let path = tmp("meta-fuzz.journal");
         let _ = std::fs::remove_file(&path);
-        let run = |mode| {
-            let o = opts(&path, mode);
-            run_tens(&journaled(&items, &order, &o, &meta, 1)).map(|_| ())
-        };
-        run(ResumeMode::Fresh).unwrap();
+        let c = with_meta(&items, &order, &meta);
+        let run = |mode| run_tens(&c, opts(&path, mode), 1).map(|_| ());
+        run(ResumeMode::ResumeOrStart).unwrap();
         let pristine = std::fs::read(&path).unwrap();
         let text = String::from_utf8(pristine.clone()).unwrap();
         let header_len = text.find('\n').unwrap() + 1;
@@ -720,15 +768,12 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         let items: Vec<u64> = (0..8).collect();
         let order = identity(8);
-        let fresh = JournalOpts {
-            policy: RunPolicy { max_retries: 1 },
-            ..opts(&path, ResumeMode::Fresh)
-        };
+        let c = campaign(&items, &order);
+        let fresh = opts(&path, ResumeMode::ResumeOrStart);
         let mut folded = 0;
-        let out = journaled(&items, &order, &fresh, &[], 2)
+        let out = c
             .run(
-                stream_opts(),
-                None,
+                &run_opts(2, Some(fresh)),
                 |i, &x| {
                     assert!(i != 5, "site 5 is poisoned");
                     x.to_string()
@@ -739,13 +784,12 @@ mod tests {
             .unwrap();
         assert_eq!(out.quarantined.len(), 1);
         assert_eq!(out.quarantined[0].index, 5);
-        assert_eq!(out.quarantined[0].attempts, 2);
+        assert_eq!(out.quarantined[0].attempts, 3, "1 try + 2 retries");
         assert_eq!(folded, 7);
 
         // Resume replays the quarantine marker instead of re-running the
         // poison site: the campaign still completes with zero executions.
-        let required = opts(&path, ResumeMode::ResumeRequired);
-        let (_, resumed) = run_tens(&journaled(&items, &order, &required, &[], 2)).unwrap();
+        let (_, resumed) = run_tens(&c, opts(&path, ResumeMode::ResumeRequired), 2).unwrap();
         assert_eq!(resumed.stats.executed, 0);
         assert_eq!(resumed.stats.quarantined, 1);
         let _ = std::fs::remove_file(&path);

@@ -57,8 +57,6 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
-use crate::sched::RunPolicy;
-
 /// Journal file-format version (the `1` in the header line).
 pub const FORMAT_VERSION: u32 = 1;
 
@@ -130,7 +128,7 @@ fn unescape_field(s: &str) -> String {
 /// stream. Two runs with equal fingerprints draw the same sites and
 /// produce bit-identical records, so their journals are interchangeable;
 /// any difference makes resuming unsound and is refused.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Fingerprint {
     /// Engine / campaign kind, e.g. `gefin-avf`, `llfi-svf`.
     pub engine: String,
@@ -642,10 +640,9 @@ fn parse_line(line: &str) -> Option<ParsedLine> {
     Some(parsed)
 }
 
-/// Caller-facing journaling options threaded through the engines'
-/// campaign entry points (`vulnstack-gefin`, `vulnstack-llfi`): where
-/// the journal lives, how an existing file is treated, the panic retry
-/// policy, and the workload label recorded in the campaign fingerprint.
+/// A campaign's journal, as the front end names it in
+/// [`crate::RunOpts::journal`]: where it lives, how an existing file is
+/// treated, and the workload label recorded in the campaign fingerprint.
 /// Engines derive the rest of the fingerprint themselves (core config,
 /// structure, seed, sample count, schema version).
 #[derive(Debug, Clone, Copy)]
@@ -654,8 +651,6 @@ pub struct JournalOpts<'a> {
     pub path: &'a Path,
     /// Treatment of an existing journal file.
     pub mode: ResumeMode,
-    /// Panic retry/quarantine policy.
-    pub policy: RunPolicy,
     /// Workload label for the fingerprint.
     pub workload: &'a str,
 }
@@ -663,8 +658,6 @@ pub struct JournalOpts<'a> {
 /// How an existing journal file at the target path is treated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ResumeMode {
-    /// Start a new journal, truncating any existing file.
-    Fresh,
     /// Resume if a journal exists (refusing a fingerprint mismatch),
     /// otherwise start a new one.
     ResumeOrStart,

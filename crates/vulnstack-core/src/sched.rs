@@ -72,22 +72,10 @@ impl Drop for SlotGuard<'_> {
     }
 }
 
-/// Retry policy for panic-isolated campaign execution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RunPolicy {
-    /// How many times a panicking site is re-run before it is
-    /// quarantined. `0` quarantines on the first panic; the default
-    /// retries twice (three attempts total), which shakes out
-    /// scheduling-dependent flakes without letting a deterministic
-    /// poison site burn unbounded time.
-    pub max_retries: u32,
-}
-
-impl Default for RunPolicy {
-    fn default() -> RunPolicy {
-        RunPolicy { max_retries: 2 }
-    }
-}
+/// How many times a panicking site is re-run before it is quarantined:
+/// three attempts in all, which shakes out scheduling-dependent flakes
+/// without letting a deterministic poison site burn unbounded time.
+pub(crate) const MAX_RETRIES: u32 = 2;
 
 /// Why a fault site produced no result: every attempt panicked (or the
 /// site was lost to a worker failure outside the per-site isolation).
@@ -154,7 +142,7 @@ pub(crate) struct DriveStats {
 /// regardless of campaign size. Sites `order` leaves out do not run (a
 /// resumed campaign passes only the sites its journal lacks).
 ///
-/// A site that panics on every attempt (`1 + policy.max_retries`)
+/// A site that panics on every attempt (`1 + MAX_RETRIES`)
 /// settles as [`SiteResult::Quarantined`]; a worker whose claim loop
 /// dies *outside* the site isolation (e.g. a panicking `on_outcome`) is
 /// respawned, and the site it held is reported in [`DriveStats::lost`]
@@ -165,12 +153,10 @@ pub(crate) struct DriveStats {
 ///
 /// Panics before any site runs if `order` holds a duplicate or an
 /// out-of-range index.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn drive_ordered_resilient<T, R, F, C>(
     items: &[T],
     order: &[usize],
     threads: usize,
-    policy: RunPolicy,
     f: F,
     on_outcome: C,
     metrics: Option<&CampaignMetrics>,
@@ -196,7 +182,7 @@ where
             match catch_unwind(AssertUnwindSafe(|| f(i, &items[i]))) {
                 Ok(r) => break SiteResult::Done(r),
                 Err(payload) => {
-                    if attempts > policy.max_retries {
+                    if attempts > MAX_RETRIES {
                         break SiteResult::Quarantined(Quarantine {
                             index: i,
                             attempts,
@@ -319,7 +305,6 @@ mod tests {
     fn drive_all<F, C>(
         items: &[u64],
         threads: usize,
-        policy: RunPolicy,
         f: F,
         hook: C,
     ) -> (Vec<Option<SiteResult<u64>>>, DriveStats)
@@ -334,7 +319,6 @@ mod tests {
             items,
             &order,
             threads,
-            policy,
             f,
             |i, outcome| {
                 hook(i);
@@ -354,7 +338,6 @@ mod tests {
         let (out, stats) = drive_all(
             &items,
             4,
-            RunPolicy { max_retries: 2 },
             |i, &x| {
                 if i == 7 {
                     attempts_on_7.fetch_add(1, Ordering::Relaxed);
@@ -392,7 +375,6 @@ mod tests {
         let (out, _) = drive_all(
             &items,
             3,
-            RunPolicy { max_retries: 2 },
             |i, _| {
                 // Site 4 panics on its first two attempts, then succeeds.
                 if i == 4 && tries.fetch_add(1, Ordering::Relaxed) < 2 {
@@ -413,7 +395,6 @@ mod tests {
         let (out, stats) = drive_all(
             &items,
             4,
-            RunPolicy::default(),
             |_, &x| x,
             |i| {
                 // A poisoned outcome hook escapes the per-site isolation
@@ -442,7 +423,6 @@ mod tests {
             &items,
             &[7, 2, 5],
             2,
-            RunPolicy::default(),
             |i, _| i,
             |i, _| ran.lock().unwrap().push(i),
             None,
@@ -506,7 +486,6 @@ mod tests {
                 &items,
                 &order,
                 threads,
-                RunPolicy::default(),
                 |_, &x| {
                     ran.fetch_add(1, Ordering::SeqCst);
                     x
@@ -536,7 +515,6 @@ mod tests {
             &items,
             &order,
             2,
-            RunPolicy { max_retries: 1 },
             |_, &x| {
                 assert!(x != 3, "site 3 always panics");
                 x
@@ -547,7 +525,7 @@ mod tests {
         );
         assert!(!stats.stopped);
         assert!(stats.lost.is_empty() && stats.unclaimed.is_empty());
-        // 6 sites, one of which retried once under the same slot: each
+        // 6 sites, one of which retried twice under the same slot: each
         // claim released exactly one slot.
         assert_eq!(gate.released.load(Ordering::SeqCst), 6);
     }
@@ -562,7 +540,6 @@ mod tests {
             &items,
             &order,
             3,
-            RunPolicy::default(),
             |_, &x| x * 2,
             |_, o| {
                 if let SiteResult::Done(v) = o {

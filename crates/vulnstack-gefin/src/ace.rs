@@ -24,7 +24,7 @@ mod tests {
     use super::*;
     use crate::avf::avf_campaign;
     use crate::prune::InjectionPlan;
-    use vulnstack_core::StreamOpts;
+    use vulnstack_core::RunOpts;
     use vulnstack_microarch::ooo::HwStructure;
     use vulnstack_microarch::{CoreModel, FaultModel};
     use vulnstack_workloads::WorkloadId;
@@ -44,10 +44,7 @@ mod tests {
             HwStructure::RegisterFile,
             &InjectionPlan::Sampled { n: 60, seed: 21 },
             &[FaultModel::BitFlip],
-            4,
-            None,
-            StreamOpts::from_env(),
-            None,
+            &RunOpts::new(4),
         )
         .unwrap();
         assert!(

@@ -4,12 +4,11 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use vulnstack_core::effects::{FaultEffect, Tally};
-use vulnstack_core::journal::{fnv1a64, Fingerprint, JournalError, JournalOpts};
+use vulnstack_core::journal::{fnv1a64, Fingerprint, JournalError};
 use vulnstack_core::sched::{self, Quarantine};
-use vulnstack_core::sink::StreamOpts;
 use vulnstack_core::stack::FpmDist;
 use vulnstack_core::trace::CampaignMetrics;
-use vulnstack_core::{Campaign, CampaignJournal, ResumeStats};
+use vulnstack_core::{Campaign, ResumeStats, RunOpts};
 use vulnstack_microarch::ooo::{FaultModel, Fpm, HwStructure};
 use vulnstack_microarch::{FaultTrace, OooCore, RunStatus};
 
@@ -347,21 +346,21 @@ fn models_fragment(models: &[FaultModel]) -> String {
     names.join("+")
 }
 
-/// The journal identity of an AVF campaign. Its three shapes are kept
-/// byte-for-byte so journals written by earlier builds still resume: a
-/// single-model bit-flip sampled campaign carries no plan suffix, every
-/// other campaign appends `;plan=<plan>` (an exhaustive plan with its
-/// fixed cycle, and seed 0). The golden run's length and output hash
-/// tie the identity to the actual golden run, not just the workload's
-/// name: a same-named workload whose input or compiled image changed
-/// draws different sites and must be refused.
+/// The journal identity of an AVF campaign (the executor adds the
+/// workload label). Its three shapes are kept byte-for-byte so journals
+/// written by earlier builds still resume: a single-model bit-flip
+/// sampled campaign carries no plan suffix, every other campaign appends
+/// `;plan=<plan>` (an exhaustive plan with its fixed cycle, and seed 0).
+/// The golden run's length and output hash tie the identity to the
+/// actual golden run, not just the workload's name: a same-named
+/// workload whose input or compiled image changed draws different sites
+/// and must be refused.
 fn avf_fingerprint(
     prep: &Prepared,
     structure: HwStructure,
     plan: &InjectionPlan,
     models: &[FaultModel],
     samples: usize,
-    workload: &str,
 ) -> Fingerprint {
     let (seed, plan_detail) = match *plan {
         InjectionPlan::Exhaustive { cycle } => (0, format!("exhaustive@{cycle}")),
@@ -379,14 +378,28 @@ fn avf_fingerprint(
     }
     Fingerprint {
         engine: "gefin-avf".to_string(),
-        workload: workload.to_string(),
         config: prep.cfg.model.name().to_string(),
         structure: structure.name().to_string(),
         seed,
         samples: samples as u64,
         params,
         version: RECORD_VERSION,
+        ..Fingerprint::default()
     }
+}
+
+/// The journal metadata of a campaign run through `pruner`: the digest
+/// of its class table, which a resume rebuilds and must match.
+pub(crate) fn class_table_meta(pruner: Option<&Pruner<'_>>) -> Vec<(String, String)> {
+    pruner
+        .iter()
+        .map(|p| {
+            (
+                "class-table".to_string(),
+                format!("fnv={:016x}", p.table().digest()),
+            )
+        })
+        .collect()
 }
 
 /// Per-model outcome tallies of a model-aware campaign, in
@@ -501,21 +514,22 @@ impl TallyAccum {
     }
 }
 
-/// Runs an AVF/HVF campaign: the sites of `plan` over the fault models
-/// in `models` that apply to `structure`, on `threads` workers with work
-/// stealing. Sampled plans run every site individually; pruned and
-/// exhaustive plans execute through the equivalence-class [`Pruner`],
-/// whose records are bit-identical to individual runs (the second
-/// return value is its accounting). Records are identical at any thread
-/// count, journaled or not.
+/// Runs an AVF/HVF campaign as `opts` says: the sites of `plan` over
+/// the fault models in `models` that apply to `structure`, on
+/// `opts.threads` workers with work stealing. Sampled plans run every
+/// site individually; pruned and exhaustive plans execute through the
+/// equivalence-class [`Pruner`], whose records are bit-identical to
+/// individual runs (the second return value is its accounting). Records
+/// are identical at any thread count, journaled or not.
 ///
 /// Records are never collected: each settled site flows worker →
-/// bounded sink channel → journal append (with `journal`) → the tally
-/// fold → optional tee, so peak memory is bounded
-/// by [`StreamOpts::channel_cap`] regardless of campaign size. A
-/// journaled pruned or exhaustive campaign also journals its class-table
-/// digest as `class-table` metadata: the table is rebuilt on resume, and
-/// any disagreement is refused rather than silently re-pruned.
+/// bounded sink channel → journal append (with `opts.journal`) → the
+/// tally fold → optional tee, so peak memory is bounded by
+/// [`vulnstack_core::StreamOpts::channel_cap`] regardless of campaign
+/// size. A journaled pruned or exhaustive campaign also journals its
+/// class-table digest as `class-table` metadata: the table is rebuilt on
+/// resume, and any disagreement is refused rather than silently
+/// re-pruned.
 ///
 /// # Errors
 ///
@@ -527,16 +541,12 @@ impl TallyAccum {
 /// # Panics
 ///
 /// Panics when no model in `models` applies to `structure`.
-#[allow(clippy::too_many_arguments)]
 pub fn avf_campaign(
     prep: &Prepared,
     structure: HwStructure,
     plan: &InjectionPlan,
     models: &[FaultModel],
-    threads: usize,
-    journal: Option<&JournalOpts<'_>>,
-    stream: StreamOpts<'_>,
-    metrics: Option<&CampaignMetrics>,
+    opts: &RunOpts<'_>,
 ) -> Result<(AvfStreamed, Option<PruneStats>), JournalError> {
     let bits = structure.bits(&prep.cfg);
     let models = canonical_models(models, structure);
@@ -546,29 +556,16 @@ pub fn avf_campaign(
     let order = sched::sort_order_by(&sites, |s| s.cycle);
     let pruner =
         (!matches!(plan, InjectionPlan::Sampled { .. })).then(|| Pruner::new(prep, structure));
-    let journal = journal.map(|opts| CampaignJournal {
-        opts,
-        fingerprint: avf_fingerprint(prep, structure, plan, &models, sites.len(), opts.workload),
-        meta: pruner
-            .iter()
-            .map(|p| {
-                (
-                    "class-table".to_string(),
-                    format!("fnv={:016x}", p.table().digest()),
-                )
-            })
-            .collect(),
-    });
+    let metrics = opts.metrics;
     let mut acc = TallyAccum::new();
     let out = Campaign {
         items: &sites,
         order: &order,
-        threads,
-        journal,
+        fingerprint: avf_fingerprint(prep, structure, plan, &models, sites.len()),
+        meta: class_table_meta(pruner.as_ref()),
     }
     .run(
-        stream,
-        metrics,
+        opts,
         |_, s: &ModelSite| {
             encode_record(&match &pruner {
                 Some(p) => p.run_site_model(s.cycle, s.bit, s.model, metrics),
@@ -608,7 +605,7 @@ pub fn avf_campaign(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vulnstack_core::Collector;
+    use vulnstack_core::{Collector, StreamOpts};
     use vulnstack_microarch::CoreModel;
     use vulnstack_workloads::WorkloadId;
 
@@ -623,18 +620,19 @@ mod tests {
     ) -> (AvfStreamed, Vec<InjectionRecord>) {
         let seen = Collector::default();
         let tee = seen.tee();
+        let opts = RunOpts {
+            stream: StreamOpts {
+                tee: Some(&tee),
+                ..StreamOpts::from_env()
+            },
+            ..RunOpts::new(threads)
+        };
         let (r, _) = avf_campaign(
             prep,
             structure,
             &InjectionPlan::Sampled { n, seed },
             &[FaultModel::BitFlip],
-            threads,
-            None,
-            StreamOpts {
-                tee: Some(&tee),
-                ..StreamOpts::from_env()
-            },
-            None,
+            &opts,
         )
         .unwrap();
         let records = seen

@@ -12,7 +12,7 @@
 
 use vulnstack_analyze::analyze;
 use vulnstack_compiler::{compile, CompileOpts};
-use vulnstack_core::StreamOpts;
+use vulnstack_core::RunOpts;
 use vulnstack_microarch::ooo::HwStructure;
 use vulnstack_microarch::{CoreModel, FaultModel};
 use vulnstack_workloads::Workload;
@@ -85,10 +85,7 @@ pub fn static_vs_dynamic(
                 seed,
             },
             &[FaultModel::BitFlip],
-            threads,
-            None,
-            StreamOpts::from_env(),
-            None,
+            &RunOpts::new(threads),
         )
         .expect("an unjournaled campaign does no I/O");
         Some(campaign.avf().total())

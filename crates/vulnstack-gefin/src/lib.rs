@@ -44,7 +44,7 @@ pub use prune::{
     plan_model_sites, static_classifier, ClassKey, ClassTable, InjectionPlan, PruneStats, Pruner,
     SiteClass,
 };
-pub use pvf::{pvf_campaign, PvfMode, PvfStreamed};
+pub use pvf::{pvf_campaign, PvfMode};
 pub use report::{avf_report_json, ModelReport};
 pub use sweep::{temporal_campaign, TemporalProfile, TemporalStreamed};
 

@@ -10,12 +10,9 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use vulnstack_core::effects::{FaultEffect, Tally};
-use vulnstack_core::journal::{fnv1a64, Fingerprint, JournalError, JournalOpts};
-use vulnstack_core::sched::Quarantine;
-use vulnstack_core::sink::StreamOpts;
-use vulnstack_core::trace::CampaignMetrics;
-use vulnstack_core::{Campaign, CampaignJournal, ResumeStats};
+use vulnstack_core::effects::FaultEffect;
+use vulnstack_core::journal::{fnv1a64, Fingerprint, JournalError};
+use vulnstack_core::{Campaign, RunOpts, TallyStreamed};
 use vulnstack_isa::fields::bits_of_class;
 use vulnstack_isa::{BitClass, Reg};
 use vulnstack_microarch::func::{FuncCore, PvfFault, PvfMutation};
@@ -173,46 +170,29 @@ pub fn run_indexed_from(
     }
 }
 
-/// Results of a PVF campaign: the tally accumulated effect by effect in
-/// the sink fold, never a collected outcome vector.
-#[derive(Debug)]
-pub struct PvfStreamed {
-    /// Tally over the completed injections.
-    pub tally: Tally,
-    /// Sites whose every injection attempt panicked.
-    pub quarantined: Vec<Quarantine>,
-    /// Replay/execute accounting (nothing replayed for unjournaled
-    /// runs).
-    pub stats: ResumeStats,
-}
-
-/// Runs an architecture-level campaign of `n` faults in `mode` on
-/// `threads` workers with work stealing. Each fault is seeded from its
-/// campaign index, so the tally is deterministic for a given `seed` at
-/// any thread count, journaled or not. Each settled injection flows
-/// through the bounded sink channel into the tally fold (and, with
-/// `journal`, the journal).
+/// Runs an architecture-level campaign of `n` faults in `mode` as
+/// `opts` says, on `opts.threads` workers with work stealing. Each fault
+/// is seeded from its campaign index, so the tally is deterministic for
+/// a given `seed` at any thread count, journaled or not. Each settled
+/// injection flows through the bounded sink channel into the tally fold
+/// (and, with `opts.journal`, the journal).
 ///
 /// # Errors
 ///
 /// Any [`JournalError`] (journaled runs).
-#[allow(clippy::too_many_arguments)]
 pub fn pvf_campaign(
     prep: &FuncPrepared,
     mode: PvfMode,
     n: usize,
     seed: u64,
-    threads: usize,
-    journal: Option<&JournalOpts<'_>>,
-    stream: StreamOpts<'_>,
-    metrics: Option<&CampaignMetrics>,
-) -> Result<PvfStreamed, JournalError> {
+    opts: &RunOpts<'_>,
+) -> Result<TallyStreamed, JournalError> {
     let indices: Vec<usize> = (0..n).collect();
-    let journal = journal.map(|opts| CampaignJournal {
-        opts,
+    Campaign {
+        items: &indices,
+        order: &indices,
         fingerprint: Fingerprint {
             engine: "gefin-pvf".to_string(),
-            workload: opts.workload.to_string(),
             config: prep.isa.name().to_string(),
             structure: "-".to_string(),
             seed,
@@ -224,53 +204,24 @@ pub fn pvf_campaign(
                 fnv1a64(&prep.expected_output)
             ),
             version: crate::avf::RECORD_VERSION,
+            ..Fingerprint::default()
         },
         meta: Vec::new(),
-    });
-    let mut tally = Tally::default();
-    let out = Campaign {
-        items: &indices,
-        order: &indices,
-        threads,
-        journal,
     }
-    .run(
-        stream,
-        metrics,
-        |_, &i| run_indexed(prep, mode, seed, i).name().to_string(),
-        |p| FaultEffect::from_name(p).is_some(),
-        |_, payload| {
-            if let Some(e) = FaultEffect::from_name(payload) {
-                tally.add(e);
-            }
-        },
-    )?;
-    Ok(PvfStreamed {
-        tally,
-        quarantined: out.quarantined,
-        stats: out.stats,
-    })
+    .run_tally(opts, |_, &i| run_indexed(prep, mode, seed, i))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vulnstack_core::Tally;
     use vulnstack_isa::Isa;
     use vulnstack_workloads::WorkloadId;
 
     fn tally(prep: &FuncPrepared, mode: PvfMode, n: usize, seed: u64, threads: usize) -> Tally {
-        pvf_campaign(
-            prep,
-            mode,
-            n,
-            seed,
-            threads,
-            None,
-            StreamOpts::from_env(),
-            None,
-        )
-        .unwrap()
-        .tally
+        pvf_campaign(prep, mode, n, seed, &RunOpts::new(threads))
+            .unwrap()
+            .tally
     }
 
     #[test]

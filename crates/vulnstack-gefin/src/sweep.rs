@@ -9,16 +9,16 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use vulnstack_core::effects::Tally;
-use vulnstack_core::journal::{fnv1a64, Fingerprint, JournalError, JournalOpts};
+use vulnstack_core::journal::{fnv1a64, Fingerprint, JournalError};
 use vulnstack_core::sched::{self, Quarantine};
-use vulnstack_core::sink::StreamOpts;
 use vulnstack_core::stack::FpmDist;
-use vulnstack_core::trace::CampaignMetrics;
-use vulnstack_core::{Campaign, CampaignJournal, ResumeStats};
+use vulnstack_core::{Campaign, ResumeStats, RunOpts};
 use vulnstack_microarch::ooo::HwStructure;
 use vulnstack_microarch::FaultModel;
 
-use crate::avf::{decode_record, encode_record, run_one_inner, InjectEngine, RECORD_VERSION};
+use crate::avf::{
+    class_table_meta, decode_record, encode_record, run_one_inner, InjectEngine, RECORD_VERSION,
+};
 use crate::prepare::Prepared;
 use crate::prune::{PruneStats, Pruner};
 
@@ -105,9 +105,10 @@ pub struct TemporalStreamed {
     pub stats: ResumeStats,
 }
 
-/// Runs a temporal sweep: `per_window` injections uniformly inside each
-/// of `windows` equal slices of the golden execution, on `threads`
-/// workers with work stealing — through the equivalence-class
+/// Runs a temporal sweep as `opts` says: `per_window` injections
+/// uniformly inside each of `windows` equal slices of the golden
+/// execution, on `opts.threads` workers with work stealing — through the
+/// equivalence-class
 /// [`Pruner`] when `pruned` (bit-identical records; the second return
 /// value is its accounting). Deterministic for a given seed at any
 /// thread count. Windowed sites are the checkpoint layer's best case:
@@ -125,61 +126,45 @@ pub struct TemporalStreamed {
 /// # Errors
 ///
 /// Any [`JournalError`] (journaled runs).
-#[allow(clippy::too_many_arguments)]
 pub fn temporal_campaign(
     prep: &Prepared,
     structure: HwStructure,
     windows: usize,
     per_window: usize,
     seed: u64,
-    threads: usize,
     pruned: bool,
-    journal: Option<&JournalOpts<'_>>,
-    stream: StreamOpts<'_>,
-    metrics: Option<&CampaignMetrics>,
+    opts: &RunOpts<'_>,
 ) -> Result<(TemporalStreamed, Option<PruneStats>), JournalError> {
     let (bounds, sites) = draw_windowed_sites(prep, structure, windows, per_window, seed);
     let order = sched::sort_order_by(&sites, |&(_, c, _)| c);
     let pruner = pruned.then(|| Pruner::new(prep, structure));
-    let journal = journal.map(|opts| CampaignJournal {
-        opts,
-        fingerprint: Fingerprint {
-            engine: "gefin-sweep".to_string(),
-            workload: opts.workload.to_string(),
-            config: prep.cfg.model.name().to_string(),
-            structure: structure.name().to_string(),
-            seed,
-            samples: sites.len() as u64,
-            params: format!(
-                "windows={windows};per_window={per_window};golden_cycles={};output={:016x}{}",
-                prep.golden.cycles,
-                fnv1a64(&prep.expected_output),
-                if pruned { ";plan=pruned" } else { "" },
-            ),
-            version: RECORD_VERSION,
-        },
-        meta: pruner
-            .iter()
-            .map(|p| {
-                (
-                    "class-table".to_string(),
-                    format!("fnv={:016x}", p.table().digest()),
-                )
-            })
-            .collect(),
-    });
+    let fingerprint = Fingerprint {
+        engine: "gefin-sweep".to_string(),
+        config: prep.cfg.model.name().to_string(),
+        structure: structure.name().to_string(),
+        seed,
+        samples: sites.len() as u64,
+        params: format!(
+            "windows={windows};per_window={per_window};golden_cycles={};output={:016x}{}",
+            prep.golden.cycles,
+            fnv1a64(&prep.expected_output),
+            if pruned { ";plan=pruned" } else { "" },
+        ),
+        version: RECORD_VERSION,
+        ..Fingerprint::default()
+    };
 
+    let metrics = opts.metrics;
     let mut tallies = vec![Tally::default(); windows];
     let mut fpms = vec![FpmDist::new(); windows];
     let out = Campaign {
         items: &sites,
         order: &order,
-        threads,
-        journal,
+        fingerprint,
+        meta: class_table_meta(pruner.as_ref()),
     }
     .run(
-        stream,
-        metrics,
+        opts,
         |_, &(_, cycle, bit)| {
             encode_record(&match &pruner {
                 Some(p) => p.run_site(cycle, bit, metrics),
@@ -277,11 +262,8 @@ mod tests {
             windows,
             per_window,
             seed,
-            threads,
             false,
-            None,
-            StreamOpts::from_env(),
-            None,
+            &RunOpts::new(threads),
         )
         .unwrap()
         .0

@@ -4,7 +4,7 @@
 //! core state field-by-field, identical per-injection records, identical
 //! campaign tallies, at any thread count.
 
-use vulnstack_core::{Collector, StreamOpts};
+use vulnstack_core::{Collector, RunOpts, StreamOpts};
 use vulnstack_gefin::avf::run_one_with;
 use vulnstack_gefin::{
     avf_campaign, decode_record, draw_sites, InjectEngine, InjectionPlan, InjectionRecord, Prepared,
@@ -69,18 +69,19 @@ fn checkpointed_campaign_reproduces_from_scratch_records_exactly() {
         for threads in [1, 4] {
             let seen = Collector::default();
             let tee = seen.tee();
+            let opts = RunOpts {
+                stream: StreamOpts {
+                    tee: Some(&tee),
+                    ..StreamOpts::from_env()
+                },
+                ..RunOpts::new(threads)
+            };
             let (ckpt, _) = avf_campaign(
                 &prep,
                 structure,
                 &InjectionPlan::Sampled { n, seed },
                 &[FaultModel::BitFlip],
-                threads,
-                None,
-                StreamOpts {
-                    tee: Some(&tee),
-                    ..StreamOpts::from_env()
-                },
-                None,
+                &opts,
             )
             .unwrap();
             let records: Vec<InjectionRecord> = seen

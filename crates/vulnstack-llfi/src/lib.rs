@@ -9,23 +9,13 @@
 //! # Example
 //!
 //! ```no_run
-//! use vulnstack_core::StreamOpts;
+//! use vulnstack_core::RunOpts;
 //! use vulnstack_llfi::svf_campaign;
 //! use vulnstack_workloads::WorkloadId;
 //!
 //! let w = WorkloadId::Crc32.build();
-//! let out = svf_campaign(
-//!     &w.module,
-//!     &w.input,
-//!     &w.expected_output,
-//!     100,
-//!     42,
-//!     4,
-//!     None,
-//!     StreamOpts::from_env(),
-//!     None,
-//! )
-//! .unwrap();
+//! let opts = RunOpts::new(4);
+//! let out = svf_campaign(&w.module, &w.input, &w.expected_output, 100, 42, &opts).unwrap();
 //! println!("SVF = {:.3}", out.tally.vf().total());
 //! ```
 
@@ -35,11 +25,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use vulnstack_core::effects::{FaultEffect, Tally};
 use vulnstack_core::journal::{fnv1a64, Fingerprint};
-use vulnstack_core::sched::Quarantine;
 use vulnstack_core::trace::CampaignMetrics;
-use vulnstack_core::{
-    Campaign, CampaignJournal, FaultModel, JournalError, JournalOpts, ResumeStats, StreamOpts,
-};
+use vulnstack_core::{Campaign, FaultModel, JournalError, RunOpts, TallyStreamed};
 use vulnstack_microarch::snapshot::{self, CheckpointStore};
 use vulnstack_vir::instr::InstrClass;
 use vulnstack_vir::interp::{InterpState, Interpreter, RunOutcome, RunStatus, SwFault};
@@ -207,19 +194,6 @@ pub fn draw_faults(golden: &SvfGolden, n: usize, seed: u64) -> Vec<SwFault> {
         .collect()
 }
 
-/// Results of an SVF campaign: the tally accumulated effect by effect in
-/// the sink fold, never a collected outcome vector.
-#[derive(Debug)]
-pub struct SvfStreamed {
-    /// Tally over the completed injections.
-    pub tally: Tally,
-    /// Sites whose every injection attempt panicked.
-    pub quarantined: Vec<Quarantine>,
-    /// Replay/execute accounting (nothing replayed for unjournaled
-    /// runs).
-    pub stats: ResumeStats,
-}
-
 /// Why an SVF campaign could not run to completion.
 #[derive(Debug)]
 pub enum SvfError {
@@ -251,35 +225,25 @@ impl std::fmt::Display for SvfError {
 
 impl std::error::Error for SvfError {}
 
-impl From<JournalError> for SvfError {
-    fn from(e: JournalError) -> SvfError {
-        SvfError::Journal(e)
-    }
-}
-
 /// Runs an SVF campaign of `n` uniformly-sampled faults
-/// ([`draw_faults`]) on `threads` workers with work stealing.
-/// Deterministic for a given `seed` at any thread count, journaled or
-/// not. Each settled injection flows through the bounded sink channel
-/// (`vulnstack_core::sink`) into the tally fold — and, with `journal`,
-/// into the journal under the `llfi-svf` fingerprint.
+/// ([`draw_faults`]) as `opts` says, on `opts.threads` workers with work
+/// stealing. Deterministic for a given `seed` at any thread count,
+/// journaled or not. Each settled injection flows through the bounded
+/// sink channel (`vulnstack_core::sink`) into the tally fold — and, with
+/// `opts.journal`, into the journal under the `llfi-svf` fingerprint.
 ///
 /// # Errors
 ///
 /// [`SvfError::GoldenOutput`] if the golden interpretation's output is
 /// not `expected_output`; [`SvfError::Journal`] for journal failures.
-#[allow(clippy::too_many_arguments)]
 pub fn svf_campaign(
     module: &Module,
     input: &[u8],
     expected_output: &[u8],
     n: usize,
     seed: u64,
-    threads: usize,
-    journal: Option<&JournalOpts<'_>>,
-    stream: StreamOpts<'_>,
-    metrics: Option<&CampaignMetrics>,
-) -> Result<SvfStreamed, SvfError> {
+    opts: &RunOpts<'_>,
+) -> Result<TallyStreamed, SvfError> {
     let golden = golden_run(module, input);
     if golden.output != expected_output {
         return Err(SvfError::GoldenOutput {
@@ -289,11 +253,11 @@ pub fn svf_campaign(
     }
     let faults = draw_faults(&golden, n, seed);
     let order: Vec<usize> = (0..faults.len()).collect();
-    let journal = journal.map(|opts| CampaignJournal {
-        opts,
+    Campaign {
+        items: &faults,
+        order: &order,
         fingerprint: Fingerprint {
             engine: "llfi-svf".to_string(),
-            workload: opts.workload.to_string(),
             config: "vir".to_string(),
             structure: "-".to_string(),
             seed,
@@ -306,36 +270,14 @@ pub fn svf_campaign(
             ),
             // Version 2: the fingerprint binds the fault-model set.
             version: 2,
+            ..Fingerprint::default()
         },
         meta: Vec::new(),
-    });
-    let mut tally = Tally::default();
-    let out = Campaign {
-        items: &faults,
-        order: &order,
-        threads,
-        journal,
     }
-    .run(
-        stream,
-        metrics,
-        |_, &f| {
-            run_one_metered(module, input, &golden, f, metrics)
-                .name()
-                .to_string()
-        },
-        |p| FaultEffect::from_name(p).is_some(),
-        |_, payload| {
-            if let Some(e) = FaultEffect::from_name(payload) {
-                tally.add(e);
-            }
-        },
-    )?;
-    Ok(SvfStreamed {
-        tally,
-        quarantined: out.quarantined,
-        stats: out.stats,
+    .run_tally(opts, |_, &f| {
+        run_one_metered(module, input, &golden, f, opts.metrics)
     })
+    .map_err(SvfError::Journal)
 }
 
 #[cfg(test)]
@@ -350,10 +292,7 @@ mod tests {
             &w.expected_output,
             n,
             seed,
-            threads,
-            None,
-            StreamOpts::from_env(),
-            None,
+            &RunOpts::new(threads),
         )
         .unwrap()
         .tally
@@ -376,18 +315,7 @@ mod tests {
         let w = WorkloadId::Crc32.build();
         let mut expected = w.expected_output.clone();
         expected.push(b'!');
-        let err = svf_campaign(
-            &w.module,
-            &w.input,
-            &expected,
-            4,
-            1,
-            1,
-            None,
-            StreamOpts::from_env(),
-            None,
-        )
-        .unwrap_err();
+        let err = svf_campaign(&w.module, &w.input, &expected, 4, 1, &RunOpts::new(1)).unwrap_err();
         match err {
             SvfError::GoldenOutput { found, expected: e } => assert_eq!(found + 1, e),
             other => panic!("expected a golden-output error, got {other}"),

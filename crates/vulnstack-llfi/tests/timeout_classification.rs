@@ -5,7 +5,7 @@
 //! vulnerability observation, not a harness failure.
 
 use vulnstack_core::trace::CampaignMetrics;
-use vulnstack_core::{FaultEffect, StreamOpts};
+use vulnstack_core::{FaultEffect, RunOpts};
 use vulnstack_llfi::{draw_faults, golden_run, run_one, run_one_metered, svf_campaign};
 use vulnstack_vir::builder::ModuleBuilder;
 use vulnstack_vir::interp::{Interpreter, RunStatus, SwFault};
@@ -104,19 +104,13 @@ fn campaign_aggregates_count_expiries_inside_the_crash_class() {
     );
 
     let metrics = CampaignMetrics::new("svf-campaign");
-    let tally = svf_campaign(
-        &module,
-        &[],
-        &[],
-        n,
-        seed,
-        threads,
-        None,
-        StreamOpts::from_env(),
-        Some(&metrics),
-    )
-    .unwrap()
-    .tally;
+    let opts = RunOpts {
+        metrics: Some(&metrics),
+        ..RunOpts::new(threads)
+    };
+    let tally = svf_campaign(&module, &[], &[], n, seed, &opts)
+        .unwrap()
+        .tally;
     let report = metrics.report();
     assert_eq!(report.watchdog_expiries, expected_timeouts);
     assert!(

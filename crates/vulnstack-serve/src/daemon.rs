@@ -27,13 +27,12 @@ use std::sync::mpsc::{self, Sender};
 use std::sync::{Arc, Condvar, Mutex};
 
 use vulnstack_core::report::write_atomic;
-use vulnstack_core::sched::ClaimGate;
-use vulnstack_core::{FairPool, Participant, ResumeMode};
+use vulnstack_core::{FairPool, JournalOpts, Participant, ResumeMode, RunOpts, StreamOpts};
 
 use crate::json::{self, obj, s, Value};
 use crate::net::Conn;
 use crate::proto::{self, ErrorCode, Frame, Request};
-use crate::service::{self, RunCtx, RunOutput};
+use crate::service::{self, RunOutput};
 use crate::spec::CampaignSpec;
 
 /// Daemon configuration (from `vulnstack serve ...`).
@@ -205,13 +204,22 @@ impl Daemon {
             st.records.push((index, payload.to_string()));
             Campaign::broadcast(&mut st, &line);
         };
-        let ctx = RunCtx {
-            journal: Some((&journal, ResumeMode::ResumeOrStart)),
+        let label = c.spec.label();
+        let opts = RunOpts {
             threads: self.threads,
-            gate: Some(&c.part as &dyn ClaimGate),
-            tee: Some(&tee),
+            journal: Some(JournalOpts {
+                path: &journal,
+                mode: ResumeMode::ResumeOrStart,
+                workload: &label,
+            }),
+            stream: StreamOpts {
+                gate: Some(&c.part),
+                tee: Some(&tee),
+                ..StreamOpts::from_env()
+            },
+            metrics: None,
         };
-        let result = service::run(&c.spec, &ctx);
+        let result = service::run(&c.spec, &opts);
         c.part.retire();
         let phase = match result {
             Ok(out) if out.stats().stopped => Phase::Cancelled(out),

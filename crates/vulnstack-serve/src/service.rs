@@ -1,68 +1,26 @@
 //! Campaign dispatch: [`run`] runs a spec on the engine it names.
 //!
 //! `vulnstack avf|pvf|svf` and the daemon run a campaign the same way:
-//! they hand [`run`] a [`CampaignSpec`] plus a [`RunCtx`] carrying the
-//! journal, the worker count, the fair-share admission gate and the
-//! record tee, and get the engine's typed results back. The CLI prints
-//! them; the daemon sends [`RunOutput::report`], which for avf is the
-//! file `vulnstack avf --json` writes. The daemon journals every run
-//! (`ResumeOrStart`), so a campaign interrupted by cancellation or a
-//! crash resumes bit-identically on the next run of the same spec.
+//! they hand [`run`] a [`CampaignSpec`] plus the [`RunOpts`] they built
+//! — the worker count, the journal under the workload label
+//! [`CampaignSpec::label`], and a stream carrying the fair-share
+//! admission gate and the record tee — and get the engine's typed
+//! results back. The CLI prints them; the daemon sends
+//! [`RunOutput::report`], which for avf is the file `vulnstack avf
+//! --json` writes. The daemon journals every run (`ResumeOrStart`), so
+//! a campaign interrupted by cancellation or a crash resumes
+//! bit-identically on the next run of the same spec.
 
-use std::path::Path;
-
-use vulnstack_core::sched::ClaimGate;
-use vulnstack_core::{JournalOpts, RecordTee, ResumeMode, ResumeStats, RunPolicy, StreamOpts};
+use vulnstack_core::{ResumeStats, RunOpts, TallyStreamed};
 use vulnstack_gefin::{
     avf_campaign, avf_report_json, pvf_campaign, temporal_campaign, AvfStreamed, FuncPrepared,
-    InjectionPlan, Prepared, PruneStats, PvfStreamed, TemporalStreamed,
+    InjectionPlan, Prepared, PruneStats, TemporalStreamed,
 };
-use vulnstack_llfi::{svf_campaign, SvfStreamed};
+use vulnstack_llfi::svf_campaign;
 use vulnstack_workloads::Workload;
 
 use crate::json::{self, obj, Value};
 use crate::spec::{CampaignSpec, Engine};
-
-/// Per-run context supplied by the front end: the journal and how to
-/// open it (`None` runs unjournaled), how many worker threads the
-/// engine may spawn, and the shared-pool gate and subscriber tee
-/// threaded through [`StreamOpts`].
-pub struct RunCtx<'a> {
-    pub journal: Option<(&'a Path, ResumeMode)>,
-    pub threads: usize,
-    pub gate: Option<&'a dyn ClaimGate>,
-    pub tee: Option<RecordTee<'a>>,
-}
-
-impl std::fmt::Debug for RunCtx<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RunCtx")
-            .field("journal", &self.journal)
-            .field("threads", &self.threads)
-            .field("gate", &self.gate.map(|_| "<dyn ClaimGate>"))
-            .field("tee", &self.tee.map(|_| "<dyn Fn>"))
-            .finish()
-    }
-}
-
-impl RunCtx<'_> {
-    fn journal<'b>(&'b self, label: &'b str) -> Option<JournalOpts<'b>> {
-        self.journal.map(|(path, mode)| JournalOpts {
-            path,
-            mode,
-            policy: RunPolicy::default(),
-            workload: label,
-        })
-    }
-
-    fn stream(&self) -> StreamOpts<'_> {
-        StreamOpts {
-            gate: self.gate,
-            tee: self.tee,
-            ..StreamOpts::from_env()
-        }
-    }
-}
 
 /// One avf campaign's results: the plan it ran (an exhaustive plan's
 /// cycle resolved against the golden run), the structure's aggregates,
@@ -79,9 +37,9 @@ pub struct AvfRun {
 #[derive(Debug)]
 pub enum RunOutput {
     Avf(AvfRun),
-    Pvf(PvfStreamed),
+    Pvf(TallyStreamed),
     Sweep(TemporalStreamed),
-    Svf(SvfStreamed),
+    Svf(TallyStreamed),
 }
 
 impl RunOutput {
@@ -163,22 +121,18 @@ pub fn prepare(spec: &CampaignSpec) -> Result<Prepared, String> {
 }
 
 /// Runs `spec`'s avf campaign on `spec.structure` over `prep`; fails
-/// when the journal does.
-pub fn run_avf(spec: &CampaignSpec, prep: &Prepared, ctx: &RunCtx<'_>) -> Result<AvfRun, String> {
-    let label = spec.label();
-    let plan = spec.injection_plan(prep.golden.cycles / 2);
-    let journal = ctx.journal(&label);
-    let (result, prune) = avf_campaign(
-        prep,
-        spec.structure,
-        &plan,
-        &spec.models,
-        ctx.threads,
-        journal.as_ref(),
-        ctx.stream(),
-        None,
-    )
-    .map_err(|e| e.to_string())?;
+/// when the journal does, or when an exhaustive plan's `at` lies past
+/// the golden run (its every site would see the run's terminal state).
+pub fn run_avf(spec: &CampaignSpec, prep: &Prepared, opts: &RunOpts<'_>) -> Result<AvfRun, String> {
+    let cycles = prep.golden.cycles;
+    if let Some(at) = spec.at.filter(|&at| at > cycles) {
+        return Err(format!(
+            "--at {at} is past the golden run ({cycles} cycles)"
+        ));
+    }
+    let plan = spec.injection_plan(cycles / 2);
+    let (result, prune) =
+        avf_campaign(prep, spec.structure, &plan, &spec.models, opts).map_err(|e| e.to_string())?;
     Ok(AvfRun {
         plan,
         result,
@@ -186,50 +140,35 @@ pub fn run_avf(spec: &CampaignSpec, prep: &Prepared, ctx: &RunCtx<'_>) -> Result
     })
 }
 
-/// Runs `spec` to completion (or to a gate stop) on the engine it names.
-/// `svf-hardened` is the `svf` engine over the hardened workload, so it
-/// streams the same records as `svf` with `hardened` set; only the
-/// report's `engine` field differs.
+/// Runs `spec` to completion (or to a gate stop) on the engine it names,
+/// as `opts` says; a journal in `opts` carries [`CampaignSpec::label`]
+/// as its workload label. `svf-hardened` is the `svf` engine over the
+/// hardened workload, so it streams the same records as `svf` with
+/// `hardened` set; only the report's `engine` field differs.
 ///
 /// # Errors
 ///
-/// The engine's failure (workload hardening, golden-run preparation or
-/// the journal) as a message for the client.
-pub fn run(spec: &CampaignSpec, ctx: &RunCtx<'_>) -> Result<RunOutput, String> {
-    let label = spec.label();
-    let journal = ctx.journal(&label);
-    let (threads, journal, stream) = (ctx.threads, journal.as_ref(), ctx.stream());
+/// The engine's failure (workload hardening, golden-run preparation,
+/// an exhaustive `at` past the golden run, or the journal) as a message
+/// for the client.
+pub fn run(spec: &CampaignSpec, opts: &RunOpts<'_>) -> Result<RunOutput, String> {
     let (faults, seed) = (spec.faults, spec.seed);
     Ok(match spec.engine {
-        Engine::Avf => RunOutput::Avf(run_avf(spec, &prepare(spec)?, ctx)?),
+        Engine::Avf => RunOutput::Avf(run_avf(spec, &prepare(spec)?, opts)?),
         Engine::Pvf => {
             let prep = FuncPrepared::new(&workload(spec)?, spec.isa).map_err(|e| e.to_string())?;
-            let out = pvf_campaign(
-                &prep, spec.mode, faults, seed, threads, journal, stream, None,
-            );
+            let out = pvf_campaign(&prep, spec.mode, faults, seed, opts);
             RunOutput::Pvf(out.map_err(|e| e.to_string())?)
         }
         Engine::Sweep => {
             let (structure, windows, per_window) = (spec.structure, spec.windows, spec.per_window);
             let prep = prepare(spec)?;
-            let out = temporal_campaign(
-                &prep, structure, windows, per_window, seed, threads, false, journal, stream, None,
-            );
+            let out = temporal_campaign(&prep, structure, windows, per_window, seed, false, opts);
             RunOutput::Sweep(out.map_err(|e| e.to_string())?.0)
         }
         Engine::Svf | Engine::SvfHardened => {
             let w = workload(spec)?;
-            let out = svf_campaign(
-                &w.module,
-                &w.input,
-                &w.expected_output,
-                faults,
-                seed,
-                threads,
-                journal,
-                stream,
-                None,
-            );
+            let out = svf_campaign(&w.module, &w.input, &w.expected_output, faults, seed, opts);
             RunOutput::Svf(out.map_err(|e| e.to_string())?)
         }
     })
@@ -239,9 +178,24 @@ pub fn run(spec: &CampaignSpec, ctx: &RunCtx<'_>) -> Result<RunOutput, String> {
 mod tests {
     use super::*;
     use crate::spec::CampaignSpec;
+    use std::path::Path;
+    use vulnstack_core::{JournalOpts, ResumeMode, StreamOpts};
 
     fn spec(text: &str) -> CampaignSpec {
         CampaignSpec::parse(&crate::json::parse(text).unwrap()).unwrap()
+    }
+
+    /// A run on `threads` workers, journaled at `path` under `label` as
+    /// the daemon journals.
+    fn journaled<'a>(path: &'a Path, label: &'a str, threads: usize) -> RunOpts<'a> {
+        RunOpts {
+            journal: Some(JournalOpts {
+                path,
+                mode: ResumeMode::ResumeOrStart,
+                workload: label,
+            }),
+            ..RunOpts::new(threads)
+        }
     }
 
     fn tmp_dir(tag: &str) -> std::path::PathBuf {
@@ -259,13 +213,8 @@ mod tests {
                 e.name()
             ));
             let journal = dir.join(format!("{}.journal", e.name()));
-            let ctx = RunCtx {
-                journal: Some((&journal, ResumeMode::ResumeOrStart)),
-                threads: 1,
-                gate: None,
-                tee: None,
-            };
-            let out = run(&s, &ctx).unwrap();
+            let label = s.label();
+            let out = run(&s, &journaled(&journal, &label, 1)).unwrap();
             let sites = if e == Engine::Sweep { 1 } else { 2 };
             assert!(!out.stats().stopped, "{}", e.name());
             assert_eq!(out.stats().executed, sites, "{}", e.name());
@@ -287,14 +236,16 @@ mod tests {
             let journal = dir.join(name);
             let records = vulnstack_core::Collector::default();
             let tee = records.tee();
-            let ctx = RunCtx {
-                journal: Some((&journal, ResumeMode::ResumeOrStart)),
-                threads: 2,
-                gate: None,
-                tee: Some(&tee),
-            };
             let s = spec(text);
-            let out = run(&s, &ctx).unwrap();
+            let label = s.label();
+            let opts = RunOpts {
+                stream: StreamOpts {
+                    tee: Some(&tee),
+                    ..StreamOpts::from_env()
+                },
+                ..journaled(&journal, &label, 2)
+            };
+            let out = run(&s, &opts).unwrap();
             (out.report(&s), records.sorted())
         };
         let (hard_report, hard_records) = run_teed(
@@ -321,20 +272,16 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let journal = dir.join("svc.journal");
         let s = spec(r#"{"engine":"svf","workload":"crc32","faults":12,"seed":7}"#);
-        let ctx = RunCtx {
-            journal: Some((&journal, ResumeMode::ResumeOrStart)),
-            threads: 2,
-            gate: None,
-            tee: None,
-        };
-        let out = run(&s, &ctx).unwrap();
+        let label = s.label();
+        let opts = journaled(&journal, &label, 2);
+        let out = run(&s, &opts).unwrap();
         assert!(!out.stats().stopped);
         assert_eq!(out.stats().executed, 12);
         let report = out.report(&s);
         assert!(report.starts_with("{\"crash\":"));
         assert!(report.contains("\"engine\":\"svf\""));
         // Re-running the same spec replays the journal bit-identically.
-        let again = run(&s, &ctx).unwrap();
+        let again = run(&s, &opts).unwrap();
         assert_eq!(again.report(&s), report);
         assert_eq!(again.stats().replayed, 12);
         assert_eq!(again.stats().executed, 0);
@@ -350,16 +297,35 @@ mod tests {
         let s = spec(r#"{"engine":"svf","workload":"crc32","faults":9,"seed":3}"#);
         let seen: Mutex<Vec<u64>> = Mutex::new(Vec::new());
         let tee = |i: u64, _p: &str| seen.lock().unwrap().push(i);
-        let ctx = RunCtx {
-            journal: Some((&journal, ResumeMode::ResumeOrStart)),
-            threads: 2,
-            gate: None,
-            tee: Some(&tee),
+        let label = s.label();
+        let opts = RunOpts {
+            stream: StreamOpts {
+                tee: Some(&tee),
+                ..StreamOpts::from_env()
+            },
+            ..journaled(&journal, &label, 2)
         };
-        run(&s, &ctx).unwrap();
+        run(&s, &opts).unwrap();
         let mut got = seen.lock().unwrap().clone();
         got.sort_unstable();
         assert_eq!(got, (0..9).collect::<Vec<u64>>());
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn an_exhaustive_cycle_past_the_golden_run_is_refused() {
+        let s = spec(
+            r#"{"engine":"avf","workload":"crc32","structure":"LSQ","plan":"exhaustive","at":10000000}"#,
+        );
+        let prep = prepare(&s).unwrap();
+        let want = format!(
+            "--at 10000000 is past the golden run ({} cycles)",
+            prep.golden.cycles
+        );
+        let opts = RunOpts::new(1);
+        assert_eq!(run_avf(&s, &prep, &opts).err(), Some(want.clone()));
+        // The daemon runs the spec through `run`, so its campaign fails
+        // with the same message.
+        assert_eq!(run(&s, &opts).err(), Some(want));
     }
 }

@@ -7,7 +7,7 @@
 //! ```
 
 use vulnstack_core::report::{pct, pct2, Table};
-use vulnstack_core::StreamOpts;
+use vulnstack_core::RunOpts;
 use vulnstack_gefin::{avf_campaign, default_threads, InjectionPlan, Prepared};
 use vulnstack_microarch::ooo::HwStructure;
 use vulnstack_microarch::{CoreModel, FaultModel};
@@ -15,27 +15,18 @@ use vulnstack_workloads::{Workload, WorkloadId};
 
 fn main() {
     let faults = 100;
-    let threads = default_threads();
+    // Every campaign here runs on the default thread count, unjournaled,
+    // with the default streaming options.
+    let opts = RunOpts::new(default_threads());
     let base = WorkloadId::Sha.build();
     let hard = vulnstack_ft::workload(WorkloadId::Sha, true).unwrap();
 
     // Software-level view (what a developer using an LLFI-style tool
-    // sees). Every campaign here runs unjournaled with the default
-    // streaming options.
+    // sees).
     let svf = |w: &Workload| {
-        vulnstack_llfi::svf_campaign(
-            &w.module,
-            &w.input,
-            &w.expected_output,
-            faults,
-            7,
-            threads,
-            None,
-            StreamOpts::from_env(),
-            None,
-        )
-        .expect("svf campaign")
-        .tally
+        vulnstack_llfi::svf_campaign(&w.module, &w.input, &w.expected_output, faults, 7, &opts)
+            .expect("svf campaign")
+            .tally
     };
     let svf_base = svf(&base);
     let svf_hard = svf(&hard);
@@ -50,10 +41,7 @@ fn main() {
                 st,
                 &InjectionPlan::Sampled { n: faults, seed: 7 },
                 &[FaultModel::BitFlip],
-                threads,
-                None,
-                StreamOpts::from_env(),
-                None,
+                &opts,
             )
             .expect("avf campaign");
             structs.push(vulnstack_core::stack::StructureAvf {

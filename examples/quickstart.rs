@@ -6,7 +6,7 @@
 //! ```
 
 use vulnstack_core::report::{pct, pct2, Table};
-use vulnstack_core::StreamOpts;
+use vulnstack_core::RunOpts;
 use vulnstack_gefin::{
     avf_campaign, default_threads, pvf_campaign, FuncPrepared, InjectionPlan, Prepared, PvfMode,
 };
@@ -17,26 +17,18 @@ use vulnstack_workloads::WorkloadId;
 
 fn main() {
     let faults = 80;
-    let threads = default_threads();
     let w = WorkloadId::Crc32.build();
     println!("workload: {} ({} bytes of input)", w.id, w.input.len());
 
-    // Every campaign below runs unjournaled (`None`) with the default
-    // streaming options and no metrics collector.
+    // How every campaign below runs: on the default thread count,
+    // unjournaled, with the default streaming options and no metrics
+    // collector.
+    let opts = RunOpts::new(default_threads());
 
     // Software layer (SVF): LLFI-style IR injection.
-    let svf = vulnstack_llfi::svf_campaign(
-        &w.module,
-        &w.input,
-        &w.expected_output,
-        faults,
-        1,
-        threads,
-        None,
-        StreamOpts::from_env(),
-        None,
-    )
-    .expect("svf campaign");
+    let svf =
+        vulnstack_llfi::svf_campaign(&w.module, &w.input, &w.expected_output, faults, 1, &opts)
+            .expect("svf campaign");
     println!(
         "SVF  (software layer)      = {}",
         pct(svf.tally.vf().total())
@@ -45,17 +37,7 @@ fn main() {
     // Architecture layer (PVF): persistent architectural-state faults on
     // the functional full-system core (kernel included).
     let fprep = FuncPrepared::new(&w, Isa::Va64).expect("prepare");
-    let pvf = pvf_campaign(
-        &fprep,
-        PvfMode::Wd,
-        faults,
-        1,
-        threads,
-        None,
-        StreamOpts::from_env(),
-        None,
-    )
-    .expect("pvf campaign");
+    let pvf = pvf_campaign(&fprep, PvfMode::Wd, faults, 1, &opts).expect("pvf campaign");
     println!(
         "PVF  (architecture layer)  = {}",
         pct(pvf.tally.vf().total())
@@ -67,17 +49,8 @@ fn main() {
     let mut t = Table::new(&["structure", "AVF", "HVF"]);
     let plan = InjectionPlan::Sampled { n: faults, seed: 1 };
     for st in HwStructure::ALL {
-        let (r, _) = avf_campaign(
-            &prep,
-            st,
-            &plan,
-            &[FaultModel::BitFlip],
-            threads,
-            None,
-            StreamOpts::from_env(),
-            None,
-        )
-        .expect("avf campaign");
+        let (r, _) =
+            avf_campaign(&prep, st, &plan, &[FaultModel::BitFlip], &opts).expect("avf campaign");
         t.row(&[st.name().into(), pct2(r.avf().total()), pct(r.hvf())]);
     }
     println!("\ncross-layer AVF per hardware structure (A72):");

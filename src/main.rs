@@ -18,13 +18,13 @@ use std::process::ExitCode;
 
 use vulnstack_compiler::{compile, CompileOpts};
 use vulnstack_core::report::{pct, pct2, Table};
-use vulnstack_core::{Quarantine, ResumeMode, ResumeStats, Tally};
+use vulnstack_core::{JournalOpts, Quarantine, ResumeStats, RunOpts, Tally};
 use vulnstack_gefin::{default_threads, Prepared};
 use vulnstack_isa::Isa;
 use vulnstack_microarch::ooo::HwStructure;
 use vulnstack_microarch::FaultModel;
 use vulnstack_serve::cli::Flags;
-use vulnstack_serve::service::{self, RunCtx, RunOutput};
+use vulnstack_serve::service::{self, RunOutput};
 use vulnstack_serve::spec::{journal_from_flags, Plan};
 use vulnstack_serve::{CampaignSpec, Engine};
 use vulnstack_workloads::{Workload, WorkloadId};
@@ -125,12 +125,8 @@ fn limit(opts: &Flags) -> Result<usize, String> {
 /// quarantine is paired with the campaign it belongs to — the structure
 /// of an AVF run, which covers several, or `PVF`/`SVF` — because site
 /// indices restart in every campaign.
-fn report_resume(
-    journal: Option<(&Path, ResumeMode)>,
-    stats: &ResumeStats,
-    quarantined: &[(&str, &Quarantine)],
-) {
-    if let Some((path, _)) = journal {
+fn report_resume(journal: Option<&Path>, stats: &ResumeStats, quarantined: &[(&str, &Quarantine)]) {
+    if let Some(path) = journal {
         println!(
             "journal {}: {} replayed, {} executed{}",
             path.display(),
@@ -156,19 +152,22 @@ fn report_resume(
 /// does; this prints its results.
 fn campaign(engine: Engine, name: &str, opts: &Flags) -> Result<(), String> {
     let spec = CampaignSpec::from_flags(engine, name, opts)?;
-    let ctx = RunCtx {
-        journal: journal_from_flags(opts)?,
-        threads: default_threads(),
-        gate: None,
-        tee: None,
+    let label = spec.label();
+    let run = RunOpts {
+        journal: journal_from_flags(opts)?.map(|(path, mode)| JournalOpts {
+            path,
+            mode,
+            workload: &label,
+        }),
+        ..RunOpts::new(default_threads())
     };
     if engine == Engine::Avf {
-        return avf(&spec, opts, &ctx);
+        return avf(&spec, opts, &run);
     }
     if opts.switch("breakdown") {
-        return svf_breakdown(&spec, &ctx);
+        return svf_breakdown(&spec, &run);
     }
-    let (what, tag, tally, quarantined, stats) = match service::run(&spec, &ctx)? {
+    let (what, tag, tally, quarantined, stats) = match service::run(&spec, &run)? {
         RunOutput::Pvf(o) => {
             let what = format!("PVF[{}] on {}", spec.mode, spec.isa);
             (what, "PVF", o.tally, o.quarantined, o.stats)
@@ -177,7 +176,7 @@ fn campaign(engine: Engine, name: &str, opts: &Flags) -> Result<(), String> {
         _ => unreachable!("{engine:?} is not a pvf or svf campaign"),
     };
     let quarantined: Vec<_> = quarantined.iter().map(|q| (tag, q)).collect();
-    report_resume(ctx.journal, &stats, &quarantined);
+    report_resume(run.journal.map(|j| j.path), &stats, &quarantined);
     let vf = tally.vf();
     println!(
         "{name} {what}: SDC {} Crash {} detected {} total {}",
@@ -206,17 +205,26 @@ fn avf_row(name: &str, count: u64, tally: &Tally, hvf: f64) -> Vec<String> {
     row
 }
 
-/// `vulnstack avf`: one spec per structure (every structure without
-/// `--structure`), all sharing one golden preparation.
-fn avf(spec: &CampaignSpec, opts: &Flags, ctx: &RunCtx<'_>) -> Result<(), String> {
+/// The structures `vulnstack avf` sweeps without `--structure`: every
+/// structure one of `models` applies to.
+fn swept_structures(models: &[FaultModel]) -> Vec<HwStructure> {
+    HwStructure::ALL
+        .into_iter()
+        .filter(|&s| models.iter().any(|m| m.applies_to(s)))
+        .collect()
+}
+
+/// `vulnstack avf`: one spec per structure (without `--structure`,
+/// [`swept_structures`]), all sharing one golden preparation.
+fn avf(spec: &CampaignSpec, opts: &Flags, run: &RunOpts<'_>) -> Result<(), String> {
     let structures = if opts.values.contains_key("structure") {
         vec![spec.structure]
-    } else if ctx.journal.is_some() {
+    } else if run.journal.is_some() {
         // A journal records exactly one campaign; one file cannot hold
         // the whole all-structures sweep.
         return Err("--journal requires --structure (one journal per campaign)".into());
     } else {
-        HwStructure::ALL.to_vec()
+        swept_structures(&spec.models)
     };
     let prep = service::prepare(spec)?;
     let runs = structures
@@ -226,7 +234,7 @@ fn avf(spec: &CampaignSpec, opts: &Flags, ctx: &RunCtx<'_>) -> Result<(), String
                 structure,
                 ..spec.clone()
             };
-            service::run_avf(&spec, &prep, ctx)
+            service::run_avf(&spec, &prep, run)
         })
         .collect::<Result<Vec<_>, _>>()?;
     let mut t = avf_table("structure", "bits");
@@ -272,15 +280,15 @@ fn avf(spec: &CampaignSpec, opts: &Flags, ctx: &RunCtx<'_>) -> Result<(), String
         quarantined.extend(r.quarantined.iter().map(|q| (r.structure.name(), q)));
     }
     let stats = &runs.last().expect("at least one structure").result.stats;
-    report_resume(ctx.journal, stats, &quarantined);
+    report_resume(run.journal.map(|j| j.path), stats, &quarantined);
     Ok(())
 }
 
 /// `vulnstack svf --breakdown`: the SVF tally split by the class of the
 /// instruction each fault lands on. It re-runs every injection to read
 /// its landing site, which journaled records do not carry.
-fn svf_breakdown(spec: &CampaignSpec, ctx: &RunCtx<'_>) -> Result<(), String> {
-    if ctx.journal.is_some() {
+fn svf_breakdown(spec: &CampaignSpec, run: &RunOpts<'_>) -> Result<(), String> {
+    if run.journal.is_some() {
         return Err("--journal is not supported with --breakdown".into());
     }
     let w = service::workload(spec)?;
@@ -688,6 +696,7 @@ fn run(args: &[String]) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vulnstack_core::ResumeMode;
     use vulnstack_gefin::InjectionPlan;
     use vulnstack_microarch::CoreModel;
 
@@ -875,6 +884,28 @@ mod tests {
                 Err(err.to_string())
             );
         }
+    }
+
+    #[test]
+    fn avf_sweeps_only_the_structures_a_model_applies_to() {
+        use FaultModel::{BitFlip, ByteCorrupt, InstrSkip, StuckAt};
+        use HwStructure::{Lsq, RegisterFile};
+        for (models, want) in [
+            (&[StuckAt][..], &[RegisterFile][..]),
+            (&[InstrSkip][..], &[RegisterFile][..]),
+            (&[ByteCorrupt][..], &[RegisterFile, Lsq][..]),
+            (
+                &[StuckAt, InstrSkip, ByteCorrupt][..],
+                &[RegisterFile, Lsq][..],
+            ),
+            (&[StuckAt, BitFlip][..], &HwStructure::ALL[..]),
+        ] {
+            assert_eq!(swept_structures(models), want, "{models:?}");
+        }
+        // Without --structure, a stuck-at campaign runs RF and skips the
+        // structures stuck-at does not apply to.
+        let o = parse_opts("avf", &sv(&["--models", "stuck-at", "--faults", "2"])).unwrap();
+        assert_eq!(campaign(Engine::Avf, "crc32", &o), Ok(()));
     }
 
     #[test]

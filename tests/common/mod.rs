@@ -6,9 +6,8 @@
 
 use std::path::PathBuf;
 
-use vulnstack_core::trace::CampaignMetrics;
 pub use vulnstack_core::Collector;
-use vulnstack_core::{JournalError, JournalOpts, StreamOpts, Tally};
+use vulnstack_core::{JournalError, RunOpts, StreamOpts, Tally};
 use vulnstack_gefin::{
     avf_campaign, decode_record, plan_model_sites, pvf_campaign, run_one_model, AvfStreamed,
     FuncPrepared, InjectionPlan, InjectionRecord, Prepared, PruneStats, PvfMode,
@@ -37,36 +36,38 @@ pub fn decoded(seen: &Collector) -> Vec<InjectionRecord> {
 /// records in sampling order.
 pub type AvfRun = (AvfStreamed, Option<PruneStats>, Vec<InjectionRecord>);
 
-/// An AVF campaign with everything optional spelled out, plus its
-/// records in sampling order.
-#[allow(clippy::too_many_arguments)]
+/// An AVF campaign run as `opts` says, plus its records in sampling
+/// order, collected through a tee that replaces `opts`'s.
 pub fn avf_with(
     prep: &Prepared,
     structure: HwStructure,
     plan: &InjectionPlan,
     models: &[FaultModel],
-    threads: usize,
-    journal: Option<&JournalOpts<'_>>,
-    channel_cap: usize,
-    metrics: Option<&CampaignMetrics>,
+    opts: &RunOpts<'_>,
 ) -> Result<AvfRun, JournalError> {
     let seen = Collector::default();
     let tee = seen.tee();
-    let (r, prune) = avf_campaign(
-        prep,
-        structure,
-        plan,
-        models,
-        threads,
-        journal,
-        StreamOpts {
-            channel_cap,
+    let opts = RunOpts {
+        stream: StreamOpts {
             tee: Some(&tee),
+            ..opts.stream
+        },
+        ..*opts
+    };
+    let (r, prune) = avf_campaign(prep, structure, plan, models, &opts)?;
+    Ok((r, prune, decoded(&seen)))
+}
+
+/// A run on `threads` workers through a `channel_cap`-record sink
+/// channel, unjournaled and without metrics.
+pub fn run_opts(threads: usize, channel_cap: usize) -> RunOpts<'static> {
+    RunOpts {
+        stream: StreamOpts {
+            channel_cap,
             ..StreamOpts::from_env()
         },
-        metrics,
-    )?;
-    Ok((r, prune, decoded(&seen)))
+        ..RunOpts::new(threads)
+    }
 }
 
 /// An unjournaled AVF campaign plus its records in sampling order.
@@ -77,7 +78,7 @@ pub fn avf(
     models: &[FaultModel],
     threads: usize,
 ) -> AvfRun {
-    avf_with(prep, structure, plan, models, threads, None, 64, None).unwrap()
+    avf_with(prep, structure, plan, models, &run_opts(threads, 64)).unwrap()
 }
 
 /// An unjournaled sampled bit-flip campaign plus its records.
@@ -109,18 +110,9 @@ pub fn reference(
 
 /// The tally of an unjournaled PVF campaign.
 pub fn pvf_tally(prep: &FuncPrepared, mode: PvfMode, n: usize, seed: u64, threads: usize) -> Tally {
-    pvf_campaign(
-        prep,
-        mode,
-        n,
-        seed,
-        threads,
-        None,
-        StreamOpts::from_env(),
-        None,
-    )
-    .unwrap()
-    .tally
+    pvf_campaign(prep, mode, n, seed, &RunOpts::new(threads))
+        .unwrap()
+        .tally
 }
 
 /// The tally of an unjournaled SVF campaign.
@@ -131,10 +123,7 @@ pub fn svf_tally(w: &Workload, n: usize, seed: u64, threads: usize) -> Tally {
         &w.expected_output,
         n,
         seed,
-        threads,
-        None,
-        StreamOpts::from_env(),
-        None,
+        &RunOpts::new(threads),
     )
     .unwrap()
     .tally

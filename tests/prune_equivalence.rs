@@ -11,8 +11,8 @@ mod common;
 use std::path::Path;
 use std::sync::OnceLock;
 
-use common::{avf, avf_with, reference, tmp};
-use vulnstack_core::{JournalError, JournalOpts, ResumeMode, RunPolicy, StreamOpts};
+use common::{avf, avf_with, reference, run_opts, tmp};
+use vulnstack_core::{JournalError, JournalOpts, ResumeMode, RunOpts};
 use vulnstack_gefin::{
     per_model_tallies, run_one_model, temporal_campaign, InjectionPlan, Prepared, TemporalProfile,
 };
@@ -36,7 +36,6 @@ fn opts<'a>(path: &'a Path, mode: ResumeMode) -> JournalOpts<'a> {
     JournalOpts {
         path,
         mode,
-        policy: RunPolicy::default(),
         workload: "crc32",
     }
 }
@@ -78,10 +77,10 @@ fn pruned_journaled(
         STRUCTURE,
         &InjectionPlan::Pruned { n: N, seed: SEED },
         BIT_FLIP,
-        threads,
-        Some(journal),
-        64,
-        None,
+        &RunOpts {
+            journal: Some(*journal),
+            ..run_opts(threads, 64)
+        },
     )
 }
 
@@ -229,19 +228,7 @@ fn exhaustive_model_sweep_completes_under_pruning() {
 fn pruned_temporal_sweep_matches_full_sweep() {
     let prep = prep_crc32_a72();
     let sweep = |threads, pruned| {
-        temporal_campaign(
-            prep,
-            STRUCTURE,
-            4,
-            8,
-            SEED,
-            threads,
-            pruned,
-            None,
-            StreamOpts::from_env(),
-            None,
-        )
-        .unwrap()
+        temporal_campaign(prep, STRUCTURE, 4, 8, SEED, pruned, &RunOpts::new(threads)).unwrap()
     };
     let (full, none) = sweep(4, false);
     assert!(none.is_none());
@@ -264,7 +251,8 @@ fn pruned_kill_and_resume_is_bit_identical() {
     // Uninterrupted pruned journaled run matches the individual runs.
     let full = tmp("pruned-full.journal");
     let _ = std::fs::remove_file(&full);
-    let (out, stats, records) = pruned_journaled(prep, 4, &opts(&full, ResumeMode::Fresh)).unwrap();
+    let (out, stats, records) =
+        pruned_journaled(prep, 4, &opts(&full, ResumeMode::ResumeOrStart)).unwrap();
     assert_eq!(records, baseline);
     assert_eq!(out.stats.executed, N);
     assert!(out.quarantined.is_empty());
@@ -300,7 +288,7 @@ fn pruned_resume_refuses_a_damaged_class_table() {
     let prep = prep_crc32_a72();
     let path = tmp("pruned-damaged-meta.journal");
     let _ = std::fs::remove_file(&path);
-    pruned_journaled(prep, 4, &opts(&path, ResumeMode::Fresh)).unwrap();
+    pruned_journaled(prep, 4, &opts(&path, ResumeMode::ResumeOrStart)).unwrap();
 
     // Corrupt one byte of the class-table metadata payload. The line
     // checksum no longer verifies, the journal truncates there, and the

@@ -13,16 +13,16 @@ mod common;
 use std::path::Path;
 use std::sync::OnceLock;
 
-use common::{avf_with, reference, svf_reference, tmp, AvfRun};
+use common::{avf_with, reference, run_opts, svf_reference, tmp, AvfRun};
 use vulnstack_core::journal::{fnv1a64, Journal};
 use vulnstack_core::{
-    Campaign, CampaignJournal, FaultEffect, Fingerprint, JournalError, JournalOpts, ResumeMode,
-    RunPolicy, StreamOpts,
+    Campaign, FaultEffect, Fingerprint, JournalError, JournalOpts, ResumeMode, RunOpts,
+    TallyStreamed,
 };
 use vulnstack_gefin::{
     decode_record, draw_sites, encode_record, InjectionPlan, InjectionRecord, Prepared,
 };
-use vulnstack_llfi::{svf_campaign, SvfError, SvfStreamed};
+use vulnstack_llfi::{svf_campaign, SvfError};
 use vulnstack_microarch::ooo::{Fpm, HwStructure};
 use vulnstack_microarch::{CoreModel, FaultModel};
 use vulnstack_workloads::{Workload, WorkloadId};
@@ -60,11 +60,17 @@ fn avf_journaled(
         STRUCTURE,
         plan,
         models,
-        threads,
-        Some(journal),
-        channel_cap,
-        None,
+        &journaled(threads, journal, channel_cap),
     )
+}
+
+/// A run on `threads` workers through a `channel_cap`-record sink
+/// channel, journaled as `journal`.
+fn journaled<'a>(threads: usize, journal: &JournalOpts<'a>, channel_cap: usize) -> RunOpts<'a> {
+    RunOpts {
+        journal: Some(*journal),
+        ..run_opts(threads, channel_cap)
+    }
 }
 
 /// A journaled crc32 SVF campaign of `n` faults.
@@ -73,7 +79,7 @@ fn svf_journaled(
     threads: usize,
     journal: &JournalOpts<'_>,
     channel_cap: usize,
-) -> Result<SvfStreamed, SvfError> {
+) -> Result<TallyStreamed, SvfError> {
     let w = crc32();
     svf_campaign(
         &w.module,
@@ -81,13 +87,7 @@ fn svf_journaled(
         &w.expected_output,
         n,
         SEED,
-        threads,
-        Some(journal),
-        StreamOpts {
-            channel_cap,
-            ..StreamOpts::from_env()
-        },
-        None,
+        &journaled(threads, journal, channel_cap),
     )
 }
 
@@ -95,7 +95,6 @@ fn opts<'a>(path: &'a Path, mode: ResumeMode) -> JournalOpts<'a> {
     JournalOpts {
         path,
         mode,
-        policy: RunPolicy::default(),
         workload: "crc32",
     }
 }
@@ -128,8 +127,14 @@ fn gefin_kill_and_resume_is_bit_identical_across_thread_counts() {
     // Uninterrupted journaled run: records match the individual runs.
     let full = tmp("gefin-full.journal");
     let _ = std::fs::remove_file(&full);
-    let (out, _, records) =
-        avf_journaled(&SAMPLED, BIT_FLIP, 4, &opts(&full, ResumeMode::Fresh), 64).unwrap();
+    let (out, _, records) = avf_journaled(
+        &SAMPLED,
+        BIT_FLIP,
+        4,
+        &opts(&full, ResumeMode::ResumeOrStart),
+        64,
+    )
+    .unwrap();
     assert_eq!(records, baseline);
     assert_eq!(out.stats.executed, N);
     assert!(out.quarantined.is_empty());
@@ -172,7 +177,14 @@ fn gefin_kill_and_resume_is_bit_identical_across_thread_counts() {
 fn gefin_resume_refuses_a_mismatched_fingerprint() {
     let path = tmp("gefin-mismatch.journal");
     let _ = std::fs::remove_file(&path);
-    avf_journaled(&SAMPLED, BIT_FLIP, 2, &opts(&path, ResumeMode::Fresh), 64).unwrap();
+    avf_journaled(
+        &SAMPLED,
+        BIT_FLIP,
+        2,
+        &opts(&path, ResumeMode::ResumeOrStart),
+        64,
+    )
+    .unwrap();
     // Same journal, different seed: a different campaign entirely.
     let other_seed = InjectionPlan::Sampled {
         n: N,
@@ -218,7 +230,7 @@ fn llfi_kill_and_resume_is_bit_identical_across_thread_counts() {
 
     let full = tmp("llfi-full.journal");
     let _ = std::fs::remove_file(&full);
-    let out = svf_journaled(n, 4, &opts(&full, ResumeMode::Fresh), 64).unwrap();
+    let out = svf_journaled(n, 4, &opts(&full, ResumeMode::ResumeOrStart), 64).unwrap();
     assert_eq!(out.tally, baseline);
     assert_eq!(out.stats.executed, n);
 
@@ -309,24 +321,18 @@ fn a_panicking_injection_is_quarantined_and_the_campaign_completes() {
     };
     let poisoned = 3usize;
     let run = |mode, runner: &(dyn Fn(usize, &(u64, u64)) -> InjectionRecord + Sync)| {
-        let jopts = JournalOpts {
-            policy: RunPolicy { max_retries: 1 },
-            ..opts(&path, mode)
-        };
         let mut outcomes: Vec<(u64, InjectionRecord)> = Vec::new();
         let out = Campaign {
             items: &sites,
             order: &order,
-            threads: 4,
-            journal: Some(CampaignJournal {
-                opts: &jopts,
-                fingerprint: fingerprint.clone(),
-                meta: Vec::new(),
-            }),
+            fingerprint: fingerprint.clone(),
+            meta: Vec::new(),
         }
         .run(
-            StreamOpts::from_env(),
-            None,
+            &RunOpts {
+                journal: Some(opts(&path, mode)),
+                ..RunOpts::new(4)
+            },
             |i, site| encode(&runner(i, site)),
             |p| decode(p).is_some(),
             |i, p| outcomes.push((i, decode(p).unwrap())),
@@ -335,7 +341,7 @@ fn a_panicking_injection_is_quarantined_and_the_campaign_completes() {
         outcomes.sort_by_key(|&(i, _)| i);
         (out, outcomes)
     };
-    let (out, outcomes) = run(ResumeMode::Fresh, &|i, &(cycle, bit)| {
+    let (out, outcomes) = run(ResumeMode::ResumeOrStart, &|i, &(cycle, bit)| {
         // One deliberately poisoned injection among real runs.
         assert!(i != poisoned, "injector blew up on site {i}");
         vulnstack_gefin::avf::run_one(prep, STRUCTURE, cycle, bit)
@@ -346,7 +352,7 @@ fn a_panicking_injection_is_quarantined_and_the_campaign_completes() {
     assert_eq!(out.stats.executed, N);
     assert_eq!(out.quarantined.len(), 1);
     assert_eq!(out.quarantined[0].index, poisoned);
-    assert_eq!(out.quarantined[0].attempts, 2, "1 try + 1 retry");
+    assert_eq!(out.quarantined[0].attempts, 3, "1 try + 2 retries");
     assert!(out.quarantined[0].message.contains("blew up on site 3"));
     let healthy: Vec<(u64, InjectionRecord)> = baseline
         .iter()
@@ -387,7 +393,7 @@ fn mixed_model_kill_and_resume_is_bit_identical() {
         &plan,
         &FaultModel::ALL,
         4,
-        &opts(&full, ResumeMode::Fresh),
+        &opts(&full, ResumeMode::ResumeOrStart),
         64,
     )
     .unwrap();
@@ -436,7 +442,7 @@ fn a_changed_model_set_is_refused_on_resume() {
         &plan,
         &FaultModel::ALL,
         2,
-        &opts(&path, ResumeMode::Fresh),
+        &opts(&path, ResumeMode::ResumeOrStart),
         64,
     )
     .unwrap();
@@ -518,8 +524,14 @@ fn streamed_kill_and_resume_reproduces_the_uninterrupted_journal() {
 
     let full = tmp("streamed-full.journal");
     let _ = std::fs::remove_file(&full);
-    let (_, _, records) =
-        avf_journaled(&SAMPLED, BIT_FLIP, 4, &opts(&full, ResumeMode::Fresh), 64).unwrap();
+    let (_, _, records) = avf_journaled(
+        &SAMPLED,
+        BIT_FLIP,
+        4,
+        &opts(&full, ResumeMode::ResumeOrStart),
+        64,
+    )
+    .unwrap();
     assert_eq!(records, baseline);
 
     for threads in [2, 4] {
@@ -551,7 +563,7 @@ fn streamed_kill_and_resume_reproduces_the_uninterrupted_journal() {
     let full = tmp("streamed-llfi-full.journal");
     let _ = std::fs::remove_file(&full);
     let base = svf_reference(crc32(), n, SEED);
-    let out = svf_journaled(n, 4, &opts(&full, ResumeMode::Fresh), 64).unwrap();
+    let out = svf_journaled(n, 4, &opts(&full, ResumeMode::ResumeOrStart), 64).unwrap();
     assert_eq!(out.tally, base);
     let path = tmp("streamed-llfi-killed.journal");
     interrupt_journal(&full, &path, 11);

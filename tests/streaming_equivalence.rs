@@ -12,10 +12,8 @@ mod common;
 
 use std::sync::OnceLock;
 
-use common::{avf_with, decoded, reference, svf_reference, tmp, Collector};
-use vulnstack_core::{
-    Campaign, CampaignJournal, Fingerprint, JournalOpts, ResumeMode, RunPolicy, StreamOpts,
-};
+use common::{avf_with, decoded, reference, run_opts, svf_reference, tmp, Collector};
+use vulnstack_core::{Campaign, Fingerprint, JournalOpts, ResumeMode, RunOpts, StreamOpts};
 use vulnstack_gefin::{
     decode_record, draw_sites, encode_record, per_model_tallies, pvf_campaign, run_one_model,
     temporal_campaign, FuncPrepared, InjectionPlan, ModelSite, Prepared, PvfMode,
@@ -54,7 +52,7 @@ fn streamed_avf_records_are_bit_identical_to_legacy_collect() {
     // a comfortable bound must both reproduce the individual runs.
     for cap in [1usize, 64] {
         let (out, stats, records) =
-            avf_with(prep, STRUCTURE, &SAMPLED, BIT_FLIP, 4, None, cap, None).unwrap();
+            avf_with(prep, STRUCTURE, &SAMPLED, BIT_FLIP, &run_opts(4, cap)).unwrap();
         assert!(stats.is_none(), "cap={cap}: sampled plans do not prune");
         assert_eq!(out.stats.executed, N, "cap={cap}");
         assert_eq!(
@@ -78,9 +76,9 @@ fn streamed_exhaustive_model_sweep_matches_the_models_engine() {
     // Through a small channel at 4 threads, and through a capacity-1
     // channel on one thread: the same records, the same pruning verdicts.
     let (out, stats, streamed) =
-        avf_with(prep, STRUCTURE, &plan, &models, 4, None, 8, None).unwrap();
+        avf_with(prep, STRUCTURE, &plan, &models, &run_opts(4, 8)).unwrap();
     let (serial, serial_stats, records) =
-        avf_with(prep, STRUCTURE, &plan, &models, 1, None, 1, None).unwrap();
+        avf_with(prep, STRUCTURE, &plan, &models, &run_opts(1, 1)).unwrap();
     let stats = stats.expect("exhaustive plans execute through the pruner");
     let serial_stats = serial_stats.expect("exhaustive plans execute through the pruner");
     assert_eq!(stats.sites, serial_stats.sites);
@@ -108,23 +106,14 @@ fn streamed_temporal_sweep_matches_the_legacy_profile() {
     let (windows, per_window) = (4usize, 8usize);
     let sweep = |pruned, seen: &Collector| {
         let tee = seen.tee();
-        temporal_campaign(
-            prep,
-            STRUCTURE,
-            windows,
-            per_window,
-            SEED,
-            4,
-            pruned,
-            None,
-            StreamOpts {
-                channel_cap: 1,
+        let opts = RunOpts {
+            stream: StreamOpts {
                 tee: Some(&tee),
-                ..StreamOpts::from_env()
+                ..run_opts(4, 1).stream
             },
-            None,
-        )
-        .unwrap()
+            ..run_opts(4, 1)
+        };
+        temporal_campaign(prep, STRUCTURE, windows, per_window, SEED, pruned, &opts).unwrap()
     };
     let unpruned_records = Collector::default();
     let (baseline, none) = sweep(false, &unpruned_records);
@@ -179,21 +168,15 @@ fn streamed_pvf_and_svf_match_their_legacy_campaigns() {
         let run = |threads, channel_cap| {
             let seen = Collector::default();
             let tee = seen.tee();
-            let out = pvf_campaign(
-                &fprep,
-                mode,
-                N,
-                SEED,
-                threads,
-                None,
-                StreamOpts {
+            let opts = RunOpts {
+                stream: StreamOpts {
                     channel_cap,
                     tee: Some(&tee),
                     ..StreamOpts::from_env()
                 },
-                None,
-            )
-            .unwrap();
+                ..RunOpts::new(threads)
+            };
+            let out = pvf_campaign(&fprep, mode, N, SEED, &opts).unwrap();
             (out, seen.sorted())
         };
         let (serial, serial_records) = run(1, 1);
@@ -206,22 +189,15 @@ fn streamed_pvf_and_svf_match_their_legacy_campaigns() {
     // Capacity 1 exercises backpressure on the software engine too.
     let seen = Collector::default();
     let tee = seen.tee();
-    let out = svf_campaign(
-        &w.module,
-        &w.input,
-        &w.expected_output,
-        N,
-        SEED,
-        4,
-        None,
-        StreamOpts {
+    let opts = RunOpts {
+        stream: StreamOpts {
             channel_cap: 1,
             tee: Some(&tee),
             ..StreamOpts::from_env()
         },
-        None,
-    )
-    .unwrap();
+        ..RunOpts::new(4)
+    };
+    let out = svf_campaign(&w.module, &w.input, &w.expected_output, N, SEED, &opts).unwrap();
     assert_eq!(out.tally, baseline);
     let records = seen.sorted();
     assert_eq!(records.len(), N);
@@ -255,35 +231,27 @@ fn a_panic_mid_stream_quarantines_without_stalling_the_pipeline() {
         params: String::new(),
         version: 1,
     };
-    let fresh = JournalOpts {
-        path: &path,
-        mode: ResumeMode::Fresh,
-        policy: RunPolicy { max_retries: 1 },
-        workload: "crc32",
-    };
-    let campaign = |opts| Campaign {
+    let campaign = Campaign {
         items: &sites,
         order: &order,
-        threads: 4,
-        journal: Some(CampaignJournal {
-            opts,
-            fingerprint: fingerprint.clone(),
-            meta: Vec::new(),
-        }),
+        fingerprint,
+        meta: Vec::new(),
     };
     // Capacity 1: the panic happens while other workers are blocked on
     // the full channel, the worst interleaving for a stalled sink.
-    let cap1 = StreamOpts {
-        channel_cap: 1,
-        gate: None,
-        tee: None,
+    let journaled = |mode| RunOpts {
+        journal: Some(JournalOpts {
+            path: &path,
+            mode,
+            workload: "crc32",
+        }),
+        ..run_opts(4, 1)
     };
     let poisoned = 3usize;
     let mut folded = 0usize;
-    let out = campaign(&fresh)
+    let out = campaign
         .run(
-            cap1,
-            None,
+            &journaled(ResumeMode::ResumeOrStart),
             |i, &(cycle, bit)| {
                 assert!(i != poisoned, "injector blew up on site {i}");
                 encode_record(&vulnstack_gefin::avf::run_one(prep, STRUCTURE, cycle, bit))
@@ -295,21 +263,16 @@ fn a_panic_mid_stream_quarantines_without_stalling_the_pipeline() {
     assert_eq!(folded, N - 1, "every healthy record reaches the fold");
     assert_eq!(out.quarantined.len(), 1);
     assert_eq!(out.quarantined[0].index, poisoned);
-    assert_eq!(out.quarantined[0].attempts, 2, "1 try + 1 retry");
+    assert_eq!(out.quarantined[0].attempts, 3, "1 try + 2 retries");
     assert!(out.quarantined[0].message.contains("blew up on site 3"));
     assert_eq!(out.stats.executed, N);
 
     // Resume: the quarantine replays durably, the healthy records fold
     // again bit-identically (checked against the individual runs).
     let mut replayed: Vec<(u64, String)> = Vec::new();
-    let required = JournalOpts {
-        mode: ResumeMode::ResumeRequired,
-        ..fresh
-    };
-    let resumed = campaign(&required)
+    let resumed = campaign
         .run(
-            cap1,
-            None,
+            &journaled(ResumeMode::ResumeRequired),
             |_, &(cycle, bit)| {
                 encode_record(&vulnstack_gefin::avf::run_one(prep, STRUCTURE, cycle, bit))
             },

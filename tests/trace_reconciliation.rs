@@ -7,11 +7,14 @@
 
 mod common;
 
-use common::{avf_with, sampled};
+use common::{avf_with, run_opts, sampled, tmp};
 use vulnstack_core::trace::CampaignMetrics;
+use vulnstack_core::{JournalOpts, ResumeMode, ResumeStats, RunOpts};
 use vulnstack_gefin::{
-    draw_sites, run_one_traced, InjectEngine, InjectionPlan, InjectionRecord, Prepared,
+    avf_campaign, draw_sites, pvf_campaign, run_one_traced, temporal_campaign, FuncPrepared,
+    InjectEngine, InjectionPlan, InjectionRecord, Prepared, PvfMode,
 };
+use vulnstack_isa::Isa;
 use vulnstack_microarch::lifetime::DEFAULT_EVENT_CAP;
 use vulnstack_microarch::ooo::{Fpm, HwStructure};
 use vulnstack_microarch::{CoreModel, FaultModel, FaultTrace};
@@ -104,10 +107,10 @@ fn metrics_collection_does_not_perturb_results() {
         structure,
         &InjectionPlan::Sampled { n: N, seed: SEED },
         &[FaultModel::BitFlip],
-        3,
-        None,
-        64,
-        Some(&metrics),
+        &RunOpts {
+            metrics: Some(&metrics),
+            ..run_opts(3, 64)
+        },
     )
     .unwrap();
     let (_, plain_records) = sampled(&prep, structure, N, SEED, 3);
@@ -129,6 +132,76 @@ fn metrics_collection_does_not_perturb_results() {
     for s in &report.spans {
         assert!(s.end_us >= s.start_us);
     }
+}
+
+/// Runs the `sites`-site campaign `run` twice, journaled, each time with
+/// a fresh metrics collector in its options: the first run executes
+/// every site and records exactly one span per site, the second replays
+/// every site from the journal and records none.
+fn spans_follow_execution(name: &str, sites: usize, run: impl Fn(&RunOpts<'_>) -> ResumeStats) {
+    let path = tmp(&format!("metrics-{name}.journal"));
+    let _ = std::fs::remove_file(&path);
+    let journal = JournalOpts {
+        path: &path,
+        mode: ResumeMode::ResumeOrStart,
+        workload: "crc32",
+    };
+    for executed in [sites, 0] {
+        let metrics = CampaignMetrics::new(name);
+        let stats = run(&RunOpts {
+            journal: Some(journal),
+            metrics: Some(&metrics),
+            ..RunOpts::new(2)
+        });
+        assert_eq!(stats.executed, executed, "{name}");
+        assert_eq!(stats.replayed, sites - executed, "{name}");
+        let report = metrics.report();
+        assert_eq!(
+            report.sites, executed as u64,
+            "{name}: one span per executed site"
+        );
+        let mut indices: Vec<usize> = report.spans.iter().map(|s| s.index).collect();
+        indices.sort_unstable();
+        assert_eq!(indices, (0..executed).collect::<Vec<_>>(), "{name}");
+    }
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn metrics_record_one_span_per_executed_site_on_every_engine() {
+    let w = WorkloadId::Crc32.build();
+    let prep = Prepared::new(&w, CoreModel::A72).unwrap();
+    let rf = HwStructure::RegisterFile;
+    for plan in [
+        InjectionPlan::Sampled { n: 12, seed: SEED },
+        InjectionPlan::Pruned { n: 12, seed: SEED },
+    ] {
+        spans_follow_execution(&format!("avf-{}", plan.name()), 12, |opts| {
+            let bit_flip = [FaultModel::BitFlip];
+            avf_campaign(&prep, rf, &plan, &bit_flip, opts)
+                .unwrap()
+                .0
+                .stats
+        });
+    }
+    spans_follow_execution("sweep", 8, |opts| {
+        temporal_campaign(&prep, rf, 2, 4, SEED, false, opts)
+            .unwrap()
+            .0
+            .stats
+    });
+    let fprep = FuncPrepared::new(&w, Isa::Va64).unwrap();
+    spans_follow_execution("pvf", 10, |opts| {
+        pvf_campaign(&fprep, PvfMode::Wd, 10, SEED, opts)
+            .unwrap()
+            .stats
+    });
+    spans_follow_execution("svf", 10, |opts| {
+        let (module, input, output) = (&w.module, &w.input, &w.expected_output);
+        vulnstack_llfi::svf_campaign(module, input, output, 10, SEED, opts)
+            .unwrap()
+            .stats
+    });
 }
 
 #[test]
