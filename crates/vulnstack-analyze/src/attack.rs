@@ -28,10 +28,10 @@
 
 use std::fmt;
 
-use vulnstack_isa::{CallConv, Op, Reg, SrcRole};
+use vulnstack_isa::{CallConv, FaultModel, Op, Reg, SrcRole};
 
 use crate::cfg::{call_graph, ModuleCfg};
-use crate::taint::{module_taint, FaultModel, ModuleTaint, SinkSet};
+use crate::taint::{module_taint, ModuleTaint, SinkSet};
 
 /// What kind of statically-identified subversion a finding reports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -248,7 +248,7 @@ pub(crate) fn json_str(s: &str) -> String {
 }
 
 const VALUE_MODELS: [FaultModel; 3] = [
-    FaultModel::SingleBitFlip,
+    FaultModel::BitFlip,
     FaultModel::ByteCorrupt,
     FaultModel::StuckAt,
 ];

@@ -66,11 +66,6 @@ impl FuncCfg {
     pub fn instr_reachable(&self, i: usize) -> bool {
         self.blocks[self.block_of[i]].reachable
     }
-
-    /// Loop depth of the block containing local instruction index `i`.
-    pub fn instr_loop_depth(&self, i: usize) -> u32 {
-        self.blocks[self.block_of[i]].loop_depth
-    }
 }
 
 /// The recovered CFG of a whole compiled module.

@@ -6,7 +6,7 @@
 //! faulty simulations, this crate *derives* a pessimistic architectural
 //! bound from the compiled text section alone:
 //!
-//! 1. [`cfg`] recovers per-function control-flow graphs from the raw
+//! 1. [`mod@cfg`] recovers per-function control-flow graphs from the raw
 //!    encoded words (no execution, no symbols beyond the compiler's
 //!    function table), including loop nesting from back-edge detection.
 //! 2. [`liveness`] runs a width-aware backward liveness fixed point and a
@@ -61,7 +61,7 @@ pub use classifier::StaticClassifier;
 pub use lint::{lint_module, Lint, LintKind};
 pub use liveness::{analyze_func, analyze_module, FuncLiveness, ModuleLiveness};
 pub use pvf::{static_pvf, StaticPvf};
-pub use taint::{module_taint, FaultModel, SinkSet};
+pub use taint::{module_taint, SinkSet};
 
 use vulnstack_compiler::CompiledModule;
 

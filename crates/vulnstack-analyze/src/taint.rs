@@ -11,19 +11,20 @@
 //! models — a redefinition *kills* taint, because the corrupt value is
 //! replaced.
 //!
-//! The [`FaultModel`] menu follows ARMORY's instruction-level fault
+//! The fault-model menu ([`FaultModel`](vulnstack_isa::FaultModel),
+//! shared with every injector) follows ARMORY's instruction-level fault
 //! taxonomy. The models fall into three analysis classes:
 //!
-//! * **Transient value corruption** ([`FaultModel::SingleBitFlip`],
-//!   [`FaultModel::ByteCorrupt`]) — one-shot corruption of a register
-//!   value; killed by redefinition. Both models share one reachability
-//!   (they differ in *how much* of the value corrupts, not in where the
-//!   corruption can flow), so they share one dataflow instance.
-//! * **Persistent corruption** ([`FaultModel::StuckAt`]) — a stuck bit
-//!   re-corrupts the register after every rewrite, so the kill term
-//!   disappears and reachability grows accordingly.
-//! * **Instruction skip** ([`FaultModel::InstrSkip`]) — not a value
-//!   fault at all; handled per-instruction by the attack-surface report
+//! * **Transient value corruption** (`BitFlip`, `ByteCorrupt`) — one-shot
+//!   corruption of a register value; killed by redefinition. Both models
+//!   share one reachability (they differ in *how much* of the value
+//!   corrupts, not in where the corruption can flow), so they share one
+//!   dataflow instance.
+//! * **Persistent corruption** (`StuckAt`) — a stuck bit re-corrupts the
+//!   register after every rewrite, so the kill term disappears and
+//!   reachability grows accordingly.
+//! * **Instruction skip** (`InstrSkip`) — not a value fault at all;
+//!   handled per-instruction by the attack-surface report
 //!   ([`crate::attack`]), which consults the transient reachability to
 //!   judge whether a skipped definition's *stale* value matters.
 //!
@@ -42,56 +43,6 @@ use vulnstack_isa::{CallConv, Isa, Op, SrcRole};
 use crate::cfg::{CallGraph, FuncCfg, ModuleCfg};
 use crate::dataflow::{self, Direction, Transfer};
 use crate::liveness::defs_of;
-
-/// The instruction-level fault models the static layer reasons about —
-/// the ARMORY menu restricted to what the register-file injection
-/// campaigns can physically produce.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum FaultModel {
-    /// One bit of a register value flips once (the paper's baseline
-    /// model; what `OooCore::inject` performs).
-    SingleBitFlip,
-    /// A whole byte (or wider field) of a register corrupts at once —
-    /// multi-bit upset. Same reachability as a single flip; more of the
-    /// value is wrong.
-    ByteCorrupt,
-    /// One dynamic instruction is skipped (fetch/decode dropped it).
-    InstrSkip,
-    /// A register bit is stuck at a value: rewrites do not clear the
-    /// corruption.
-    StuckAt,
-}
-
-impl FaultModel {
-    /// Every supported model.
-    pub const ALL: [FaultModel; 4] = [
-        FaultModel::SingleBitFlip,
-        FaultModel::ByteCorrupt,
-        FaultModel::InstrSkip,
-        FaultModel::StuckAt,
-    ];
-
-    /// Stable report name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            FaultModel::SingleBitFlip => "single-bit",
-            FaultModel::ByteCorrupt => "byte-corrupt",
-            FaultModel::InstrSkip => "instr-skip",
-            FaultModel::StuckAt => "stuck-at",
-        }
-    }
-
-    /// Whether a redefinition of the register clears the corruption.
-    pub fn transient(&self) -> bool {
-        !matches!(self, FaultModel::StuckAt)
-    }
-}
-
-impl fmt::Display for FaultModel {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
 
 /// A set of attack-surface sinks a corrupted value can reach.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]

@@ -7,11 +7,12 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use vulnstack_gefin::avf::run_one;
 use vulnstack_gefin::{FuncPrepared, Prepared};
+use vulnstack_isa::FaultModel;
 use vulnstack_llfi::{golden_run, run_one as svf_run_one};
 use vulnstack_microarch::func::{PvfFault, PvfMutation};
 use vulnstack_microarch::ooo::HwStructure;
 use vulnstack_microarch::{CoreModel, FuncCore};
-use vulnstack_vir::interp::{SwFault, SwFaultModel};
+use vulnstack_vir::interp::SwFault;
 use vulnstack_workloads::WorkloadId;
 
 fn bench_injection_layers(c: &mut Criterion) {
@@ -49,7 +50,7 @@ fn bench_injection_layers(c: &mut Criterion) {
     let sw = SwFault {
         target: golden.injectable / 2,
         bit: 11,
-        model: SwFaultModel::BitFlip,
+        model: FaultModel::BitFlip,
     };
     g.bench_function(BenchmarkId::new("svf_run", "crc32"), |b| {
         b.iter(|| svf_run_one(&w.module, &w.input, &golden, sw));

@@ -407,6 +407,198 @@ pub mod case_study {
     }
 }
 
+pub mod speedup {
+    //! The frame the two speedup ablations share
+    //! (`ablation_checkpoint_speedup`, `ablation_pruning_speedup`):
+    //! qsort/A72/RF prepared once, two timed passes over the same sites,
+    //! their records asserted bit-identical, a two-row speedup table,
+    //! `results/BENCH_<bench>.json`, and the fast pass's campaign metrics
+    //! exported beside it. Each binary brings its two passes and its own
+    //! JSON fields.
+
+    use std::time::Instant;
+
+    use vulnstack_core::effects::Tally;
+    use vulnstack_core::report::{write_atomic, Table};
+    use vulnstack_core::trace::{CampaignMetrics, MetricsReport};
+    use vulnstack_gefin::{
+        default_faults, default_threads, InjectionPlan, InjectionRecord, Prepared, PruneStats,
+    };
+    use vulnstack_microarch::ooo::HwStructure;
+    use vulnstack_microarch::CoreModel;
+    use vulnstack_workloads::WorkloadId;
+
+    use crate::{avf_records, figure_header, master_seed, prepare_or_die, sub_seed};
+
+    const WORKLOAD: WorkloadId = WorkloadId::Qsort;
+    const MODEL: CoreModel = CoreModel::A72;
+    /// The structure both passes inject.
+    pub const STRUCTURE: HwStructure = HwStructure::RegisterFile;
+
+    /// Runs `f` and returns its result with its wall time in seconds.
+    pub fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
+        let start = Instant::now();
+        let out = f();
+        (out, start.elapsed().as_secs_f64())
+    }
+
+    /// One timed pass: its table label, wall time, tally and records in
+    /// sampling order.
+    #[derive(Debug)]
+    pub struct Pass {
+        /// The pass's row in the speedup table.
+        pub label: &'static str,
+        /// Wall time in seconds.
+        pub secs: f64,
+        /// The campaign's tally.
+        pub tally: Tally,
+        /// Every record, in sampling order.
+        pub records: Vec<InjectionRecord>,
+    }
+
+    /// A speedup ablation with its golden run prepared.
+    #[derive(Debug)]
+    pub struct Ablation {
+        /// Names `results/BENCH_<bench>.json` and the metrics files.
+        bench: &'static str,
+        /// Sites per pass (`VULNSTACK_FAULTS`, default 200).
+        pub n: usize,
+        /// Worker threads.
+        pub threads: usize,
+        /// The prepared golden run.
+        pub prep: Prepared,
+        /// Preparation wall time in seconds.
+        pub prep_secs: f64,
+        /// The seed both passes draw their sites from.
+        pub seed: u64,
+    }
+
+    impl Ablation {
+        /// Prints the header `title`, prepares the golden run (timed) and
+        /// derives the passes' seed from `tag`.
+        pub fn prepare(bench: &'static str, title: &str, tag: &str) -> Ablation {
+            let n = default_faults(200);
+            figure_header(title, n);
+            let w = WORKLOAD.build();
+            let (prep, prep_secs) = timed(|| prepare_or_die(&w, MODEL));
+            eprintln!(
+                "  [{WORKLOAD}/{MODEL}] golden = {} cycles, {} checkpoints every {} cycles \
+                 (prepared in {prep_secs:.2}s)",
+                prep.golden.cycles,
+                prep.checkpoints.len(),
+                prep.checkpoints.interval(),
+            );
+            let parts = [WORKLOAD.name(), MODEL.name(), STRUCTURE.name(), tag];
+            Ablation {
+                bench,
+                n,
+                threads: default_threads(),
+                prep,
+                prep_secs,
+                seed: sub_seed(master_seed(), &parts),
+            }
+        }
+
+        /// The metrics collector the pass labelled `label` carries.
+        pub fn metrics(&self, label: &str) -> CampaignMetrics {
+            let n = self.n;
+            CampaignMetrics::new(&format!("{WORKLOAD}/{MODEL}/{STRUCTURE} {label} n={n}"))
+        }
+
+        /// A bit-flip AVF campaign under `plan` as one timed pass, plus
+        /// the pruner's accounting (pruned plans).
+        pub fn avf_pass(
+            &self,
+            label: &'static str,
+            plan: &InjectionPlan,
+            metrics: Option<&CampaignMetrics>,
+        ) -> (Pass, Option<PruneStats>) {
+            let ((r, stats, records), secs) =
+                timed(|| avf_records(&self.prep, STRUCTURE, plan, metrics));
+            let tally = r.tally;
+            (
+                Pass {
+                    label,
+                    secs,
+                    tally,
+                    records,
+                },
+                stats,
+            )
+        }
+
+        /// Asserts that both passes produced bit-identical records and
+        /// tallies, prints the two-row table (first column `column`) and
+        /// returns the speedup of `fast` over `base`.
+        pub fn compare(&self, column: &str, base: &Pass, fast: &Pass) -> f64 {
+            assert_eq!(
+                base.records, fast.records,
+                "both passes must produce bit-identical per-injection records"
+            );
+            assert_eq!(base.tally, fast.tally);
+            let speedup = base.secs / fast.secs.max(1e-9);
+            let mut t = Table::new(&[column, "seconds", "inj/s", "speedup"]);
+            for (pass, ratio) in [(base, 1.0), (fast, speedup)] {
+                t.row(&[
+                    pass.label.to_string(),
+                    format!("{:.3}", pass.secs),
+                    format!("{:.1}", self.n as f64 / pass.secs),
+                    format!("{ratio:.2}x"),
+                ]);
+            }
+            println!("{}", t.render());
+            speedup
+        }
+
+        /// Writes `results/BENCH_<bench>.json` (the configuration, then
+        /// `fields`, the binary's own comma-separated fields, then
+        /// `"records_identical":true`; exits 1 if it cannot, since CI
+        /// checks the file), prints the `campaign metrics:` line with
+        /// `detail` after the throughput, and writes the metrics files.
+        pub fn finish(
+            &self,
+            fields: &str,
+            metrics: &CampaignMetrics,
+            detail: impl FnOnce(&MetricsReport) -> String,
+        ) {
+            let json = format!(
+                "{{\"bench\":\"{}\",\"workload\":\"{}\",\"model\":\"{}\",\
+                 \"structure\":\"{}\",\"n\":{},\"threads\":{},\"golden_cycles\":{},\
+                 {fields},\"records_identical\":true}}\n",
+                self.bench,
+                WORKLOAD.name(),
+                MODEL.name(),
+                STRUCTURE.name(),
+                self.n,
+                self.threads,
+                self.prep.golden.cycles,
+            );
+            let path = format!("results/BENCH_{}.json", self.bench);
+            if let Err(e) = std::fs::create_dir_all("results")
+                .and_then(|()| write_atomic(&path, json.as_bytes()))
+            {
+                eprintln!("error: could not write {path}: {e}");
+                std::process::exit(1);
+            }
+            eprintln!("  wrote {path}");
+
+            let report = metrics.report();
+            println!(
+                "campaign metrics: {:.1} inj/s over {} workers | {}",
+                report.throughput(),
+                report.per_worker.len(),
+                detail(&report),
+            );
+            match report.write_files("results", self.bench) {
+                Ok((mp, tp)) => {
+                    eprintln!("  wrote {mp} and {tp} (open in chrome://tracing or Perfetto)");
+                }
+                Err(e) => eprintln!("  (could not write metrics files: {e})"),
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

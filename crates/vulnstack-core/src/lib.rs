@@ -41,12 +41,8 @@ pub mod trace;
 pub use campaign::{Campaign, CampaignRun, RunOpts, TallyStreamed};
 pub use effects::{FaultEffect, Tally, VulnFactor};
 pub use fair::{FairPool, Participant};
-// The runtime fault model lives beside the core it corrupts; re-exported
-// here so software-level engines (llfi) share one type without a direct
-// microarch dependency in their own code.
 pub use journal::{Fingerprint, Journal, JournalError, JournalOpts, ResumeMode, ResumeStats};
 pub use sched::{Admission, ClaimGate, Quarantine};
 pub use sink::{Collector, RecordTee, SinkHandle, SinkSummary, StreamOpts};
 pub use stack::{FpmDist, StructureAvf, WeightedAvf};
 pub use trace::{CampaignMetrics, MetricsReport, Span, WorkerReport};
-pub use vulnstack_microarch::FaultModel;

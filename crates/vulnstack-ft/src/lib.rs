@@ -330,7 +330,8 @@ fn harden_function(f: &mut Function) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vulnstack_vir::interp::{Interpreter, RunStatus, SwFault, SwFaultModel};
+    use vulnstack_isa::FaultModel;
+    use vulnstack_vir::interp::{Interpreter, RunStatus, SwFault};
     use vulnstack_workloads::WorkloadId;
 
     #[test]
@@ -396,7 +397,7 @@ mod tests {
                 .with_fault(SwFault {
                     target,
                     bit: (i % 31) as u8,
-                    model: SwFaultModel::BitFlip,
+                    model: FaultModel::BitFlip,
                 })
                 .run()
                 .unwrap();

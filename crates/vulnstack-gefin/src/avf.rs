@@ -9,8 +9,8 @@ use vulnstack_core::sched::{self, Quarantine};
 use vulnstack_core::stack::FpmDist;
 use vulnstack_core::trace::CampaignMetrics;
 use vulnstack_core::{Campaign, ResumeStats, RunOpts};
-use vulnstack_microarch::ooo::{FaultModel, Fpm, HwStructure};
-use vulnstack_microarch::{FaultTrace, OooCore, RunStatus};
+use vulnstack_microarch::ooo::{Fpm, HwStructure};
+use vulnstack_microarch::{FaultModel, FaultTrace, OooCore, RunStatus};
 
 use crate::prepare::Prepared;
 use crate::prune::{plan_model_sites, InjectionPlan, PruneStats, Pruner};
@@ -34,7 +34,7 @@ pub struct InjectionRecord {
     /// Injection cycle.
     pub cycle: u64,
     /// Site index within the fault model's site space over the structure
-    /// (flat bit for bit-granular models; see [`FaultModel::sites`]).
+    /// (flat bit for bit-granular models; see [`HwStructure::sites`]).
     pub bit: u64,
     /// The fault model injected.
     pub model: FaultModel,
@@ -246,7 +246,7 @@ pub fn draw_sites(prep: &Prepared, structure: HwStructure, n: usize, seed: u64) 
 pub fn canonical_models(models: &[FaultModel], structure: HwStructure) -> Vec<FaultModel> {
     FaultModel::ALL
         .into_iter()
-        .filter(|m| models.contains(m) && m.applies_to(structure))
+        .filter(|&m| models.contains(&m) && structure.admits(m))
         .collect()
 }
 
@@ -280,7 +280,7 @@ pub fn draw_model_sites(
         .map(|_| {
             let model = models[rng.gen_range(0..models.len())];
             let cycle = rng.gen_range(1..=prep.golden.cycles);
-            let bit = rng.gen_range(0..model.sites(structure, &prep.cfg));
+            let bit = rng.gen_range(0..structure.sites(model, &prep.cfg));
             ModelSite { cycle, bit, model }
         })
         .collect()

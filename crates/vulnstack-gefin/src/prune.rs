@@ -352,7 +352,7 @@ impl ClassTable {
     /// `inject_model`).
     pub fn classify_model(&self, cycle: u64, bit: u64, model: FaultModel) -> SiteClass {
         assert!(
-            model.applies_to(self.structure),
+            self.structure.admits(model),
             "{model} does not apply to {}",
             self.structure
         );
@@ -575,11 +575,6 @@ impl<'a> Pruner<'a> {
                 .as_ref()
                 .map(|c| c.static_dead_fraction(self.nphys)),
         }
-    }
-
-    /// The static oracle, if one applies to this structure.
-    pub fn static_oracle(&self) -> Option<&StaticClassifier> {
-        self.static_pre.as_ref()
     }
 
     /// Serves one bit-flip site, bit-identical to
@@ -922,7 +917,7 @@ pub fn plan_model_sites(
             models
                 .into_iter()
                 .flat_map(|model| {
-                    (0..model.sites(structure, &prep.cfg)).map(move |bit| ModelSite {
+                    (0..structure.sites(model, &prep.cfg)).map(move |bit| ModelSite {
                         cycle,
                         bit,
                         model,

@@ -133,11 +133,7 @@ fn run_encoding(
         }
         let bit = candidates[rng.gen_range(0..candidates.len())];
         core.poke_bit(pc + bit / 8, (bit % 8) as u8);
-        while !core.ended() && core.icount() < prep.budget {
-            core.step();
-        }
-        let out = core.into_outcome();
-        return classify_outcome(prep, &out);
+        return classify_outcome(prep, &core.run(prep.budget));
     }
     // Could not place a fault of this class: architecturally masked.
     FaultEffect::Masked

@@ -15,6 +15,10 @@
 //! what produces the paper's Wrong Instruction (WI) and Wrong Operand or
 //! Immediate (WOI) fault propagation models.
 //!
+//! Every layer depends on this crate, so it also holds what the layers
+//! share: the copy-on-write memory ([`CowMem`]) and the fault-model menu
+//! ([`FaultModel`]) that every injector and the static analyzer take.
+//!
 //! # Example
 //!
 //! ```
@@ -31,6 +35,7 @@ pub mod abi;
 pub mod bits;
 pub mod disasm;
 pub mod encode;
+pub mod fault;
 pub mod fields;
 pub mod instr;
 pub mod isa;
@@ -41,6 +46,7 @@ pub mod sysreg;
 pub mod trap;
 
 pub use abi::{CallConv, Syscall};
+pub use fault::FaultModel;
 pub use fields::{classify_bit, BitClass};
 pub use instr::{Instr, SrcRole};
 pub use isa::Isa;

@@ -26,7 +26,8 @@ use rand::{Rng, SeedableRng};
 use vulnstack_core::effects::{FaultEffect, Tally};
 use vulnstack_core::journal::{fnv1a64, Fingerprint};
 use vulnstack_core::trace::CampaignMetrics;
-use vulnstack_core::{Campaign, FaultModel, JournalError, RunOpts, TallyStreamed};
+use vulnstack_core::{Campaign, JournalError, RunOpts, TallyStreamed};
+use vulnstack_isa::FaultModel;
 use vulnstack_microarch::snapshot::{self, CheckpointStore};
 use vulnstack_vir::instr::InstrClass;
 use vulnstack_vir::interp::{InterpState, Interpreter, RunOutcome, RunStatus, SwFault};

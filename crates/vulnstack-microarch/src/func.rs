@@ -14,7 +14,7 @@
 
 use std::collections::HashSet;
 
-use vulnstack_isa::{CowMem, Instr, Isa, Op, Reg, SysReg, Trap, TrapCause};
+use vulnstack_isa::{CowMem, FaultModel, Instr, Isa, Op, Reg, SysReg, Trap, TrapCause};
 use vulnstack_kernel::kdata::{off, KStatus};
 use vulnstack_kernel::memmap::{self, AccessKind};
 use vulnstack_kernel::SystemImage;
@@ -114,7 +114,7 @@ pub struct FuncCore {
     icount: u64,
     fault: Option<PvfFault>,
     /// One-shot: the next fetched instruction is replaced by a NOP
-    /// (instruction-skip fault model).
+    /// ([`FaultModel::InstrSkip`]).
     pending_skip: bool,
     /// Persistent stuck-at cell: `(reg, bit, value)` re-asserted after
     /// every executed instruction.
@@ -218,36 +218,29 @@ impl FuncCore {
         }
     }
 
-    /// Flips one bit of an architectural register directly.
-    pub fn poke_reg_bit(&mut self, reg: Reg, bit: u8) {
-        let v = self.regs[reg.index()] ^ (1u64 << (bit as u32 % self.isa.xlen()));
-        self.regs[reg.index()] = exec::trunc(self.isa, v);
-    }
-
-    /// Inverts one whole byte of an architectural register (byte-wide
-    /// corruption fault model).
-    pub fn poke_reg_byte(&mut self, reg: Reg, byte: u8) {
-        let xlen_bytes = self.isa.xlen() / 8;
-        let b = u32::from(byte) % xlen_bytes;
-        let v = self.regs[reg.index()] ^ (0xFFu64 << (8 * b));
-        self.regs[reg.index()] = exec::trunc(self.isa, v);
-    }
-
-    /// Arms a one-shot instruction skip: the next instruction this core
-    /// would execute is replaced by a NOP (PC advances, nothing else
-    /// happens).
-    pub fn skip_next_instr(&mut self) {
-        self.pending_skip = true;
-    }
-
-    /// Arms a persistent stuck-at cell: flips `bit` of `reg` now and
-    /// forces it back to the flipped value after every subsequent
-    /// instruction, modelling a permanently-failed latch.
-    pub fn set_stuck_reg(&mut self, reg: Reg, bit: u8) {
-        let b = bit as u32 % self.isa.xlen();
-        let val = (self.regs[reg.index()] >> b) & 1 == 0;
-        self.poke_reg_bit(reg, bit);
-        self.stuck_reg = Some((reg, b as u8, val));
+    /// Injects a fault of `model` into architectural register `reg`, as
+    /// [`OooCore::inject_model`](crate::OooCore::inject_model) does into
+    /// a hardware structure. `bit` (taken modulo XLEN) is the bit that
+    /// flips, or sticks at its complement, and selects the byte that
+    /// [`FaultModel::ByteCorrupt`] inverts. [`FaultModel::InstrSkip`]
+    /// ignores `reg` and `bit`: the next instruction this core would
+    /// execute is replaced by a NOP (PC advances, nothing else happens).
+    pub fn inject_reg(&mut self, reg: Reg, bit: u8, model: FaultModel) {
+        let b = u32::from(bit) % self.isa.xlen();
+        let delta = match model {
+            FaultModel::InstrSkip => {
+                self.pending_skip = true;
+                return;
+            }
+            FaultModel::ByteCorrupt => 0xFFu64 << (b & !7),
+            FaultModel::BitFlip => 1u64 << b,
+            FaultModel::StuckAt => {
+                let val = (self.regs[reg.index()] >> b) & 1 == 0;
+                self.stuck_reg = Some((reg, b as u8, val));
+                1u64 << b
+            }
+        };
+        self.regs[reg.index()] = exec::trunc(self.isa, self.regs[reg.index()] ^ delta);
     }
 
     /// True once the run has reached a terminal state.
@@ -340,8 +333,7 @@ impl FuncCore {
             if f.at_instr == self.icount {
                 match f.mutation {
                     PvfMutation::FlipReg { reg, bit } => {
-                        let v = self.regs[reg.index()] ^ (1u64 << (bit as u32 % self.isa.xlen()));
-                        self.regs[reg.index()] = exec::trunc(self.isa, v);
+                        self.inject_reg(reg, bit, FaultModel::BitFlip);
                     }
                     PvfMutation::FlipMem { addr, bit } => self.poke_bit(addr, bit),
                 }
@@ -793,7 +785,7 @@ mod tests {
         let mut restored = store.restore(k);
         restored.poke_bit(memmap::USER_TEXT, 0);
         restored.poke_bit(memmap::USER_STACK_TOP - 4, 3);
-        restored.poke_reg_bit(Reg(1), 2);
+        restored.inject_reg(Reg(1), 2, FaultModel::BitFlip);
         while restored.icount() < 1_000_000 && restored.step() {}
         assert_eq!(store.nearest(k), &snap);
         assert_ne!(&restored, &snap);

@@ -29,6 +29,7 @@ pub mod snapshot;
 pub use config::{CoreConfig, CoreModel};
 pub use func::FuncCore;
 pub use lifetime::{FaultEvent, FaultEventKind, FaultTrace, LifetimeCounts};
-pub use ooo::{FaultModel, OooCore};
+pub use ooo::OooCore;
 pub use outcome::{RunStatus, SimOutcome};
 pub use snapshot::CheckpointStore;
+pub use vulnstack_isa::FaultModel;

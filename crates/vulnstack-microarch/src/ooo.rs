@@ -18,7 +18,7 @@
 
 use std::collections::VecDeque;
 
-use vulnstack_isa::{classify_bit, BitClass, Instr, Isa, Op, Reg, Trap, TrapCause};
+use vulnstack_isa::{classify_bit, BitClass, FaultModel, Instr, Isa, Op, Reg, Trap, TrapCause};
 use vulnstack_kernel::kdata::{off, KStatus};
 use vulnstack_kernel::memmap::{self, AccessKind};
 use vulnstack_kernel::SystemImage;
@@ -119,6 +119,30 @@ impl HwStructure {
             HwStructure::L2 => cfg.l2.data_bits(),
         }
     }
+
+    /// True if `model` can target this structure. Byte corruption is
+    /// modelled for the RF and LSQ storage arrays (cache lines already
+    /// take flat-bit flips only); stuck-at cells are modelled in the RF;
+    /// instruction skip is a dispatch-stage fault enumerated under the
+    /// core's RF structure.
+    pub fn admits(self, model: FaultModel) -> bool {
+        match model {
+            FaultModel::BitFlip => true,
+            FaultModel::ByteCorrupt => matches!(self, HwStructure::RegisterFile | HwStructure::Lsq),
+            FaultModel::InstrSkip | FaultModel::StuckAt => self == HwStructure::RegisterFile,
+        }
+    }
+
+    /// Size of `model`'s site space over this structure under `cfg`:
+    /// flat bits for bit-granular models, aligned bytes for byte
+    /// corruption, and a single dispatch-slot site for instruction skip.
+    pub fn sites(self, model: FaultModel, cfg: &CoreConfig) -> u64 {
+        match model {
+            FaultModel::BitFlip | FaultModel::StuckAt => self.bits(cfg),
+            FaultModel::ByteCorrupt => self.bits(cfg) / 8,
+            FaultModel::InstrSkip => 1,
+        }
+    }
 }
 
 impl std::fmt::Display for HwStructure {
@@ -136,113 +160,6 @@ impl std::str::FromStr for HwStructure {
             .into_iter()
             .find(|x| x.name().eq_ignore_ascii_case(s))
             .ok_or_else(|| format!("unknown structure {s}"))
-    }
-}
-
-/// Runtime fault model for dynamic injection (ARMORY-style multi-model
-/// campaigns). Mirrors the static `vulnstack-analyze` model enum; names
-/// match so records and reports line up across the stack.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum FaultModel {
-    /// Transient single-bit flip (the legacy model).
-    BitFlip,
-    /// Transient byte-wide corruption: XOR `0xFF` over one aligned byte.
-    ByteCorrupt,
-    /// One-shot instruction skip: the next successfully decoded
-    /// instruction dispatches as a NOP.
-    InstrSkip,
-    /// Persistent stuck-at: the faulted cell re-asserts its stuck value
-    /// on every subsequent write to the faulted register.
-    StuckAt,
-}
-
-impl FaultModel {
-    /// All four models.
-    pub const ALL: [FaultModel; 4] = [
-        FaultModel::BitFlip,
-        FaultModel::ByteCorrupt,
-        FaultModel::InstrSkip,
-        FaultModel::StuckAt,
-    ];
-
-    /// Stable report/codec name (matches `vulnstack-analyze`).
-    pub fn name(self) -> &'static str {
-        match self {
-            FaultModel::BitFlip => "bit-flip",
-            FaultModel::ByteCorrupt => "byte-corrupt",
-            FaultModel::InstrSkip => "instr-skip",
-            FaultModel::StuckAt => "stuck-at",
-        }
-    }
-
-    /// Inverse of [`FaultModel::name`] (journal record decode).
-    pub fn from_name(s: &str) -> Option<FaultModel> {
-        FaultModel::ALL.into_iter().find(|m| m.name() == s)
-    }
-
-    /// Parses a model set: `all`, or comma-separated names.
-    ///
-    /// # Errors
-    ///
-    /// The first name that is not a model.
-    pub fn parse_list(list: &str) -> Result<Vec<FaultModel>, String> {
-        if list == "all" {
-            return Ok(FaultModel::ALL.to_vec());
-        }
-        list.split(',').map(str::parse).collect()
-    }
-
-    /// True for models whose corruption is a one-time value change that
-    /// a subsequent write fully repairs (the transient *value* models).
-    /// Stuck-at re-corrupts on writes; a pending skip is not a value
-    /// corruption at all.
-    pub fn transient_value(self) -> bool {
-        matches!(self, FaultModel::BitFlip | FaultModel::ByteCorrupt)
-    }
-
-    /// True if this model can target `structure`. Byte corruption is
-    /// modelled for the RF and LSQ storage arrays (cache lines already
-    /// take flat-bit flips only); stuck-at cells are modelled in the RF;
-    /// instruction skip is a dispatch-stage fault enumerated under the
-    /// core's RF structure.
-    pub fn applies_to(self, structure: HwStructure) -> bool {
-        match self {
-            FaultModel::BitFlip => true,
-            FaultModel::ByteCorrupt => {
-                matches!(structure, HwStructure::RegisterFile | HwStructure::Lsq)
-            }
-            FaultModel::InstrSkip | FaultModel::StuckAt => {
-                matches!(structure, HwStructure::RegisterFile)
-            }
-        }
-    }
-
-    /// Size of this model's site space over `structure` under `cfg`:
-    /// flat bits for bit-granular models, aligned bytes for byte
-    /// corruption, and a single dispatch-slot site for instruction skip.
-    pub fn sites(self, structure: HwStructure, cfg: &CoreConfig) -> u64 {
-        match self {
-            FaultModel::BitFlip | FaultModel::StuckAt => structure.bits(cfg),
-            FaultModel::ByteCorrupt => structure.bits(cfg) / 8,
-            FaultModel::InstrSkip => 1,
-        }
-    }
-}
-
-impl std::fmt::Display for FaultModel {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-impl std::str::FromStr for FaultModel {
-    type Err = String;
-
-    /// Parses [`FaultModel::name`], ignoring surrounding whitespace.
-    fn from_str(s: &str) -> Result<FaultModel, String> {
-        FaultModel::from_name(s.trim()).ok_or_else(|| {
-            format!("unknown fault model {s} (expected bit-flip|byte-corrupt|instr-skip|stuck-at, or all)")
-        })
     }
 }
 
@@ -839,7 +756,7 @@ impl OooCore {
     }
 
     /// Injects a fault of `model` into `structure` at site index `bit`
-    /// over the model's site space ([`FaultModel::sites`]): flat bits
+    /// over the model's site space ([`HwStructure::sites`]): flat bits
     /// for bit-granular models, aligned byte indices for byte
     /// corruption, and the single site `0` for instruction skip.
     ///
@@ -851,7 +768,7 @@ impl OooCore {
     /// counts under exhaustive enumeration.
     pub fn inject_model(&mut self, structure: HwStructure, bit: u64, model: FaultModel) {
         assert!(
-            model.applies_to(structure),
+            structure.admits(model),
             "fault model {model} does not apply to {structure}"
         );
         let xlen = self.isa.xlen();
@@ -901,7 +818,7 @@ impl OooCore {
             (FaultModel::BitFlip, HwStructure::L2) => {
                 self.mem.flip_bit(Level::L2, bit);
             }
-            _ => unreachable!("applies_to checked above"),
+            _ => unreachable!("admits checked above"),
         }
         if let Some(ft) = &mut self.ftrace {
             ft.push(self.cycle, FaultEventKind::Injected { structure, bit });
@@ -2169,8 +2086,8 @@ impl OooCore {
         self.ftrace_push(FaultEventKind::ProvenHang);
     }
 
-    /// True if the affine non-termination prover ([`crate::runaway`])
-    /// certifies that this run's terminal status is `Timeout`: the
+    /// True if the affine non-termination prover (the private `runaway`
+    /// module) certifies that this run's terminal status is `Timeout`: the
     /// committed stream is locked into a loop that provably cannot
     /// branch out, trap, or halt before `budget` cycles elapse. Requires
     /// a recording commit trace ([`OooCore::enable_trace`]); returns
@@ -2187,41 +2104,6 @@ impl OooCore {
             return false;
         }
         crate::runaway::cannot_end_before(self, budget)
-    }
-
-    /// Dumps pipeline state to stderr (debugging aid).
-    pub fn dump_state(&self) {
-        eprintln!(
-            "cycle={} committed={} mode={:?} fetch_pc={:#x} halted={} stall_until={} rob={} iq={} fq={} free={}",
-            self.cycle,
-            self.committed,
-            self.mode,
-            self.fetch_pc,
-            self.fetch_halted,
-            self.fetch_stall_until,
-            self.rob.len(),
-            self.iq.len(),
-            self.fetch_queue.len(),
-            self.free_count(),
-        );
-        for (i, e) in self.rob.iter().take(6).enumerate() {
-            eprintln!(
-                "  rob[{i}] seq={} pc={:#x} {} kind={:?} done={} exc={:?} srcs={:?} dest={:?}",
-                e.seq, e.pc, e.instr, e.kind, e.done, e.exception, e.srcs, e.dest
-            );
-        }
-        for e in self.iq.iter().take(8) {
-            if let Some(idx) = self.rob_index(e.seq) {
-                let r = &self.rob[idx];
-                let ready: Vec<bool> = r
-                    .srcs
-                    .iter()
-                    .flatten()
-                    .map(|&p| self.phys_ready[p as usize])
-                    .collect();
-                eprintln!("  iq seq={} {} ready={:?}", e.seq, r.instr, ready);
-            }
-        }
     }
 
     /// Consumes the core after a manual stepping session, producing the
@@ -2578,13 +2460,5 @@ mod tests {
         core.write_phys(p as PReg, before);
         assert!(core.rf_taint.is_none());
         assert!(core.fault_extinct());
-    }
-
-    #[test]
-    fn fault_model_names_roundtrip() {
-        for m in FaultModel::ALL {
-            assert_eq!(FaultModel::from_name(m.name()), Some(m));
-        }
-        assert_eq!(FaultModel::from_name("gamma-ray"), None);
     }
 }

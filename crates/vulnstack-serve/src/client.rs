@@ -1,7 +1,7 @@
 //! Client-side protocol driver: connect, submit, stream, collect.
 //!
 //! Used by `vulnstack client` and by the integration harness. The
-//! high-level [`run_campaign`] call performs the canonical client
+//! high-level [`Client::run_campaign`] call performs the canonical client
 //! session — submit, subscribe, drain the stream, return the final
 //! report — and is what CI's smoke test `cmp`s against `vulnstack avf
 //! --json`.

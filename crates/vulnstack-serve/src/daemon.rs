@@ -1,7 +1,7 @@
 //! The campaign daemon: accept loop, session state, verb dispatch.
 //!
 //! One daemon multiplexes many campaigns over one shared
-//! [`FairPool`](vulnstack_core::FairPool): every campaign keeps its own
+//! [`FairPool`]: every campaign keeps its own
 //! engine worker threads, but each injection site must be admitted
 //! through the campaign's pool [`Participant`] — a stride scheduler
 //! that rations slots by tenant priority, so a low-priority bulk sweep

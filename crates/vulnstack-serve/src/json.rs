@@ -16,7 +16,7 @@ use std::fmt::Write as _;
 pub const MAX_DEPTH: usize = 32;
 
 /// A parsed JSON value. Object keys are sorted (`BTreeMap`), which also
-/// makes [`write`] canonical: the same value always serializes to the
+/// makes [`write()`] canonical: the same value always serializes to the
 /// same bytes — the property campaign IDs rely on.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {

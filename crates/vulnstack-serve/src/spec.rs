@@ -310,7 +310,7 @@ impl CampaignSpec {
         }
         // The avf engine cannot draw a site from an empty model set (a
         // daemon campaign would die without reporting).
-        if engine == Engine::Avf && !spec.models.iter().any(|m| m.applies_to(spec.structure)) {
+        if engine == Engine::Avf && !spec.models.iter().any(|&m| spec.structure.admits(m)) {
             let st = spec.structure;
             return Err(format!("no fault model in --models applies to {st}"));
         }

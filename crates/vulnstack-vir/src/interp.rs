@@ -15,7 +15,7 @@
 
 use std::borrow::Cow;
 
-use vulnstack_isa::{CowMem, Syscall, TrapCause};
+use vulnstack_isa::{CowMem, FaultModel, Syscall, TrapCause};
 
 use crate::instr::VInstr;
 use crate::module::Module;
@@ -32,27 +32,6 @@ const STACK_GUARD: u32 = 0x1000;
 /// Cap on accumulated program output, bounding memory under faults.
 const OUTPUT_CAP: usize = 1 << 22;
 
-/// What a software-level fault does to the targeted dynamic
-/// instruction. This is VIR's own copy of the runtime fault-model
-/// vocabulary (`vulnstack-vir` depends only on the ISA crate, so it
-/// cannot name `vulnstack_microarch::FaultModel`); `vulnstack-llfi`
-/// converts between the two.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SwFaultModel {
-    /// Flip one bit of the destination value (the classic LLFI fault).
-    #[default]
-    BitFlip,
-    /// XOR the destination byte containing `bit` with `0xFF`.
-    ByteCorrupt,
-    /// Suppress the destination write entirely: the register keeps its
-    /// stale value, as if the instruction were skipped.
-    InstrSkip,
-    /// Flip `bit` and leave the destination register's cell stuck at
-    /// the flipped value: every later write to the same register in the
-    /// same function re-asserts it.
-    StuckAt,
-}
-
 /// A single software-level fault: corrupt, under `model`, the
 /// destination value of the `target`-th dynamic *injectable*
 /// (value-producing) instruction.
@@ -63,11 +42,15 @@ pub struct SwFault {
     /// Zero-based dynamic index among injectable instructions.
     pub target: u64,
     /// Bit to corrupt in the 32-bit destination value (selects the
-    /// byte for [`SwFaultModel::ByteCorrupt`]; ignored by
-    /// [`SwFaultModel::InstrSkip`]).
+    /// byte for [`FaultModel::ByteCorrupt`]; ignored by
+    /// [`FaultModel::InstrSkip`]).
     pub bit: u8,
-    /// How the destination is corrupted.
-    pub model: SwFaultModel,
+    /// How the destination is corrupted: a flip or byte inversion of the
+    /// value, a skip that drops the destination write (the register
+    /// keeps its stale value), or a flip whose register cell then stays
+    /// stuck, so every later write to the same register in the same
+    /// function re-asserts it.
+    pub model: FaultModel,
 }
 
 impl SwFault {
@@ -76,7 +59,7 @@ impl SwFault {
         SwFault {
             target,
             bit,
-            model: SwFaultModel::BitFlip,
+            model: FaultModel::BitFlip,
         }
     }
 }
@@ -632,12 +615,12 @@ impl<'m> Interpreter<'m> {
                 if self.st.injectable == fault.target {
                     let b = fault.bit & 31;
                     match fault.model {
-                        SwFaultModel::BitFlip => v = ((v as i32) ^ (1i32 << b)) as i64,
-                        SwFaultModel::ByteCorrupt => {
+                        FaultModel::BitFlip => v = ((v as i32) ^ (1i32 << b)) as i64,
+                        FaultModel::ByteCorrupt => {
                             v = ((v as i32) ^ (0xFFi32 << (b & !7))) as i64;
                         }
-                        SwFaultModel::InstrSkip => suppress = true,
-                        SwFaultModel::StuckAt => {
+                        FaultModel::InstrSkip => suppress = true,
+                        FaultModel::StuckAt => {
                             let val = (v as i32 >> b) & 1 == 0;
                             v = ((v as i32) ^ (1i32 << b)) as i64;
                             self.st.stuck = Some((frame.func, dst, b, val));
@@ -919,7 +902,7 @@ mod tests {
             .with_fault(SwFault {
                 target: 0,
                 bit: 11,
-                model: SwFaultModel::ByteCorrupt,
+                model: FaultModel::ByteCorrupt,
             })
             .run()
             .unwrap();
@@ -942,7 +925,7 @@ mod tests {
             .with_fault(SwFault {
                 target: 1,
                 bit: 0,
-                model: SwFaultModel::InstrSkip,
+                model: FaultModel::InstrSkip,
             })
             .run()
             .unwrap();
@@ -967,7 +950,7 @@ mod tests {
             .with_fault(SwFault {
                 target: 0,
                 bit: 3,
-                model: SwFaultModel::StuckAt,
+                model: FaultModel::StuckAt,
             })
             .run()
             .unwrap();
@@ -1086,15 +1069,9 @@ mod tests {
             .unwrap();
         assert_eq!(paused, plain);
         assert!(snaps.len() > 10);
-        let models = [
-            SwFaultModel::BitFlip,
-            SwFaultModel::ByteCorrupt,
-            SwFaultModel::InstrSkip,
-            SwFaultModel::StuckAt,
-        ];
         for snap in &snaps {
             let at = snap.injectable();
-            for (k, model) in models.into_iter().enumerate() {
+            for (k, model) in FaultModel::ALL.into_iter().enumerate() {
                 let fault = SwFault {
                     target: at + k as u64,
                     bit: 1 + 3 * k as u8,

@@ -210,7 +210,7 @@ fn avf_row(name: &str, count: u64, tally: &Tally, hvf: f64) -> Vec<String> {
 fn swept_structures(models: &[FaultModel]) -> Vec<HwStructure> {
     HwStructure::ALL
         .into_iter()
-        .filter(|&s| models.iter().any(|m| m.applies_to(s)))
+        .filter(|&s| models.iter().any(|&m| s.admits(m)))
         .collect()
 }
 

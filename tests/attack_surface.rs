@@ -9,15 +9,20 @@
 //! Second, the report is not just plausible text: a reported
 //! (site, model) pair is *confirmed by injection* — corrupting exactly
 //! the register the report names, at exactly the reported instruction,
-//! flips a passing bounds check into a kernel kill.
+//! flips a passing bounds check into a kernel kill. The report also
+//! names its models as the injectors do, so every model it lists parses
+//! as a [`FaultModel`].
+
+use std::process::Command;
 
 use vulnstack_analyze::attack::FindingKind;
 use vulnstack_analyze::{attack_surface, build_cfg_segments, AttackReport, TextSegment};
 use vulnstack_compiler::{compile, CompileOpts};
-use vulnstack_isa::{Isa, TrapCause};
+use vulnstack_isa::{FaultModel, Isa, Reg, TrapCause};
 use vulnstack_kernel::{build_kernel, memmap, SystemImage};
 use vulnstack_microarch::func::Mode;
 use vulnstack_microarch::{FuncCore, RunStatus};
+use vulnstack_serve::json::{self, Value};
 use vulnstack_vir::ModuleBuilder;
 
 /// The CLI's `analyze attack kernel` pipeline, as a library call.
@@ -62,6 +67,57 @@ fn kernel_attack_report_matches_golden_file() {
         "kernel attack report drifted from the golden file; if the change \
          is intended, regenerate with VULNSTACK_UPDATE_GOLDEN=1"
     );
+}
+
+#[test]
+fn attack_report_model_names_parse_as_fault_models() {
+    // `vulnstack analyze attack kernel` names each finding's models in
+    // its text report and its JSON; both must be names `--models` and
+    // the daemon spec accept, or a finding cannot be replayed as the
+    // campaign it describes.
+    let json_path =
+        std::env::temp_dir().join(format!("vulnstack-attack-{}.json", std::process::id()));
+    let out = Command::new(env!("CARGO_BIN_EXE_vulnstack"))
+        .args(["analyze", "attack", "kernel", "--json"])
+        .arg(&json_path)
+        .output()
+        .expect("run the CLI");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8(out.stdout).expect("UTF-8 report");
+    let mut lists: Vec<String> = stdout
+        .lines()
+        .filter_map(|l| Some(l.strip_suffix(')')?.rsplit_once("(models: ")?.1.to_string()))
+        .collect();
+    let text_lists = lists.len();
+    let doc = json::parse(&std::fs::read_to_string(&json_path).expect("JSON report"))
+        .expect("valid JSON");
+    std::fs::remove_file(&json_path).expect("remove the JSON report");
+    let Some(Value::Arr(findings)) = doc.get("findings") else {
+        panic!("no findings array");
+    };
+    for f in findings {
+        let Some(Value::Arr(models)) = f.get("models") else {
+            panic!("finding without a models array: {f:?}");
+        };
+        let names: Vec<&str> = models
+            .iter()
+            .map(|m| m.as_str().expect("a model is named by a string"))
+            .collect();
+        lists.push(names.join(","));
+    }
+    assert!(text_lists > 0, "the report lists no models");
+    assert_eq!(
+        lists.len(),
+        2 * text_lists,
+        "one list per finding in each form"
+    );
+    for list in &lists {
+        FaultModel::parse_list(list).unwrap_or_else(|e| panic!("{list}: {e}"));
+    }
 }
 
 #[test]
@@ -150,11 +206,8 @@ fn reported_corruptible_condition_manifests_under_injection() {
         let Some(mut core) = run_to_kernel_pc(&img, target_pc) else {
             continue;
         };
-        core.poke_reg_bit(victim, 0);
-        while !core.ended() && core.icount() < 50_000_000 {
-            core.step();
-        }
-        let out = core.into_outcome();
+        core.inject_reg(victim, 0, FaultModel::BitFlip);
+        let out = core.run(50_000_000);
         if out.status != golden.status || out.output != golden.output {
             manifested.push((target_pc, victim, out.status));
         }
@@ -189,59 +242,32 @@ fn every_fault_model_reproduces_a_static_finding_dynamically() {
     assert_eq!(golden.status, RunStatus::Exited(0));
     assert_eq!(golden.output.len(), 4);
 
-    // (dynamic model, the static taint model it realises, the finding
-    // kind it attacks, the corruption primitive).
-    type Corrupt = fn(&mut FuncCore, vulnstack_isa::Reg);
-    let cases: [(&str, &str, FindingKind, Corrupt); 4] = [
-        (
-            "bit-flip",
-            "single-bit",
-            FindingKind::CorruptibleCondition,
-            |core, r| core.poke_reg_bit(r, 0),
-        ),
-        (
-            "byte-corrupt",
-            "byte-corrupt",
-            FindingKind::CorruptibleCondition,
-            |core, r| core.poke_reg_byte(r, 0),
-        ),
-        (
-            "instr-skip",
-            "instr-skip",
-            FindingKind::SkippableGuard,
-            |core, _| core.skip_next_instr(),
-        ),
-        (
-            "stuck-at",
-            "stuck-at",
-            FindingKind::CorruptibleCondition,
-            |core, r| core.set_stuck_reg(r, 0),
-        ),
-    ];
-
     let mut lines = Vec::new();
-    for (label, static_name, kind, corrupt) in cases {
+    for model in FaultModel::ALL {
+        // A skip attacks a guard; the value models attack its condition.
+        let kind = if model == FaultModel::InstrSkip {
+            FindingKind::SkippableGuard
+        } else {
+            FindingKind::CorruptibleCondition
+        };
         let mut manifested = None;
         for finding in report.of_kind(kind).filter(|f| f.func == "ktrap") {
             assert!(
-                finding.models.iter().any(|m| m.name() == static_name),
-                "{label}: static finding does not claim model {static_name}: {finding}"
+                finding.models.contains(&model),
+                "{model}: static finding does not claim the model: {finding}"
             );
             let target_pc = finding.word_off as u64 * 4;
             let Some(mut core) = run_to_kernel_pc(&img, target_pc) else {
                 continue;
             };
             let victim = finding.regs.first().copied();
-            corrupt(&mut core, victim.unwrap_or(vulnstack_isa::Reg(0)));
-            while !core.ended() && core.icount() < 50_000_000 {
-                core.step();
-            }
-            let out = core.into_outcome();
+            core.inject_reg(victim.unwrap_or(Reg(0)), 0, model);
+            let out = core.run(50_000_000);
             if out.status != golden.status || out.output != golden.output {
                 let rel = (finding.word_off - finding.func_start_word) * 4;
                 let reg = victim.map_or("-".to_string(), |r| format!("r{}", r.0));
                 manifested = Some(format!(
-                    "{label}: ktrap+{rel:#x} [{kind}] reg={reg} -> {:?} output-changed={}",
+                    "{model}: ktrap+{rel:#x} [{kind}] reg={reg} -> {:?} output-changed={}",
                     out.status,
                     out.output != golden.output
                 ));
@@ -249,7 +275,7 @@ fn every_fault_model_reproduces_a_static_finding_dynamically() {
             }
         }
         let line = manifested
-            .unwrap_or_else(|| panic!("{label}: no static ktrap finding manifested dynamically"));
+            .unwrap_or_else(|| panic!("{model}: no static ktrap finding manifested dynamically"));
         lines.push(line);
     }
 

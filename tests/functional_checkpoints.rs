@@ -10,11 +10,11 @@
 use vulnstack_gefin::pvf::{run_indexed, run_indexed_from};
 use vulnstack_gefin::{FuncPrepared, PvfMode};
 use vulnstack_isa::fields::bits_of_class;
-use vulnstack_isa::{BitClass, Isa, Reg};
+use vulnstack_isa::{BitClass, FaultModel, Isa, Reg};
 use vulnstack_llfi::SvfGolden;
 use vulnstack_microarch::func::{PvfFault, PvfMutation};
 use vulnstack_microarch::{FuncCore, SimOutcome};
-use vulnstack_vir::interp::{Interpreter, SwFault, SwFaultModel};
+use vulnstack_vir::interp::{Interpreter, SwFault};
 use vulnstack_vir::Module;
 use vulnstack_workloads::{Workload, WorkloadId};
 
@@ -137,13 +137,6 @@ fn pvf_faults_at_checkpoint_boundaries_resume_exactly() {
     }
 }
 
-const MODELS: [SwFaultModel; 4] = [
-    SwFaultModel::BitFlip,
-    SwFaultModel::ByteCorrupt,
-    SwFaultModel::InstrSkip,
-    SwFaultModel::StuckAt,
-];
-
 /// Runs every fault in `faults` on `module` both ways and requires equal
 /// outcomes.
 fn svf_resumes_exactly(
@@ -181,7 +174,7 @@ fn svf_injections_resume_exactly_plain_and_hardened() {
                 .into_iter()
                 .enumerate()
             {
-                for (m, model) in MODELS.into_iter().enumerate() {
+                for (m, model) in FaultModel::ALL.into_iter().enumerate() {
                     faults.push(SwFault {
                         target: t,
                         bit: (7 * j + 9 * m) as u8 % 32,
@@ -191,7 +184,7 @@ fn svf_injections_resume_exactly_plain_and_hardened() {
             }
             // A sample of the campaign's own sites, each under every model.
             for f in vulnstack_llfi::draw_faults(&golden, 6, 2021) {
-                faults.extend(MODELS.map(|model| SwFault { model, ..f }));
+                faults.extend(FaultModel::ALL.map(|model| SwFault { model, ..f }));
             }
             let label = format!("{id} {label}");
             svf_resumes_exactly(&label, module, &w.input, &golden, &faults);

@@ -190,7 +190,7 @@ fn exhaustive_model_sweep_completes_under_pruning() {
         &models,
         4,
     );
-    let expected: u64 = models.iter().map(|m| m.sites(STRUCTURE, &prep.cfg)).sum();
+    let expected: u64 = models.iter().map(|&m| STRUCTURE.sites(m, &prep.cfg)).sum();
     let stats = stats.expect("exhaustive plans execute through the pruner");
     assert_eq!(stats.sites, expected);
     assert_eq!(records.len() as u64, expected);
@@ -205,7 +205,7 @@ fn exhaustive_model_sweep_completes_under_pruning() {
     assert_eq!(r.per_model, tallies);
     assert_eq!(tallies.len(), models.len());
     for (m, t, _) in &tallies {
-        assert_eq!(t.total(), m.sites(STRUCTURE, &prep.cfg), "{m:?}");
+        assert_eq!(t.total(), STRUCTURE.sites(*m, &prep.cfg), "{m:?}");
     }
     // Spot-check exactness against individual injections at both ends
     // and the middle of the site space.
