@@ -18,6 +18,8 @@ use std::ops::Range;
 use vulnstack_compiler::CompiledModule;
 use vulnstack_isa::op::Format;
 use vulnstack_isa::{Instr, Isa, Op};
+use vulnstack_kernel::asm::AsmError;
+use vulnstack_kernel::{build_kernel, memmap};
 
 /// One decoded (or undecodable) word of the text section.
 #[derive(Debug, Clone)]
@@ -128,6 +130,30 @@ pub fn build_cfg_segments(isa: Isa, segments: &[TextSegment]) -> ModuleCfg {
         funcs,
         undecodable,
     }
+}
+
+/// The kernel's two hand-written text segments, the boot stub (`kboot`)
+/// and the trap handler (`ktrap`), recovered by [`build_cfg_segments`]:
+/// the CFG that `vulnstack analyze attack kernel` reports on.
+///
+/// # Errors
+///
+/// Returns the kernel assembler's error, raised only by an assembler bug.
+pub fn build_kernel_cfg(isa: Isa) -> Result<ModuleCfg, AsmError> {
+    let k = build_kernel(isa)?;
+    let segs = [
+        TextSegment {
+            name: "kboot".to_string(),
+            start_word: memmap::KERNEL_BOOT / 4,
+            words: k.boot,
+        },
+        TextSegment {
+            name: "ktrap".to_string(),
+            start_word: memmap::TRAP_VEC / 4,
+            words: k.trap,
+        },
+    ];
+    Ok(build_cfg_segments(isa, &segs))
 }
 
 /// One call instruction in the module.

@@ -56,7 +56,9 @@ pub mod pvf;
 pub mod taint;
 
 pub use attack::{attack_surface, AttackFinding, AttackReport, FindingKind};
-pub use cfg::{build_cfg, build_cfg_segments, call_graph, CallGraph, ModuleCfg, TextSegment};
+pub use cfg::{
+    build_cfg, build_cfg_segments, build_kernel_cfg, call_graph, CallGraph, ModuleCfg, TextSegment,
+};
 pub use classifier::StaticClassifier;
 pub use lint::{lint_module, Lint, LintKind};
 pub use liveness::{analyze_func, analyze_module, FuncLiveness, ModuleLiveness};

@@ -9,17 +9,21 @@ use vulnstack_gefin::avf::run_one_with;
 use vulnstack_gefin::{
     avf_campaign, decode_record, draw_sites, InjectEngine, InjectionPlan, InjectionRecord, Prepared,
 };
+use vulnstack_kernel::memmap;
 use vulnstack_microarch::ooo::HwStructure;
-use vulnstack_microarch::{CoreModel, FaultModel, OooCore};
+use vulnstack_microarch::{CoreModel, FaultModel};
 use vulnstack_workloads::WorkloadId;
 
 /// The (workload, core, structure) triples under test: a VA64 and a VA32
-/// model, register/LSQ/cache targets.
+/// model, register/LSQ/cache targets, among them the largest cache array
+/// (the A72's 2 MiB L2) and a 3-way one (the A72's L1i).
 fn triples() -> Vec<(WorkloadId, CoreModel, HwStructure)> {
     vec![
         (WorkloadId::Crc32, CoreModel::A72, HwStructure::RegisterFile),
         (WorkloadId::Qsort, CoreModel::A9, HwStructure::L1d),
         (WorkloadId::Crc32, CoreModel::A72, HwStructure::Lsq),
+        (WorkloadId::Qsort, CoreModel::A72, HwStructure::L2),
+        (WorkloadId::Crc32, CoreModel::A72, HwStructure::L1i),
     ]
 }
 
@@ -132,11 +136,26 @@ fn from_checkpoint_constructor_is_a_faithful_copy() {
     let w = WorkloadId::Crc32.build();
     let prep = Prepared::new(&w, CoreModel::A72).unwrap();
     let snap = prep.checkpoints.nearest(prep.golden.cycles / 2);
-    let copy = OooCore::from_checkpoint(snap);
+    let copy = snap.clone();
     assert!(&copy == snap);
-    // Stepping the copy must not be able to affect the original: run the
-    // copy forward and re-compare against a second copy.
-    let mut run = OooCore::from_checkpoint(snap);
+    // Nothing done to a restored core may reach the snapshot it came
+    // from, whose cache and memory pages it shares: flip a bit in every
+    // L1d line and in every 7th L2 line, store across 2 MiB of user data
+    // (dirty evictions from L1d into L2 and from L2 into memory), step
+    // the core forward, then re-compare against a second copy.
+    let mut run = snap.clone();
+    let line_bits = 64 * 8;
+    for line in 0..prep.cfg.l1d.data_bits() / line_bits {
+        run.inject_model(HwStructure::L1d, line * line_bits + 3, FaultModel::BitFlip);
+    }
+    for line in (0..prep.cfg.l2.data_bits() / line_bits).step_by(7) {
+        run.inject_model(HwStructure::L2, line * line_bits + 5, FaultModel::BitFlip);
+    }
+    for i in 0..256 {
+        run.mem.store(memmap::USER_DATA + i * 8192, 8, u64::MAX);
+    }
     run.run_until(snap.cycle() + 100);
-    assert!(OooCore::from_checkpoint(snap) == copy);
+    assert!(run != copy);
+    assert!(&copy == snap);
+    assert!(snap.clone() == copy);
 }

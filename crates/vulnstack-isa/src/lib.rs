@@ -16,8 +16,10 @@
 //! Immediate (WOI) fault propagation models.
 //!
 //! Every layer depends on this crate, so it also holds what the layers
-//! share: the copy-on-write memory ([`CowMem`]) and the fault-model menu
-//! ([`FaultModel`]) that every injector and the static analyzer take.
+//! share: the copy-on-write pages ([`CowPages`]) behind main memory
+//! ([`CowMem`]) and the cycle-level core's caches, and the fault-model
+//! menu ([`FaultModel`]) that every injector and the static analyzer
+//! take.
 //!
 //! # Example
 //!
@@ -50,7 +52,7 @@ pub use fault::FaultModel;
 pub use fields::{classify_bit, BitClass};
 pub use instr::{Instr, SrcRole};
 pub use isa::Isa;
-pub use mem::CowMem;
+pub use mem::{CowMem, CowPages};
 pub use op::Op;
 pub use reg::Reg;
 pub use sysreg::SysReg;

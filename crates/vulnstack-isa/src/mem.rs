@@ -1,6 +1,7 @@
-//! Paged copy-on-write memory: the one main-memory type behind every
-//! simulator layer (the cycle-level core, the functional core and the
-//! VIR interpreter).
+//! Copy-on-write pages ([`CowPages`]) and the paged main memory built on
+//! them ([`CowMem`]), the one main-memory type behind every simulator
+//! layer (the cycle-level core, the functional core and the VIR
+//! interpreter). The cycle-level core's cache arrays are `CowPages` too.
 
 use std::sync::Arc;
 
@@ -8,22 +9,20 @@ use std::sync::Arc;
 /// line-granular fills and writebacks never straddle a page.
 pub const PAGE: usize = 4096;
 
-type Page = [u8; PAGE];
-
-/// One page of a [`CowMem`].
+/// One page of a [`CowPages`].
 #[derive(Clone)]
-enum Slot {
-    /// Never written: reads as zeros and holds no storage.
+enum Slot<T, const N: usize> {
+    /// Never written: reads as `N` default elements and holds no storage.
     Absent,
     /// Possibly shared with clones (checkpoints): copied before a write.
-    Shared(Arc<Page>),
-    /// Owned by this memory alone: written in place, with no reference
-    /// count to check. Cloning the memory copies it.
-    Owned(Box<Page>),
+    Shared(Arc<[T; N]>),
+    /// Owned by this container alone: written in place, with no
+    /// reference count to check. Cloning the container copies it.
+    Owned(Box<[T; N]>),
 }
 
-impl Slot {
-    fn bytes(&self) -> Option<&Page> {
+impl<T, const N: usize> Slot<T, N> {
+    fn elems(&self) -> Option<&[T; N]> {
         match self {
             Slot::Absent => None,
             Slot::Shared(p) => Some(p),
@@ -32,22 +31,118 @@ impl Slot {
     }
 }
 
-/// Flat byte-addressed memory stored as copy-on-write pages.
+/// A fixed number of `N`-element pages stored copy-on-write.
 ///
 /// Checkpointing clones whole simulator states, and a deep copy of a
-/// 4 MiB image would dominate both snapshot and restore cost. Pages make
-/// the copy lazy: after [`CowMem::share`], cloning copies one pointer per
-/// page, snapshots share every page the run never rewrites, and the first
-/// write to a shared page copies just that page into one this memory
-/// owns, which later writes update in place. A page nothing has written
-/// is absent and reads as zeros, so cloning a mostly empty memory copies
-/// a few page pointers and no page.
+/// memory image or a cache array would dominate both snapshot and
+/// restore cost. Pages make the copy lazy: after [`CowPages::share`],
+/// cloning copies one pointer per page, snapshots share every page the
+/// run never rewrites, and the first write to a shared page copies just
+/// that page into one this container owns, which later writes update in
+/// place. A page nothing has written is absent and reads as default
+/// elements, so cloning a mostly untouched container copies a few page
+/// pointers and no page.
 ///
 /// Equality compares contents: pages shared by pointer are equal without
-/// a comparison, and an absent page equals an all-zero one.
+/// a comparison, and an absent page equals an all-default one.
 #[derive(Clone)]
+pub struct CowPages<T, const N: usize> {
+    pages: Vec<Slot<T, N>>,
+}
+
+impl<T: Copy + Default + Eq, const N: usize> CowPages<T, N> {
+    /// `pages` pages of default elements.
+    pub fn new(pages: usize) -> CowPages<T, N> {
+        CowPages {
+            pages: vec![Slot::Absent; pages],
+        }
+    }
+
+    /// Number of pages.
+    pub fn pages(&self) -> usize {
+        self.pages.len()
+    }
+
+    /// Number of pages that hold storage (written at least once).
+    pub fn resident_pages(&self) -> usize {
+        self.pages.iter().filter(|p| p.elems().is_some()).count()
+    }
+
+    /// Turns every page this container owns into a shared one, so that
+    /// clones copy page pointers instead of pages. Call it before cloning
+    /// a state into a checkpoint: a clone of an owned page is a copy.
+    pub fn share(&mut self) {
+        for slot in &mut self.pages {
+            if let Slot::Owned(p) = slot {
+                *slot = Slot::Shared(Arc::new(**p));
+            }
+        }
+    }
+
+    /// Page `page`, or `None` if nothing has written it (every element
+    /// is the default).
+    #[inline]
+    pub fn page(&self, page: usize) -> Option<&[T; N]> {
+        self.pages[page].elems()
+    }
+
+    /// A writable view of page `page`, materialising an absent page as
+    /// defaults and copying a shared one into an owned page first.
+    #[inline]
+    pub fn page_mut(&mut self, page: usize) -> &mut [T; N] {
+        if !matches!(self.pages[page], Slot::Owned(_)) {
+            self.make_owned(page);
+        }
+        match &mut self.pages[page] {
+            Slot::Owned(p) => p,
+            _ => unreachable!("the page was just made owned"),
+        }
+    }
+
+    #[cold]
+    fn make_owned(&mut self, page: usize) {
+        let slot = &mut self.pages[page];
+        let owned = match slot {
+            Slot::Shared(p) => Box::new(**p),
+            _ => Box::new([T::default(); N]),
+        };
+        *slot = Slot::Owned(owned);
+    }
+}
+
+impl<T: Copy + Default + Eq, const N: usize> PartialEq for CowPages<T, N> {
+    fn eq(&self, other: &Self) -> bool {
+        self.pages.len() == other.pages.len()
+            && self
+                .pages
+                .iter()
+                .zip(&other.pages)
+                .all(|(a, b)| match (a.elems(), b.elems()) {
+                    (Some(a), Some(b)) => std::ptr::eq(a, b) || a == b,
+                    (None, None) => true,
+                    (Some(p), None) | (None, Some(p)) => p.iter().all(|x| *x == T::default()),
+                })
+    }
+}
+
+impl<T: Copy + Default + Eq, const N: usize> Eq for CowPages<T, N> {}
+
+impl<T: Copy + Default + Eq, const N: usize> std::fmt::Debug for CowPages<T, N> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("CowPages")
+            .field("pages", &self.pages())
+            .field("page_len", &N)
+            .field("resident_pages", &self.resident_pages())
+            .finish()
+    }
+}
+
+/// Flat byte-addressed memory stored as copy-on-write [`PAGE`]-byte
+/// pages (see [`CowPages`]): a snapshot of it copies page pointers, and
+/// a never-written page reads as zeros.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CowMem {
-    pages: Vec<Slot>,
+    pages: CowPages<u8, PAGE>,
 }
 
 impl CowMem {
@@ -59,42 +154,35 @@ impl CowMem {
     pub fn new(len: usize) -> CowMem {
         assert!(len.is_multiple_of(PAGE), "memory size must be whole pages");
         CowMem {
-            pages: vec![Slot::Absent; len / PAGE],
+            pages: CowPages::new(len / PAGE),
         }
     }
 
     /// Size in bytes.
     pub fn len(&self) -> usize {
-        self.pages.len() * PAGE
+        self.pages.pages() * PAGE
     }
 
     /// True for a zero-byte memory.
     pub fn is_empty(&self) -> bool {
-        self.pages.is_empty()
+        self.pages.pages() == 0
     }
 
     /// Number of pages that hold storage (written at least once).
     pub fn resident_pages(&self) -> usize {
-        self.pages.iter().filter(|p| p.bytes().is_some()).count()
+        self.pages.resident_pages()
     }
 
-    /// Turns every page this memory owns into a shared one, so that
-    /// clones copy page pointers instead of pages. Call it before cloning
-    /// a state into a checkpoint: a clone of an owned page is a copy.
+    /// Turns every page this memory owns into a shared one (see
+    /// [`CowPages::share`]).
     pub fn share(&mut self) {
-        for slot in &mut self.pages {
-            if let Slot::Owned(p) = slot {
-                *slot = Slot::Shared(Arc::new(**p));
-            }
-        }
+        self.pages.share();
     }
 
     /// The byte at `addr`.
     #[inline]
     pub fn byte(&self, addr: usize) -> u8 {
-        self.pages[addr / PAGE]
-            .bytes()
-            .map_or(0, |p| p[addr % PAGE])
+        self.pages.page(addr / PAGE).map_or(0, |p| p[addr % PAGE])
     }
 
     /// Reads `out.len()` bytes starting at `addr`; the span may cross
@@ -106,7 +194,7 @@ impl CowMem {
             let (page, off) = (a / PAGE, a % PAGE);
             let n = (PAGE - off).min(out.len() - done);
             let dst = &mut out[done..done + n];
-            match self.pages[page].bytes() {
+            match self.pages.page(page) {
                 Some(p) => dst.copy_from_slice(&p[off..off + n]),
                 None => dst.fill(0),
             }
@@ -129,7 +217,7 @@ impl CowMem {
             let a = addr + done;
             let (page, off) = (a / PAGE, a % PAGE);
             let n = (PAGE - off).min(data.len() - done);
-            self.page_mut(page)[off..off + n].copy_from_slice(&data[done..done + n]);
+            self.pages.page_mut(page)[off..off + n].copy_from_slice(&data[done..done + n]);
             done += n;
         }
     }
@@ -142,7 +230,7 @@ impl CowMem {
         if off + 8 <= PAGE {
             // One 8-byte load, masked to `len` bytes: no variable-length
             // copy on the hot path.
-            let Some(p) = self.pages[addr / PAGE].bytes() else {
+            let Some(p) = self.pages.page(addr / PAGE) else {
                 return 0;
             };
             let word = u64::from_le_bytes(p[off..off + 8].try_into().expect("8-byte window"));
@@ -167,7 +255,7 @@ impl CowMem {
             self.write(addr, &b[..len]);
             return;
         }
-        let p = self.page_mut(addr / PAGE);
+        let p = self.pages.page_mut(addr / PAGE);
         // Fixed-size copies for the access widths: no variable-length
         // copy on the hot path.
         match len {
@@ -181,62 +269,91 @@ impl CowMem {
 
     /// Flips the bits of `mask` in the byte at `addr`.
     pub fn xor_byte(&mut self, addr: usize, mask: u8) {
-        self.page_mut(addr / PAGE)[addr % PAGE] ^= mask;
-    }
-
-    /// A writable view of page `page`, materialising an absent page as
-    /// zeros and copying a shared one into an owned page first.
-    #[inline]
-    fn page_mut(&mut self, page: usize) -> &mut Page {
-        if !matches!(self.pages[page], Slot::Owned(_)) {
-            self.make_owned(page);
-        }
-        match &mut self.pages[page] {
-            Slot::Owned(p) => p,
-            _ => unreachable!("the page was just made owned"),
-        }
-    }
-
-    #[cold]
-    fn make_owned(&mut self, page: usize) {
-        let slot = &mut self.pages[page];
-        let owned = match slot {
-            Slot::Shared(p) => Box::new(**p),
-            _ => Box::new([0; PAGE]),
-        };
-        *slot = Slot::Owned(owned);
-    }
-}
-
-impl PartialEq for CowMem {
-    fn eq(&self, other: &Self) -> bool {
-        self.pages.len() == other.pages.len()
-            && self
-                .pages
-                .iter()
-                .zip(&other.pages)
-                .all(|(a, b)| match (a.bytes(), b.bytes()) {
-                    (Some(a), Some(b)) => std::ptr::eq(a, b) || a == b,
-                    (None, None) => true,
-                    (Some(p), None) | (None, Some(p)) => p.iter().all(|&x| x == 0),
-                })
-    }
-}
-
-impl Eq for CowMem {}
-
-impl std::fmt::Debug for CowMem {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CowMem")
-            .field("len", &self.len())
-            .field("resident_pages", &self.resident_pages())
-            .finish()
+        self.pages.page_mut(addr / PAGE)[addr % PAGE] ^= mask;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A non-byte element: the shape of a cache line's metadata.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    struct Line {
+        valid: bool,
+        tag: u32,
+        stamp: u64,
+    }
+
+    const L: Line = Line {
+        valid: true,
+        tag: 7,
+        stamp: 1,
+    };
+
+    #[test]
+    fn an_absent_page_equals_a_default_page() {
+        let a = CowPages::<Line, 3>::new(4);
+        let mut b = a.clone();
+        assert_eq!(b.page_mut(2), &[Line::default(); 3]);
+        assert_eq!(b.resident_pages(), 1);
+        assert!(a.page(2).is_none());
+        assert_eq!(a, b);
+        assert_eq!(b, a);
+        b.page_mut(2)[1].stamp = 9;
+        assert_ne!(a, b);
+        assert_ne!(CowPages::<Line, 3>::new(1), CowPages::<Line, 3>::new(2));
+        // The same for bytes, through the memory built on the pages.
+        let m = CowMem::new(4 * PAGE);
+        let mut z = CowMem::new(4 * PAGE);
+        z.write(2 * PAGE, &[0; 64]);
+        assert_eq!((m.resident_pages(), z.resident_pages()), (0, 1));
+        assert_eq!(m, z);
+        z.xor_byte(2 * PAGE + 63, 0x80);
+        assert_ne!(m, z);
+        assert_ne!(CowMem::new(PAGE), CowMem::new(2 * PAGE));
+    }
+
+    #[test]
+    fn a_write_to_a_clone_never_reaches_the_original() {
+        // Owned pages are copied by the clone; shared ones on the write.
+        for share in [false, true] {
+            let mut snap = CowPages::<Line, 3>::new(4);
+            snap.page_mut(1)[2] = L;
+            if share {
+                snap.share();
+            }
+            let mut restored = snap.clone();
+            restored.page_mut(1)[2].tag = 8;
+            restored.page_mut(3)[0].valid = true;
+            assert_eq!(snap.page(1).map(|p| p[2]), Some(L));
+            assert!(snap.page(3).is_none());
+            assert_eq!(snap.resident_pages(), 1);
+            assert_ne!(snap, restored);
+            // Undoing the writes makes the copies equal again by content.
+            restored.page_mut(1)[2].tag = 7;
+            restored.page_mut(3)[0].valid = false;
+            assert_eq!(snap, restored);
+            // And the original keeps writing in place after the clone.
+            snap.page_mut(1)[0].stamp = 5;
+            assert_eq!(restored.page(1).map(|p| p[0]), Some(Line::default()));
+        }
+    }
+
+    #[test]
+    fn sharing_keeps_contents() {
+        let mut p = CowPages::<Line, 3>::new(4);
+        p.page_mut(2)[1] = L;
+        let before = p.clone();
+        p.share();
+        assert_eq!(p, before);
+        assert_eq!(p.page(2).map(|p| p[1]), Some(L));
+        p.share();
+        assert_eq!(p.resident_pages(), 1);
+        // A shared page of a clone is the same allocation until written.
+        let clone = p.clone();
+        assert!(std::ptr::eq(clone.page(2).unwrap(), p.page(2).unwrap()));
+    }
 
     /// A span from 5 bytes before a page boundary to 5 bytes after it.
     const STRADDLE: usize = 3 * PAGE - 5;
@@ -273,8 +390,7 @@ mod tests {
     }
 
     #[test]
-    fn a_write_to_a_clone_never_reaches_the_original() {
-        // Owned pages are copied by the clone; shared ones on the write.
+    fn byte_writes_to_a_restored_memory_never_reach_its_snapshot() {
         for share in [false, true] {
             let mut snap = CowMem::new(8 * PAGE);
             snap.write(PAGE + 7, b"golden");
@@ -289,39 +405,6 @@ mod tests {
             assert_eq!(snap.read_le(0, 8), 0);
             assert_eq!(snap.resident_pages(), 1);
             assert_ne!(snap, restored);
-            // Undoing the writes makes the copies equal again by content.
-            restored.write(PAGE + 7, b"golden");
-            restored.write_le(STRADDLE, 8, 0);
-            restored.xor_byte(0, 1);
-            assert_eq!(snap, restored);
-            // And the original keeps writing in place after the clone.
-            snap.write(PAGE + 7, b"G");
-            assert_eq!(restored.to_vec(PAGE + 7, 6), b"golden");
         }
-    }
-
-    #[test]
-    fn sharing_keeps_contents() {
-        let mut m = CowMem::new(4 * PAGE);
-        m.write(2 * PAGE, &[1, 2, 3]);
-        let before = m.clone();
-        m.share();
-        assert_eq!(m, before);
-        assert_eq!(m.to_vec(2 * PAGE, 3), vec![1, 2, 3]);
-        m.share();
-        assert_eq!(m.resident_pages(), 1);
-    }
-
-    #[test]
-    fn an_absent_page_equals_a_zero_page() {
-        let a = CowMem::new(4 * PAGE);
-        let mut b = CowMem::new(4 * PAGE);
-        b.write(2 * PAGE, &[0; 64]);
-        assert_eq!(b.resident_pages(), 1);
-        assert_eq!(a, b);
-        assert_eq!(b, a);
-        b.xor_byte(2 * PAGE + 63, 0x80);
-        assert_ne!(a, b);
-        assert_ne!(CowMem::new(PAGE), CowMem::new(2 * PAGE));
     }
 }

@@ -10,8 +10,14 @@
 //! Alongside the data, the hierarchy tracks which *copies* of one chosen
 //! byte are corrupted ([`MemTaint`]), so the campaign layer can classify
 //! the first architectural consumption of the fault (WD vs WI/WOI vs ESC).
+//!
+//! Each cache's line array, like main memory, is stored in copy-on-write
+//! pages ([`CowPages`]) of whole sets. A checkpoint of the hierarchy
+//! therefore copies page pointers, not the arrays (2.7 MB of lines on
+//! the A72-like core), a restored core copies only the pages it then
+//! writes, and an access borrows one page for all the ways of its set.
 
-use vulnstack_isa::CowMem;
+use vulnstack_isa::{CowMem, CowPages};
 use vulnstack_kernel::SystemImage;
 
 use crate::config::{CacheConfig, CoreConfig};
@@ -65,7 +71,7 @@ impl MemTaint {
     }
 }
 
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct CacheLine {
     valid: bool,
     dirty: bool,
@@ -74,35 +80,53 @@ struct CacheLine {
     data: [u8; LINE as usize],
 }
 
+impl CacheLine {
+    const INVALID: CacheLine = CacheLine {
+        valid: false,
+        dirty: false,
+        tag: 0,
+        last_use: 0,
+        data: [0; LINE as usize],
+    };
+}
+
 impl Default for CacheLine {
     fn default() -> Self {
-        CacheLine {
-            valid: false,
-            dirty: false,
-            tag: 0,
-            last_use: 0,
-            data: [0; LINE as usize],
-        }
+        CacheLine::INVALID
     }
 }
+
+/// Lines per copy-on-write page of a cache array: a multiple of every
+/// model's associativity (3, 4 and 16 ways), so each set lies within one
+/// page and an access borrows one page for all its ways.
+const PAGE_LINES: usize = 48;
+
+/// What an absent (never written) page reads as.
+static INVALID_PAGE: [CacheLine; PAGE_LINES] = [CacheLine::INVALID; PAGE_LINES];
 
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct Cache {
     sets: u32,
     ways: u32,
     latency: u32,
-    lines: Vec<CacheLine>,
+    /// Set-major, then way. The last page may extend past the array;
+    /// those lines are never addressed and stay invalid.
+    lines: CowPages<CacheLine, PAGE_LINES>,
 }
 
 impl Cache {
     fn new(cfg: &CacheConfig) -> Cache {
         assert_eq!(cfg.line, LINE, "hierarchy assumes 64-byte lines");
+        assert!(
+            PAGE_LINES.is_multiple_of(cfg.ways as usize),
+            "a cache page must hold whole sets"
+        );
         let sets = cfg.sets();
         Cache {
             sets,
             ways: cfg.ways,
             latency: cfg.latency,
-            lines: vec![CacheLine::default(); (sets * cfg.ways) as usize],
+            lines: CowPages::new(((sets * cfg.ways) as usize).div_ceil(PAGE_LINES)),
         }
     }
 
@@ -118,27 +142,42 @@ impl Cache {
         (tag * self.sets + set) * LINE
     }
 
-    fn slot(&self, set: u32, way: u32) -> usize {
-        (set * self.ways + way) as usize
+    /// The page holding `set` and the set's first line within it.
+    fn set_at(&self, set: u32) -> (usize, usize) {
+        let first = (set * self.ways) as usize;
+        (first / PAGE_LINES, first % PAGE_LINES)
+    }
+
+    /// The ways of `set`.
+    fn set_lines(&self, set: u32) -> &[CacheLine] {
+        let (page, off) = self.set_at(set);
+        let lines = self.lines.page(page).unwrap_or(&INVALID_PAGE);
+        &lines[off..off + self.ways as usize]
+    }
+
+    /// The ways of `set`, writable (copying a shared page first).
+    fn set_lines_mut(&mut self, set: u32) -> &mut [CacheLine] {
+        let (page, off) = self.set_at(set);
+        let ways = self.ways as usize;
+        &mut self.lines.page_mut(page)[off..off + ways]
     }
 
     fn lookup(&self, addr: u32) -> Option<u32> {
-        let (set, tag) = (self.set_of(addr), self.tag_of(addr));
-        (0..self.ways).find(|&w| {
-            let l = &self.lines[self.slot(set, w)];
-            l.valid && l.tag == tag
-        })
+        let tag = self.tag_of(addr);
+        let way = self
+            .set_lines(self.set_of(addr))
+            .iter()
+            .position(|l| l.valid && l.tag == tag)?;
+        Some(way as u32)
     }
 
     fn victim_way(&self, set: u32) -> u32 {
-        for w in 0..self.ways {
-            if !self.lines[self.slot(set, w)].valid {
-                return w;
-            }
-        }
-        (0..self.ways)
-            .min_by_key(|&w| self.lines[self.slot(set, w)].last_use)
-            .expect("ways >= 1")
+        let lines = self.set_lines(set);
+        let way = lines.iter().position(|l| !l.valid).unwrap_or_else(|| {
+            let lru = lines.iter().enumerate().min_by_key(|(_, l)| l.last_use);
+            lru.expect("ways >= 1").0
+        });
+        way as u32
     }
 }
 
@@ -206,9 +245,13 @@ impl MemSystem {
         }
     }
 
-    /// Makes main memory's pages shareable, so that a clone of this
-    /// hierarchy copies page pointers (see [`CowMem::share`]).
-    pub(crate) fn share_memory(&mut self) {
+    /// Makes the pages of the three cache arrays and of main memory
+    /// shareable, so that a clone of this hierarchy copies page pointers
+    /// (see [`CowPages::share`]).
+    pub(crate) fn share(&mut self) {
+        self.l1i.lines.share();
+        self.l1d.lines.share();
+        self.l2.lines.share();
         self.mem.share();
     }
 
@@ -224,8 +267,7 @@ impl MemSystem {
     /// This is the memory half of the early-termination convergence
     /// check. It compares the behavioral state — the interleaved LRU
     /// clock (`tick`), all three cache arrays (valid/dirty/tag/`last_use`/
-    /// data), and main memory (`CowMem::eq` compares contents and
-    /// short-circuits on shared pages) — and deliberately *excludes* two
+    /// data), and main memory — and deliberately *excludes* two
     /// observer-only fields:
     ///
     /// * `stats` — hit/miss counters are never read by the simulation, so
@@ -238,6 +280,12 @@ impl MemSystem {
     /// A **live** taint is an immediate `false`: some copy of the flipped
     /// line still differs from golden (or could be re-exposed by an
     /// eviction), so behavioral identity cannot hold.
+    ///
+    /// The arrays and memory compare page by page ([`CowPages`]'
+    /// equality): a page the faulty run shares with `golden` (neither
+    /// run rewrote it since the snapshot it was restored from) is equal
+    /// by pointer, so only rewritten pages are compared element by
+    /// element.
     pub fn converged_with(&self, golden: &MemSystem) -> bool {
         if self.taint.as_ref().is_some_and(|t| t.live()) {
             return false;
@@ -268,9 +316,9 @@ impl MemSystem {
         if let Some(w) = self.l2.lookup(line_addr) {
             self.stats.l2_hits += 1;
             let set = self.l2.set_of(line_addr);
-            let slot = self.l2.slot(set, w);
-            self.l2.lines[slot].last_use = self.tick;
-            let data = self.l2.lines[slot].data;
+            let l = &mut self.l2.set_lines_mut(set)[w as usize];
+            l.last_use = self.tick;
+            let data = l.data;
             let tainted = self
                 .taint
                 .is_some_and(|t| t.at(Level::L2) && t.addr / LINE == line_addr / LINE);
@@ -302,39 +350,35 @@ impl MemSystem {
             .l2
             .lookup(line_addr)
             .unwrap_or_else(|| self.l2.victim_way(set));
-        let victim_addr = {
-            let l = &self.l2.lines[self.l2.slot(set, way)];
-            if l.valid {
-                Some((self.l2.line_addr(set, l.tag), l.dirty))
-            } else {
-                None
-            }
-        };
-        if let Some((vaddr, vdirty)) = victim_addr {
+        let tick = self.tick;
+        let l = &mut self.l2.set_lines_mut(set)[way as usize];
+        // Re-installing over an existing copy only happens on a writeback
+        // (dirty=true); plain fills always target an absent line.
+        let keep_dirty = l.valid && l.tag == tag && l.dirty;
+        let victim = std::mem::replace(
+            l,
+            CacheLine {
+                valid: true,
+                dirty: dirty || keep_dirty,
+                tag,
+                last_use: tick,
+                data,
+            },
+        );
+        if victim.valid {
+            let vaddr = self.l2.line_addr(set, victim.tag);
             if vaddr != line_addr {
                 let vtainted = Self::taint_line_overlap(&self.taint, vaddr)
                     && self.taint.is_some_and(|t| t.at(Level::L2));
-                if vdirty {
+                if victim.dirty {
                     self.stats.writebacks += 1;
-                    let vdata = self.l2.lines[self.l2.slot(set, way)].data;
-                    self.mem.write(vaddr as usize, &vdata);
+                    self.mem.write(vaddr as usize, &victim.data);
                     self.set_taint(Level::Mem, vaddr, vtainted);
                 }
                 // Corrupted copy dropped (or moved); either way it leaves L2.
                 self.set_taint(Level::L2, vaddr, false);
             }
         }
-        let slot = self.l2.slot(set, way);
-        let tick = self.tick;
-        let l = &mut self.l2.lines[slot];
-        // Re-installing over an existing copy only happens on a writeback
-        // (dirty=true); plain fills always target an absent line.
-        let keep_dirty = l.valid && l.tag == tag && l.dirty;
-        l.valid = true;
-        l.tag = tag;
-        l.dirty = dirty || keep_dirty;
-        l.last_use = tick;
-        l.data = data;
         self.set_taint(Level::L2, line_addr, tainted);
     }
 
@@ -344,90 +388,71 @@ impl MemSystem {
         let (data, l2lat, tainted) = self.l2_get_line(line_addr);
         self.tick += 1;
         let tick = self.tick;
-        let taint_snapshot = self.taint;
-        let c = match which {
-            Level::L1i => &mut self.l1i,
-            Level::L1d => &mut self.l1d,
-            _ => unreachable!(),
-        };
+        let c = self.cache_mut(which);
         let set = c.set_of(line_addr);
         let way = c.victim_way(set);
-        let slot = c.slot(set, way);
-        // Evict the victim.
-        let mut wb: Option<(u32, [u8; LINE as usize], bool)> = None;
-        {
-            let l = &c.lines[slot];
-            if l.valid {
-                let vaddr = c.line_addr(set, l.tag);
-                let vtainted =
-                    taint_snapshot.is_some_and(|t| t.at(which) && t.addr / LINE == vaddr / LINE);
-                if l.dirty {
-                    wb = Some((vaddr, l.data, vtainted));
-                }
-                // Clear this level's taint for the victim: a clean drop
-                // masks the fault, a writeback moves it to L2 (below).
-                if let Some(t) = &mut self.taint {
-                    if t.addr / LINE == vaddr / LINE {
-                        t.at[which.idx()] = false;
-                    }
-                }
+        let line = CacheLine {
+            valid: true,
+            dirty: false,
+            tag: c.tag_of(line_addr),
+            last_use: tick,
+            data,
+        };
+        let victim = std::mem::replace(&mut c.set_lines_mut(set)[way as usize], line);
+        let (vaddr, l1lat) = (c.line_addr(set, victim.tag), c.latency);
+        if victim.valid {
+            let vtainted = self
+                .taint
+                .is_some_and(|t| t.at(which) && t.addr / LINE == vaddr / LINE);
+            // Clear this level's taint for the victim: a clean drop masks
+            // the fault, a writeback moves it to L2.
+            self.set_taint(which, vaddr, false);
+            if victim.dirty {
+                self.stats.writebacks += 1;
+                self.install_l2(vaddr, victim.data, true, vtainted);
             }
         }
-        // Re-borrow after taint mutation.
-        let c = match which {
-            Level::L1i => &mut self.l1i,
-            Level::L1d => &mut self.l1d,
-            _ => unreachable!(),
-        };
-        let slot = c.slot(set, way);
-        let new_tag = c.tag_of(line_addr);
-        let l1lat = c.latency;
-        let l = &mut c.lines[slot];
-        l.valid = true;
-        l.dirty = false;
-        l.tag = new_tag;
-        l.last_use = tick;
-        l.data = data;
         self.set_taint(which, line_addr, tainted);
-        if let Some((vaddr, vdata, vtainted)) = wb {
-            self.stats.writebacks += 1;
-            self.install_l2(vaddr, vdata, true, vtainted);
-        }
         (way, l1lat + l2lat)
+    }
+
+    /// Looks `addr` up in an L1 cache, filling its line on a miss, and
+    /// marks the line used. Returns the line and the access latency.
+    #[inline]
+    fn l1_access(&mut self, which: Level, addr: u32) -> (&mut CacheLine, u32) {
+        self.tick += 1;
+        let hit = self.cache(which).lookup(addr);
+        let (hits, misses) = match which {
+            Level::L1i => (&mut self.stats.l1i_hits, &mut self.stats.l1i_misses),
+            _ => (&mut self.stats.l1d_hits, &mut self.stats.l1d_misses),
+        };
+        let (way, lat) = match hit {
+            Some(w) => {
+                *hits += 1;
+                (w, self.cache(which).latency)
+            }
+            None => {
+                *misses += 1;
+                self.l1_fill(which, addr)
+            }
+        };
+        let tick = self.tick;
+        let c = self.cache_mut(which);
+        let set = c.set_of(addr);
+        let l = &mut c.set_lines_mut(set)[way as usize];
+        l.last_use = tick;
+        (l, lat)
     }
 
     /// Instruction fetch of one 32-bit word. Returns
     /// `(latency, word, served_from_tainted_copy)`.
     pub fn fetch_word(&mut self, addr: u32) -> (u32, u32, bool) {
-        self.tick += 1;
-        let line_addr = addr & !(LINE - 1);
-        let (way, mut lat) = match self.l1i.lookup(addr) {
-            Some(w) => {
-                self.stats.l1i_hits += 1;
-                (w, self.l1i.latency)
-            }
-            None => {
-                self.stats.l1i_misses += 1;
-                self.l1_fill(Level::L1i, addr)
-            }
-        };
-        let set = self.l1i.set_of(addr);
-        let slot = self.l1i.slot(set, way);
-        let tick = self.tick;
-        self.l1i.lines[slot].last_use = tick;
-        let off = (addr & (LINE - 1)) as usize;
-        let d = &self.l1i.lines[slot].data;
-        let word = u32::from_le_bytes([d[off], d[off + 1], d[off + 2], d[off + 3]]);
+        let (l, lat) = self.l1_access(Level::L1i, addr);
+        let word = read_le(&l.data, addr, 4) as u32;
         let tainted = self.taint.is_some_and(|t| {
-            t.at(Level::L1i)
-                && t.addr / LINE == line_addr / LINE
-                && t.addr >= addr
-                && t.addr < addr + 4
+            t.at(Level::L1i) && t.addr / LINE == addr / LINE && t.addr >= addr && t.addr < addr + 4
         });
-        if lat == 0 {
-            lat = 1;
-        }
-        (lat, word, tainted)
+        (lat.max(1), word, tainted)
     }
 
     /// Data load of `len` bytes (little-endian). Returns
@@ -437,31 +462,11 @@ impl MemSystem {
             len <= 8 && (addr & (LINE - 1)) + len <= LINE,
             "no line-crossing loads"
         );
-        self.tick += 1;
-        let line_addr = addr & !(LINE - 1);
-        let (way, lat) = match self.l1d.lookup(addr) {
-            Some(w) => {
-                self.stats.l1d_hits += 1;
-                (w, self.l1d.latency)
-            }
-            None => {
-                self.stats.l1d_misses += 1;
-                self.l1_fill(Level::L1d, addr)
-            }
-        };
-        let set = self.l1d.set_of(addr);
-        let slot = self.l1d.slot(set, way);
-        let tick = self.tick;
-        self.l1d.lines[slot].last_use = tick;
-        let off = (addr & (LINE - 1)) as usize;
-        let d = &self.l1d.lines[slot].data;
-        let mut v = 0u64;
-        for i in (0..len as usize).rev() {
-            v = (v << 8) | d[off + i] as u64;
-        }
+        let (l, lat) = self.l1_access(Level::L1d, addr);
+        let v = read_le(&l.data, addr, len);
         let tainted = self.taint.is_some_and(|t| {
             t.at(Level::L1d)
-                && t.addr / LINE == line_addr / LINE
+                && t.addr / LINE == addr / LINE
                 && t.addr >= addr
                 && t.addr < addr + len
         });
@@ -474,27 +479,10 @@ impl MemSystem {
             len <= 8 && (addr & (LINE - 1)) + len <= LINE,
             "no line-crossing stores"
         );
-        self.tick += 1;
-        let (way, lat) = match self.l1d.lookup(addr) {
-            Some(w) => {
-                self.stats.l1d_hits += 1;
-                (w, self.l1d.latency)
-            }
-            None => {
-                self.stats.l1d_misses += 1;
-                self.l1_fill(Level::L1d, addr)
-            }
-        };
-        let set = self.l1d.set_of(addr);
-        let slot = self.l1d.slot(set, way);
-        let tick = self.tick;
-        let l = &mut self.l1d.lines[slot];
-        l.last_use = tick;
+        let (l, lat) = self.l1_access(Level::L1d, addr);
         l.dirty = true;
         let off = (addr & (LINE - 1)) as usize;
-        for i in 0..len as usize {
-            l.data[off + i] = (value >> (8 * i)) as u8;
-        }
+        l.data[off..off + len as usize].copy_from_slice(&value.to_le_bytes()[..len as usize]);
         // A store overwriting the corrupted byte repairs the L1d copy.
         if let Some(t) = &mut self.taint {
             if t.addr >= addr && t.addr < addr + len {
@@ -508,52 +496,49 @@ impl MemSystem {
     /// Returns `(value, read_from_tainted_copy)`. This is the DMA-drain /
     /// debugger view.
     pub fn peek(&self, addr: u32, len: u32) -> (u64, bool) {
-        let line_addr = addr & !(LINE - 1);
-        let overlap = |t: &MemTaint| t.addr >= addr && t.addr < addr + len;
-        let mut v = 0u64;
-        if let Some(w) = self.l1d.lookup(addr) {
-            let slot = self.l1d.slot(self.l1d.set_of(addr), w);
-            let d = &self.l1d.lines[slot].data;
-            let off = (addr & (LINE - 1)) as usize;
-            for i in (0..len as usize).rev() {
-                v = (v << 8) | d[off + i] as u64;
+        let tainted_at = |level: Level| {
+            self.taint.is_some_and(|t| {
+                t.at(level)
+                    && (level == Level::Mem || t.addr / LINE == addr / LINE)
+                    && t.addr >= addr
+                    && t.addr < addr + len
+            })
+        };
+        for level in [Level::L1d, Level::L2] {
+            let c = self.cache(level);
+            if let Some(w) = c.lookup(addr) {
+                let l = &c.set_lines(c.set_of(addr))[w as usize];
+                return (read_le(&l.data, addr, len), tainted_at(level));
             }
-            let t = self.taint.as_ref().is_some_and(|t| {
-                t.at(Level::L1d) && t.addr / LINE == line_addr / LINE && overlap(t)
-            });
-            return (v, t);
         }
-        if let Some(w) = self.l2.lookup(addr) {
-            let slot = self.l2.slot(self.l2.set_of(addr), w);
-            let d = &self.l2.lines[slot].data;
-            let off = (addr & (LINE - 1)) as usize;
-            for i in (0..len as usize).rev() {
-                v = (v << 8) | d[off + i] as u64;
-            }
-            let t = self.taint.as_ref().is_some_and(|t| {
-                t.at(Level::L2) && t.addr / LINE == line_addr / LINE && overlap(t)
-            });
-            return (v, t);
+        (
+            self.mem.read_le(addr as usize, len as usize),
+            tainted_at(Level::Mem),
+        )
+    }
+
+    fn cache(&self, level: Level) -> &Cache {
+        match level {
+            Level::L1i => &self.l1i,
+            Level::L1d => &self.l1d,
+            Level::L2 => &self.l2,
+            Level::Mem => panic!("memory is not an injection target"),
         }
-        for i in (0..len as usize).rev() {
-            v = (v << 8) | self.mem.byte(addr as usize + i) as u64;
+    }
+
+    fn cache_mut(&mut self, level: Level) -> &mut Cache {
+        match level {
+            Level::L1i => &mut self.l1i,
+            Level::L1d => &mut self.l1d,
+            Level::L2 => &mut self.l2,
+            Level::Mem => panic!("memory is not an injection target"),
         }
-        let t = self
-            .taint
-            .as_ref()
-            .is_some_and(|t| t.at(Level::Mem) && overlap(t));
-        (v, t)
     }
 
     /// Flips one bit of a cache's data array, addressed as a flat bit
     /// index over the whole array (set-major, then way, then line bits).
     pub fn flip_bit(&mut self, level: Level, bit_index: u64) -> FlipResult {
-        let c = match level {
-            Level::L1i => &mut self.l1i,
-            Level::L1d => &mut self.l1d,
-            Level::L2 => &mut self.l2,
-            Level::Mem => panic!("memory is not an injection target"),
-        };
+        let c = self.cache_mut(level);
         let bits_per_line = (LINE * 8) as u64;
         let line_idx = (bit_index / bits_per_line) as u32;
         let set = line_idx / c.ways;
@@ -561,9 +546,9 @@ impl MemSystem {
         let bit_in_line = bit_index % bits_per_line;
         let byte = (bit_in_line / 8) as usize;
         let bit = (bit_in_line % 8) as u8;
-        let slot = c.slot(set, way);
-        c.lines[slot].data[byte] ^= 1 << bit;
-        if !c.lines[slot].valid {
+        let l = &mut c.set_lines_mut(set)[way as usize];
+        l.data[byte] ^= 1 << bit;
+        if !l.valid {
             return FlipResult {
                 valid: false,
                 addr: None,
@@ -571,26 +556,19 @@ impl MemSystem {
                 word_after: None,
             };
         }
-        let addr = c.line_addr(set, c.lines[slot].tag) + byte as u32;
-        let line = &c.lines[slot];
         // The 32-bit aligned word containing the flipped bit (for WI/WOI
         // classification when the byte holds an instruction).
-        let woff = byte & !3;
-        let word = u32::from_le_bytes([
-            line.data[woff],
-            line.data[woff + 1],
-            line.data[woff + 2],
-            line.data[woff + 3],
-        ]);
+        let word = read_le(&l.data, (byte & !3) as u32, 4) as u32;
+        let tag = l.tag;
+        let addr = c.line_addr(set, tag) + byte as u32;
         let bit_in_word = ((byte & 3) * 8) as u32 + bit as u32;
+        let mut at = [false; 4];
+        at[level.idx()] = true;
         self.taint = Some(MemTaint {
             addr,
             bit_in_byte: bit,
-            at: [false; 4],
+            at,
         });
-        if let Some(t) = &mut self.taint {
-            t.at[level.idx()] = true;
-        }
         FlipResult {
             valid: true,
             addr: Some(addr),
@@ -603,12 +581,7 @@ impl MemSystem {
     /// address is currently cached there (targeted injection for tests and
     /// case studies). Returns the flip result, or `None` on a cache miss.
     pub fn flip_addr_bit(&mut self, level: Level, addr: u32, bit: u8) -> Option<FlipResult> {
-        let c = match level {
-            Level::L1i => &self.l1i,
-            Level::L1d => &self.l1d,
-            Level::L2 => &self.l2,
-            Level::Mem => panic!("memory is not an injection target"),
-        };
+        let c = self.cache(level);
         let way = c.lookup(addr)?;
         let set = c.set_of(addr);
         let line_idx = (set * c.ways + way) as u64;
@@ -619,14 +592,19 @@ impl MemSystem {
 
     /// Total data-array bits of a level (the sampling population).
     pub fn level_bits(&self, level: Level) -> u64 {
-        let c = match level {
-            Level::L1i => &self.l1i,
-            Level::L1d => &self.l1d,
-            Level::L2 => &self.l2,
-            Level::Mem => panic!("memory is not an injection target"),
-        };
+        let c = self.cache(level);
         (c.sets * c.ways) as u64 * (LINE * 8) as u64
     }
+}
+
+/// The little-endian value of the `len` bytes of a line's `data` from
+/// `addr`'s offset in the line on.
+fn read_le(data: &[u8; LINE as usize], addr: u32, len: u32) -> u64 {
+    let off = (addr & (LINE - 1)) as usize;
+    data[off..off + len as usize]
+        .iter()
+        .rev()
+        .fold(0, |v, &b| (v << 8) | b as u64)
 }
 
 #[cfg(test)]

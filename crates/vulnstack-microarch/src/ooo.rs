@@ -551,14 +551,6 @@ impl OooCore {
         }
     }
 
-    /// Builds a core from a previously taken checkpoint (a clone of a
-    /// fault-free core mid-run). The returned core resumes at the
-    /// checkpoint's cycle and, stepped forward, is bit-identical to the
-    /// core the checkpoint was taken from.
-    pub fn from_checkpoint(checkpoint: &OooCore) -> OooCore {
-        checkpoint.clone()
-    }
-
     /// Records the first `n` committed instructions (pc + decoded form)
     /// for inspection.
     pub fn enable_trace(&mut self, n: usize) {

@@ -15,17 +15,17 @@
 //!   dynamic *injectable* instructions, the unit SVF faults target.
 //!
 //! Each state owns every bit of its simulation, main memory included, so
-//! `Clone` is a perfect snapshot. That memory is the shared copy-on-write
-//! [`vulnstack_isa::CowMem`]: the recorders call [`CowMem::share`] before
-//! each clone, so a snapshot copies page pointers, not pages.
-//!
-//! [`CowMem::share`]: vulnstack_isa::CowMem::share
+//! `Clone` is a perfect snapshot. The bulk of that state, main memory at
+//! every layer and [`OooCore`]'s three cache arrays, is stored in
+//! copy-on-write pages ([`vulnstack_isa::CowPages`]): the recorders share
+//! them before each clone, so a snapshot copies page pointers, not pages,
+//! and a restored state copies only the pages it then writes.
 //!
 //! The store is **adaptive**: it starts from a small interval and, when
 //! the run outgrows the snapshot budget, drops every other snapshot and
 //! doubles the interval. Short runs therefore get fine spacing while long
 //! runs stay within a bounded footprint of `max_snapshots` states (their
-//! memory pages shared wherever the run did not rewrite them).
+//! memory and cache pages shared wherever the run did not rewrite them).
 //!
 //! Determinism: the simulators draw on no external entropy and a
 //! checkpoint captures *all* of their state, so a restored state stepped
@@ -55,14 +55,16 @@ pub const DEFAULT_INTERVAL: u64 = 512;
 ///
 /// Coarser than [`DEFAULT_INTERVAL`] because a functional step costs
 /// far less than a cycle-level cycle while a snapshot costs about the
-/// same (a few microseconds: the page table, and the pages the run then
-/// rewrites). Measured on qsort and rijndael (2-core x86-64 host), this
-/// spacing lengthens the functional golden runs by at most ~9%, against
-/// 12–30% at 512.
+/// same: the page tables, and the pages the run then rewrites. Cloning
+/// one takes a few microseconds for a functional state and 7–13 µs for
+/// a cycle-level core, whose caches add a page table of their own
+/// (qsort and rijndael, 2-core x86-64 host). Measured on the same
+/// workloads and host, this spacing lengthens the functional golden
+/// runs by at most ~9%, against 12–30% at 512.
 pub const FUNCTIONAL_INTERVAL: u64 = 4096;
 
 /// Default cap on retained snapshots. Snapshots share unmodified memory
-/// pages (main memory is copy-on-write), so the marginal cost of a
+/// and cache pages (both are copy-on-write), so the marginal cost of a
 /// snapshot is the pages rewritten since the previous one plus the
 /// state's own bookkeeping, and a generous cap keeps restore deltas
 /// short.
@@ -235,7 +237,7 @@ impl CheckpointStore<OooCore> {
             if core.ended() || core.cycle() < next {
                 break;
             }
-            core.mem.share_memory();
+            core.mem.share();
             store.push(core.clone());
         }
         core.run_until(budget);

@@ -317,23 +317,11 @@ fn workload(name: &str, hardened: bool) -> Result<Workload, String> {
 /// `kernel` (boot stub + trap handler, the syscall path) or a workload
 /// name — and prints/writes it per `--json`.
 fn analyze_attack(target: &str, opts: &Flags) -> Result<(), String> {
-    use vulnstack_analyze::{attack_surface, build_cfg_segments, TextSegment};
+    use vulnstack_analyze::{attack_surface, build_kernel_cfg};
     let isa = isa(opts)?;
     let report = if target == "kernel" {
-        let k = vulnstack_kernel::build_kernel(isa).map_err(|e| e.to_string())?;
-        let segs = [
-            TextSegment {
-                name: "kboot".to_string(),
-                start_word: vulnstack_kernel::memmap::KERNEL_BOOT / 4,
-                words: k.boot,
-            },
-            TextSegment {
-                name: "ktrap".to_string(),
-                start_word: vulnstack_kernel::memmap::TRAP_VEC / 4,
-                words: k.trap,
-            },
-        ];
-        attack_surface(&build_cfg_segments(isa, &segs), "kernel")
+        let cfg = build_kernel_cfg(isa).map_err(|e| e.to_string())?;
+        attack_surface(&cfg, "kernel")
     } else {
         let w = workload(target, opts.switch("hardened"))?;
         let compiled =

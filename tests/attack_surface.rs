@@ -16,10 +16,10 @@
 use std::process::Command;
 
 use vulnstack_analyze::attack::FindingKind;
-use vulnstack_analyze::{attack_surface, build_cfg_segments, AttackReport, TextSegment};
+use vulnstack_analyze::{attack_surface, build_kernel_cfg, AttackReport};
 use vulnstack_compiler::{compile, CompileOpts};
 use vulnstack_isa::{FaultModel, Isa, Reg, TrapCause};
-use vulnstack_kernel::{build_kernel, memmap, SystemImage};
+use vulnstack_kernel::SystemImage;
 use vulnstack_microarch::func::Mode;
 use vulnstack_microarch::{FuncCore, RunStatus};
 use vulnstack_serve::json::{self, Value};
@@ -27,20 +27,7 @@ use vulnstack_vir::ModuleBuilder;
 
 /// The CLI's `analyze attack kernel` pipeline, as a library call.
 fn kernel_report(isa: Isa) -> AttackReport {
-    let k = build_kernel(isa).expect("kernel assembles");
-    let segs = [
-        TextSegment {
-            name: "kboot".to_string(),
-            start_word: memmap::KERNEL_BOOT / 4,
-            words: k.boot,
-        },
-        TextSegment {
-            name: "ktrap".to_string(),
-            start_word: memmap::TRAP_VEC / 4,
-            words: k.trap,
-        },
-    ];
-    attack_surface(&build_cfg_segments(isa, &segs), "kernel")
+    attack_surface(&build_kernel_cfg(isa).expect("kernel assembles"), "kernel")
 }
 
 #[test]
