@@ -28,7 +28,8 @@
 
 use std::fmt;
 
-use vulnstack_isa::{CallConv, FaultModel, Op, Reg, SrcRole};
+use vulnstack_core::json::{self, n, ordered, s, Value};
+use vulnstack_isa::{CallConv, FaultModel, Isa, Op, Reg, SrcRole};
 
 use crate::cfg::{call_graph, ModuleCfg};
 use crate::taint::{module_taint, ModuleTaint, SinkSet};
@@ -139,8 +140,8 @@ pub struct FuncAttackStats {
 pub struct AttackReport {
     /// Module name (workload or image label).
     pub module: String,
-    /// ISA name.
-    pub isa: String,
+    /// The ISA the module was compiled for.
+    pub isa: Isa,
     /// All findings, sorted by word offset then kind name.
     pub findings: Vec<AttackFinding>,
     /// Per-function densities, in text layout order.
@@ -185,66 +186,42 @@ impl AttackReport {
         )
     }
 
-    /// Serializes the report as a JSON object (hand-rolled; the
-    /// workspace carries no JSON dependency).
+    /// Serializes the report as a JSON object, newline-terminated.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&format!("  \"module\": {},\n", json_str(&self.module)));
-        out.push_str(&format!("  \"isa\": {},\n", json_str(&self.isa)));
-        out.push_str("  \"findings\": [\n");
-        for (i, f) in self.findings.iter().enumerate() {
-            let models: Vec<String> = f.models.iter().map(|m| json_str(m.name())).collect();
-            let regs: Vec<String> = f.regs.iter().map(|r| r.0.to_string()).collect();
-            out.push_str(&format!(
-                "    {{\"kind\": {}, \"func\": {}, \"word_off\": {}, \"rel_off\": {}, \
-                 \"models\": [{}], \"regs\": [{}], \"sinks\": {}, \"message\": {}}}{}\n",
-                json_str(f.kind.name()),
-                json_str(&f.func),
-                f.word_off,
-                f.rel(),
-                models.join(", "),
-                regs.join(", "),
-                json_str(&f.sinks.to_string()),
-                json_str(&f.message),
-                if i + 1 < self.findings.len() { "," } else { "" }
-            ));
-        }
-        out.push_str("  ],\n");
-        out.push_str("  \"funcs\": [\n");
-        for (i, s) in self.funcs.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"name\": {}, \"reachable_instrs\": {}, \
-                 \"reach_points\": [{}, {}, {}], \"stuck_reach_points\": [{}, {}, {}]}}{}\n",
-                json_str(&s.name),
-                s.reachable_instrs,
-                s.reach_points[0],
-                s.reach_points[1],
-                s.reach_points[2],
-                s.stuck_reach_points[0],
-                s.stuck_reach_points[1],
-                s.stuck_reach_points[2],
-                if i + 1 < self.funcs.len() { "," } else { "" }
-            ));
-        }
-        out.push_str("  ]\n}\n");
-        out
+        let num_arr = |xs: &[u64]| Value::Arr(xs.iter().map(|&x| n(x)).collect());
+        let findings = self.findings.iter().map(|f| {
+            ordered(vec![
+                ("kind", s(f.kind.name())),
+                ("func", s(&f.func)),
+                ("word_off", n(f.word_off.into())),
+                ("rel_off", n(f.rel().into())),
+                (
+                    "models",
+                    Value::Arr(f.models.iter().map(|m| s(m.name())).collect()),
+                ),
+                (
+                    "regs",
+                    Value::Arr(f.regs.iter().map(|r| n(r.0.into())).collect()),
+                ),
+                ("sinks", Value::Str(f.sinks.to_string())),
+                ("message", s(&f.message)),
+            ])
+        });
+        let funcs = self.funcs.iter().map(|st| {
+            ordered(vec![
+                ("name", s(&st.name)),
+                ("reachable_instrs", n(st.reachable_instrs.into())),
+                ("reach_points", num_arr(&st.reach_points)),
+                ("stuck_reach_points", num_arr(&st.stuck_reach_points)),
+            ])
+        });
+        json::write(&ordered(vec![
+            ("module", s(&self.module)),
+            ("isa", s(self.isa.name())),
+            ("findings", Value::Arr(findings.collect())),
+            ("funcs", Value::Arr(funcs.collect())),
+        ])) + "\n"
     }
-}
-
-pub(crate) fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 const VALUE_MODELS: [FaultModel; 3] = [
@@ -437,7 +414,7 @@ pub fn attack_surface(cfg: &ModuleCfg, module: &str) -> AttackReport {
 
     AttackReport {
         module: module.to_string(),
-        isa: format!("{:?}", isa),
+        isa,
         findings,
         funcs,
     }
@@ -526,20 +503,28 @@ mod tests {
     }
 
     #[test]
-    fn json_is_balanced_and_labelled() {
+    fn json_parses_with_module_and_finding_kinds() {
         let isa = Isa::Va32;
         let prog = [
             Instr::branch(Op::Beq, Reg(1), Reg(2), 4),
             Instr::jump_reg(Op::Jmpr, isa.lr()),
         ];
         let report = attack_surface(&module_of(&prog, isa), "toy");
-        let j = report.to_json();
-        assert_eq!(
-            j.matches('{').count(),
-            j.matches('}').count(),
-            "unbalanced JSON: {j}"
-        );
-        assert!(j.contains("\"module\": \"toy\""));
-        assert!(j.contains("skippable-guard"));
+        let doc = json::parse(&report.to_json()).expect("attack JSON parses");
+        assert_eq!(doc.get("module").and_then(Value::as_str), Some("toy"));
+        assert_eq!(doc.get("isa").and_then(Value::as_str), Some("va32"));
+        let Some(Value::Arr(findings)) = doc.get("findings") else {
+            panic!("no findings array: {doc:?}");
+        };
+        assert_eq!(findings.len(), report.findings.len());
+        let kinds: Vec<&str> = findings
+            .iter()
+            .map(|f| {
+                f.get("kind")
+                    .and_then(Value::as_str)
+                    .expect("a finding has a kind")
+            })
+            .collect();
+        assert!(kinds.contains(&"skippable-guard"), "{kinds:?}");
     }
 }

@@ -81,43 +81,25 @@ pub struct StaticAnalysis {
 }
 
 impl StaticAnalysis {
-    /// Serializes the analysis as a JSON object (hand-rolled; the
-    /// workspace carries no JSON dependency) for the CLI's `--json`
-    /// flag.
+    /// Serializes the analysis as a JSON object, newline-terminated,
+    /// for the CLI's `--json` flag.
     pub fn to_json(&self) -> String {
-        use attack::json_str;
-        let mut out = String::from("{\n");
-        out.push_str(&format!("  \"isa\": {},\n", json_str(self.cfg.isa.name())));
-        out.push_str(&format!("  \"rf_pvf\": {:.6},\n", self.pvf.rf_pvf));
-        out.push_str(&format!(
-            "  \"undecodable_words\": {},\n",
-            self.cfg.undecodable.len()
-        ));
-        out.push_str("  \"funcs\": [\n");
-        for (i, (name, fpvf, weight)) in self.pvf.per_func.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"name\": {}, \"pvf\": {:.6}, \"weight\": {:.3}}}{}\n",
-                json_str(name),
-                fpvf,
-                weight,
-                if i + 1 < self.pvf.per_func.len() {
-                    ","
-                } else {
-                    ""
-                }
-            ));
-        }
-        out.push_str("  ],\n");
-        out.push_str("  \"lints\": [\n");
-        for (i, l) in self.lints.iter().enumerate() {
-            out.push_str(&format!(
-                "    {}{}\n",
-                json_str(&l.to_string()),
-                if i + 1 < self.lints.len() { "," } else { "" }
-            ));
-        }
-        out.push_str("  ]\n}\n");
-        out
+        use vulnstack_core::json::{self, fixed, n, ordered, s, Value};
+        let funcs = self.pvf.per_func.iter().map(|(name, fpvf, weight)| {
+            ordered(vec![
+                ("name", s(name)),
+                ("pvf", fixed(*fpvf, 6)),
+                ("weight", fixed(*weight, 3)),
+            ])
+        });
+        let lints = self.lints.iter().map(|l| Value::Str(l.to_string()));
+        json::write(&ordered(vec![
+            ("isa", s(self.cfg.isa.name())),
+            ("rf_pvf", fixed(self.pvf.rf_pvf, 6)),
+            ("undecodable_words", n(self.cfg.undecodable.len() as u64)),
+            ("funcs", Value::Arr(funcs.collect())),
+            ("lints", Value::Arr(lints.collect())),
+        ])) + "\n"
     }
 
     /// A short human-readable summary (used by the CLI `analyze`

@@ -6,6 +6,7 @@
 //! `results/` so the bench trajectory (`BENCH_*.json`) accumulates.
 
 use vulnstack_bench::speedup::{timed, Ablation, Pass, STRUCTURE};
+use vulnstack_core::json::{self, fixed};
 use vulnstack_core::sched::sort_order_by;
 use vulnstack_core::{Campaign, Fingerprint, RunOpts};
 use vulnstack_gefin::avf::run_one_with;
@@ -73,16 +74,15 @@ fn main() {
         ckpt.tally.vf().total(),
     );
 
-    let fields = format!(
-        "\"checkpoints\":{},\"interval\":{},\"prep_secs\":{:.4},\
-         \"scratch_secs\":{:.4},\"ckpt_secs\":{:.4},\"speedup\":{speedup:.3}",
-        prep.checkpoints.len(),
-        prep.checkpoints.interval(),
-        ab.prep_secs,
-        scratch.secs,
-        ckpt.secs,
-    );
-    ab.finish(&fields, &metrics, |r| {
+    let fields = vec![
+        ("checkpoints", json::n(prep.checkpoints.len() as u64)),
+        ("interval", json::n(prep.checkpoints.interval())),
+        ("prep_secs", fixed(ab.prep_secs, 4)),
+        ("scratch_secs", fixed(scratch.secs, 4)),
+        ("ckpt_secs", fixed(ckpt.secs, 4)),
+        ("speedup", fixed(speedup, 3)),
+    ];
+    ab.finish(fields, &metrics, |r| {
         format!(
             "extinct-early {:.0}% | watchdog expiries {} | mean restore distance {:.0} cycles",
             r.extinct_rate() * 100.0,

@@ -13,6 +13,7 @@
 //! fails the run.
 
 use vulnstack_bench::speedup::Ablation;
+use vulnstack_core::json::{self, fixed};
 use vulnstack_gefin::InjectionPlan;
 
 fn main() {
@@ -51,22 +52,20 @@ fn main() {
         pruned.tally.vf().total(),
     );
 
-    let fields = format!(
-        "\"prep_secs\":{:.4},\"full_secs\":{:.4},\"pruned_secs\":{:.4},\
-         \"speedup\":{speedup:.3},\"dead_masked\":{},\"pilot_runs\":{},\
-         \"memo_hits\":{},\"singleton_runs\":{},\"early_terminated\":{},\
-         \"runaway_terminated\":{},\"dynamic_rf_live_fraction\":{live_fraction:.6}",
-        ab.prep_secs,
-        full.secs,
-        pruned.secs,
-        stats.dead_masked,
-        stats.pilot_runs,
-        stats.memo_hits,
-        stats.singleton_runs,
-        stats.early_terminated,
-        stats.runaway_terminated,
-    );
-    ab.finish(&fields, &metrics, |r| {
+    let fields = vec![
+        ("prep_secs", fixed(ab.prep_secs, 4)),
+        ("full_secs", fixed(full.secs, 4)),
+        ("pruned_secs", fixed(pruned.secs, 4)),
+        ("speedup", fixed(speedup, 3)),
+        ("dead_masked", json::n(stats.dead_masked)),
+        ("pilot_runs", json::n(stats.pilot_runs)),
+        ("memo_hits", json::n(stats.memo_hits)),
+        ("singleton_runs", json::n(stats.singleton_runs)),
+        ("early_terminated", json::n(stats.early_terminated)),
+        ("runaway_terminated", json::n(stats.runaway_terminated)),
+        ("dynamic_rf_live_fraction", fixed(live_fraction, 6)),
+    ];
+    ab.finish(fields, &metrics, |r| {
         format!(
             "pruned-dead {} | early-terminated {}",
             r.pruned_dead, r.early_terminated

@@ -414,11 +414,12 @@ pub mod speedup {
     //! their records asserted bit-identical, a two-row speedup table,
     //! `results/BENCH_<bench>.json`, and the fast pass's campaign metrics
     //! exported beside it. Each binary brings its two passes and its own
-    //! JSON fields.
+    //! report fields.
 
     use std::time::Instant;
 
     use vulnstack_core::effects::Tally;
+    use vulnstack_core::json::{self, n, ordered, s, Value};
     use vulnstack_core::report::{write_atomic, Table};
     use vulnstack_core::trace::{CampaignMetrics, MetricsReport};
     use vulnstack_gefin::{
@@ -551,28 +552,28 @@ pub mod speedup {
         }
 
         /// Writes `results/BENCH_<bench>.json` (the configuration, then
-        /// `fields`, the binary's own comma-separated fields, then
+        /// `fields`, the binary's own fields, then
         /// `"records_identical":true`; exits 1 if it cannot, since CI
         /// checks the file), prints the `campaign metrics:` line with
         /// `detail` after the throughput, and writes the metrics files.
         pub fn finish(
             &self,
-            fields: &str,
+            fields: Vec<(&str, Value)>,
             metrics: &CampaignMetrics,
             detail: impl FnOnce(&MetricsReport) -> String,
         ) {
-            let json = format!(
-                "{{\"bench\":\"{}\",\"workload\":\"{}\",\"model\":\"{}\",\
-                 \"structure\":\"{}\",\"n\":{},\"threads\":{},\"golden_cycles\":{},\
-                 {fields},\"records_identical\":true}}\n",
-                self.bench,
-                WORKLOAD.name(),
-                MODEL.name(),
-                STRUCTURE.name(),
-                self.n,
-                self.threads,
-                self.prep.golden.cycles,
-            );
+            let mut all = vec![
+                ("bench", s(self.bench)),
+                ("workload", s(WORKLOAD.name())),
+                ("model", s(MODEL.name())),
+                ("structure", s(STRUCTURE.name())),
+                ("n", n(self.n as u64)),
+                ("threads", n(self.threads as u64)),
+                ("golden_cycles", n(self.prep.golden.cycles)),
+            ];
+            all.extend(fields);
+            all.push(("records_identical", Value::Bool(true)));
+            let json = json::write(&ordered(all)) + "\n";
             let path = format!("results/BENCH_{}.json", self.bench);
             if let Err(e) = std::fs::create_dir_all("results")
                 .and_then(|()| write_atomic(&path, json.as_bytes()))

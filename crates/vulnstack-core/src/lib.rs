@@ -30,6 +30,7 @@ pub mod campaign;
 pub mod effects;
 pub mod fair;
 pub mod journal;
+pub mod json;
 pub mod pairs;
 pub mod report;
 pub mod sched;

@@ -18,14 +18,16 @@
 //!   without simulating to completion) and **watchdog expiries** (faulty
 //!   runs that hung until the commit watchdog fired).
 //!
-//! Everything serializes by hand (the workspace carries no serialization
-//! dependency): [`MetricsReport::to_json`] for `results/*.metrics.json`,
-//! [`MetricsReport::chrome_trace_json`] for `results/*.trace.json`
-//! (load either in `chrome://tracing` or <https://ui.perfetto.dev>).
+//! Both exports go through [`crate::json`]: [`MetricsReport::to_json`]
+//! for `results/*.metrics.json`, [`MetricsReport::chrome_trace_json`]
+//! for `results/*.trace.json` (load either in `chrome://tracing` or
+//! <https://ui.perfetto.dev>).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
+
+use crate::json::{self, fixed, n, ordered, s, Value};
 
 /// One scheduled unit of work (a fault site) on the campaign timeline.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -225,79 +227,72 @@ impl MetricsReport {
     /// Serializes the report as a JSON object (the `*.metrics.json`
     /// schema; see DESIGN.md).
     pub fn to_json(&self) -> String {
-        let workers: Vec<String> = self
-            .per_worker
-            .iter()
-            .enumerate()
-            .map(|(i, w)| {
-                format!(
-                    "{{\"id\":{i},\"sites\":{},\"busy_secs\":{:.6}}}",
-                    w.sites,
-                    w.busy_us as f64 / 1e6
-                )
-            })
-            .collect();
-        let hist: Vec<String> = self
-            .restore_hist
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(b, &c)| {
-                let lo = if b == 0 { 0u64 } else { 1u64 << (b - 1) };
-                let hi = if b == 0 { 0u64 } else { (1u64 << b) - 1 };
-                format!("{{\"lo\":{lo},\"hi\":{hi},\"n\":{c}}}")
-            })
-            .collect();
-        format!(
-            "{{\"label\":{},\"wall_secs\":{:.6},\"sites\":{},\
-             \"throughput_per_sec\":{:.3},\"extinct_early\":{},\
-             \"extinct_early_rate\":{:.6},\"watchdog_expiries\":{},\
-             \"pruned_dead\":{},\"early_terminated\":{},\
-             \"mean_restore_distance_cycles\":{:.1},\
-             \"restore_distance_hist\":[{}],\"workers\":[{}]}}",
-            json_string(&self.label),
-            self.wall_us as f64 / 1e6,
-            self.sites,
-            self.throughput(),
-            self.extinct_early,
-            self.extinct_rate(),
-            self.watchdog_expiries,
-            self.pruned_dead,
-            self.early_terminated,
-            self.mean_restore_distance(),
-            hist.join(","),
-            workers.join(","),
-        )
+        let workers = self.per_worker.iter().enumerate().map(|(i, w)| {
+            ordered(vec![
+                ("id", n(i as u64)),
+                ("sites", n(w.sites)),
+                ("busy_secs", fixed(w.busy_us as f64 / 1e6, 6)),
+            ])
+        });
+        let hist = self.restore_hist.iter().enumerate().filter(|(_, &c)| c > 0);
+        let hist = hist.map(|(b, &c)| {
+            let lo = if b == 0 { 0u64 } else { 1u64 << (b - 1) };
+            let hi = if b == 0 { 0u64 } else { (1u64 << b) - 1 };
+            ordered(vec![("lo", n(lo)), ("hi", n(hi)), ("n", n(c))])
+        });
+        json::write(&ordered(vec![
+            ("label", s(&self.label)),
+            ("wall_secs", fixed(self.wall_us as f64 / 1e6, 6)),
+            ("sites", n(self.sites)),
+            ("throughput_per_sec", fixed(self.throughput(), 3)),
+            ("extinct_early", n(self.extinct_early)),
+            ("extinct_early_rate", fixed(self.extinct_rate(), 6)),
+            ("watchdog_expiries", n(self.watchdog_expiries)),
+            ("pruned_dead", n(self.pruned_dead)),
+            ("early_terminated", n(self.early_terminated)),
+            (
+                "mean_restore_distance_cycles",
+                fixed(self.mean_restore_distance(), 1),
+            ),
+            ("restore_distance_hist", Value::Arr(hist.collect())),
+            ("workers", Value::Arr(workers.collect())),
+        ]))
     }
 
     /// Serializes the campaign timeline in the Chrome trace event format
     /// (Perfetto-compatible): one complete (`"ph":"X"`) event per fault
     /// site, one named thread per worker.
     pub fn chrome_trace_json(&self) -> String {
-        let mut events: Vec<String> = Vec::with_capacity(self.spans.len() + 8);
-        events.push(format!(
-            "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\
-             \"args\":{{\"name\":{}}}}}",
-            json_string(&format!("vulnstack campaign: {}", self.label))
+        let meta = |name: &str, tid: usize, label: String| {
+            ordered(vec![
+                ("name", s(name)),
+                ("ph", s("M")),
+                ("pid", n(1)),
+                ("tid", n(tid as u64)),
+                ("args", ordered(vec![("name", Value::Str(label))])),
+            ])
+        };
+        let mut events = Vec::with_capacity(self.spans.len() + self.per_worker.len() + 1);
+        events.push(meta(
+            "process_name",
+            0,
+            format!("vulnstack campaign: {}", self.label),
         ));
         for w in 0..self.per_worker.len() {
-            events.push(format!(
-                "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{w},\
-                 \"args\":{{\"name\":\"worker {w}\"}}}}"
-            ));
+            events.push(meta("thread_name", w, format!("worker {w}")));
         }
-        for s in &self.spans {
-            events.push(format!(
-                "{{\"name\":\"site {}\",\"ph\":\"X\",\"pid\":1,\"tid\":{},\
-                 \"ts\":{},\"dur\":{},\"args\":{{\"index\":{}}}}}",
-                s.index,
-                s.worker,
-                s.start_us,
-                s.end_us.saturating_sub(s.start_us).max(1),
-                s.index,
-            ));
+        for sp in &self.spans {
+            events.push(ordered(vec![
+                ("name", Value::Str(format!("site {}", sp.index))),
+                ("ph", s("X")),
+                ("pid", n(1)),
+                ("tid", n(sp.worker as u64)),
+                ("ts", n(sp.start_us)),
+                ("dur", n(sp.end_us.saturating_sub(sp.start_us).max(1))),
+                ("args", ordered(vec![("index", n(sp.index as u64))])),
+            ]));
         }
-        format!("{{\"traceEvents\":[{}]}}", events.join(","))
+        json::write(&ordered(vec![("traceEvents", Value::Arr(events))]))
     }
 
     /// Writes `<stem>.metrics.json` and `<stem>.trace.json` under `dir`.
@@ -316,25 +311,6 @@ impl MetricsReport {
         crate::report::write_atomic(&trace_path, self.chrome_trace_json().as_bytes())?;
         Ok((metrics_path, trace_path))
     }
-}
-
-/// Minimal JSON string escaping (labels are ASCII in practice).
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]
@@ -385,25 +361,46 @@ mod tests {
     }
 
     #[test]
-    fn json_outputs_are_well_formed_enough() {
+    fn json_outputs_parse_with_their_fields() {
         let m = CampaignMetrics::new("qsort \"A72\" RF");
         m.record_span(0, 0, 5, 25);
+        m.record_span(1, 1, 5, 5);
         m.record_restore_distance(300);
         let r = m.report();
-        let j = r.to_json();
-        assert!(j.starts_with('{') && j.ends_with('}'));
-        assert!(j.contains("\\\"A72\\\""), "label must be escaped: {j}");
-        assert!(j.contains("\"sites\":1"));
-        let ct = r.chrome_trace_json();
-        assert!(ct.contains("\"traceEvents\""));
-        assert!(ct.contains("\"ph\":\"X\""));
-        assert!(ct.contains("\"ph\":\"M\""));
-        // Balanced braces is a cheap sanity proxy for JSON validity here.
-        for s in [&j, &ct] {
-            let open = s.matches('{').count();
-            let close = s.matches('}').count();
-            assert_eq!(open, close, "unbalanced braces");
-        }
+        let doc = json::parse(&r.to_json()).expect("metrics JSON parses");
+        assert_eq!(
+            doc.get("label").and_then(Value::as_str),
+            Some("qsort \"A72\" RF")
+        );
+        assert_eq!(doc.get("sites").and_then(Value::as_u64), Some(2));
+        let Some(Value::Arr(hist)) = doc.get("restore_distance_hist") else {
+            panic!("no histogram: {doc:?}");
+        };
+        assert_eq!(hist.len(), 1);
+        assert_eq!(hist[0].get("lo").and_then(Value::as_u64), Some(256));
+
+        let trace = json::parse(&r.chrome_trace_json()).expect("trace JSON parses");
+        let Some(Value::Arr(events)) = trace.get("traceEvents") else {
+            panic!("no traceEvents: {trace:?}");
+        };
+        let ph = |e: &Value| e.get("ph").and_then(Value::as_str).map(str::to_string);
+        let meta = events.iter().filter(|e| ph(e).as_deref() == Some("M"));
+        let sites: Vec<&Value> = events
+            .iter()
+            .filter(|e| ph(e).as_deref() == Some("X"))
+            .collect();
+        // One process name, one thread name per worker, one event per span.
+        assert_eq!(meta.count(), 1 + r.per_worker.len());
+        assert_eq!(sites.len(), r.spans.len());
+        assert_eq!(events.len(), 1 + r.per_worker.len() + r.spans.len());
+        assert_eq!(
+            events[0]
+                .get("args")
+                .and_then(|a| a.get("name"))
+                .and_then(Value::as_str),
+            Some("vulnstack campaign: qsort \"A72\" RF")
+        );
+        assert_eq!(sites[1].get("dur").and_then(Value::as_u64), Some(1));
     }
 
     #[test]

@@ -7,8 +7,7 @@
 //! results, so `cmp` on their JSON files is a meaningful equivalence
 //! check, not a formatting lottery.
 
-use std::fmt::Write as _;
-
+use vulnstack_core::json::{self, fixed, n, ordered, s, Value};
 use vulnstack_core::{FpmDist, Tally};
 use vulnstack_microarch::FaultModel;
 
@@ -27,42 +26,33 @@ pub fn avf_report_json(
     plan: &InjectionPlan,
     per_structure: &[ModelReport],
 ) -> String {
-    let mut s = String::new();
     let plan_detail = match *plan {
         InjectionPlan::Exhaustive { cycle } => format!("exhaustive@{cycle}"),
         _ => plan.name().to_string(),
     };
-    let _ = write!(
-        s,
-        "{{\"workload\":\"{workload}\",\"plan\":\"{plan_detail}\",\"structures\":["
-    );
-    for (i, (st, tallies)) in per_structure.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let _ = write!(s, "{{\"structure\":\"{st}\",\"models\":[");
-        for (j, (m, tally, fpm)) in tallies.iter().enumerate() {
-            if j > 0 {
-                s.push(',');
-            }
-            let _ = write!(
-                s,
-                "{{\"model\":\"{}\",\"injections\":{},\"masked\":{},\"sdc\":{},\
-                 \"crash\":{},\"detected\":{},\"avf\":{:.6},\"hvf\":{:.6}}}",
-                m.name(),
-                tally.total(),
-                tally.masked,
-                tally.sdc,
-                tally.crash,
-                tally.detected,
-                tally.vf().total(),
-                fpm.hvf()
-            );
-        }
-        s.push_str("]}");
-    }
-    s.push_str("]}\n");
-    s
+    let model = |(m, tally, fpm): &(FaultModel, Tally, FpmDist)| {
+        ordered(vec![
+            ("model", s(m.name())),
+            ("injections", n(tally.total())),
+            ("masked", n(tally.masked)),
+            ("sdc", n(tally.sdc)),
+            ("crash", n(tally.crash)),
+            ("detected", n(tally.detected)),
+            ("avf", fixed(tally.vf().total(), 6)),
+            ("hvf", fixed(fpm.hvf(), 6)),
+        ])
+    };
+    let structures = per_structure.iter().map(|(st, tallies)| {
+        ordered(vec![
+            ("structure", s(st)),
+            ("models", Value::Arr(tallies.iter().map(model).collect())),
+        ])
+    });
+    json::write(&ordered(vec![
+        ("workload", s(workload)),
+        ("plan", Value::Str(plan_detail)),
+        ("structures", Value::Arr(structures.collect())),
+    ])) + "\n"
 }
 
 #[cfg(test)]

@@ -7,9 +7,10 @@
 use std::collections::HashMap;
 use std::path::PathBuf;
 
+use vulnstack_core::json::{self, Value};
+
 use crate::client::Client;
 use crate::daemon::{self, DaemonOpts};
-use crate::json::{self, Value};
 use crate::spec::{CampaignSpec, Engine};
 
 /// One subcommand's parsed flags.

@@ -8,7 +8,8 @@
 
 use std::io::{BufReader, Write};
 
-use crate::json::{self, Value};
+use vulnstack_core::json::{self, Value};
+
 use crate::net::Conn;
 use crate::proto;
 

@@ -26,10 +26,10 @@ use std::path::PathBuf;
 use std::sync::mpsc::{self, Sender};
 use std::sync::{Arc, Condvar, Mutex};
 
+use vulnstack_core::json::{self, obj, s, Value};
 use vulnstack_core::report::write_atomic;
 use vulnstack_core::{FairPool, JournalOpts, Participant, ResumeMode, RunOpts, StreamOpts};
 
-use crate::json::{self, obj, s, Value};
 use crate::net::Conn;
 use crate::proto::{self, ErrorCode, Frame, Request};
 use crate::service::{self, RunOutput};

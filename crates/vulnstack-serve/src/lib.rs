@@ -10,11 +10,11 @@
 //!
 //! Layering, bottom up:
 //!
-//! * [`json`] — strict, depth-limited JSON reader/writer (the
-//!   workspace carries no JSON dependency, so the wire format is
-//!   hand-rolled and canonical).
 //! * [`proto`] — request/response/event framing with stable error
-//!   codes; malformed input is answered, never panicked on.
+//!   codes; malformed input is answered, never panicked on. Messages
+//!   are read and written by [`vulnstack_core::json`], the strict,
+//!   depth-limited JSON module every report in the workspace also
+//!   goes through; its sorted-key form makes them canonical.
 //! * [`spec`] — the one campaign description: built from flags by
 //!   `vulnstack avf|pvf|svf` and `vulnstack client run`, parsed from
 //!   JSON by the daemon, with content-addressed handles.
@@ -27,7 +27,6 @@
 pub mod cli;
 pub mod client;
 pub mod daemon;
-pub mod json;
 pub mod net;
 pub mod proto;
 pub mod service;

@@ -20,7 +20,7 @@
 
 use std::io::{BufRead, ErrorKind};
 
-use crate::json::{self, obj, s, Value};
+use vulnstack_core::json::{self, obj, s, Value};
 
 /// Longest request line the daemon will buffer, terminator included.
 pub const MAX_LINE: usize = 64 * 1024;

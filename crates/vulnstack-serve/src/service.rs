@@ -11,6 +11,7 @@
 //! a campaign interrupted by cancellation or a crash resumes
 //! bit-identically on the next run of the same spec.
 
+use vulnstack_core::json::{self, obj, Value};
 use vulnstack_core::{ResumeStats, RunOpts, TallyStreamed};
 use vulnstack_gefin::{
     avf_campaign, avf_report_json, pvf_campaign, temporal_campaign, AvfStreamed, FuncPrepared,
@@ -19,7 +20,6 @@ use vulnstack_gefin::{
 use vulnstack_llfi::svf_campaign;
 use vulnstack_workloads::Workload;
 
-use crate::json::{self, obj, Value};
 use crate::spec::{CampaignSpec, Engine};
 
 /// One avf campaign's results: the plan it ran (an exhaustive plan's
@@ -182,7 +182,7 @@ mod tests {
     use vulnstack_core::{JournalOpts, ResumeMode, StreamOpts};
 
     fn spec(text: &str) -> CampaignSpec {
-        CampaignSpec::parse(&crate::json::parse(text).unwrap()).unwrap()
+        CampaignSpec::parse(&json::parse(text).unwrap()).unwrap()
     }
 
     /// A run on `threads` workers, journaled at `path` under `label` as

@@ -10,12 +10,12 @@
 //! twice (or resubmitted after a daemon restart) maps onto the same
 //! handle and the same journal file.
 
-use std::collections::BTreeMap;
 use std::ops::RangeInclusive;
 use std::path::Path;
 use std::str::FromStr;
 
 use vulnstack_core::journal::fnv1a64;
+use vulnstack_core::json::{self, Value};
 use vulnstack_core::ResumeMode;
 use vulnstack_gefin::{InjectionPlan, PvfMode};
 use vulnstack_isa::Isa;
@@ -24,7 +24,6 @@ use vulnstack_microarch::{CoreModel, FaultModel};
 use vulnstack_workloads::WorkloadId;
 
 use crate::cli::Flags;
-use crate::json::{self, Value};
 
 /// Which campaign engine runs the spec: the five engines the platform
 /// exposes, dispatched by [`crate::service::run`].
@@ -202,31 +201,32 @@ impl CampaignSpec {
     /// before either field existed still match). Two specs are the same
     /// campaign iff their canonical forms are bytewise equal.
     pub fn canonical(&self) -> Value {
-        let mut m = BTreeMap::new();
-        m.insert("engine".into(), json::s(self.engine.name()));
-        m.insert("workload".into(), json::s(self.workload.name()));
-        m.insert("hardened".into(), Value::Bool(self.hardened));
-        m.insert("priority".into(), json::s(self.priority.name()));
-        m.insert("faults".into(), json::n(self.faults as u64));
-        m.insert("seed".into(), json::n(self.seed));
-        m.insert("model".into(), json::s(self.model.name()));
-        m.insert("structure".into(), json::s(self.structure.name()));
-        m.insert(
-            "models".into(),
-            Value::Arr(self.models.iter().map(|f| json::s(f.name())).collect()),
-        );
-        m.insert("isa".into(), json::s(self.isa.name()));
         let mode = self.mode.name().to_ascii_lowercase();
-        m.insert("mode".into(), json::s(&mode));
-        m.insert("windows".into(), json::n(self.windows as u64));
-        m.insert("per_window".into(), json::n(self.per_window as u64));
+        let mut fields = vec![
+            ("engine", json::s(self.engine.name())),
+            ("workload", json::s(self.workload.name())),
+            ("hardened", Value::Bool(self.hardened)),
+            ("priority", json::s(self.priority.name())),
+            ("faults", json::n(self.faults as u64)),
+            ("seed", json::n(self.seed)),
+            ("model", json::s(self.model.name())),
+            ("structure", json::s(self.structure.name())),
+            (
+                "models",
+                Value::Arr(self.models.iter().map(|f| json::s(f.name())).collect()),
+            ),
+            ("isa", json::s(self.isa.name())),
+            ("mode", Value::Str(mode)),
+            ("windows", json::n(self.windows as u64)),
+            ("per_window", json::n(self.per_window as u64)),
+        ];
         if self.plan != Plan::Sampled {
-            m.insert("plan".into(), json::s(self.injection_plan(0).name()));
+            fields.push(("plan", json::s(self.injection_plan(0).name())));
         }
         if let Some(at) = self.at {
-            m.insert("at".into(), json::n(at));
+            fields.push(("at", json::n(at)));
         }
-        Value::Obj(m)
+        json::obj(fields)
     }
 
     /// The campaign handle: 16 hex digits of FNV-1a over the canonical

@@ -7,7 +7,7 @@
 use proptest::prelude::*;
 use std::io::BufReader;
 
-use vulnstack_serve::json::{self, Value};
+use vulnstack_core::json::{self, Value};
 use vulnstack_serve::proto::{self, ErrorCode, Frame, MAX_LINE};
 
 /// A valid request every mutation starts from.

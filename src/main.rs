@@ -394,11 +394,12 @@ fn analyze_prune_audit(target: &str, opts: &Flags) -> Result<(), String> {
         violations += (s_dead && !d_dead) as u64;
     }
 
-    let dead_regs: Vec<String> = oracle.dead_regs().iter().map(|r| r.0.to_string()).collect();
+    let dead_regs = oracle.dead_regs();
+    let reg_names: Vec<String> = dead_regs.iter().map(|r| r.0.to_string()).collect();
     println!(
         "{target} on {model}: {} of {nphys} physical registers statically dead (arch regs: {})",
         dead_regs.len(),
-        dead_regs.join(",")
+        reg_names.join(",")
     );
     println!(
         "lattice: static-dead {} <= dynamic-dead {} of {} sampled sites ({} violations)",
@@ -414,16 +415,23 @@ fn analyze_prune_audit(target: &str, opts: &Flags) -> Result<(), String> {
         pct2(static_dead)
     );
     if let Some(path) = opts.values.get("json") {
-        let json = format!(
-            "{{\n  \"workload\": \"{target}\", \"model\": \"{model}\", \"nphys\": {nphys},\n  \
-             \"static_dead_regs\": [{}],\n  \"static_dead_fraction\": {static_dead:.6},\n  \
-             \"dynamic_rf_live_fraction\": {dynamic_live:.6},\n  \"static_rf_pvf\": {rf_pvf:.6},\n  \
-             \"sampled_sites\": {},\n  \"static_dead_sites\": {static_dead_sites},\n  \
-             \"dynamic_dead_sites\": {dynamic_dead_sites},\n  \"violations\": {violations}\n}}\n",
-            dead_regs.join(", "),
-            sites.len(),
-        );
-        vulnstack_core::report::write_atomic(path, json.as_bytes()).map_err(|e| e.to_string())?;
+        use vulnstack_core::json::{self, fixed, n, ordered, s, Value};
+        let regs = dead_regs.iter().map(|r| n(r.0.into())).collect();
+        let report = ordered(vec![
+            ("workload", s(target)),
+            ("model", s(model.name())),
+            ("nphys", n(nphys as u64)),
+            ("static_dead_regs", Value::Arr(regs)),
+            ("static_dead_fraction", fixed(static_dead, 6)),
+            ("dynamic_rf_live_fraction", fixed(dynamic_live, 6)),
+            ("static_rf_pvf", fixed(rf_pvf, 6)),
+            ("sampled_sites", n(sites.len() as u64)),
+            ("static_dead_sites", n(static_dead_sites)),
+            ("dynamic_dead_sites", n(dynamic_dead_sites)),
+            ("violations", n(violations)),
+        ]);
+        let text = json::write(&report) + "\n";
+        vulnstack_core::report::write_atomic(path, text.as_bytes()).map_err(|e| e.to_string())?;
         println!("wrote {path}");
     }
     if violations > 0 {

@@ -18,11 +18,11 @@ use std::process::Command;
 use vulnstack_analyze::attack::FindingKind;
 use vulnstack_analyze::{attack_surface, build_kernel_cfg, AttackReport};
 use vulnstack_compiler::{compile, CompileOpts};
+use vulnstack_core::json::{self, Value};
 use vulnstack_isa::{FaultModel, Isa, Reg, TrapCause};
 use vulnstack_kernel::SystemImage;
 use vulnstack_microarch::func::Mode;
 use vulnstack_microarch::{FuncCore, RunStatus};
-use vulnstack_serve::json::{self, Value};
 use vulnstack_vir::ModuleBuilder;
 
 /// The CLI's `analyze attack kernel` pipeline, as a library call.

@@ -13,8 +13,8 @@ use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
+use vulnstack_core::json::{self, Value};
 use vulnstack_serve::client::{Client, StreamedRecord};
-use vulnstack_serve::json::{self, Value};
 
 fn bin() -> &'static str {
     env!("CARGO_BIN_EXE_vulnstack")
