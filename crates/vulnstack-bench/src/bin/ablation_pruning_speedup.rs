@@ -26,9 +26,11 @@ fn main() {
 
     let (full, _) = ab.avf_pass("full", &InjectionPlan::Sampled { n, seed }, None);
     // The pruned pass carries the metrics collector (pruned-dead and
-    // early-termination counters land in the report). Its timing
-    // includes building the class table — one instrumented golden run —
-    // so the speedup is the honest end-to-end figure.
+    // early-termination counters land in the report). The ablation
+    // prepares with plain `Prepared::new`, which records no class table,
+    // so the pruned pass's timing includes building one — `Pruner::new`
+    // re-runs the golden pass under the observer — and the speedup is
+    // the honest end-to-end figure.
     let metrics = ab.metrics("pruned");
     let (pruned, stats) = ab.avf_pass("pruned", &InjectionPlan::Pruned { n, seed }, Some(&metrics));
     let stats = stats.expect("pruned plan reports stats");

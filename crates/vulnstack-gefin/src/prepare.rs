@@ -5,10 +5,13 @@ use vulnstack_compiler::{compile, CompileOpts};
 use vulnstack_isa::Isa;
 use vulnstack_kernel::SystemImage;
 use vulnstack_microarch::func::Profile;
+use vulnstack_microarch::ooo::HwStructure;
 use vulnstack_microarch::outcome::SimOutcome;
-use vulnstack_microarch::snapshot::{self, CheckpointStore};
+use vulnstack_microarch::snapshot::{self, CheckpointStore, GoldenObserver};
 use vulnstack_microarch::{CoreConfig, CoreModel, FuncCore, OooCore, RunStatus};
 use vulnstack_workloads::Workload;
+
+use crate::prune::ClassTable;
 
 /// Golden-run budget for the *functional* core, in dynamic
 /// **instructions** ([`FuncCore::run`] counts instructions).
@@ -101,6 +104,10 @@ pub struct Prepared {
     /// Fault-free core snapshots taken along the golden run, for
     /// warm-starting injections near their injection cycle.
     pub checkpoints: CheckpointStore,
+    /// The class tables the golden run recorded ([`Prepared::observing`];
+    /// none after [`Prepared::new`]), which the [`crate::Pruner`] of
+    /// their structure borrows instead of re-running the golden pass.
+    pub tables: Vec<ClassTable>,
 }
 
 impl Prepared {
@@ -113,17 +120,36 @@ impl Prepared {
     /// or if the golden run does not exit cleanly with the workload's
     /// expected output.
     pub fn new(workload: &Workload, model: CoreModel) -> Result<Prepared, PrepareError> {
+        Prepared::observing(workload, model, &[])
+    }
+
+    /// [`Prepared::new`] whose golden run also records the class tables
+    /// of `structures` that a pruned or exhaustive campaign consults
+    /// (the register file's and the LSQ's; the caches need none), so
+    /// such a campaign simulates its golden run once. Each table is the
+    /// one [`ClassTable::build`] would re-run the golden pass to build.
+    ///
+    /// # Errors
+    ///
+    /// As [`Prepared::new`].
+    pub fn observing(
+        workload: &Workload,
+        model: CoreModel,
+        structures: &[HwStructure],
+    ) -> Result<Prepared, PrepareError> {
         let cfg = model.config();
         let compiled = compile(&workload.module, cfg.isa, &CompileOpts::default())
             .map_err(|e| PrepareError::Compile(e.to_string()))?;
         let image = SystemImage::build(&compiled, &workload.input)
             .map_err(|e| PrepareError::Image(e.to_string()))?;
+        let mut observer = GoldenObserver::new(structures);
         let (checkpoints, out) = CheckpointStore::record(
             &cfg,
             &image,
             snapshot::DEFAULT_INTERVAL,
             snapshot::DEFAULT_MAX_SNAPSHOTS,
             GOLDEN_CYCLE_BUDGET,
+            &mut observer,
         );
         let golden = out.sim;
         if golden.status != RunStatus::Exited(0) {
@@ -131,6 +157,17 @@ impl Prepared {
         }
         PrepareError::check_output(&golden.output, &workload.expected_output)?;
         let budget = golden.cycles * 8 + 500_000;
+        let mut tables = Vec::new();
+        for s in HwStructure::ALL {
+            if observer.observes(s) {
+                tables.push(ClassTable::from_observer(
+                    &cfg,
+                    golden.cycles,
+                    s,
+                    &mut observer,
+                ));
+            }
+        }
         Ok(Prepared {
             cfg,
             image,
@@ -138,7 +175,13 @@ impl Prepared {
             expected_output: workload.expected_output.clone(),
             budget,
             checkpoints,
+            tables,
         })
+    }
+
+    /// The class table the golden run recorded for `structure`, if any.
+    pub fn table(&self, structure: HwStructure) -> Option<&ClassTable> {
+        self.tables.iter().find(|t| t.structure() == structure)
     }
 
     /// A fault-free core advanced to exactly `cycle`, warm-started from
@@ -232,6 +275,41 @@ mod tests {
         let mid = p.golden.cycles / 2;
         assert!(p.checkpoints.nearest_position(mid) <= mid);
         assert_eq!(p.core_at(mid).cycle(), mid);
+    }
+
+    #[test]
+    fn observing_takes_the_plain_golden_run_and_keeps_logs_out_of_snapshots() {
+        for (id, model) in [
+            (WorkloadId::Crc32, CoreModel::A9),
+            (WorkloadId::Qsort, CoreModel::A72),
+        ] {
+            let w = id.build();
+            let plain = Prepared::new(&w, model).unwrap();
+            let p = Prepared::observing(&w, model, &HwStructure::ALL).unwrap();
+            assert_eq!(p.golden, plain.golden);
+            assert_eq!(p.budget, plain.budget);
+            let (store, want) = (&p.checkpoints, &plain.checkpoints);
+            assert_eq!(
+                (store.len(), store.interval()),
+                (want.len(), want.interval())
+            );
+            for c in (0..store.len() as u64).map(|i| i * store.interval()) {
+                assert!(
+                    store.at(c) == want.at(c),
+                    "{id}/{model}: snapshot at {c} differs"
+                );
+            }
+            // Only the register file and the LSQ record a table.
+            let observed: Vec<HwStructure> = p.tables.iter().map(ClassTable::structure).collect();
+            assert_eq!(observed, [HwStructure::RegisterFile, HwStructure::Lsq]);
+            assert!(plain.tables.is_empty() && p.table(HwStructure::L1d).is_none());
+            // A log in a restored core would grow and slow every
+            // injection run.
+            for c in [1, p.golden.cycles / 2, p.golden.cycles - 1] {
+                let mut core = p.core_at(c);
+                assert!(core.take_rf_log().is_none() && core.take_dispatch_log().is_none());
+            }
+        }
     }
 
     #[test]

@@ -9,11 +9,13 @@
 //! bit-identical to the unpruned campaign's (asserted by
 //! `tests/prune_equivalence.rs`):
 //!
-//! 1. **Dead-interval classification** ([`ClassTable`]). One extra
-//!    *instrumented* golden run records, per physical register, the full
-//!    cycle-ordered read/write access sequence ([`RfAccessLog`]), and,
-//!    per cycle, which LSQ entries are *armed* (the only entries whose
-//!    flips [`OooCore::inject`] taints). A register-file flip whose next
+//! 1. **Dead-interval classification** ([`ClassTable`]). The golden
+//!    pass that takes the checkpoints also records ([`GoldenObserver`]),
+//!    per physical register, the full cycle-ordered read/write access
+//!    sequence ([`RfAccessLog`]), and, per cycle, which LSQ entries are
+//!    *armed* (the only entries whose flips [`OooCore::inject`] taints);
+//!    a preparation made without them re-runs the golden pass under the
+//!    same observer. A register-file flip whose next
 //!    access is a write — or that is never accessed again — is provably
 //!    Masked: the corrupt value is repaired before any read, or never
 //!    read at all, so the faulty run retraces the golden run and the
@@ -75,10 +77,12 @@
 //! would have produced.
 //!
 //! [`RfAccessLog`]: vulnstack_microarch::ooo::RfAccessLog
+//! [`GoldenObserver`]: vulnstack_microarch::snapshot::GoldenObserver
 //! [`FaultEventKind::PrunedExtinct`]: vulnstack_microarch::lifetime::FaultEventKind::PrunedExtinct
 //! [`FaultEventKind::ProvenHang`]: vulnstack_microarch::lifetime::FaultEventKind::ProvenHang
 //! [`CheckpointStore::at`]: vulnstack_microarch::snapshot::CheckpointStore::at
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -88,7 +92,8 @@ use vulnstack_core::effects::FaultEffect;
 use vulnstack_core::trace::CampaignMetrics;
 use vulnstack_kernel::{memmap, SystemImage};
 use vulnstack_microarch::ooo::{lsq_site, rf_site, Fpm, HwStructure, LsqSite, RfAccess};
-use vulnstack_microarch::{FaultModel, OooCore, RunStatus};
+use vulnstack_microarch::snapshot::{ArmedMask, GoldenObserver};
+use vulnstack_microarch::{CoreConfig, FaultModel, OooCore, RunStatus};
 
 use crate::avf::{InjectionRecord, ModelSite};
 use crate::prepare::Prepared;
@@ -152,15 +157,6 @@ pub enum SiteClass {
     Singleton,
 }
 
-/// Per-cycle armed-entry masks of the LSQ along the golden run
-/// (`lq`/`sq` bit `i` set ⇔ entry `i`'s flips would be tainted by
-/// [`vulnstack_microarch::OooCore::inject`] at the end of that cycle).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-struct ArmedMask {
-    lq: u32,
-    sq: u32,
-}
-
 /// Streaming FNV-1a (same constants as `vulnstack_core::journal::fnv1a64`,
 /// asserted by a unit test) so large class tables hash without building
 /// one contiguous byte buffer.
@@ -184,14 +180,17 @@ impl Fnv {
 }
 
 /// The golden run's fault-site equivalence structure for one
-/// `(workload, core, structure)` triple, built from a single
-/// instrumented re-run of the golden execution.
+/// `(workload, core, structure)` triple, built from what a
+/// [`GoldenObserver`] recorded along one golden pass: the checkpointing
+/// pass of [`Prepared::observing`], or the bare re-run of
+/// [`ClassTable::build`].
 ///
 /// Deterministic: the simulator draws no external entropy, so two builds
-/// over the same [`Prepared`] produce identical tables — which is what
-/// lets resumed campaigns verify agreement through the journal's
-/// `class-table` metadata digest instead of re-serialising the table.
-#[derive(Debug)]
+/// over the same [`Prepared`] produce identical tables, from either pass
+/// — which is what lets resumed campaigns verify agreement through the
+/// journal's `class-table` metadata digest instead of re-serialising the
+/// table.
+#[derive(Debug, Clone)]
 pub struct ClassTable {
     structure: HwStructure,
     golden_cycles: u64,
@@ -212,71 +211,63 @@ pub struct ClassTable {
 }
 
 impl ClassTable {
-    /// Builds the table by re-running the golden execution once with
-    /// instrumentation: the RF access log for [`HwStructure::RegisterFile`],
-    /// per-cycle armed masks for [`HwStructure::Lsq`]. Cache structures
-    /// need no table (every site is a [`SiteClass::Singleton`]) and cost
-    /// nothing here.
+    /// Builds the table by re-running the golden execution once under a
+    /// [`GoldenObserver`]: the RF access log for
+    /// [`HwStructure::RegisterFile`], per-cycle armed masks for
+    /// [`HwStructure::Lsq`]. Cache structures need no table (every site
+    /// is a [`SiteClass::Singleton`]) and cost nothing here. A
+    /// [`Prepared::observing`] preparation already holds the table the
+    /// same pass would record ([`Prepared::table`]).
     ///
     /// # Panics
     ///
-    /// Panics if the instrumented run fails to retrace the reference
-    /// golden run (observer hooks must never perturb simulation).
+    /// Panics if the observed run fails to retrace the reference golden
+    /// run (observing must never perturb simulation).
     pub fn build(prep: &Prepared, structure: HwStructure) -> ClassTable {
-        let xlen = prep.cfg.isa.xlen() as u64;
-        let mut rf_events: Vec<Vec<RfAccess>> = Vec::new();
-        let mut dispatch_cycles: Vec<u64> = Vec::new();
-        let mut armed: Vec<ArmedMask> = Vec::new();
-        match structure {
+        let mut observer = GoldenObserver::new(&[structure]);
+        if observer.observes(structure) {
+            let out = observer.run(&prep.cfg, &prep.image, prep.budget);
+            assert_eq!(
+                out.sim.cycles, prep.golden.cycles,
+                "observed golden run diverged from the reference golden run"
+            );
+        }
+        ClassTable::from_observer(&prep.cfg, prep.golden.cycles, structure, &mut observer)
+    }
+
+    /// The table of `structure` from what `observer` recorded along a
+    /// golden pass of `golden_cycles` cycles on `cfg`, moving the logs
+    /// out of the observer rather than copying them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `structure` is the register file or the LSQ and the
+    /// observer holds no log of it.
+    pub fn from_observer(
+        cfg: &CoreConfig,
+        golden_cycles: u64,
+        structure: HwStructure,
+        observer: &mut GoldenObserver,
+    ) -> ClassTable {
+        let (rf_events, dispatch_cycles, armed) = match structure {
             HwStructure::RegisterFile => {
-                let mut core = prep.core_from_scratch();
-                core.enable_rf_log();
-                core.enable_dispatch_log();
-                core.run_until(prep.budget);
-                assert_eq!(
-                    core.cycle(),
-                    prep.golden.cycles,
-                    "instrumented golden run diverged from the reference golden run"
-                );
-                let log = core.take_rf_log().expect("rf log was enabled");
-                rf_events = (0..log.num_pregs())
-                    .map(|p| log.events(p).to_vec())
-                    .collect();
-                dispatch_cycles = core.take_dispatch_log().expect("dispatch log was enabled");
+                let (log, dispatch) = observer.take_rf().expect("the pass observed the RF");
+                (log.into_events(), dispatch, Vec::new())
             }
             HwStructure::Lsq => {
-                // Step the golden run cycle by cycle, sampling which LSQ
-                // entries are armed at the end of each cycle — exactly
-                // the state an injection at that cycle sees, since
-                // `run_one` injects after `run_until(cycle)` returns.
-                let mut core = prep.core_from_scratch();
-                armed.push(ArmedMask {
-                    lq: core.lq_armed(),
-                    sq: core.sq_armed(),
-                });
-                for c in 1..=prep.golden.cycles {
-                    core.run_until(c);
-                    armed.push(ArmedMask {
-                        lq: core.lq_armed(),
-                        sq: core.sq_armed(),
-                    });
-                }
-                assert_eq!(
-                    core.cycle(),
-                    prep.golden.cycles,
-                    "instrumented golden run diverged from the reference golden run"
-                );
+                let armed = observer.take_armed().expect("the pass observed the LSQ");
+                (Vec::new(), Vec::new(), armed)
             }
-            HwStructure::L1i | HwStructure::L1d | HwStructure::L2 => {}
-        }
+            HwStructure::L1i | HwStructure::L1d | HwStructure::L2 => Default::default(),
+        };
         let mut t = ClassTable {
             structure,
-            golden_cycles: prep.golden.cycles,
-            xlen,
+            golden_cycles,
+            xlen: cfg.isa.xlen() as u64,
             rf_events,
             dispatch_cycles,
-            lq_len: prep.cfg.lq_entries as usize,
-            sq_len: prep.cfg.sq_entries as usize,
+            lq_len: cfg.lq_entries as usize,
+            sq_len: cfg.sq_entries as usize,
             armed,
             digest: 0,
         };
@@ -512,7 +503,8 @@ type OutcomeTriple = (FaultEffect, Option<Fpm>, Option<u64>);
 pub struct Pruner<'a> {
     prep: &'a Prepared,
     structure: HwStructure,
-    table: ClassTable,
+    /// The preparation's own table, or one built for this pruner.
+    table: Cow<'a, ClassTable>,
     /// Static pruning oracle, consulted before the dynamic table (RF
     /// campaigns only — the static argument says nothing about LSQ or
     /// cache sites).
@@ -531,14 +523,20 @@ pub struct Pruner<'a> {
 }
 
 impl<'a> Pruner<'a> {
-    /// Builds the class table and a pruner over it.
+    /// A pruner over the class table `prep` recorded for `structure`
+    /// ([`Prepared::table`]), or, when it recorded none, over a table
+    /// built by [`ClassTable::build`].
     pub fn new(prep: &'a Prepared, structure: HwStructure) -> Pruner<'a> {
         let static_pre =
             (structure == HwStructure::RegisterFile).then(|| static_classifier(&prep.image));
+        let table = match prep.table(structure) {
+            Some(t) => Cow::Borrowed(t),
+            None => Cow::Owned(ClassTable::build(prep, structure)),
+        };
         Pruner {
             prep,
             structure,
-            table: ClassTable::build(prep, structure),
+            table,
             static_pre,
             nphys: prep.cfg.phys_regs as usize,
             memo: Mutex::new(HashMap::new()),
@@ -950,13 +948,33 @@ mod tests {
 
     #[test]
     fn class_table_is_deterministic_and_structure_specific() {
-        let w = WorkloadId::Crc32.build();
-        let prep = Prepared::new(&w, CoreModel::A9).unwrap();
-        let a = ClassTable::build(&prep, HwStructure::RegisterFile);
-        let b = ClassTable::build(&prep, HwStructure::RegisterFile);
-        assert_eq!(a.digest(), b.digest(), "same build must digest equal");
-        let lsq = ClassTable::build(&prep, HwStructure::Lsq);
-        assert_ne!(a.digest(), lsq.digest());
+        let (rf, lsq) = (HwStructure::RegisterFile, HwStructure::Lsq);
+        for (id, model) in [
+            (WorkloadId::Crc32, CoreModel::A9),
+            (WorkloadId::Qsort, CoreModel::A72),
+        ] {
+            let w = id.build();
+            let prep = Prepared::new(&w, model).unwrap();
+            let a = ClassTable::build(&prep, rf);
+            let b = ClassTable::build(&prep, rf);
+            assert_eq!(a.digest(), b.digest(), "same build must digest equal");
+            let l = ClassTable::build(&prep, lsq);
+            assert_ne!(a.digest(), l.digest());
+            // The checkpointing golden pass records the same tables,
+            // whether it observes one structure or both.
+            for observed in [&[rf][..], &[lsq], &[rf, lsq]] {
+                let fused = Prepared::observing(&w, model, observed).unwrap();
+                for &st in observed {
+                    let want = if st == rf { &a } else { &l };
+                    let got = fused.table(st).expect("an observed structure has a table");
+                    assert_eq!(
+                        got.digest(),
+                        want.digest(),
+                        "{id}/{model} {st} of {observed:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

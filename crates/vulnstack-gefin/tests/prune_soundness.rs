@@ -10,6 +10,10 @@
 //! search, a missed access path into the register file) shows up here as
 //! a concrete counterexample program.
 //!
+//! The table checked is the one production campaigns consult: recorded
+//! by the checkpointing golden pass, and required to equal the table a
+//! bare golden re-run builds.
+//!
 //! The proptest shim is deterministic (seeded from the test name), so CI
 //! runs a fixed corpus.
 
@@ -21,7 +25,7 @@ use vulnstack_gefin::{draw_sites, static_classifier, ClassTable, Prepared, SiteC
 use vulnstack_isa::Isa;
 use vulnstack_kernel::SystemImage;
 use vulnstack_microarch::ooo::HwStructure;
-use vulnstack_microarch::snapshot::{self, CheckpointStore};
+use vulnstack_microarch::snapshot::{self, CheckpointStore, GoldenObserver};
 use vulnstack_microarch::{CoreModel, RunStatus};
 use vulnstack_vir::ModuleBuilder;
 
@@ -69,17 +73,22 @@ fn build_program(steps: &[Step], iters: u64, init: u32, isa: Isa) -> SystemImage
     SystemImage::build(&c, &[]).unwrap()
 }
 
-/// Prepares the random program the same way [`Prepared::new`] prepares a
-/// benchmark workload (golden run, checkpoints, budget), with the golden
-/// output as its own expected output — the engine's standing assumption.
+/// Prepares the random program the same way [`Prepared::observing`]
+/// prepares a benchmark workload for a register-file campaign (golden
+/// run, checkpoints, budget, the RF class table recorded in the same
+/// pass), with the golden output as its own expected output — the
+/// engine's standing assumption.
 fn prepare(image: SystemImage, model: CoreModel) -> Option<Prepared> {
     let cfg = model.config();
+    let rf = HwStructure::RegisterFile;
+    let mut observer = GoldenObserver::new(&[rf]);
     let (checkpoints, out) = CheckpointStore::record(
         &cfg,
         &image,
         snapshot::DEFAULT_INTERVAL,
         snapshot::DEFAULT_MAX_SNAPSHOTS,
         5_000_000,
+        &mut observer,
     );
     let golden = out.sim;
     if golden.status != RunStatus::Exited(0) {
@@ -87,6 +96,12 @@ fn prepare(image: SystemImage, model: CoreModel) -> Option<Prepared> {
     }
     let budget = golden.cycles * 8 + 500_000;
     let expected_output = golden.output.clone();
+    let tables = vec![ClassTable::from_observer(
+        &cfg,
+        golden.cycles,
+        rf,
+        &mut observer,
+    )];
     Some(Prepared {
         cfg,
         image,
@@ -94,7 +109,21 @@ fn prepare(image: SystemImage, model: CoreModel) -> Option<Prepared> {
         expected_output,
         budget,
         checkpoints,
+        tables,
     })
+}
+
+/// The register-file table `prep`'s golden pass recorded, after checking
+/// that a bare golden re-run builds the same table.
+fn rf_table(prep: &Prepared) -> &ClassTable {
+    let rf = HwStructure::RegisterFile;
+    let table = prep.table(rf).expect("the golden pass observed the RF");
+    assert_eq!(
+        table.digest(),
+        ClassTable::build(prep, rf).digest(),
+        "the checkpointing pass and a bare re-run recorded different tables"
+    );
+    table
 }
 
 proptest! {
@@ -121,7 +150,7 @@ proptest! {
                 ))
             }
         };
-        let table = ClassTable::build(&prep, HwStructure::RegisterFile);
+        let table = rf_table(&prep);
         for (cycle, bit) in draw_sites(&prep, HwStructure::RegisterFile, 24, site_seed) {
             if table.classify(cycle, bit) == SiteClass::DeadMasked {
                 let r = run_one(&prep, HwStructure::RegisterFile, cycle, bit);
@@ -171,7 +200,7 @@ proptest! {
         };
         let oracle = static_classifier(&prep.image);
         let nphys = prep.cfg.phys_regs as usize;
-        let table = ClassTable::build(&prep, HwStructure::RegisterFile);
+        let table = rf_table(&prep);
         for (cycle, bit) in draw_sites(&prep, HwStructure::RegisterFile, 24, site_seed) {
             if !oracle.rf_bit_dead(bit, nphys) {
                 continue;

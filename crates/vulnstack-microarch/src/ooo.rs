@@ -365,15 +365,11 @@ impl RfAccessLog {
         self.events[preg].push(RfAccess { cycle, write });
     }
 
-    /// Number of physical registers covered.
-    pub fn num_pregs(&self) -> usize {
-        self.events.len()
-    }
-
-    /// The access events of physical register `preg`, in execution order
-    /// (cycles are nondecreasing; within a cycle, occurrence order).
-    pub fn events(&self, preg: usize) -> &[RfAccess] {
-        &self.events[preg]
+    /// Every physical register's access events, indexed by register,
+    /// each in execution order (cycles are nondecreasing; within a
+    /// cycle, occurrence order).
+    pub fn into_events(self) -> Vec<Vec<RfAccess>> {
+        self.events
     }
 }
 
@@ -608,6 +604,19 @@ impl OooCore {
     /// Takes the dispatch log collected so far, if enabled.
     pub fn take_dispatch_log(&mut self) -> Option<Vec<u64>> {
         self.dispatch_log.take()
+    }
+
+    /// A checkpoint of the core as [`crate::snapshot::CheckpointStore`]
+    /// keeps it: memory and cache pages shared with this core instead of
+    /// copied, and no RF access or dispatch log. The logs belong to the
+    /// golden pass recording them, so a restored core starts unlogged
+    /// and no injection run extends or copies them.
+    pub(crate) fn snapshot(&mut self) -> OooCore {
+        self.mem.share();
+        let logs = (self.rf_log.take(), self.dispatch_log.take());
+        let snap = self.clone();
+        (self.rf_log, self.dispatch_log) = logs;
+        snap
     }
 
     /// First architecturally visible manifestation of the injected fault

@@ -33,11 +33,15 @@
 //! `p` (asserted by the `checkpoint_equivalence` tests in
 //! `vulnstack-gefin` and the `functional_checkpoints` tests at the
 //! workspace root).
+//!
+//! The cycle-level golden pass can also drive a [`GoldenObserver`],
+//! which records what the pruner's class tables are built from, so a
+//! pruned campaign simulates its golden run once.
 
 use vulnstack_kernel::SystemImage;
 
 use crate::config::CoreConfig;
-use crate::ooo::{OooCore, OooOutcome};
+use crate::ooo::{HwStructure, OooCore, OooOutcome, RfAccessLog};
 
 /// Default snapshot spacing in cycles for the cycle-level core, before
 /// any adaptive doubling.
@@ -213,8 +217,11 @@ impl<S: Clone> CheckpointStore<S> {
 impl CheckpointStore<OooCore> {
     /// Runs a fault-free (golden) run of `image` on `cfg` to completion
     /// (or `budget` cycles), snapshotting the core every `interval`
-    /// cycles (thinned to at most `max_snapshots`), and returns the store
-    /// together with the run's outcome.
+    /// cycles (thinned to at most `max_snapshots`) and driving
+    /// `observer` along the way, and returns the store together with
+    /// the run's outcome. Observing never perturbs the run, and no
+    /// snapshot carries a log: the snapshots and the outcome are the
+    /// same whatever `observer` records.
     ///
     /// # Panics
     ///
@@ -225,23 +232,142 @@ impl CheckpointStore<OooCore> {
         interval: u64,
         max_snapshots: usize,
         budget: u64,
+        observer: &mut GoldenObserver,
     ) -> (CheckpointStore, OooOutcome) {
         let mut core = OooCore::new(cfg, image);
         let mut store = CheckpointStore::new(core.clone(), interval, max_snapshots, OooCore::cycle);
+        observer.attach(&mut core);
         loop {
             let next = store.next_position();
             if next > budget {
                 break;
             }
-            core.run_until(next);
+            observer.run_until(&mut core, next);
             if core.ended() || core.cycle() < next {
                 break;
             }
-            core.mem.share();
-            store.push(core.clone());
+            store.push(core.snapshot());
         }
-        core.run_until(budget);
+        observer.run_until(&mut core, budget);
+        observer.detach(&mut core);
         (store, core.finish())
+    }
+}
+
+/// The LSQ entries armed at the end of one cycle: bit `i` of `lq`/`sq`
+/// is set iff [`OooCore::inject`] would taint a flip of entry `i`
+/// ([`OooCore::lq_armed`], [`OooCore::sq_armed`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct ArmedMask {
+    /// Armed load-queue entries.
+    pub lq: u32,
+    /// Armed store-queue entries.
+    pub sq: u32,
+}
+
+impl ArmedMask {
+    fn of(core: &OooCore) -> ArmedMask {
+        ArmedMask {
+            lq: core.lq_armed(),
+            sq: core.sq_armed(),
+        }
+    }
+}
+
+/// What a golden pass records for the pruner's class tables
+/// (`vulnstack-gefin::prune::ClassTable`): for the register file, the
+/// per-preg access log ([`RfAccessLog`]) and the cycle of every decoded
+/// dispatch; for the LSQ, the armed entries at the end of every cycle.
+/// The caches need nothing, so observing them costs nothing.
+///
+/// One observer serves both passes that record: the checkpointing
+/// golden run ([`CheckpointStore::record`]) and a bare re-run
+/// ([`GoldenObserver::run`]). The logs live in the running core, never
+/// in a snapshot, and move into the observer when the pass ends.
+#[derive(Debug)]
+pub struct GoldenObserver {
+    rf: bool,
+    rf_logs: Option<(Box<RfAccessLog>, Vec<u64>)>,
+    /// Armed masks indexed by cycle, `0..=` the pass's last cycle.
+    armed: Option<Vec<ArmedMask>>,
+}
+
+impl GoldenObserver {
+    /// An observer recording what the class tables of `structures`
+    /// need.
+    pub fn new(structures: &[HwStructure]) -> GoldenObserver {
+        GoldenObserver {
+            rf: structures.contains(&HwStructure::RegisterFile),
+            rf_logs: None,
+            armed: structures.contains(&HwStructure::Lsq).then(Vec::new),
+        }
+    }
+
+    /// True if a pass records anything for `structure`: the register
+    /// file and the LSQ when asked for, never a cache.
+    pub fn observes(&self, structure: HwStructure) -> bool {
+        match structure {
+            HwStructure::RegisterFile => self.rf,
+            HwStructure::Lsq => self.armed.is_some(),
+            HwStructure::L1i | HwStructure::L1d | HwStructure::L2 => false,
+        }
+    }
+
+    /// A bare golden pass: runs `image` on `cfg` to completion (or
+    /// `budget` cycles) with no snapshots, observing it.
+    pub fn run(&mut self, cfg: &CoreConfig, image: &SystemImage, budget: u64) -> OooOutcome {
+        let mut core = OooCore::new(cfg, image);
+        self.attach(&mut core);
+        self.run_until(&mut core, budget);
+        self.detach(&mut core);
+        core.finish()
+    }
+
+    fn attach(&mut self, core: &mut OooCore) {
+        if self.rf {
+            core.enable_rf_log();
+            core.enable_dispatch_log();
+        }
+        if let Some(armed) = &mut self.armed {
+            armed.push(ArmedMask::of(core));
+        }
+    }
+
+    /// Runs `core` to `cycle` (or its end). With the LSQ observed it
+    /// steps cycle by cycle and samples the armed entries after each
+    /// one: the state an injection at that cycle sees, since a campaign
+    /// injects after `run_until(cycle)` returns.
+    fn run_until(&mut self, core: &mut OooCore, cycle: u64) {
+        let Some(armed) = &mut self.armed else {
+            return core.run_until(cycle);
+        };
+        while !core.ended() && core.cycle() < cycle {
+            core.step_cycle();
+            armed.push(ArmedMask::of(core));
+        }
+    }
+
+    fn detach(&mut self, core: &mut OooCore) {
+        if self.rf {
+            let rf = core.take_rf_log().expect("the RF log was enabled");
+            let dispatch = core
+                .take_dispatch_log()
+                .expect("the dispatch log was enabled");
+            self.rf_logs = Some((rf, dispatch));
+        }
+    }
+
+    /// Takes a finished pass's register-file logs: the access log and
+    /// the cycles of the decoded dispatches, in order. `None` unless a
+    /// pass observed the register file.
+    pub fn take_rf(&mut self) -> Option<(Box<RfAccessLog>, Vec<u64>)> {
+        self.rf_logs.take()
+    }
+
+    /// Takes a finished pass's LSQ armed masks, indexed by cycle.
+    /// `None` unless the LSQ was observed.
+    pub fn take_armed(&mut self) -> Option<Vec<ArmedMask>> {
+        self.armed.take()
     }
 }
 
@@ -252,6 +378,11 @@ mod tests {
     use crate::outcome::RunStatus;
     use vulnstack_compiler::{compile, CompileOpts};
     use vulnstack_vir::ModuleBuilder;
+
+    /// An observer recording nothing: the plain golden pass.
+    fn unobserved() -> GoldenObserver {
+        GoldenObserver::new(&[])
+    }
 
     fn image() -> SystemImage {
         let mut mb = ModuleBuilder::new("t");
@@ -276,7 +407,8 @@ mod tests {
         let img = image();
         let cfg = CoreModel::A72.config();
         let plain = OooCore::new(&cfg, &img).run(10_000_000);
-        let (store, out) = CheckpointStore::record(&cfg, &img, 256, 16, 10_000_000);
+        let (store, out) =
+            CheckpointStore::record(&cfg, &img, 256, 16, 10_000_000, &mut unobserved());
         assert_eq!(out.sim.status, RunStatus::Exited(0));
         assert_eq!(out.sim.status, plain.sim.status);
         assert_eq!(out.sim.output, plain.sim.output);
@@ -290,7 +422,8 @@ mod tests {
     fn snapshots_sit_on_interval_boundaries() {
         let img = image();
         let cfg = CoreModel::A72.config();
-        let (store, out) = CheckpointStore::record(&cfg, &img, 128, 8, 10_000_000);
+        let (store, out) =
+            CheckpointStore::record(&cfg, &img, 128, 8, 10_000_000, &mut unobserved());
         for (i, s) in store.snaps.iter().enumerate() {
             assert_eq!(s.cycle(), i as u64 * store.interval());
             assert!(s.cycle() < out.sim.cycles);
@@ -301,7 +434,8 @@ mod tests {
     fn restore_then_run_equals_run_from_scratch() {
         let img = image();
         let cfg = CoreModel::A72.config();
-        let (store, out) = CheckpointStore::record(&cfg, &img, 200, 12, 10_000_000);
+        let (store, out) =
+            CheckpointStore::record(&cfg, &img, 200, 12, 10_000_000, &mut unobserved());
         for target in [1u64, 137, store.interval() + 3, out.sim.cycles - 1] {
             let mut restored = store.restore(target);
             assert!(restored.cycle() <= target);
@@ -313,10 +447,57 @@ mod tests {
     }
 
     #[test]
+    fn observing_pass_takes_the_plain_snapshots_and_the_bare_logs() {
+        let img = image();
+        let cfg = CoreModel::A72.config();
+        let (plain, plain_out) =
+            CheckpointStore::record(&cfg, &img, 256, 16, 10_000_000, &mut unobserved());
+        let both = [HwStructure::RegisterFile, HwStructure::Lsq];
+        let mut observer = GoldenObserver::new(&both);
+        let (store, out) = CheckpointStore::record(&cfg, &img, 256, 16, 10_000_000, &mut observer);
+        assert_eq!(out.sim, plain_out.sim);
+        assert_eq!(store.interval(), plain.interval());
+        assert_eq!(store.len(), plain.len());
+        // Equality covers the log fields, so no snapshot carries a log.
+        for (i, (a, b)) in store.snaps.iter().zip(&plain.snaps).enumerate() {
+            assert!(a == b, "snapshot {i} differs from the plain pass's");
+        }
+        for target in [1u64, store.interval() + 3, out.sim.cycles - 1] {
+            let mut restored = store.restore(target);
+            assert!(restored.take_rf_log().is_none() && restored.take_dispatch_log().is_none());
+        }
+        let rf = observer.take_rf().expect("the register file was observed");
+        let armed = observer.take_armed().expect("the LSQ was observed");
+        assert_eq!(armed.len() as u64, out.sim.cycles + 1);
+        assert!(armed.iter().any(|&m| m != ArmedMask::default()));
+        let mut bare = GoldenObserver::new(&both);
+        assert_eq!(bare.run(&cfg, &img, 10_000_000).sim, out.sim);
+        assert_eq!(bare.take_rf(), Some(rf));
+        assert_eq!(bare.take_armed(), Some(armed));
+    }
+
+    #[test]
+    fn caches_are_not_observed() {
+        let mut observer =
+            GoldenObserver::new(&[HwStructure::L1i, HwStructure::L1d, HwStructure::L2]);
+        assert!(HwStructure::ALL.iter().all(|&s| !observer.observes(s)));
+        let (store, _) = CheckpointStore::record(
+            &CoreModel::A72.config(),
+            &image(),
+            256,
+            16,
+            10_000_000,
+            &mut observer,
+        );
+        assert!(store.len() >= 2);
+        assert!(observer.take_rf().is_none() && observer.take_armed().is_none());
+    }
+
+    #[test]
     fn thinning_caps_memory_and_keeps_alignment() {
         let img = image();
         let cfg = CoreModel::A72.config();
-        let (store, _) = CheckpointStore::record(&cfg, &img, 16, 4, 10_000_000);
+        let (store, _) = CheckpointStore::record(&cfg, &img, 16, 4, 10_000_000, &mut unobserved());
         assert!(store.len() <= 4);
         assert!(store.interval() > 16, "small cap must force doubling");
         for (i, s) in store.snaps.iter().enumerate() {

@@ -14,6 +14,7 @@ use vulnstack_compiler::{compile, CompileOpts};
 use vulnstack_isa::Isa;
 use vulnstack_kernel::{memmap, SystemImage};
 use vulnstack_microarch::ooo::HwStructure;
+use vulnstack_microarch::snapshot::GoldenObserver;
 use vulnstack_microarch::{
     CheckpointStore, CoreModel, FaultEventKind, FaultTrace, OooCore, RunStatus,
 };
@@ -103,7 +104,9 @@ fn first_visible(trace: &FaultTrace) -> Option<(vulnstack_microarch::ooo::Fpm, u
 fn early_terminated_run_matches_the_full_run_it_replaces() {
     let image = rollover_image(Isa::Va64);
     let cfg = CoreModel::A72.config();
-    let (store, golden) = CheckpointStore::record(&cfg, &image, INTERVAL, MAX_SNAPSHOTS, BUDGET);
+    let plain = &mut GoldenObserver::new(&[]);
+    let (store, golden) =
+        CheckpointStore::record(&cfg, &image, INTERVAL, MAX_SNAPSHOTS, BUDGET, plain);
     assert_eq!(golden.sim.status, RunStatus::Exited(0));
     let golden_cycles = golden.sim.cycles;
     assert!(golden_cycles > 2 * store.interval(), "program too short");

@@ -18,9 +18,10 @@ use vulnstack_gefin::{
     InjectionPlan, Prepared, PruneStats, TemporalStreamed,
 };
 use vulnstack_llfi::svf_campaign;
+use vulnstack_microarch::ooo::HwStructure;
 use vulnstack_workloads::Workload;
 
-use crate::spec::{CampaignSpec, Engine};
+use crate::spec::{CampaignSpec, Engine, Plan};
 
 /// One avf campaign's results: the plan it ran (an exhaustive plan's
 /// cycle resolved against the golden run), the structure's aggregates,
@@ -114,10 +115,17 @@ pub fn workload(spec: &CampaignSpec) -> Result<Workload, String> {
 }
 
 /// The golden run of `spec`'s workload on its core model, which the
-/// avf campaigns of every structure can share; fails when hardening or
-/// the golden run does.
-pub fn prepare(spec: &CampaignSpec) -> Result<Prepared, String> {
-    Prepared::new(&workload(spec)?, spec.model).map_err(|e| e.to_string())
+/// avf campaigns of every structure can share. Under a pruned or
+/// exhaustive plan the same run records the class tables of
+/// `structures` ([`Prepared::observing`]); a sampled plan consults none,
+/// so it records nothing. Fails when hardening or the golden run does.
+pub fn prepare(spec: &CampaignSpec, structures: &[HwStructure]) -> Result<Prepared, String> {
+    let observed = if spec.plan == Plan::Sampled {
+        &[]
+    } else {
+        structures
+    };
+    Prepared::observing(&workload(spec)?, spec.model, observed).map_err(|e| e.to_string())
 }
 
 /// Runs `spec`'s avf campaign on `spec.structure` over `prep`; fails
@@ -154,7 +162,10 @@ pub fn run_avf(spec: &CampaignSpec, prep: &Prepared, opts: &RunOpts<'_>) -> Resu
 pub fn run(spec: &CampaignSpec, opts: &RunOpts<'_>) -> Result<RunOutput, String> {
     let (faults, seed) = (spec.faults, spec.seed);
     Ok(match spec.engine {
-        Engine::Avf => RunOutput::Avf(run_avf(spec, &prepare(spec)?, opts)?),
+        Engine::Avf => {
+            let prep = prepare(spec, &[spec.structure])?;
+            RunOutput::Avf(run_avf(spec, &prep, opts)?)
+        }
         Engine::Pvf => {
             let prep = FuncPrepared::new(&workload(spec)?, spec.isa).map_err(|e| e.to_string())?;
             let out = pvf_campaign(&prep, spec.mode, faults, seed, opts);
@@ -162,7 +173,7 @@ pub fn run(spec: &CampaignSpec, opts: &RunOpts<'_>) -> Result<RunOutput, String>
         }
         Engine::Sweep => {
             let (structure, windows, per_window) = (spec.structure, spec.windows, spec.per_window);
-            let prep = prepare(spec)?;
+            let prep = prepare(spec, &[])?;
             let out = temporal_campaign(&prep, structure, windows, per_window, seed, false, opts);
             RunOutput::Sweep(out.map_err(|e| e.to_string())?.0)
         }
@@ -317,7 +328,7 @@ mod tests {
         let s = spec(
             r#"{"engine":"avf","workload":"crc32","structure":"LSQ","plan":"exhaustive","at":10000000}"#,
         );
-        let prep = prepare(&s).unwrap();
+        let prep = prepare(&s, &[s.structure]).unwrap();
         let want = format!(
             "--at 10000000 is past the golden run ({} cycles)",
             prep.golden.cycles

@@ -215,7 +215,9 @@ fn swept_structures(models: &[FaultModel]) -> Vec<HwStructure> {
 }
 
 /// `vulnstack avf`: one spec per structure (without `--structure`,
-/// [`swept_structures`]), all sharing one golden preparation.
+/// [`swept_structures`]), all sharing one golden preparation, which
+/// records the class tables of every structure a pruned or exhaustive
+/// plan runs.
 fn avf(spec: &CampaignSpec, opts: &Flags, run: &RunOpts<'_>) -> Result<(), String> {
     let structures = if opts.values.contains_key("structure") {
         vec![spec.structure]
@@ -226,7 +228,7 @@ fn avf(spec: &CampaignSpec, opts: &Flags, run: &RunOpts<'_>) -> Result<(), Strin
     } else {
         swept_structures(&spec.models)
     };
-    let prep = service::prepare(spec)?;
+    let prep = service::prepare(spec, &structures)?;
     let runs = structures
         .into_iter()
         .map(|structure| {
@@ -366,12 +368,12 @@ fn analyze_prune_audit(target: &str, opts: &Flags) -> Result<(), String> {
     // The sites audited are those of the RF campaign `vulnstack avf`
     // runs with the same flags.
     let spec = CampaignSpec::from_flags(Engine::Avf, target, opts)?;
-    let w = service::workload(&spec)?;
-    let model = spec.model;
-    let prep = Prepared::new(&w, model).map_err(|e| e.to_string())?;
+    let (w, model, label) = (service::workload(&spec)?, spec.model, spec.label());
+    let rf = HwStructure::RegisterFile;
+    let prep = Prepared::observing(&w, model, &[rf]).map_err(|e| e.to_string())?;
     let oracle = vulnstack_gefin::static_classifier(&prep.image);
     let nphys = prep.cfg.phys_regs as usize;
-    let table = vulnstack_gefin::ClassTable::build(&prep, HwStructure::RegisterFile);
+    let table = prep.table(rf).expect("the golden run observed the RF");
     let dynamic_live = table
         .rf_dynamic_live_fraction()
         .ok_or("RF table has no live fraction")?;
@@ -381,8 +383,7 @@ fn analyze_prune_audit(target: &str, opts: &Flags) -> Result<(), String> {
     let rf_pvf = vulnstack_analyze::analyze(&compiled).pvf.rf_pvf;
 
     // Sample the lattice on real campaign sites.
-    let sites =
-        vulnstack_gefin::draw_sites(&prep, HwStructure::RegisterFile, spec.faults, spec.seed);
+    let sites = vulnstack_gefin::draw_sites(&prep, rf, spec.faults, spec.seed);
     let mut static_dead_sites = 0u64;
     let mut dynamic_dead_sites = 0u64;
     let mut violations = 0u64;
@@ -397,7 +398,7 @@ fn analyze_prune_audit(target: &str, opts: &Flags) -> Result<(), String> {
     let dead_regs = oracle.dead_regs();
     let reg_names: Vec<String> = dead_regs.iter().map(|r| r.0.to_string()).collect();
     println!(
-        "{target} on {model}: {} of {nphys} physical registers statically dead (arch regs: {})",
+        "{label} on {model}: {} of {nphys} physical registers statically dead (arch regs: {})",
         dead_regs.len(),
         reg_names.join(",")
     );
@@ -418,7 +419,7 @@ fn analyze_prune_audit(target: &str, opts: &Flags) -> Result<(), String> {
         use vulnstack_core::json::{self, fixed, n, ordered, s, Value};
         let regs = dead_regs.iter().map(|r| n(r.0.into())).collect();
         let report = ordered(vec![
-            ("workload", s(target)),
+            ("workload", s(&label)),
             ("model", s(model.name())),
             ("nphys", n(nphys as u64)),
             ("static_dead_regs", Value::Arr(regs)),
@@ -492,7 +493,7 @@ fn run(args: &[String]) -> Result<(), String> {
         "run" => {
             // The golden run `vulnstack avf` injects into.
             let spec = CampaignSpec::from_flags(Engine::Avf, &name, &opts)?;
-            let (model, prep) = (spec.model, service::prepare(&spec)?);
+            let (model, prep) = (spec.model, service::prepare(&spec, &[])?);
             println!(
                 "{name} on {model}: {} instructions, {} cycles (IPC {:.2}), output {} bytes OK",
                 prep.golden.instrs,
@@ -505,7 +506,7 @@ fn run(args: &[String]) -> Result<(), String> {
         "avf" | "pvf" | "svf" => campaign(cmd.parse()?, &name, &opts),
         "ace" => {
             let spec = CampaignSpec::from_flags(Engine::Avf, &name, &opts)?;
-            let (model, prep) = (spec.model, service::prepare(&spec)?);
+            let (model, prep) = (spec.model, service::prepare(&spec, &[])?);
             let ace = vulnstack_gefin::ace_analysis(&prep);
             println!(
                 "{name} on {model}: ACE RF AVF ≈ {} | ACE LSQ AVF ≈ {} ({} cycles, analytical)",

@@ -169,6 +169,35 @@ fn prune_audit_json_reports_the_lattice() {
 }
 
 #[test]
+fn prune_audit_json_labels_a_hardened_workload_as_avf_does() {
+    let args = [
+        "analyze",
+        "prune-audit",
+        "crc32",
+        "--hardened",
+        "--faults",
+        "8",
+    ];
+    let (text, doc) = cli_json(&args);
+    assert_eq!(text_of(&doc, "workload"), "crc32+ft", "{text}");
+    assert_eq!(count(&doc, "sampled_sites"), 8);
+    assert_eq!(count(&doc, "violations"), 0);
+    // The same golden run's avf report names it the same way.
+    let avf = [
+        "avf",
+        "crc32",
+        "--hardened",
+        "--model",
+        "A9",
+        "--structure",
+        "RF",
+        "--faults",
+        "2",
+    ];
+    assert_eq!(text_of(&cli_json(&avf).1, "workload"), "crc32+ft");
+}
+
+#[test]
 fn avf_json_reports_the_campaign_tally() {
     let args = [
         "avf",
