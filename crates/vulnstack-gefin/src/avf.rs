@@ -161,20 +161,16 @@ pub(crate) fn run_one_inner(
     // Run in slices; once every corrupted copy is gone and nothing
     // tainted is in flight, the rest of the run is identical to the
     // golden run, so it can be classified Masked without simulating it.
-    // Slices grow exponentially: most masked faults go extinct within a
-    // few hundred cycles of injection, so checking early bounds the
-    // wasted post-extinction simulation, while the doubling keeps scan
+    // The first check comes before any simulation: a flip into an
+    // invalid line or entry is dead at injection. Slices grow
+    // exponentially: most masked faults go extinct within a few hundred
+    // cycles of injection, so checking early bounds the wasted
+    // post-extinction simulation, while the doubling keeps scan
     // overhead negligible for long-lived faults. The schedule is
     // engine-independent, so both engines classify every site
     // identically.
     let mut slice = 256u64;
     loop {
-        let next = (core.cycle() + slice).min(prep.budget);
-        slice = (slice * 2).min(4_096);
-        core.run_until(next);
-        if core.ended() || core.cycle() >= prep.budget {
-            break;
-        }
         if core.fault_extinct() {
             if let Some(m) = metrics {
                 m.record_extinct_early();
@@ -192,6 +188,12 @@ pub(crate) fn run_one_inner(
                 },
                 trace,
             );
+        }
+        let next = (core.cycle() + slice).min(prep.budget);
+        slice = (slice * 2).min(4_096);
+        core.run_until(next);
+        if core.ended() || core.cycle() >= prep.budget {
+            break;
         }
     }
     let out = core.finish();

@@ -90,7 +90,7 @@ use std::sync::Mutex;
 use vulnstack_analyze::StaticClassifier;
 use vulnstack_core::effects::FaultEffect;
 use vulnstack_core::trace::CampaignMetrics;
-use vulnstack_kernel::{memmap, SystemImage};
+use vulnstack_kernel::SystemImage;
 use vulnstack_microarch::ooo::{lsq_site, rf_site, Fpm, HwStructure, LsqSite, RfAccess};
 use vulnstack_microarch::snapshot::{ArmedMask, GoldenObserver};
 use vulnstack_microarch::{CoreConfig, FaultModel, OooCore, RunStatus};
@@ -98,26 +98,16 @@ use vulnstack_microarch::{CoreConfig, FaultModel, OooCore, RunStatus};
 use crate::avf::{InjectionRecord, ModelSite};
 use crate::prepare::Prepared;
 
-/// Builds the static pruning oracle for an image: scans every
-/// *executable* segment (kernel boot stub, trap handler, user text) and
-/// proves architectural registers dead that no executable word names.
-/// See [`StaticClassifier`] for the soundness argument; the lattice
+/// Builds the static pruning oracle for an image: scans every word of
+/// the *executable* segments (kernel boot stub, trap handler, user text:
+/// the slots of [`SystemImage::decoded`]) and proves architectural
+/// registers dead that no executable word names. See
+/// [`StaticClassifier`] for the soundness argument; the lattice
 /// `static-dead ⊆ dynamic-dead ⊆ injection-Masked` is enforced by
 /// `tests/prune_soundness.rs`.
 pub fn static_classifier(image: &SystemImage) -> StaticClassifier {
-    let exec_bases = [memmap::KERNEL_BOOT, memmap::TRAP_VEC, memmap::USER_TEXT];
-    let words: Vec<Vec<u32>> = image
-        .segments
-        .iter()
-        .filter(|(base, _)| exec_bases.contains(base))
-        .map(|(_, bytes)| {
-            bytes
-                .chunks_exact(4)
-                .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-                .collect()
-        })
-        .collect();
-    StaticClassifier::build(image.isa, words.iter().map(|w| w.as_slice()))
+    let words: Vec<u32> = image.decoded().words().map(|(_, word)| word).collect();
+    StaticClassifier::build(image.isa, [words.as_slice()])
 }
 
 /// Identity of a register-file equivalence class: all injections of
@@ -726,6 +716,24 @@ impl<'a> Pruner<'a> {
         let mut anchor: Option<OooCore> = None;
         let mut slice = 256u64;
         loop {
+            // Checked before each slice, the first time right after the
+            // injection. Extinction needs an unmanifested fault and the
+            // hang and convergence probes a manifested one, so the order
+            // of the three checks never matters.
+            if core.fault_extinct() {
+                if let Some(m) = metrics {
+                    m.record_extinct_early();
+                }
+                core.note_fault_extinct();
+                return InjectionRecord {
+                    cycle,
+                    bit,
+                    model,
+                    effect: FaultEffect::Masked,
+                    fpm: None,
+                    fpm_cycle: None,
+                };
+            }
             if hang_proofs && next_proof.is_none() && core.fpm().is_some() {
                 next_proof = Some(core.cycle().max(runaway_after) + proof_gap);
             }
@@ -783,20 +791,6 @@ impl<'a> Pruner<'a> {
                     core.enable_trace(TRACE_CAP);
                     anchor = Some(core.clone());
                 }
-            }
-            if core.fault_extinct() {
-                if let Some(m) = metrics {
-                    m.record_extinct_early();
-                }
-                core.note_fault_extinct();
-                return InjectionRecord {
-                    cycle,
-                    bit,
-                    model,
-                    effect: FaultEffect::Masked,
-                    fpm: None,
-                    fpm_cycle: None,
-                };
             }
             if core.fpm().is_some() {
                 if let Some(golden) = prep.checkpoints.at(core.cycle()) {

@@ -271,6 +271,113 @@ impl Instr {
     }
 }
 
+/// The decode of every 4-byte slot of an image's executable segments,
+/// built once per image so that a simulator stepping the same text
+/// millions of times decodes each word once.
+///
+/// [`DecodedText::decode`] equals [`Instr::decode`] for every `(pc,
+/// word)`: it answers from the table only when `pc` is a slot whose
+/// stored word is `word`, and decodes `word` otherwise. A core passes
+/// the word it actually fetched, so a corrupted word (a flipped text
+/// bit, a flipped cache line, a wild store into text) still decodes as
+/// that word. The table sets how fast a run goes, never what it does.
+///
+/// It holds only the words of the segments it is built from, each with
+/// its decode, never a dense range of the address space.
+pub struct DecodedText {
+    isa: Isa,
+    segments: Vec<TextSegment>,
+}
+
+/// One executable segment's slots, the first at `base`.
+struct TextSegment {
+    base: u64,
+    slots: Box<[TextSlot]>,
+}
+
+/// A slot's stored word and its decode.
+struct TextSlot {
+    word: u32,
+    instr: Result<Instr, DecodeError>,
+}
+
+impl DecodedText {
+    /// Decodes every whole little-endian word of `segments`, each a
+    /// `(base, bytes)` pair (a trailing partial word is left out). A
+    /// lookup scans the segments in this order, so list the most-executed
+    /// first; the first segment holding a pc answers for it.
+    pub fn new<'a>(isa: Isa, segments: impl IntoIterator<Item = (u32, &'a [u8])>) -> DecodedText {
+        let segments = segments
+            .into_iter()
+            .map(|(base, bytes)| TextSegment {
+                base: u64::from(base),
+                slots: bytes
+                    .chunks_exact(4)
+                    .map(|c| {
+                        let word = u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+                        TextSlot {
+                            word,
+                            instr: Instr::decode(word, isa),
+                        }
+                    })
+                    .collect(),
+            })
+            .collect();
+        DecodedText { isa, segments }
+    }
+
+    /// [`Instr::decode`]`(word, isa)` for the word fetched at `pc`, taken
+    /// from the table when `pc` is a slot holding `word`.
+    ///
+    /// # Errors
+    ///
+    /// As [`Instr::decode`].
+    #[inline]
+    pub fn decode(&self, pc: u64, word: u32) -> Result<Instr, DecodeError> {
+        match self.slot(pc) {
+            Some(slot) if slot.word == word => slot.instr,
+            _ => Instr::decode(word, self.isa),
+        }
+    }
+
+    /// Every slot as `(pc, word)`, segment by segment.
+    pub fn words(&self) -> impl Iterator<Item = (u64, u32)> + '_ {
+        self.segments.iter().flat_map(|seg| {
+            seg.slots
+                .iter()
+                .zip((seg.base..).step_by(4))
+                .map(|(slot, pc)| (pc, slot.word))
+        })
+    }
+
+    /// The slot at `pc`, if a segment holds one there.
+    #[inline]
+    fn slot(&self, pc: u64) -> Option<&TextSlot> {
+        self.segments.iter().find_map(|seg| {
+            let off = pc.wrapping_sub(seg.base);
+            if off % 4 == 0 {
+                seg.slots.get(usize::try_from(off / 4).ok()?)
+            } else {
+                None
+            }
+        })
+    }
+}
+
+impl std::fmt::Debug for DecodedText {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let spans: Vec<String> = self
+            .segments
+            .iter()
+            .map(|seg| format!("{:#x}+{}", seg.base, seg.slots.len()))
+            .collect();
+        f.debug_struct("DecodedText")
+            .field("isa", &self.isa)
+            .field("slots", &spans)
+            .finish()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -390,6 +497,38 @@ mod tests {
         let w = i.encode(Isa::Va64).unwrap();
         assert_eq!(field(w, 13, 0), (-16i32 as u32) & 0x3fff);
         assert_eq!(Instr::decode(w, Isa::Va64).unwrap().imm, -64);
+    }
+
+    #[test]
+    fn decoded_text_answers_only_for_a_slot_holding_the_word() {
+        let isa = Isa::Va32;
+        let add = Instr::alu_rr(Op::Add, Reg(1), Reg(2), Reg(3))
+            .encode(isa)
+            .unwrap();
+        let bad = 0u32; // opcode 0x00 is invalid
+        let seg_a: Vec<u8> = [add, bad].iter().flat_map(|w| w.to_le_bytes()).collect();
+        // A trailing partial word is no slot.
+        let seg_b: Vec<u8> = add.to_le_bytes().into_iter().chain([0xAA, 0xBB]).collect();
+        let t = DecodedText::new(isa, [(0x100, &seg_a[..]), (0x1000, &seg_b[..])]);
+        assert_eq!(
+            t.words().collect::<Vec<_>>(),
+            [(0x100, add), (0x104, bad), (0x1000, add)]
+        );
+        let flipped = add ^ (1 << 20);
+        for pc in [
+            0x100,
+            0x104,
+            0x108,
+            0x101,
+            0x1000,
+            0x1004,
+            0x0,
+            u64::MAX - 3,
+        ] {
+            for word in [add, bad, flipped, 0xDEAD_BEEF] {
+                assert_eq!(t.decode(pc, word), Instr::decode(word, isa), "{pc:#x}");
+            }
+        }
     }
 
     proptest! {

@@ -48,6 +48,7 @@ pub mod sysreg;
 pub mod trap;
 
 pub use abi::{CallConv, Syscall};
+pub use encode::DecodedText;
 pub use fault::FaultModel;
 pub use fields::{classify_bit, BitClass};
 pub use instr::{Instr, SrcRole};

@@ -1,7 +1,9 @@
 //! Bootable system images: kernel + compiled user program + input blob.
 
+use std::sync::Arc;
+
 use vulnstack_compiler::CompiledModule;
-use vulnstack_isa::{CowMem, Isa};
+use vulnstack_isa::{CowMem, DecodedText, Isa};
 
 use crate::kdata::off;
 use crate::kernel::build_kernel;
@@ -20,6 +22,8 @@ pub struct SystemImage {
     pub reset_pc: u32,
     /// Number of input bytes loaded.
     pub input_len: u32,
+    /// See [`SystemImage::decoded`].
+    decoded: Arc<DecodedText>,
 }
 
 /// Image construction errors.
@@ -105,6 +109,17 @@ impl SystemImage {
         kdata[off::BRK as usize..off::BRK as usize + 4].copy_from_slice(&brk.to_le_bytes());
 
         let user_text_end = memmap::USER_TEXT + text_bytes.len() as u32;
+        // User text first, then the trap vector, then boot: a lookup
+        // scans the segments in order, and runs execute them in about
+        // that order of frequency.
+        let decoded = Arc::new(DecodedText::new(
+            compiled.isa,
+            [
+                (memmap::USER_TEXT, text_bytes.as_slice()),
+                (memmap::TRAP_VEC, trap_bytes.as_slice()),
+                (memmap::KERNEL_BOOT, boot_bytes.as_slice()),
+            ],
+        ));
         let mut segments = vec![
             (memmap::KERNEL_BOOT, boot_bytes),
             (memmap::TRAP_VEC, trap_bytes),
@@ -124,7 +139,15 @@ impl SystemImage {
             user_text_end,
             reset_pc: memmap::KERNEL_BOOT,
             input_len: input.len() as u32,
+            decoded,
         })
+    }
+
+    /// The decode of every word of the executable segments (user text,
+    /// trap vector, kernel boot), built with the image and shared by
+    /// every core built from it.
+    pub fn decoded(&self) -> &Arc<DecodedText> {
+        &self.decoded
     }
 
     /// A fresh [`memmap::MEM_SIZE`]-byte memory holding the image: only

@@ -1,7 +1,42 @@
 //! Pure instruction semantics shared by the functional and out-of-order
 //! cores, so the two engines cannot diverge.
 
-use vulnstack_isa::{Instr, Isa, Op, TrapCause};
+use std::sync::Arc;
+
+use vulnstack_isa::encode::DecodeError;
+use vulnstack_isa::{DecodedText, Instr, Isa, Op, TrapCause};
+
+/// A core's handle on its image's [`DecodedText`], shared by `Arc`, so a
+/// checkpoint or a restore copies one pointer.
+///
+/// Every lookup checks the word it is given, so a core behaves the same
+/// whichever table it holds: the table is a cache, not state. `==` holds
+/// any two handles equal, and
+/// [`OooCore::converged_with`](crate::OooCore::converged_with) never
+/// reads them.
+#[derive(Debug, Clone)]
+pub(crate) struct SharedText(Arc<DecodedText>);
+
+impl SharedText {
+    pub(crate) fn new(text: &Arc<DecodedText>) -> SharedText {
+        SharedText(Arc::clone(text))
+    }
+
+    /// [`Instr::decode`] of the word fetched at `pc` (see
+    /// [`DecodedText::decode`]).
+    #[inline]
+    pub(crate) fn decode(&self, pc: u64, word: u32) -> Result<Instr, DecodeError> {
+        self.0.decode(pc, word)
+    }
+}
+
+impl PartialEq for SharedText {
+    fn eq(&self, _: &SharedText) -> bool {
+        true
+    }
+}
+
+impl Eq for SharedText {}
 
 /// Truncates `v` to the ISA's register width (VA32 keeps the low 32 bits
 /// zero-extended in the `u64` storage cell).

@@ -19,7 +19,7 @@ use vulnstack_kernel::kdata::{off, KStatus};
 use vulnstack_kernel::memmap::{self, AccessKind};
 use vulnstack_kernel::SystemImage;
 
-use crate::exec;
+use crate::exec::{self, SharedText};
 use crate::outcome::{RunStatus, SimOutcome};
 use crate::snapshot::CheckpointStore;
 
@@ -111,6 +111,8 @@ pub struct FuncCore {
     mode: Mode,
     sysregs: [u64; SysReg::COUNT],
     user_text_end: u32,
+    /// The image's decoded text: a shared cache, not state.
+    text: SharedText,
     icount: u64,
     fault: Option<PvfFault>,
     /// One-shot: the next fetched instruction is replaced by a NOP
@@ -133,6 +135,7 @@ impl FuncCore {
             mode: Mode::Kernel,
             sysregs: [0; SysReg::COUNT],
             user_text_end: image.user_text_end,
+            text: SharedText::new(image.decoded()),
             icount: 0,
             fault: None,
             pending_skip: false,
@@ -364,7 +367,7 @@ impl FuncCore {
             return self.ended.is_none();
         }
         let word = self.read_le(pc as u32, 4) as u32;
-        let instr = match Instr::decode(word, self.isa) {
+        let instr = match self.text.decode(pc, word) {
             Ok(i) => i,
             Err(_) => {
                 self.trap(Trap::new(TrapCause::UndefinedInstruction, pc));
@@ -789,6 +792,23 @@ mod tests {
         while restored.icount() < 1_000_000 && restored.step() {}
         assert_eq!(store.nearest(k), &snap);
         assert_ne!(&restored, &snap);
+    }
+
+    #[test]
+    fn cores_and_snapshots_share_the_image_decoded_text() {
+        use std::sync::Arc;
+        let img = summing_loop(Isa::Va64);
+        let (store, _, _) = FuncCore::record(&img, 100, 16, 1_000_000);
+        // The image and each snapshot hold one pointer to the table.
+        assert_eq!(Arc::strong_count(img.decoded()), 1 + store.len());
+        let restored = store.restore(2 * store.interval());
+        assert_eq!(Arc::strong_count(img.decoded()), 2 + store.len());
+        drop(restored);
+        // Equality never looks at the table: a core built from the same
+        // program's image built again holds another table, and is equal.
+        let again = summing_loop(Isa::Va64);
+        assert!(!Arc::ptr_eq(img.decoded(), again.decoded()));
+        assert_eq!(FuncCore::new(&img), FuncCore::new(&again));
     }
 
     #[test]

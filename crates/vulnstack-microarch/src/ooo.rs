@@ -25,7 +25,7 @@ use vulnstack_kernel::SystemImage;
 
 use crate::cache::{Level, MemSystem};
 use crate::config::CoreConfig;
-use crate::exec;
+use crate::exec::{self, SharedText};
 use crate::func::Mode;
 use crate::lifetime::{FaultEventKind, FaultTrace, FaultUnit};
 use crate::outcome::{RunStatus, SimOutcome};
@@ -388,6 +388,8 @@ pub struct OooCore {
     /// Memory hierarchy (public for inspection by campaigns and tests).
     pub mem: MemSystem,
     user_text_end: u32,
+    // The image's decoded text: a shared cache, not state.
+    text: SharedText,
 
     // Frontend.
     fetch_pc: u64,
@@ -507,6 +509,7 @@ impl OooCore {
             isa: cfg.isa,
             mem: MemSystem::new(cfg, image),
             user_text_end: image.user_text_end,
+            text: SharedText::new(image.decoded()),
             fetch_pc: image.reset_pc as u64,
             fetch_stall_until: 0,
             fetch_queue: VecDeque::new(),
@@ -1025,7 +1028,7 @@ impl OooCore {
             } else {
                 None
             };
-            let decode = Instr::decode(word, self.isa);
+            let decode = self.text.decode(pc, word);
             let predicted_next = match &decode {
                 Ok(i) => self.predict(pc, i),
                 Err(_) => pc + 4,
@@ -1089,7 +1092,7 @@ impl OooCore {
             };
 
             let mut decode = if front.ok {
-                Instr::decode(front.word, self.isa).ok()
+                self.text.decode(front.pc, front.word).ok()
             } else {
                 None
             };
