@@ -6,7 +6,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use vulnstack_gefin::avf::run_one_with;
-use vulnstack_gefin::{InjectEngine, Prepared};
+use vulnstack_gefin::Prepared;
 use vulnstack_microarch::ooo::HwStructure;
 use vulnstack_microarch::CoreModel;
 use vulnstack_workloads::WorkloadId;
@@ -18,12 +18,16 @@ fn bench_checkpoint_restore(c: &mut Criterion) {
     let prep = Prepared::new(&w, CoreModel::A72).unwrap();
     let late_cycle = prep.golden.cycles * 3 / 4;
 
-    for (name, engine) in [
-        ("from_scratch", InjectEngine::FromScratch),
-        ("checkpointed", InjectEngine::Checkpointed),
-    ] {
+    for (name, from_scratch) in [("from_scratch", true), ("checkpointed", false)] {
         g.bench_function(BenchmarkId::new("late_rf_injection", name), |b| {
-            b.iter(|| run_one_with(&prep, HwStructure::RegisterFile, late_cycle, 1234, engine));
+            b.iter(|| {
+                let start = if from_scratch {
+                    prep.core_from_scratch()
+                } else {
+                    prep.checkpoints.restore(late_cycle)
+                };
+                run_one_with(&prep, HwStructure::RegisterFile, late_cycle, 1234, start)
+            });
         });
     }
     g.finish();

@@ -24,13 +24,12 @@ fn main() {
         let w = id.build();
         let prep = prepare_or_die(&w, CoreModel::A72);
         for st in [HwStructure::RegisterFile, HwStructure::L1d] {
-            let (out, _) = temporal_campaign(
+            let out = temporal_campaign(
                 &prep,
                 st,
                 windows,
                 per_window,
                 sub_seed(seed, &[id.name(), st.name(), "temporal"]),
-                false,
                 &RunOpts::new(default_threads()),
             )
             .expect("an unjournaled campaign does no I/O");

@@ -10,9 +10,7 @@ use vulnstack_core::json::{self, fixed};
 use vulnstack_core::sched::sort_order_by;
 use vulnstack_core::{Campaign, Fingerprint, RunOpts};
 use vulnstack_gefin::avf::run_one_with;
-use vulnstack_gefin::{
-    decode_record, draw_sites, encode_record, InjectEngine, InjectionPlan, InjectionRecord,
-};
+use vulnstack_gefin::{decode_record, draw_sites, encode_record, InjectionPlan, InjectionRecord};
 
 fn main() {
     let ab = Ablation::prepare(
@@ -43,7 +41,7 @@ fn main() {
                     STRUCTURE,
                     c,
                     b,
-                    InjectEngine::FromScratch,
+                    prep.core_from_scratch(),
                 ))
             },
             |p| decode_record(p).is_some(),

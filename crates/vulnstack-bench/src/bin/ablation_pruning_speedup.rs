@@ -1,13 +1,15 @@
 //! Ablation: wall-clock speedup of equivalence-class fault-site pruning
 //! over the full sampled campaign, on the representative configuration
 //! (Qsort/A72/RegisterFile, n = 200 by default). Both passes draw the
-//! *same* fault sites from the same seed; the pruned pass classifies
-//! dead-interval sites without simulating them, memoises one pilot run
-//! per live equivalence class, and early-terminates runs whose state
-//! re-converges with a golden checkpoint. The claimed speedup is only
-//! meaningful because the records are asserted bit-identical here (and,
-//! independently, by `tests/prune_equivalence.rs` in CI) — pruning is a
-//! pure optimisation, never an approximation.
+//! *same* fault sites from the same seed and simulate through the same
+//! injection runner, whose early exits (extinction, golden-state
+//! convergence, proven hangs) serve both; the pruned pass additionally
+//! classifies dead-interval sites without simulating them and memoises
+//! one pilot run per live equivalence class, so the ratio isolates the
+//! class table and the memo. The speedup is only meaningful because the
+//! records are asserted bit-identical here (and, independently, by
+//! `tests/prune_equivalence.rs` in CI) — pruning is a pure optimisation,
+//! never an approximation.
 //!
 //! With `VULNSTACK_REQUIRE_SPEEDUP` set (CI does), a speedup below 2x
 //! fails the run.

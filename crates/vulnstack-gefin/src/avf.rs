@@ -1,5 +1,17 @@
 //! Microarchitecture-level fault-injection campaigns (AVF + HVF in one
 //! pass).
+//!
+//! Every cycle-level injection runs through one runner, the private
+//! `inject`: sampled and swept sites, the [`Pruner`]'s class pilots and
+//! singletons, the `run_one*` replays (`vulnstack trace --site` among
+//! them) and the from-scratch reference. It injects into a fault-free
+//! core and simulates in slices until the run ends or takes one of three
+//! exact early exits — extinction, golden-state convergence, proven
+//! hang — so every plan returns the records a run to the end would
+//! return. Plans differ only in which sites reach the runner: the
+//! pruned and exhaustive plans serve provably dead sites and
+//! equivalence-class members from the [`ClassTable`](crate::ClassTable)
+//! and a memo.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -14,19 +26,6 @@ use vulnstack_microarch::{FaultModel, FaultTrace, OooCore, RunStatus};
 
 use crate::prepare::Prepared;
 use crate::prune::{plan_model_sites, InjectionPlan, PruneStats, Pruner};
-
-/// How an injection run reaches its injection cycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum InjectEngine {
-    /// Build a fresh core and simulate the whole fault-free prefix from
-    /// cycle 0 (the un-accelerated reference path).
-    FromScratch,
-    /// Restore the nearest golden-run checkpoint at or before the
-    /// injection cycle and simulate only the delta. Bit-identical
-    /// results to [`InjectEngine::FromScratch`]; see
-    /// `tests/checkpoint_equivalence.rs`.
-    Checkpointed,
-}
 
 /// One injection's observation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -62,48 +61,38 @@ pub struct ModelSite {
 /// Runs one injection: advance to `cycle` (warm-started from the nearest
 /// golden checkpoint), flip `bit`, run to completion, classify.
 pub fn run_one(prep: &Prepared, structure: HwStructure, cycle: u64, bit: u64) -> InjectionRecord {
-    run_one_with(prep, structure, cycle, bit, InjectEngine::Checkpointed)
+    run_one_with(prep, structure, cycle, bit, prep.checkpoints.restore(cycle))
 }
 
 /// [`run_one`] under an explicit fault model (see
 /// [`vulnstack_microarch::OooCore::inject_model`] for the per-model
 /// injection semantics).
 pub fn run_one_model(prep: &Prepared, structure: HwStructure, site: ModelSite) -> InjectionRecord {
-    run_one_inner(
-        prep,
-        structure,
-        site.cycle,
-        site.bit,
-        site.model,
-        InjectEngine::Checkpointed,
-        None,
-        None,
-    )
-    .0
+    let start = prep.checkpoints.restore(site.cycle);
+    inject(prep, structure, start, site, None, None).0
 }
 
-/// [`run_one`] with an explicit prefix engine.
+/// [`run_one`] from an explicit fault-free starting core at or before
+/// `cycle`: any such core gives the same record, so
+/// [`Prepared::core_from_scratch`], which simulates the whole prefix
+/// from cycle 0, is the un-accelerated reference of the checkpointed
+/// path (see `tests/checkpoint_equivalence.rs`).
 pub fn run_one_with(
     prep: &Prepared,
     structure: HwStructure,
     cycle: u64,
     bit: u64,
-    engine: InjectEngine,
+    start: OooCore,
 ) -> InjectionRecord {
-    run_one_inner(
-        prep,
-        structure,
+    let site = ModelSite {
         cycle,
         bit,
-        FaultModel::BitFlip,
-        engine,
-        None,
-        None,
-    )
-    .0
+        model: FaultModel::BitFlip,
+    };
+    inject(prep, structure, start, site, None, None).0
 }
 
-/// [`run_one_with`] with fault-lifetime tracing enabled: also returns the
+/// [`run_one`] with fault-lifetime tracing enabled: also returns the
 /// event trace of the injection (ring capacity `cap`). The record is
 /// identical to the untraced run.
 pub fn run_one_traced(
@@ -111,114 +100,213 @@ pub fn run_one_traced(
     structure: HwStructure,
     cycle: u64,
     bit: u64,
-    engine: InjectEngine,
     cap: usize,
 ) -> (InjectionRecord, Option<FaultTrace>) {
-    run_one_inner(
-        prep,
-        structure,
+    let site = ModelSite {
         cycle,
         bit,
-        FaultModel::BitFlip,
-        engine,
-        Some(cap),
-        None,
-    )
+        model: FaultModel::BitFlip,
+    };
+    let start = prep.checkpoints.restore(cycle);
+    let (record, trace, _) = inject(prep, structure, start, site, Some(cap), None);
+    (record, trace)
 }
 
-/// The shared injection runner: optional lifetime tracing, optional
-/// campaign-metrics recording. Tracing and metrics never influence the
-/// returned record (asserted by `tests/trace_reconciliation.rs` and the
-/// engine-equivalence test).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_one_inner(
+/// How a run of [`inject`] ended.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Exit {
+    /// Every corrupted copy died before the fault manifested.
+    Extinct,
+    /// The manifested run re-converged with the golden run.
+    Converged,
+    /// A hang proof certified the run's `Timeout`.
+    ProvenHang,
+    /// The run ended or reached the cycle budget, and `finish()`
+    /// classified it.
+    Finished,
+}
+
+/// The cycle-level injection runner: every AVF site, sampled, pruned,
+/// swept or traced, runs here. `core` is a fault-free core at or before
+/// `site.cycle` (asserted), restored from a golden checkpoint or fresh
+/// from cycle 0; the runner simulates the rest of the prefix, injects,
+/// and runs the faulty machine in slices until it ends, reaches the
+/// budget, or takes one of three early exits, each exact: the record it
+/// returns is the one `finish()` at the end of the run would have
+/// produced.
+///
+/// * **Extinction** ([`OooCore::fault_extinct`]): no corrupted copy
+///   survives and nothing tainted is in flight, so the rest of the run
+///   is the golden run: `(Masked, None, None)`. Checked before each
+///   slice, the first time right after the injection (a flip into an
+///   invalid line or entry is dead at injection).
+/// * **Convergence** ([`OooCore::converged_with`]): a manifested fault
+///   whose whole architectural state equals the golden checkpoint at
+///   the same cycle retraces the golden run from there: `Masked` with
+///   the latched `fpm`/`fpm_cycle`. Probed at checkpoint boundaries, the
+///   only cycles with comparable golden state.
+/// * **Proven hang** ([`OooCore::frozen_with`] or
+///   [`OooCore::timeout_proven`]): once a manifested run outlives twice
+///   the golden cycle count, a frozen pipeline or an inescapable affine
+///   loop proves its status `Timeout` either way it goes, which
+///   classifies as `Crash` without consulting the output.
+///
+/// Slices grow exponentially from 256 cycles: most masked faults go
+/// extinct within a few hundred cycles, so early checks bound the
+/// wasted post-extinction simulation, while the doubling keeps the scan
+/// cheap for long-lived faults. Extra stops never change a record: the
+/// stepper is deterministic and the probes only observe. `trace_cap`
+/// enables the lifetime trace (returned, with its early-exit milestone)
+/// and `metrics` records the restore distance, the early exits and
+/// watchdog expiries; neither changes the record.
+pub(crate) fn inject(
     prep: &Prepared,
     structure: HwStructure,
-    cycle: u64,
-    bit: u64,
-    model: FaultModel,
-    engine: InjectEngine,
+    mut core: OooCore,
+    site: ModelSite,
     trace_cap: Option<usize>,
     metrics: Option<&CampaignMetrics>,
-) -> (InjectionRecord, Option<FaultTrace>) {
-    let mut core = match engine {
-        InjectEngine::FromScratch => OooCore::new(&prep.cfg, &prep.image),
-        InjectEngine::Checkpointed => prep.checkpoints.restore(cycle),
-    };
+) -> (InjectionRecord, Option<FaultTrace>, Exit) {
+    let ModelSite { cycle, bit, model } = site;
+    assert!(
+        core.cycle() <= cycle,
+        "starting core at cycle {} is past the injection cycle {cycle}",
+        core.cycle()
+    );
     if let Some(m) = metrics {
-        // Restore distance: cycles of fault-free prefix this run must
-        // re-simulate. FromScratch always pays the full prefix.
-        m.record_restore_distance(match engine {
-            InjectEngine::FromScratch => cycle,
-            InjectEngine::Checkpointed => prep.checkpoints.restore_distance(cycle),
-        });
+        // Cycles of fault-free prefix this run re-simulates.
+        m.record_restore_distance(cycle - core.cycle());
     }
     core.run_until(cycle);
     if let Some(cap) = trace_cap {
         core.enable_fault_trace(cap);
     }
     core.inject_model(structure, bit, model);
-    // Run in slices; once every corrupted copy is gone and nothing
-    // tainted is in flight, the rest of the run is identical to the
-    // golden run, so it can be classified Masked without simulating it.
-    // The first check comes before any simulation: a flip into an
-    // invalid line or entry is dead at injection. Slices grow
-    // exponentially: most masked faults go extinct within a few hundred
-    // cycles of injection, so checking early bounds the wasted
-    // post-extinction simulation, while the doubling keeps scan
-    // overhead negligible for long-lived faults. The schedule is
-    // engine-independent, so both engines classify every site
-    // identically.
+    let interval = prep.checkpoints.interval();
+    // Hang proofs apply only to injected structures that cannot corrupt
+    // the *instruction* stream (an L1i/L2 flip could make a future
+    // re-fetch decode differently than the committed trace recorded,
+    // which would break the runaway prover's extrapolation; RF/LSQ taint
+    // reaches memory only through stores, which never land in user
+    // text) and only to transient value models: a stuck-at cell can
+    // re-corrupt writes the runaway prover's affine extrapolation
+    // assumed clean, and a still-pending skip can NOP an instruction the
+    // extrapolated stream expects to execute.
+    let hang_proofs = model.transient_value()
+        && matches!(structure, HwStructure::RegisterFile | HwStructure::Lsq);
+    let runaway_after = prep.golden.cycles.saturating_mul(2);
+    // Each proof attempt needs a commit-trace window and a frozen
+    // anchor gathered over the immediately preceding cycles: both are
+    // armed PREARM cycles before the attempt, so the trace is still
+    // recording (tail aligned with retirement state) at attempt time.
+    const PREARM: u64 = 2_048;
+    const TRACE_CAP: usize = 2_048 * 8 + 64; // PREARM × max width + slack
+    const MAX_PROOF_GAP: u64 = 65_536;
+    let mut proof_gap = interval.max(512);
+    let mut next_proof: Option<u64> = None;
+    let mut anchor: Option<OooCore> = None;
     let mut slice = 256u64;
-    loop {
+    let exit = loop {
+        // Extinction needs an unmanifested fault and the hang and
+        // convergence probes a manifested one, so the order of the
+        // three checks never matters.
         if core.fault_extinct() {
-            if let Some(m) = metrics {
-                m.record_extinct_early();
-            }
             core.note_fault_extinct();
-            let trace = core.fault_trace().cloned();
-            return (
-                InjectionRecord {
-                    cycle,
-                    bit,
-                    model,
-                    effect: FaultEffect::Masked,
-                    fpm: None,
-                    fpm_cycle: None,
-                },
-                trace,
-            );
+            break Exit::Extinct;
         }
-        let next = (core.cycle() + slice).min(prep.budget);
+        if hang_proofs && next_proof.is_none() && core.fpm().is_some() {
+            next_proof = Some(core.cycle().max(runaway_after) + proof_gap);
+        }
+        // Stop at the next checkpoint boundary as well, so the
+        // convergence probe gets a comparable golden state, and exactly
+        // at a proof's arm point and attempt point.
+        let boundary = (core.cycle() / interval + 1) * interval;
+        let mut next = (core.cycle() + slice).min(prep.budget).min(boundary);
+        if let Some(np) = next_proof {
+            let arm_at = np.saturating_sub(PREARM);
+            next = next.min(if core.cycle() < arm_at { arm_at } else { np });
+        }
         slice = (slice * 2).min(4_096);
         core.run_until(next);
         if core.ended() || core.cycle() >= prep.budget {
-            break;
+            break Exit::Finished;
         }
-    }
-    let out = core.finish();
+        if let Some(np) = next_proof {
+            if core.cycle() >= np {
+                let frozen = anchor.as_ref().is_some_and(|a| core.frozen_with(a));
+                if frozen || core.timeout_proven(prep.budget) {
+                    // Terminal status proven Timeout either way the
+                    // pipeline goes (commits continue → budget; commits
+                    // stall → watchdog), and `fpm`/`fpm_cycle` are
+                    // already latched.
+                    core.note_proven_hang();
+                    break Exit::ProvenHang;
+                }
+                // Proof failed: back off (bounding prover cost on runs
+                // that genuinely churn) and re-arm later.
+                anchor = None;
+                proof_gap = (proof_gap * 2).min(MAX_PROOF_GAP);
+                next_proof = Some(core.cycle() + proof_gap);
+            } else if anchor.is_none() && core.cycle() >= np.saturating_sub(PREARM) {
+                core.enable_trace(TRACE_CAP);
+                anchor = Some(core.clone());
+            }
+        }
+        if core.fpm().is_some()
+            && prep
+                .checkpoints
+                .at(core.cycle())
+                .is_some_and(|golden| core.converged_with(golden))
+        {
+            // The rest of the run retraces the golden run: terminal
+            // status and output are already known, and `fpm`/`fpm_cycle`
+            // are latched (first manifestation only).
+            core.note_pruned_extinct();
+            break Exit::Converged;
+        }
+    };
+    let (effect, fpm, fpm_cycle, trace, timed_out) = if exit == Exit::Finished {
+        let out = core.finish();
+        let effect = FaultEffect::classify(
+            out.sim.status,
+            &out.sim.output,
+            prep.golden.status,
+            &prep.expected_output,
+        );
+        let timed_out = out.sim.status == RunStatus::Timeout;
+        (effect, out.fpm, out.fpm_cycle, out.ftrace, timed_out)
+    } else {
+        // Never call `finish()` on an early exit: draining the output
+        // mid-run would peek memory the real run only reads at its end.
+        // A proven hang's status is Timeout, which classifies as Crash.
+        let hung = exit == Exit::ProvenHang;
+        let effect = if hung {
+            FaultEffect::Crash
+        } else {
+            FaultEffect::Masked
+        };
+        let trace = core.fault_trace().cloned();
+        (effect, core.fpm(), core.fpm_cycle(), trace, hung)
+    };
     if let Some(m) = metrics {
-        if out.sim.status == RunStatus::Timeout {
+        match exit {
+            Exit::Extinct => m.record_extinct_early(),
+            Exit::Converged | Exit::ProvenHang => m.record_early_terminated(),
+            Exit::Finished => {}
+        }
+        if timed_out {
             m.record_watchdog_expiry();
         }
     }
-    let effect = FaultEffect::classify(
-        out.sim.status,
-        &out.sim.output,
-        prep.golden.status,
-        &prep.expected_output,
-    );
-    (
-        InjectionRecord {
-            cycle,
-            bit,
-            model,
-            effect,
-            fpm: out.fpm,
-            fpm_cycle: out.fpm_cycle,
-        },
-        out.ftrace,
-    )
+    let record = InjectionRecord {
+        cycle,
+        bit,
+        model,
+        effect,
+        fpm,
+        fpm_cycle,
+    };
+    (record, trace, exit)
 }
 
 /// Draws the campaign's fault sites — `(cycle, bit)` pairs, uniformly
@@ -390,20 +478,6 @@ fn avf_fingerprint(
     }
 }
 
-/// The journal metadata of a campaign run through `pruner`: the digest
-/// of its class table, which a resume rebuilds and must match.
-pub(crate) fn class_table_meta(pruner: Option<&Pruner<'_>>) -> Vec<(String, String)> {
-    pruner
-        .iter()
-        .map(|p| {
-            (
-                "class-table".to_string(),
-                format!("fnv={:016x}", p.table().digest()),
-            )
-        })
-        .collect()
-}
-
 /// Per-model outcome tallies of a model-aware campaign, in
 /// [`FaultModel::ALL`] order; models with no records are omitted. The
 /// ARMORY-style exhaustive report: one `(model, AVF tally, FPM
@@ -519,10 +593,12 @@ impl TallyAccum {
 /// Runs an AVF/HVF campaign as `opts` says: the sites of `plan` over
 /// the fault models in `models` that apply to `structure`, on
 /// `opts.threads` workers with work stealing. Sampled plans run every
-/// site individually; pruned and exhaustive plans execute through the
-/// equivalence-class [`Pruner`], whose records are bit-identical to
-/// individual runs (the second return value is its accounting). Records
-/// are identical at any thread count, journaled or not.
+/// site through the injection runner; pruned and exhaustive plans
+/// execute through the equivalence-class [`Pruner`], which serves dead
+/// sites and class members without simulating and runs the rest through
+/// the same runner, so its records are bit-identical (the second return
+/// value is its accounting). Records are identical at any thread count,
+/// journaled or not.
 ///
 /// Records are never collected: each settled site flows worker →
 /// bounded sink channel → journal append (with `opts.journal`) → the
@@ -564,25 +640,23 @@ pub fn avf_campaign(
         items: &sites,
         order: &order,
         fingerprint: avf_fingerprint(prep, structure, plan, &models, sites.len()),
-        meta: class_table_meta(pruner.as_ref()),
+        // A resume rebuilds the class table and must match its digest.
+        meta: pruner
+            .iter()
+            .map(|p| {
+                let digest = format!("fnv={:016x}", p.table().digest());
+                ("class-table".to_string(), digest)
+            })
+            .collect(),
     }
     .run(
         opts,
-        |_, s: &ModelSite| {
+        |_, &s: &ModelSite| {
             encode_record(&match &pruner {
                 Some(p) => p.run_site_model(s.cycle, s.bit, s.model, metrics),
                 None => {
-                    run_one_inner(
-                        prep,
-                        structure,
-                        s.cycle,
-                        s.bit,
-                        s.model,
-                        InjectEngine::Checkpointed,
-                        None,
-                        metrics,
-                    )
-                    .0
+                    let start = prep.checkpoints.restore(s.cycle);
+                    inject(prep, structure, start, s, None, metrics).0
                 }
             })
         },

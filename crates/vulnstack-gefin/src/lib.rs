@@ -35,8 +35,7 @@ pub mod sweep;
 pub use ace::ace_analysis;
 pub use avf::{
     avf_campaign, canonical_models, decode_record, draw_model_sites, draw_sites, encode_record,
-    per_model_tallies, run_one_model, run_one_traced, AvfStreamed, InjectEngine, InjectionRecord,
-    ModelSite,
+    per_model_tallies, run_one_model, run_one_traced, AvfStreamed, InjectionRecord, ModelSite,
 };
 pub use compare::{static_vs_dynamic, StaticDynamicComparison};
 pub use prepare::{FuncPrepared, Prepared};

@@ -1,5 +1,4 @@
-//! Equivalence-class fault-site pruning and exactness-checked early
-//! termination.
+//! Equivalence-class fault-site pruning.
 //!
 //! A statistical AVF campaign spends most of its cycles discovering, one
 //! full simulation at a time, that a flipped bit was never going to
@@ -33,54 +32,21 @@
 //!    exactly what an individual simulation of each member would have
 //!    produced.
 //!
-//! On top of both, the pruner's injection runner adds **early
-//! termination**: once the faulty bit has been overwritten or squashed
-//! and the *whole architectural state* re-converges with the golden
-//! checkpoint at the same cycle ([`OooCore::converged_with`] at a
-//! [`CheckpointStore::at`] boundary), the remaining simulation is
-//! known to retrace the golden run, so the run ends immediately with
-//! `effect = Masked` and the already-latched `fpm`/`fpm_cycle`. The
-//! check only fires for runs whose fault already manifested
-//! (`fpm.is_some()`); taint-free convergence is caught earlier and
-//! cheaper by [`OooCore::fault_extinct`]. The lifetime trace records the
-//! proof as a [`FaultEventKind::PrunedExtinct`] milestone.
-//!
-//! Convergence only catches runs that return to the golden trajectory.
-//! The opposite extreme — runs the fault locked into a hang — are the
-//! single most expensive outcome (they simulate to the full cycle
-//! budget), and for those the runner adds **proven-hang termination**.
-//! `FaultEffect::classify` maps `Timeout` to `Crash` without consulting
-//! the output, and `fpm`/`fpm_cycle` latch at first manifestation, so an
-//! exact record needs only a *proof* of the `Timeout` status. Two proof
-//! rules run at scheduled attempt points (doubling back-off) once a
-//! manifested run outlives twice the golden cycle count:
-//!
-//! * **Frozen wedge** ([`OooCore::frozen_with`]): the core is compared
-//!   against a clone of *itself* taken earlier in the same run; if every
-//!   behavioral field is identical across a nonempty cycle window, the
-//!   pipeline state is cycle-shift covariant and can never commit again
-//!   — the commit watchdog's `Timeout` is the only reachable ending.
-//! * **Runaway affine loop** ([`OooCore::timeout_proven`]): the
-//!   committed-trace tail is locked into a periodic body whose registers
-//!   evolve affinely; an exact congruence solve over the branch operands
-//!   plus memory-range obligations proves the stream cannot branch out,
-//!   trap, or halt before the budget. Only attempted for injected
-//!   structures that cannot corrupt the instruction stream
-//!   (register file, LSQ): a poisoned L1i/L2 line could make a future
-//!   re-fetch decode differently than the trace recorded.
-//!
-//! Both rules prove the status *either way*: if commits continue the
-//! budget expires, and if they stall the watchdog fires — `Timeout`
-//! regardless. The lifetime trace records the proof as a
-//! [`FaultEventKind::ProvenHang`] milestone, and the record returned is
-//! `(Crash, fpm, fpm_cycle)` — exactly what `finish()` at the budget
-//! would have produced.
+//! Both only decide which sites need a simulation. Those that do —
+//! class pilots and singletons — run through the same injection runner
+//! as every sampled site, with its exact early exits: extinction of an
+//! unmanifested fault, convergence of a manifested one with the golden
+//! checkpoint at the same cycle ([`OooCore::converged_with`]), and
+//! proven hangs ([`OooCore::frozen_with`], [`OooCore::timeout_proven`];
+//! register file and LSQ under transient value models only). The pruner
+//! counts the last two as `early_terminated` and `runaway_terminated`.
 //!
 //! [`RfAccessLog`]: vulnstack_microarch::ooo::RfAccessLog
 //! [`GoldenObserver`]: vulnstack_microarch::snapshot::GoldenObserver
-//! [`FaultEventKind::PrunedExtinct`]: vulnstack_microarch::lifetime::FaultEventKind::PrunedExtinct
-//! [`FaultEventKind::ProvenHang`]: vulnstack_microarch::lifetime::FaultEventKind::ProvenHang
-//! [`CheckpointStore::at`]: vulnstack_microarch::snapshot::CheckpointStore::at
+//! [`OooCore::inject`]: vulnstack_microarch::OooCore::inject
+//! [`OooCore::converged_with`]: vulnstack_microarch::OooCore::converged_with
+//! [`OooCore::frozen_with`]: vulnstack_microarch::OooCore::frozen_with
+//! [`OooCore::timeout_proven`]: vulnstack_microarch::OooCore::timeout_proven
 
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -93,9 +59,9 @@ use vulnstack_core::trace::CampaignMetrics;
 use vulnstack_kernel::SystemImage;
 use vulnstack_microarch::ooo::{lsq_site, rf_site, Fpm, HwStructure, LsqSite, RfAccess};
 use vulnstack_microarch::snapshot::{ArmedMask, GoldenObserver};
-use vulnstack_microarch::{CoreConfig, FaultModel, OooCore, RunStatus};
+use vulnstack_microarch::{CoreConfig, FaultModel};
 
-use crate::avf::{InjectionRecord, ModelSite};
+use crate::avf::{inject, Exit, InjectionRecord, ModelSite};
 use crate::prepare::Prepared;
 
 /// Builds the static pruning oracle for an image: scans every word of
@@ -455,7 +421,7 @@ pub struct PruneStats {
     pub memo_hits: u64,
     /// Sites simulated individually (no pruning argument).
     pub singleton_runs: u64,
-    /// Simulated runs ended early by the convergence probe.
+    /// Simulated runs ended early by golden-state convergence.
     pub early_terminated: u64,
     /// Simulated runs ended early by a hang proof (frozen wedge or
     /// runaway affine loop): the terminal `Timeout` was certified
@@ -483,12 +449,13 @@ impl PruneStats {
 type OutcomeTriple = (FaultEffect, Option<Fpm>, Option<u64>);
 
 /// A memoizing, exactness-preserving injection executor: a drop-in
-/// replacement for the plain per-site runner that serves provably-dead
-/// sites from the [`ClassTable`], equivalence-class members from one
-/// pilot simulation, and everything else from an early-terminating
-/// individual run. Thread-safe; records are a pure function of
-/// `(cycle, bit)`, so campaign output is independent of thread count,
-/// work order, and which worker happens to run a class pilot.
+/// replacement for running every site that serves provably-dead sites
+/// from the [`ClassTable`], equivalence-class members from one pilot
+/// simulation, and everything else from an individual run of the
+/// injection runner every plan uses. Thread-safe; records are a pure
+/// function of `(cycle, bit)`, so campaign output is independent of
+/// thread count, work order, and which worker happens to run a class
+/// pilot.
 #[derive(Debug)]
 pub struct Pruner<'a> {
     prep: &'a Prepared,
@@ -588,6 +555,14 @@ impl<'a> Pruner<'a> {
         metrics: Option<&CampaignMetrics>,
     ) -> InjectionRecord {
         self.sites.fetch_add(1, Ordering::Relaxed);
+        let record = |(effect, fpm, fpm_cycle): OutcomeTriple| InjectionRecord {
+            cycle,
+            bit,
+            model,
+            effect,
+            fpm,
+            fpm_cycle,
+        };
         // Static pre-filter: a site landing in a physical register the
         // oracle proves never-accessed needs neither the dynamic table
         // nor a simulation. Such a register has an empty access log, so
@@ -597,247 +572,65 @@ impl<'a> Pruner<'a> {
         // persistent one) in a register that is never read nor written
         // is never consumed — but says nothing about instruction skips,
         // which corrupt no register at all.
-        if model != FaultModel::InstrSkip {
-            if let Some(c) = &self.static_pre {
-                let flat = if model == FaultModel::ByteCorrupt {
-                    bit * 8
-                } else {
-                    bit
-                };
-                if c.rf_bit_dead(flat, self.nphys) {
-                    self.static_dead.fetch_add(1, Ordering::Relaxed);
-                    self.dead_masked.fetch_add(1, Ordering::Relaxed);
-                    if let Some(m) = metrics {
-                        m.record_pruned_dead();
-                    }
-                    return InjectionRecord {
-                        cycle,
-                        bit,
-                        model,
-                        effect: FaultEffect::Masked,
-                        fpm: None,
-                        fpm_cycle: None,
-                    };
-                }
-            }
-        }
-        match self.table.classify_model(cycle, bit, model) {
+        let flat = if model == FaultModel::ByteCorrupt {
+            bit * 8
+        } else {
+            bit
+        };
+        let static_dead = model != FaultModel::InstrSkip
+            && self
+                .static_pre
+                .as_ref()
+                .is_some_and(|c| c.rf_bit_dead(flat, self.nphys));
+        let class = if static_dead {
+            self.static_dead.fetch_add(1, Ordering::Relaxed);
+            SiteClass::DeadMasked
+        } else {
+            self.table.classify_model(cycle, bit, model)
+        };
+        let key = match class {
             SiteClass::DeadMasked => {
                 self.dead_masked.fetch_add(1, Ordering::Relaxed);
                 if let Some(m) = metrics {
                     m.record_pruned_dead();
                 }
-                InjectionRecord {
-                    cycle,
-                    bit,
-                    model,
-                    effect: FaultEffect::Masked,
-                    fpm: None,
-                    fpm_cycle: None,
-                }
+                return record((FaultEffect::Masked, None, None));
             }
             SiteClass::Equiv(key) => {
-                if let Some(&(effect, fpm, fpm_cycle)) = self.memo.lock().unwrap().get(&key) {
+                if let Some(&triple) = self.memo.lock().unwrap().get(&key) {
                     self.memo_hits.fetch_add(1, Ordering::Relaxed);
-                    return InjectionRecord {
-                        cycle,
-                        bit,
-                        model,
-                        effect,
-                        fpm,
-                        fpm_cycle,
-                    };
+                    return record(triple);
                 }
                 // Miss: run the pilot at this member's own cycle. Two
                 // workers racing on the same class both compute the
                 // identical triple, so the double insert is idempotent
                 // and the memo never influences record values.
                 self.pilot_runs.fetch_add(1, Ordering::Relaxed);
-                let rec = self.run_injected(cycle, bit, model, metrics);
-                self.memo
-                    .lock()
-                    .unwrap()
-                    .insert(key, (rec.effect, rec.fpm, rec.fpm_cycle));
-                rec
+                Some(key)
             }
             SiteClass::Singleton => {
                 self.singleton_runs.fetch_add(1, Ordering::Relaxed);
-                self.run_injected(cycle, bit, model, metrics)
+                None
             }
+        };
+        let site = ModelSite { cycle, bit, model };
+        let start = self.prep.checkpoints.restore(cycle);
+        let (rec, _, exit) = inject(self.prep, self.structure, start, site, None, metrics);
+        let ended_early = match exit {
+            Exit::Converged => Some(&self.early_terminated),
+            Exit::ProvenHang => Some(&self.runaway_terminated),
+            Exit::Extinct | Exit::Finished => None,
+        };
+        if let Some(count) = ended_early {
+            count.fetch_add(1, Ordering::Relaxed);
         }
-    }
-
-    /// The pruner's individual-injection runner: the plain slice loop of
-    /// `run_one_inner` plus the convergence probe. Probes happen only at
-    /// checkpoint boundaries (the only cycles with comparable golden
-    /// state) and only once the fault has architecturally manifested —
-    /// a taint-free fault that dies quietly is caught first, and far
-    /// cheaper, by `fault_extinct`. The probe schedule never changes
-    /// record values: an early-terminated run returns exactly the
-    /// `(Masked, fpm, fpm_cycle)` the full run would have produced.
-    fn run_injected(
-        &self,
-        cycle: u64,
-        bit: u64,
-        model: FaultModel,
-        metrics: Option<&CampaignMetrics>,
-    ) -> InjectionRecord {
-        let prep = self.prep;
-        let mut core = prep.checkpoints.restore(cycle);
-        if let Some(m) = metrics {
-            m.record_restore_distance(prep.checkpoints.restore_distance(cycle));
+        if let Some(key) = key {
+            self.memo
+                .lock()
+                .unwrap()
+                .insert(key, (rec.effect, rec.fpm, rec.fpm_cycle));
         }
-        core.run_until(cycle);
-        core.inject_model(self.structure, bit, model);
-        let interval = prep.checkpoints.interval();
-        // Proven-hang termination: armed once a manifested run outlives
-        // twice the golden cycle count, and only for injected structures
-        // that cannot corrupt the *instruction* stream (an L1i/L2 flip
-        // could make a future re-fetch decode differently than the
-        // committed trace recorded, which would break the runaway
-        // prover's extrapolation; RF/LSQ taint reaches memory only
-        // through stores, which never land in user text) — and only for
-        // transient value models: a stuck-at cell can re-corrupt writes
-        // the runaway prover's affine extrapolation assumed clean, and a
-        // still-pending skip can NOP an instruction the extrapolated
-        // stream expects to execute.
-        let hang_proofs = model.transient_value()
-            && matches!(self.structure, HwStructure::RegisterFile | HwStructure::Lsq);
-        let runaway_after = prep.golden.cycles.saturating_mul(2);
-        // Each proof attempt needs a commit-trace window and a frozen
-        // anchor gathered over the immediately preceding cycles: both are
-        // armed PREARM cycles before the attempt, so the trace is still
-        // recording (tail aligned with retirement state) at attempt time.
-        const PREARM: u64 = 2_048;
-        const TRACE_CAP: usize = 2_048 * 8 + 64; // PREARM × max width + slack
-        const MAX_PROOF_GAP: u64 = 65_536;
-        let mut proof_gap = interval.max(512);
-        let mut next_proof: Option<u64> = None;
-        let mut anchor: Option<OooCore> = None;
-        let mut slice = 256u64;
-        loop {
-            // Checked before each slice, the first time right after the
-            // injection. Extinction needs an unmanifested fault and the
-            // hang and convergence probes a manifested one, so the order
-            // of the three checks never matters.
-            if core.fault_extinct() {
-                if let Some(m) = metrics {
-                    m.record_extinct_early();
-                }
-                core.note_fault_extinct();
-                return InjectionRecord {
-                    cycle,
-                    bit,
-                    model,
-                    effect: FaultEffect::Masked,
-                    fpm: None,
-                    fpm_cycle: None,
-                };
-            }
-            if hang_proofs && next_proof.is_none() && core.fpm().is_some() {
-                next_proof = Some(core.cycle().max(runaway_after) + proof_gap);
-            }
-            // Stop at the next checkpoint boundary as well, so the
-            // convergence probe gets a comparable golden state.
-            let boundary = (core.cycle() / interval + 1) * interval;
-            let mut next = (core.cycle() + slice).min(prep.budget).min(boundary);
-            if let Some(np) = next_proof {
-                // Stop exactly at the arm point and the attempt point.
-                // Extra stops never change simulation results: the
-                // stepper is deterministic and the trace/anchor are
-                // observer-only state.
-                let arm_at = np.saturating_sub(PREARM);
-                next = next.min(if core.cycle() < arm_at { arm_at } else { np });
-            }
-            slice = (slice * 2).min(4_096);
-            core.run_until(next);
-            if core.ended() || core.cycle() >= prep.budget {
-                break;
-            }
-            if let Some(np) = next_proof {
-                if core.cycle() >= np {
-                    let frozen = anchor.as_ref().is_some_and(|a| core.frozen_with(a));
-                    if frozen || core.timeout_proven(prep.budget) {
-                        // Terminal status proven Timeout either way the
-                        // pipeline goes (commits continue → budget;
-                        // commits stall → watchdog), `classify` maps
-                        // Timeout → Crash without consulting output, and
-                        // `fpm`/`fpm_cycle` are already latched. Never
-                        // call `finish()` here.
-                        core.note_proven_hang();
-                        self.runaway_terminated.fetch_add(1, Ordering::Relaxed);
-                        if let Some(m) = metrics {
-                            m.record_early_terminated();
-                            // The proven status is Timeout, so keep the
-                            // watchdog/budget-expiry metric consistent
-                            // with what the full run would have counted.
-                            m.record_watchdog_expiry();
-                        }
-                        return InjectionRecord {
-                            cycle,
-                            bit,
-                            model,
-                            effect: FaultEffect::Crash,
-                            fpm: core.fpm(),
-                            fpm_cycle: core.fpm_cycle(),
-                        };
-                    }
-                    // Proof failed: back off (bounding prover cost on
-                    // runs that genuinely churn) and re-arm later.
-                    anchor = None;
-                    proof_gap = (proof_gap * 2).min(MAX_PROOF_GAP);
-                    next_proof = Some(core.cycle() + proof_gap);
-                } else if anchor.is_none() && core.cycle() >= np.saturating_sub(PREARM) {
-                    core.enable_trace(TRACE_CAP);
-                    anchor = Some(core.clone());
-                }
-            }
-            if core.fpm().is_some() {
-                if let Some(golden) = prep.checkpoints.at(core.cycle()) {
-                    if core.converged_with(golden) {
-                        // The rest of the run retraces the golden run:
-                        // terminal status and output are already known,
-                        // and `fpm`/`fpm_cycle` are latched (first
-                        // manifestation only). Never call `finish()`
-                        // here — draining output mid-run would peek
-                        // memory the real run only reads at its end.
-                        core.note_pruned_extinct();
-                        self.early_terminated.fetch_add(1, Ordering::Relaxed);
-                        if let Some(m) = metrics {
-                            m.record_early_terminated();
-                        }
-                        return InjectionRecord {
-                            cycle,
-                            bit,
-                            model,
-                            effect: FaultEffect::Masked,
-                            fpm: core.fpm(),
-                            fpm_cycle: core.fpm_cycle(),
-                        };
-                    }
-                }
-            }
-        }
-        let out = core.finish();
-        if let Some(m) = metrics {
-            if out.sim.status == RunStatus::Timeout {
-                m.record_watchdog_expiry();
-            }
-        }
-        let effect = FaultEffect::classify(
-            out.sim.status,
-            &out.sim.output,
-            prep.golden.status,
-            &prep.expected_output,
-        );
-        InjectionRecord {
-            cycle,
-            bit,
-            model,
-            effect,
-            fpm: out.fpm,
-            fpm_cycle: out.fpm_cycle,
-        }
+        rec
     }
 }
 

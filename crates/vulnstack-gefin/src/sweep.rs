@@ -16,11 +16,8 @@ use vulnstack_core::{Campaign, ResumeStats, RunOpts};
 use vulnstack_microarch::ooo::HwStructure;
 use vulnstack_microarch::FaultModel;
 
-use crate::avf::{
-    class_table_meta, decode_record, encode_record, run_one_inner, InjectEngine, RECORD_VERSION,
-};
+use crate::avf::{decode_record, encode_record, inject, ModelSite, RECORD_VERSION};
 use crate::prepare::Prepared;
-use crate::prune::{PruneStats, Pruner};
 
 /// Per-window results of a temporal sweep.
 #[derive(Debug, Clone)]
@@ -107,21 +104,16 @@ pub struct TemporalStreamed {
 
 /// Runs a temporal sweep as `opts` says: `per_window` injections
 /// uniformly inside each of `windows` equal slices of the golden
-/// execution, on `opts.threads` workers with work stealing — through the
-/// equivalence-class
-/// [`Pruner`] when `pruned` (bit-identical records; the second return
-/// value is its accounting). Deterministic for a given seed at any
-/// thread count. Windowed sites are the checkpoint layer's best case:
-/// every injection in a window restores from the same few golden
-/// snapshots.
+/// execution, on `opts.threads` workers with work stealing, each through
+/// the same injection runner as a sampled AVF site. Deterministic for a
+/// given seed at any thread count. Windowed sites are the checkpoint
+/// layer's best case: every injection in a window restores from the
+/// same few golden snapshots.
 ///
 /// The per-window tallies are folded one record at a time as sites
 /// settle — sites are drawn in window order, so a record's window is its
 /// site index over `per_window` and is never journaled — so peak memory
 /// is bounded by the sink channel regardless of `windows × per_window`.
-/// A journaled pruned sweep adds `;plan=pruned` to its fingerprint and
-/// journals its class-table digest as `class-table` metadata; a resume
-/// whose rebuilt table disagrees is refused.
 ///
 /// # Errors
 ///
@@ -132,12 +124,10 @@ pub fn temporal_campaign(
     windows: usize,
     per_window: usize,
     seed: u64,
-    pruned: bool,
     opts: &RunOpts<'_>,
-) -> Result<(TemporalStreamed, Option<PruneStats>), JournalError> {
+) -> Result<TemporalStreamed, JournalError> {
     let (bounds, sites) = draw_windowed_sites(prep, structure, windows, per_window, seed);
     let order = sched::sort_order_by(&sites, |&(_, c, _)| c);
-    let pruner = pruned.then(|| Pruner::new(prep, structure));
     let fingerprint = Fingerprint {
         engine: "gefin-sweep".to_string(),
         config: prep.cfg.model.name().to_string(),
@@ -145,10 +135,9 @@ pub fn temporal_campaign(
         seed,
         samples: sites.len() as u64,
         params: format!(
-            "windows={windows};per_window={per_window};golden_cycles={};output={:016x}{}",
+            "windows={windows};per_window={per_window};golden_cycles={};output={:016x}",
             prep.golden.cycles,
             fnv1a64(&prep.expected_output),
-            if pruned { ";plan=pruned" } else { "" },
         ),
         version: RECORD_VERSION,
         ..Fingerprint::default()
@@ -161,27 +150,18 @@ pub fn temporal_campaign(
         items: &sites,
         order: &order,
         fingerprint,
-        meta: class_table_meta(pruner.as_ref()),
+        meta: Vec::new(),
     }
     .run(
         opts,
         |_, &(_, cycle, bit)| {
-            encode_record(&match &pruner {
-                Some(p) => p.run_site(cycle, bit, metrics),
-                None => {
-                    run_one_inner(
-                        prep,
-                        structure,
-                        cycle,
-                        bit,
-                        FaultModel::BitFlip,
-                        InjectEngine::Checkpointed,
-                        None,
-                        metrics,
-                    )
-                    .0
-                }
-            })
+            let site = ModelSite {
+                cycle,
+                bit,
+                model: FaultModel::BitFlip,
+            };
+            let start = prep.checkpoints.restore(cycle);
+            encode_record(&inject(prep, structure, start, site, None, metrics).0)
         },
         |p| decode_record(p).is_some(),
         |index, payload| {
@@ -192,19 +172,16 @@ pub fn temporal_campaign(
             }
         },
     )?;
-    Ok((
-        TemporalStreamed {
-            profile: TemporalProfile {
-                structure,
-                bounds,
-                tallies,
-                fpms,
-            },
-            quarantined: out.quarantined,
-            stats: out.stats,
+    Ok(TemporalStreamed {
+        profile: TemporalProfile {
+            structure,
+            bounds,
+            tallies,
+            fpms,
         },
-        pruner.map(|p| p.stats()),
-    ))
+        quarantined: out.quarantined,
+        stats: out.stats,
+    })
 }
 
 #[cfg(test)]
@@ -262,11 +239,9 @@ mod tests {
             windows,
             per_window,
             seed,
-            false,
             &RunOpts::new(threads),
         )
         .unwrap()
-        .0
         .profile
     }
 

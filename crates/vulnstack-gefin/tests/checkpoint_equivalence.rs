@@ -7,7 +7,7 @@
 use vulnstack_core::{Collector, RunOpts, StreamOpts};
 use vulnstack_gefin::avf::run_one_with;
 use vulnstack_gefin::{
-    avf_campaign, decode_record, draw_sites, InjectEngine, InjectionPlan, InjectionRecord, Prepared,
+    avf_campaign, decode_record, draw_sites, InjectionPlan, InjectionRecord, Prepared,
 };
 use vulnstack_kernel::memmap;
 use vulnstack_microarch::ooo::HwStructure;
@@ -67,7 +67,7 @@ fn checkpointed_campaign_reproduces_from_scratch_records_exactly() {
         // The reference: every site re-simulated from cycle 0.
         let scratch: Vec<InjectionRecord> = draw_sites(&prep, structure, n, seed)
             .into_iter()
-            .map(|(c, b)| run_one_with(&prep, structure, c, b, InjectEngine::FromScratch))
+            .map(|(c, b)| run_one_with(&prep, structure, c, b, prep.core_from_scratch()))
             .collect();
         let scratch_tally: vulnstack_core::Tally = scratch.iter().map(|r| r.effect).collect();
         for threads in [1, 4] {
@@ -112,20 +112,9 @@ fn single_injections_match_across_engines_at_checkpoint_boundaries() {
     for cycle in [1, interval - 1, interval, interval + 1, 2 * interval] {
         let cycle = cycle.min(prep.golden.cycles);
         for bit in [0u64, 1337, 4096] {
-            let a = run_one_with(
-                &prep,
-                HwStructure::RegisterFile,
-                cycle,
-                bit,
-                InjectEngine::FromScratch,
-            );
-            let b = run_one_with(
-                &prep,
-                HwStructure::RegisterFile,
-                cycle,
-                bit,
-                InjectEngine::Checkpointed,
-            );
+            let rf = HwStructure::RegisterFile;
+            let a = run_one_with(&prep, rf, cycle, bit, prep.core_from_scratch());
+            let b = run_one_with(&prep, rf, cycle, bit, prep.checkpoints.restore(cycle));
             assert_eq!(a, b, "divergence at cycle {cycle}, bit {bit}");
         }
     }

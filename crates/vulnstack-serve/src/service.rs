@@ -174,8 +174,8 @@ pub fn run(spec: &CampaignSpec, opts: &RunOpts<'_>) -> Result<RunOutput, String>
         Engine::Sweep => {
             let (structure, windows, per_window) = (spec.structure, spec.windows, spec.per_window);
             let prep = prepare(spec, &[])?;
-            let out = temporal_campaign(&prep, structure, windows, per_window, seed, false, opts);
-            RunOutput::Sweep(out.map_err(|e| e.to_string())?.0)
+            let out = temporal_campaign(&prep, structure, windows, per_window, seed, opts);
+            RunOutput::Sweep(out.map_err(|e| e.to_string())?)
         }
         Engine::Svf | Engine::SvfHardened => {
             let w = workload(spec)?;

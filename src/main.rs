@@ -612,14 +612,8 @@ fn run(args: &[String]) -> Result<(), String> {
                         (cycle, bit)
                     }
                 };
-                let (rec, trace) = vulnstack_gefin::run_one_traced(
-                    &prep,
-                    st,
-                    cycle,
-                    bit,
-                    vulnstack_gefin::InjectEngine::Checkpointed,
-                    limit.max(16),
-                );
+                let (rec, trace) =
+                    vulnstack_gefin::run_one_traced(&prep, st, cycle, bit, limit.max(16));
                 println!(
                     "{name} on {model}: inject {} bit {bit} @ cycle {cycle} -> {:?} (FPM {})",
                     st.name(),

@@ -1,12 +1,16 @@
 //! The JSON files `vulnstack analyze`, `analyze prune-audit` and `avf`
 //! write with `--json`: each parses, lists its keys in their documented
 //! order with numbers at their documented decimals, and carries the
-//! values the library computes for the same input.
+//! values the library computes for the same input. Also `vulnstack trace
+//! --site`, whose replay of a campaign site reports the record the
+//! campaign journaled for it.
 
+use std::ffi::OsStr;
 use std::process::Command;
 
 use vulnstack_compiler::{compile, CompileOpts};
 use vulnstack_core::json::{self, Value};
+use vulnstack_gefin::decode_record;
 use vulnstack_isa::Isa;
 use vulnstack_workloads::WorkloadId;
 
@@ -230,4 +234,85 @@ fn avf_json_reports_the_campaign_tally() {
     assert_eq!(decimals(&text, "avf"), 6);
     assert_eq!(decimals(&text, "hvf"), 6);
     assert!(text.ends_with("]}\n"));
+}
+
+/// Runs `vulnstack <args>` and returns its stdout.
+fn cli_stdout(args: &[&OsStr]) -> String {
+    let out = Command::new(env!("CARGO_BIN_EXE_vulnstack"))
+        .args(args)
+        .output()
+        .expect("run the CLI");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    String::from_utf8(out.stdout).expect("UTF-8 output")
+}
+
+/// `trace --site 10` replays site 10 of the campaign `avf` runs with the
+/// same flags. That register-file run locks into a hang: the replay
+/// reports the record the journaled campaign wrote for the site, and its
+/// event log ends at the hang proof instead of at the watchdog a million
+/// cycles later.
+#[test]
+fn trace_site_replays_the_journaled_record() {
+    let flags = [
+        "crc32",
+        "--model",
+        "A72",
+        "--structure",
+        "RF",
+        "--faults",
+        "40",
+        "--seed",
+        "8",
+    ]
+    .map(OsStr::new);
+    let journal = std::env::temp_dir().join(format!(
+        "vulnstack-trace-site-{}.journal",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_file(&journal);
+    let avf = [
+        &[OsStr::new("avf")],
+        &flags[..],
+        &[OsStr::new("--journal"), journal.as_os_str()],
+    ]
+    .concat();
+    cli_stdout(&avf);
+    let text = std::fs::read_to_string(&journal).expect("journal");
+    std::fs::remove_file(&journal).expect("remove the journal");
+    let line = text
+        .lines()
+        .find_map(|l| l.strip_prefix("R|10|"))
+        .expect("site 10 is journaled");
+    let (payload, _checksum) = line.rsplit_once('|').expect("checksummed entry");
+    let rec = decode_record(payload).expect("an AVF record");
+
+    let trace = [
+        &[OsStr::new("trace")],
+        &flags[..],
+        &[OsStr::new("--site"), OsStr::new("10")],
+    ]
+    .concat();
+    let out = cli_stdout(&trace);
+    let first = out.lines().next().expect("a first line");
+    let fpm = rec.fpm.map_or("none".to_string(), |f| f.to_string());
+    assert_eq!(
+        first,
+        format!(
+            "crc32 on A72: inject RF bit {} @ cycle {} -> {:?} (FPM {fpm})",
+            rec.bit, rec.cycle, rec.effect
+        )
+    );
+    assert!(first.ends_with("-> Crash (FPM WD)"), "{first}");
+    let last_event = out
+        .lines()
+        .rfind(|l| l.trim_start().starts_with("cycle"))
+        .expect("an event log");
+    assert!(
+        last_event.ends_with(": hang proven (run ended early as Timeout)"),
+        "{out}"
+    );
 }

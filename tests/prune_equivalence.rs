@@ -11,10 +11,10 @@ mod common;
 use std::path::Path;
 use std::sync::OnceLock;
 
-use common::{avf, avf_with, reference, run_opts, tmp};
-use vulnstack_core::{JournalError, JournalOpts, ResumeMode, RunOpts};
+use common::{avf, avf_with, decoded, reference, run_opts, tmp, Collector};
+use vulnstack_core::{JournalError, JournalOpts, ResumeMode, RunOpts, StreamOpts};
 use vulnstack_gefin::{
-    per_model_tallies, run_one_model, temporal_campaign, InjectionPlan, Prepared, TemporalProfile,
+    per_model_tallies, run_one_model, temporal_campaign, InjectionPlan, Prepared, Pruner,
 };
 use vulnstack_microarch::ooo::HwStructure;
 use vulnstack_microarch::{CoreModel, FaultModel};
@@ -224,22 +224,37 @@ fn exhaustive_model_sweep_completes_under_pruning() {
     }
 }
 
+/// A temporal sweep's sites served by a [`Pruner`] return the sweep's
+/// own records, and the sweep is the same at any thread count.
 #[test]
 fn pruned_temporal_sweep_matches_full_sweep() {
     let prep = prep_crc32_a72();
-    let sweep = |threads, pruned| {
-        temporal_campaign(prep, STRUCTURE, 4, 8, SEED, pruned, &RunOpts::new(threads)).unwrap()
+    let sweep = |threads| {
+        let seen = Collector::default();
+        let tee = seen.tee();
+        let opts = RunOpts {
+            stream: StreamOpts {
+                tee: Some(&tee),
+                ..StreamOpts::from_env()
+            },
+            ..RunOpts::new(threads)
+        };
+        let out = temporal_campaign(prep, STRUCTURE, 4, 8, SEED, &opts).unwrap();
+        (out.profile, decoded(&seen))
     };
-    let (full, none) = sweep(4, false);
-    assert!(none.is_none());
-    let full: TemporalProfile = full.profile;
-    for threads in [1, 4] {
-        let (pruned, stats) = sweep(threads, true);
-        assert_eq!(pruned.profile.tallies, full.tallies, "threads={threads}");
-        assert_eq!(pruned.profile.fpms, full.fpms, "threads={threads}");
-        assert_eq!(pruned.profile.bounds, full.bounds);
-        assert_eq!(stats.expect("pruned sweeps report stats").sites, 32);
+    let (full, records) = sweep(4);
+    let (again, again_records) = sweep(1);
+    assert_eq!(again.tallies, full.tallies);
+    assert_eq!(again.fpms, full.fpms);
+    assert_eq!(again.bounds, full.bounds);
+    assert_eq!(again_records, records);
+    let pruner = Pruner::new(prep, STRUCTURE);
+    for (i, rec) in records.iter().enumerate() {
+        assert_eq!(&pruner.run_site(rec.cycle, rec.bit, None), rec, "site {i}");
     }
+    let stats = pruner.stats();
+    assert_eq!(stats.sites, 32);
+    assert!(stats.sites_pruned() > 0, "{stats:?}");
 }
 
 #[test]

@@ -104,7 +104,7 @@ fn streamed_exhaustive_model_sweep_matches_the_models_engine() {
 fn streamed_temporal_sweep_matches_the_legacy_profile() {
     let prep = prep();
     let (windows, per_window) = (4usize, 8usize);
-    let sweep = |pruned, seen: &Collector| {
+    let sweep = |seen: &Collector| {
         let tee = seen.tee();
         let opts = RunOpts {
             stream: StreamOpts {
@@ -113,15 +113,14 @@ fn streamed_temporal_sweep_matches_the_legacy_profile() {
             },
             ..run_opts(4, 1)
         };
-        temporal_campaign(prep, STRUCTURE, windows, per_window, SEED, pruned, &opts).unwrap()
+        temporal_campaign(prep, STRUCTURE, windows, per_window, SEED, &opts).unwrap()
     };
-    let unpruned_records = Collector::default();
-    let (baseline, none) = sweep(false, &unpruned_records);
-    assert!(none.is_none());
+    let baseline_records = Collector::default();
+    let baseline = sweep(&baseline_records);
     // The reference profile: every record equals its individual run, and
     // folding them by window (site index over `per_window`) gives the
     // streamed per-window tallies.
-    let records = decoded(&unpruned_records);
+    let records = decoded(&baseline_records);
     assert_eq!(records.len(), windows * per_window);
     let mut tallies = vec![vulnstack_core::Tally::default(); windows];
     for (i, rec) in records.iter().enumerate() {
@@ -139,22 +138,14 @@ fn streamed_temporal_sweep_matches_the_legacy_profile() {
         tallies[i / per_window].add(rec.effect);
     }
     assert_eq!(baseline.profile.tallies, tallies);
-    for pruned in [false, true] {
-        let seen = Collector::default();
-        let (out, stats) = sweep(pruned, &seen);
-        assert_eq!(
-            out.profile.tallies, baseline.profile.tallies,
-            "pruned={pruned}"
-        );
-        assert_eq!(out.profile.fpms, baseline.profile.fpms, "pruned={pruned}");
-        assert_eq!(
-            out.profile.bounds, baseline.profile.bounds,
-            "pruned={pruned}"
-        );
-        assert_eq!(decoded(&seen), records, "pruned={pruned}");
-        assert_eq!(stats.is_some(), pruned);
-        assert_eq!(out.stats.executed, windows * per_window);
-    }
+    // A second run streams the same records and profile.
+    let seen = Collector::default();
+    let out = sweep(&seen);
+    assert_eq!(out.profile.tallies, baseline.profile.tallies);
+    assert_eq!(out.profile.fpms, baseline.profile.fpms);
+    assert_eq!(out.profile.bounds, baseline.profile.bounds);
+    assert_eq!(decoded(&seen), records);
+    assert_eq!(out.stats.executed, windows * per_window);
 }
 
 #[test]

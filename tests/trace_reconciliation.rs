@@ -12,7 +12,7 @@ use vulnstack_core::trace::CampaignMetrics;
 use vulnstack_core::{JournalOpts, ResumeMode, ResumeStats, RunOpts};
 use vulnstack_gefin::{
     avf_campaign, draw_sites, pvf_campaign, run_one_traced, temporal_campaign, FuncPrepared,
-    InjectEngine, InjectionPlan, InjectionRecord, Prepared, PvfMode,
+    InjectionPlan, InjectionRecord, Prepared, PvfMode,
 };
 use vulnstack_isa::Isa;
 use vulnstack_microarch::lifetime::DEFAULT_EVENT_CAP;
@@ -38,14 +38,7 @@ fn traced(
     draw_sites(prep, structure, n, seed)
         .into_iter()
         .map(|(cycle, bit)| {
-            let (rec, trace) = run_one_traced(
-                prep,
-                structure,
-                cycle,
-                bit,
-                InjectEngine::Checkpointed,
-                DEFAULT_EVENT_CAP,
-            );
+            let (rec, trace) = run_one_traced(prep, structure, cycle, bit, DEFAULT_EVENT_CAP);
             (rec, trace.expect("tracing was enabled"))
         })
         .unzip()
@@ -185,9 +178,8 @@ fn metrics_record_one_span_per_executed_site_on_every_engine() {
         });
     }
     spans_follow_execution("sweep", 8, |opts| {
-        temporal_campaign(&prep, rf, 2, 4, SEED, false, opts)
+        temporal_campaign(&prep, rf, 2, 4, SEED, opts)
             .unwrap()
-            .0
             .stats
     });
     let fprep = FuncPrepared::new(&w, Isa::Va64).unwrap();
