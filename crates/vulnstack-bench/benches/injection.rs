@@ -9,7 +9,6 @@ use vulnstack_gefin::avf::run_one;
 use vulnstack_gefin::{FuncPrepared, Prepared};
 use vulnstack_isa::FaultModel;
 use vulnstack_llfi::{golden_run, run_one as svf_run_one};
-use vulnstack_microarch::func::{PvfFault, PvfMutation};
 use vulnstack_microarch::ooo::HwStructure;
 use vulnstack_microarch::{CoreModel, FuncCore};
 use vulnstack_vir::interp::SwFault;
@@ -29,19 +28,13 @@ fn bench_injection_layers(c: &mut Criterion) {
 
     // Architecture level (PVF): one persistent register flip.
     let fprep = FuncPrepared::new(&w, vulnstack_isa::Isa::Va64).unwrap();
-    let fault = PvfFault {
-        at_instr: fprep.golden.instrs / 2,
-        mutation: PvfMutation::FlipReg {
-            reg: vulnstack_isa::Reg(3),
-            bit: 7,
-        },
-    };
+    let at = fprep.golden.instrs / 2;
     g.bench_function(BenchmarkId::new("pvf_run", "crc32/va64"), |b| {
         b.iter(|| {
-            FuncCore::new(&fprep.image)
-                .with_fault(fault)
-                .run(fprep.budget)
-                .instrs
+            let mut core = FuncCore::new(&fprep.image);
+            while core.icount() < at && core.step() {}
+            core.inject_reg(vulnstack_isa::Reg(3), 7, FaultModel::BitFlip);
+            core.run(fprep.budget).instrs
         });
     });
 

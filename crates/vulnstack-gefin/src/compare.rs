@@ -5,8 +5,9 @@
 //! * **static PVF** (`vulnstack-analyze`) — zero executions, pure binary
 //!   analysis; the most pessimistic: liveness cannot see logical masking
 //!   and its block-frequency model cannot see data-dependent control flow;
-//! * **dynamic ACE** ([`crate::ace_analysis`]) — one fault-free
-//!   cycle-level run, lifetime accounting over the physical register file;
+//! * **dynamic ACE** ([`crate::ace_analysis`]) — lifetime accounting
+//!   over the physical register file's accesses, as the observed golden
+//!   pass of the cycle-level preparation records them;
 //! * **injection AVF** ([`crate::avf_campaign`]) — thousands of faulty
 //!   runs; the ground truth the other two bound from above.
 
@@ -30,11 +31,12 @@ pub struct StaticDynamicComparison {
     pub model: CoreModel,
     /// Static PVF of the architectural register file (no execution).
     pub static_rf_pvf: f64,
-    /// ACE-style analytical AVF of the physical register file (one run).
+    /// ACE-style analytical AVF of the physical register file (from the
+    /// golden run).
     pub ace_rf_avf: f64,
     /// Injection-measured register-file AVF, if a campaign was requested.
     pub injected_rf_avf: Option<f64>,
-    /// Cycles of the fault-free ACE run.
+    /// Cycles of the golden run ACE counts over.
     pub cycles: u64,
     /// Number of lint findings the static pass reported.
     pub lint_count: usize,
@@ -74,7 +76,8 @@ pub fn static_vs_dynamic(
         .map_err(|e| PrepareError::Compile(e.to_string()))?;
     let sa = analyze(&compiled);
 
-    let prep = Prepared::new(workload, model)?;
+    let both = [HwStructure::RegisterFile, HwStructure::Lsq];
+    let prep = Prepared::observing(workload, model, &both)?;
     let ace = ace_analysis(&prep);
     let injected_rf_avf = if inj_faults > 0 {
         let (campaign, _) = avf_campaign(

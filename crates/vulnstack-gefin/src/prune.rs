@@ -163,6 +163,11 @@ pub struct ClassTable {
     sq_len: usize,
     /// Armed masks indexed by cycle, `0..=golden_cycles` (LSQ only).
     armed: Vec<ArmedMask>,
+    /// Valid LSQ entries summed over the golden run's steps, each
+    /// step's counted as it begins (LSQ only): the occupancy ACE counts
+    /// ([`crate::ace`]). It classifies no site, so it stays out of the
+    /// digest, which journals carry as their `class-table` metadata.
+    lsq_occupancy: u64,
     digest: u64,
 }
 
@@ -180,15 +185,31 @@ impl ClassTable {
     /// Panics if the observed run fails to retrace the reference golden
     /// run (observing must never perturb simulation).
     pub fn build(prep: &Prepared, structure: HwStructure) -> ClassTable {
-        let mut observer = GoldenObserver::new(&[structure]);
-        if observer.observes(structure) {
+        let [table] = ClassTable::rerun(prep, [structure]);
+        table
+    }
+
+    /// The tables of `structures`, from one bare golden re-run observing
+    /// them all: [`ClassTable::build`] of each, for the cost of one
+    /// pass.
+    ///
+    /// # Panics
+    ///
+    /// As [`ClassTable::build`].
+    pub(crate) fn rerun<const N: usize>(
+        prep: &Prepared,
+        structures: [HwStructure; N],
+    ) -> [ClassTable; N] {
+        let mut observer = GoldenObserver::new(&structures);
+        if structures.iter().any(|&s| observer.observes(s)) {
             let out = observer.run(&prep.cfg, &prep.image, prep.budget);
             assert_eq!(
                 out.sim.cycles, prep.golden.cycles,
                 "observed golden run diverged from the reference golden run"
             );
         }
-        ClassTable::from_observer(&prep.cfg, prep.golden.cycles, structure, &mut observer)
+        structures
+            .map(|s| ClassTable::from_observer(&prep.cfg, prep.golden.cycles, s, &mut observer))
     }
 
     /// The table of `structure` from what `observer` recorded along a
@@ -205,14 +226,14 @@ impl ClassTable {
         structure: HwStructure,
         observer: &mut GoldenObserver,
     ) -> ClassTable {
-        let (rf_events, dispatch_cycles, armed) = match structure {
+        let (rf_events, dispatch_cycles, (armed, lsq_occupancy)) = match structure {
             HwStructure::RegisterFile => {
                 let (log, dispatch) = observer.take_rf().expect("the pass observed the RF");
-                (log.into_events(), dispatch, Vec::new())
+                (log.into_events(), dispatch, Default::default())
             }
             HwStructure::Lsq => {
-                let armed = observer.take_armed().expect("the pass observed the LSQ");
-                (Vec::new(), Vec::new(), armed)
+                let lsq = observer.take_lsq().expect("the pass observed the LSQ");
+                (Vec::new(), Vec::new(), lsq)
             }
             HwStructure::L1i | HwStructure::L1d | HwStructure::L2 => Default::default(),
         };
@@ -225,6 +246,7 @@ impl ClassTable {
             lq_len: cfg.lq_entries as usize,
             sq_len: cfg.sq_entries as usize,
             armed,
+            lsq_occupancy,
             digest: 0,
         };
         t.digest = t.compute_digest();
@@ -401,6 +423,16 @@ impl ClassTable {
     /// The target structure.
     pub fn structure(&self) -> HwStructure {
         self.structure
+    }
+
+    /// Per-preg access events, in execution order (RF only).
+    pub(crate) fn rf_events(&self) -> &[Vec<RfAccess>] {
+        &self.rf_events
+    }
+
+    /// ACE's LSQ occupancy and the queues' entry count (LSQ only).
+    pub(crate) fn lsq_occupancy(&self) -> (u64, usize) {
+        (self.lsq_occupancy, self.lq_len + self.sq_len)
     }
 }
 

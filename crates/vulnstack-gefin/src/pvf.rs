@@ -14,8 +14,8 @@ use vulnstack_core::effects::FaultEffect;
 use vulnstack_core::journal::{fnv1a64, Fingerprint, JournalError};
 use vulnstack_core::{Campaign, RunOpts, TallyStreamed};
 use vulnstack_isa::fields::bits_of_class;
-use vulnstack_isa::{BitClass, Reg};
-use vulnstack_microarch::func::{FuncCore, PvfFault, PvfMutation};
+use vulnstack_isa::{BitClass, FaultModel, Reg};
+use vulnstack_microarch::func::FuncCore;
 
 use crate::prepare::FuncPrepared;
 
@@ -74,6 +74,24 @@ fn classify_outcome(prep: &FuncPrepared, out: &vulnstack_microarch::SimOutcome) 
     )
 }
 
+/// The fault-free core `start(k)` yields, advanced to dynamic
+/// instruction `k` (or its end): where a fault at `k` lands.
+///
+/// # Panics
+///
+/// Panics if `start(k)` is already past `k`: the fault would land late,
+/// and a run the fault never reaches would be recorded as Masked.
+fn core_at(start: &impl Fn(u64) -> FuncCore, k: u64) -> FuncCore {
+    let mut core = start(k);
+    assert!(
+        core.icount() <= k,
+        "fault at instruction {k} on a core already at {}",
+        core.icount()
+    );
+    while core.icount() < k && core.step() {}
+    core
+}
+
 /// Runs one WD injection: flip a register or program-flow memory bit at a
 /// random dynamic instant. `start(k)` yields a fault-free core at or
 /// before dynamic instruction `k`.
@@ -87,24 +105,16 @@ fn run_wd(prep: &FuncPrepared, rng: &mut StdRng, start: &impl Fn(u64) -> FuncCor
     // registers; weighting purely by bit count would drown them in memory
     // bits — see DESIGN.md).
     let use_reg = mem_bits == 0 || rng.gen_range(0..2) == 0;
-    let mutation = if use_reg {
-        let pick = rng.gen_range(0..reg_bits);
-        PvfMutation::FlipReg {
-            reg: Reg((pick / xlen) as u8),
-            bit: (pick % xlen) as u8,
-        }
+    let pick = rng.gen_range(0..if use_reg { reg_bits } else { mem_bits });
+    let mut core = core_at(start, at_instr);
+    if use_reg {
+        let reg = Reg((pick / xlen) as u8);
+        core.inject_reg(reg, (pick % xlen) as u8, FaultModel::BitFlip);
     } else {
-        let m = rng.gen_range(0..mem_bits);
-        let idx = (m / 8) as usize % prep.profile.touched_bytes.len().max(1);
-        PvfMutation::FlipMem {
-            addr: prep.profile.touched_bytes[idx],
-            bit: (m % 8) as u8,
-        }
-    };
-    let out = start(at_instr)
-        .with_fault(PvfFault { at_instr, mutation })
-        .run(prep.budget);
-    classify_outcome(prep, &out)
+        let idx = (pick / 8) as usize % prep.profile.touched_bytes.len().max(1);
+        core.poke_bit(prep.profile.touched_bytes[idx], (pick % 8) as u8);
+    }
+    classify_outcome(prep, &core.run(prep.budget))
 }
 
 /// Runs one WOI/WI injection: step to a random dynamic instruction, flip
@@ -120,8 +130,7 @@ fn run_encoding(
     // of the desired class (e.g. `syscall` has no operand bits).
     for _ in 0..16 {
         let k = rng.gen_range(0..prep.golden.instrs);
-        let mut core = start(k);
-        while core.icount() < k && core.step() {}
+        let mut core = core_at(start, k);
         if core.ended() {
             continue;
         }
@@ -240,6 +249,15 @@ mod tests {
         // Opcode/control-flow corruption should produce a solid share of
         // crashes (invalid opcodes, wild jumps).
         assert!(wi.crash > 0, "{wi:?}");
+    }
+
+    #[test]
+    #[should_panic(expected = "already at")]
+    fn a_fault_behind_the_core_panics() {
+        let w = WorkloadId::Crc32.build();
+        let prep = FuncPrepared::new(&w, Isa::Va64).unwrap();
+        let interval = prep.checkpoints.interval();
+        core_at(&|_| prep.checkpoints.restore(2 * interval), interval);
     }
 
     #[test]

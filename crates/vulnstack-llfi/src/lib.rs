@@ -25,7 +25,6 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use vulnstack_core::effects::{FaultEffect, Tally};
 use vulnstack_core::journal::{fnv1a64, Fingerprint};
-use vulnstack_core::trace::CampaignMetrics;
 use vulnstack_core::{Campaign, JournalError, RunOpts, TallyStreamed};
 use vulnstack_isa::FaultModel;
 use vulnstack_microarch::snapshot::{self, CheckpointStore};
@@ -109,42 +108,8 @@ pub fn golden_run(module: &Module, input: &[u8]) -> SvfGolden {
 
 /// Runs one software-level injection.
 pub fn run_one(module: &Module, input: &[u8], golden: &SvfGolden, fault: SwFault) -> FaultEffect {
-    run_one_classed(module, input, golden, fault).0
-}
-
-/// [`run_one`] with campaign-metrics recording: a faulty run that burns
-/// its whole dynamic-instruction budget (the software layer's watchdog)
-/// is counted as a `watchdog_expiries` metric in addition to its
-/// Crash-class record. The returned effect is identical to [`run_one`].
-pub fn run_one_metered(
-    module: &Module,
-    input: &[u8],
-    golden: &SvfGolden,
-    fault: SwFault,
-    metrics: Option<&CampaignMetrics>,
-) -> FaultEffect {
     let out = faulty_run(module, input, golden, fault);
-    if out.status == RunStatus::Timeout {
-        if let Some(m) = metrics {
-            m.record_watchdog_expiry();
-        }
-    }
     classify(out.status, &out.output, golden.status, &golden.output)
-}
-
-/// Runs one injection, also reporting the class of the IR instruction the
-/// fault landed on.
-pub fn run_one_classed(
-    module: &Module,
-    input: &[u8],
-    golden: &SvfGolden,
-    fault: SwFault,
-) -> (FaultEffect, Option<InstrClass>) {
-    let out = faulty_run(module, input, golden, fault);
-    (
-        classify(out.status, &out.output, golden.status, &golden.output),
-        out.injected_class,
-    )
 }
 
 /// Interprets `module` with `fault` injected, under the faulty-run
@@ -171,14 +136,15 @@ pub fn svf_breakdown(
     seed: u64,
 ) -> BTreeMap<InstrClass, Tally> {
     let golden = golden_run(module, input);
-    let mut out: BTreeMap<InstrClass, Tally> = BTreeMap::new();
+    let mut by_class: BTreeMap<InstrClass, Tally> = BTreeMap::new();
     for fault in draw_faults(&golden, n, seed) {
-        let (effect, class) = run_one_classed(module, input, &golden, fault);
-        if let Some(c) = class {
-            out.entry(c).or_default().add(effect);
+        let out = faulty_run(module, input, &golden, fault);
+        if let Some(c) = out.injected_class {
+            let effect = classify(out.status, &out.output, golden.status, &golden.output);
+            by_class.entry(c).or_default().add(effect);
         }
     }
-    out
+    by_class
 }
 
 /// Draws the campaign's fault sites from one seeded stream, so the
@@ -276,7 +242,16 @@ pub fn svf_campaign(
         meta: Vec::new(),
     }
     .run_tally(opts, |_, &f| {
-        run_one_metered(module, input, &golden, f, opts.metrics)
+        let out = faulty_run(module, input, &golden, f);
+        // A run that burns its whole dynamic-instruction budget (the
+        // software layer's watchdog) is a Crash-class record, and also a
+        // watchdog expiry in the metrics.
+        if out.status == RunStatus::Timeout {
+            if let Some(m) = opts.metrics {
+                m.record_watchdog_expiry();
+            }
+        }
+        classify(out.status, &out.output, golden.status, &golden.output)
     })
     .map_err(SvfError::Journal)
 }

@@ -6,7 +6,7 @@
 
 use vulnstack_core::trace::CampaignMetrics;
 use vulnstack_core::{FaultEffect, RunOpts};
-use vulnstack_llfi::{draw_faults, golden_run, run_one, run_one_metered, svf_campaign};
+use vulnstack_llfi::{draw_faults, golden_run, run_one, svf_campaign};
 use vulnstack_vir::builder::ModuleBuilder;
 use vulnstack_vir::interp::{Interpreter, RunStatus, SwFault};
 use vulnstack_vir::Module;
@@ -54,29 +54,12 @@ fn find_timeout_fault(module: &Module, budget: u64) -> SwFault {
 }
 
 #[test]
-fn watchdog_expiry_classifies_as_crash_and_is_metered() {
+fn watchdog_expiry_classifies_as_crash() {
     let module = countdown_module(50);
     let golden = golden_run(&module, &[]);
     assert_eq!(golden.status, RunStatus::Exited(0));
     let fault = find_timeout_fault(&module, golden.budget);
-
-    // Unmetered and metered paths agree on the Crash classification.
     assert_eq!(run_one(&module, &[], &golden, fault), FaultEffect::Crash);
-    let metrics = CampaignMetrics::new("timeout-classification");
-    assert_eq!(
-        run_one_metered(&module, &[], &golden, fault, Some(&metrics)),
-        FaultEffect::Crash
-    );
-    assert_eq!(metrics.report().watchdog_expiries, 1);
-
-    // A masked control: the golden-identical run records no expiry.
-    let benign = CampaignMetrics::new("benign");
-    let effect = run_one_metered(&module, &[], &golden, SwFault::flip(0, 30), Some(&benign));
-    // Whatever the benign fault classifies as, only true timeouts may
-    // bump the counter.
-    if effect != FaultEffect::Crash {
-        assert_eq!(benign.report().watchdog_expiries, 0);
-    }
 }
 
 #[test]

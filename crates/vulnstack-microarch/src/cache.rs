@@ -181,25 +181,6 @@ impl Cache {
     }
 }
 
-/// Aggregate hierarchy statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MemStats {
-    /// L1i hits / misses.
-    pub l1i_hits: u64,
-    /// L1i misses.
-    pub l1i_misses: u64,
-    /// L1d hits.
-    pub l1d_hits: u64,
-    /// L1d misses.
-    pub l1d_misses: u64,
-    /// L2 hits.
-    pub l2_hits: u64,
-    /// L2 misses.
-    pub l2_misses: u64,
-    /// Dirty lines written back to the next level.
-    pub writebacks: u64,
-}
-
 /// Result of a single-bit cache flip.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FlipResult {
@@ -226,8 +207,6 @@ pub struct MemSystem {
     mem_latency: u32,
     tick: u64,
     taint: Option<MemTaint>,
-    /// Aggregate statistics.
-    pub stats: MemStats,
 }
 
 impl MemSystem {
@@ -241,7 +220,6 @@ impl MemSystem {
             mem_latency: cfg.mem_latency,
             tick: 0,
             taint: None,
-            stats: MemStats::default(),
         }
     }
 
@@ -267,15 +245,10 @@ impl MemSystem {
     /// This is the memory half of the early-termination convergence
     /// check. It compares the behavioral state — the interleaved LRU
     /// clock (`tick`), all three cache arrays (valid/dirty/tag/`last_use`/
-    /// data), and main memory — and deliberately *excludes* two
-    /// observer-only fields:
-    ///
-    /// * `stats` — hit/miss counters are never read by the simulation, so
-    ///   divergent counts cannot change future behavior;
-    /// * a **dead** taint record (`!live()`) — once every level's taint
-    ///   flag is clear no corrupted copy exists anywhere, and taint can
-    ///   only spread from an existing live copy, so a dead record is
-    ///   inert bookkeeping.
+    /// data), and main memory — and deliberately *excludes* a **dead**
+    /// taint record (`!live()`): once every level's taint flag is clear
+    /// no corrupted copy exists anywhere, and taint can only spread from
+    /// an existing live copy, so a dead record is inert bookkeeping.
     ///
     /// A **live** taint is an immediate `false`: some copy of the flipped
     /// line still differs from golden (or could be re-exposed by an
@@ -314,7 +287,6 @@ impl MemSystem {
     fn l2_get_line(&mut self, line_addr: u32) -> ([u8; LINE as usize], u32, bool) {
         self.tick += 1;
         if let Some(w) = self.l2.lookup(line_addr) {
-            self.stats.l2_hits += 1;
             let set = self.l2.set_of(line_addr);
             let l = &mut self.l2.set_lines_mut(set)[w as usize];
             l.last_use = self.tick;
@@ -324,7 +296,6 @@ impl MemSystem {
                 .is_some_and(|t| t.at(Level::L2) && t.addr / LINE == line_addr / LINE);
             return (data, self.l2.latency, tainted);
         }
-        self.stats.l2_misses += 1;
         // Fill from memory.
         let mut data = [0u8; LINE as usize];
         self.mem.read(line_addr as usize, &mut data);
@@ -371,7 +342,6 @@ impl MemSystem {
                 let vtainted = Self::taint_line_overlap(&self.taint, vaddr)
                     && self.taint.is_some_and(|t| t.at(Level::L2));
                 if victim.dirty {
-                    self.stats.writebacks += 1;
                     self.mem.write(vaddr as usize, &victim.data);
                     self.set_taint(Level::Mem, vaddr, vtainted);
                 }
@@ -408,7 +378,6 @@ impl MemSystem {
             // the fault, a writeback moves it to L2.
             self.set_taint(which, vaddr, false);
             if victim.dirty {
-                self.stats.writebacks += 1;
                 self.install_l2(vaddr, victim.data, true, vtainted);
             }
         }
@@ -421,20 +390,9 @@ impl MemSystem {
     #[inline]
     fn l1_access(&mut self, which: Level, addr: u32) -> (&mut CacheLine, u32) {
         self.tick += 1;
-        let hit = self.cache(which).lookup(addr);
-        let (hits, misses) = match which {
-            Level::L1i => (&mut self.stats.l1i_hits, &mut self.stats.l1i_misses),
-            _ => (&mut self.stats.l1d_hits, &mut self.stats.l1d_misses),
-        };
-        let (way, lat) = match hit {
-            Some(w) => {
-                *hits += 1;
-                (w, self.cache(which).latency)
-            }
-            None => {
-                *misses += 1;
-                self.l1_fill(which, addr)
-            }
+        let (way, lat) = match self.cache(which).lookup(addr) {
+            Some(w) => (w, self.cache(which).latency),
+            None => self.l1_fill(which, addr),
         };
         let tick = self.tick;
         let c = self.cache_mut(which);
@@ -647,8 +605,6 @@ mod tests {
         let (lat_miss, _, _) = ms.load(A, 4);
         let (lat_hit, _, _) = ms.load(A, 4);
         assert!(lat_miss > lat_hit, "{lat_miss} vs {lat_hit}");
-        assert_eq!(ms.stats.l1d_misses, 1);
-        assert_eq!(ms.stats.l1d_hits, 1);
     }
 
     #[test]
@@ -667,7 +623,6 @@ mod tests {
         // And a re-load still sees it.
         let (_, v, _) = ms.load(A, 4);
         assert_eq!(v, 0x1234_5678);
-        assert!(ms.stats.writebacks >= 1);
     }
 
     #[test]

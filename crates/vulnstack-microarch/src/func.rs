@@ -2,10 +2,12 @@
 //! flat memory.
 //!
 //! This is the reference executor (golden runs) and the substrate for
-//! architecture-level (PVF) fault injection: a [`PvfFault`] flips one bit
-//! of *architectural* state — a register, a data byte, or an encoded
-//! instruction in the text segment — at a chosen dynamic instant, and the
-//! corruption persists until the program naturally overwrites it.
+//! architecture-level (PVF) fault injection: a campaign steps the core
+//! to a chosen dynamic instant and corrupts one bit of *architectural*
+//! state there — a register ([`FuncCore::inject_reg`]), a data byte or
+//! an encoded instruction in the text segment ([`FuncCore::poke_bit`])
+//! — and the corruption persists until the program naturally overwrites
+//! it.
 //!
 //! A campaign never re-executes the fault-free prefix of an injection:
 //! [`FuncCore::record`] snapshots the core along the golden run, and each
@@ -30,35 +32,6 @@ pub enum Mode {
     User,
     /// Kernel execution (boot and trap handling).
     Kernel,
-}
-
-/// An architectural-state mutation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PvfMutation {
-    /// Flip `bit` of register `reg`.
-    FlipReg {
-        /// Target architectural register.
-        reg: Reg,
-        /// Bit index (0-based, < XLEN).
-        bit: u8,
-    },
-    /// Flip `bit` of the byte at `addr` (data or text).
-    FlipMem {
-        /// Physical byte address.
-        addr: u32,
-        /// Bit index (0..8).
-        bit: u8,
-    },
-}
-
-/// A persistent architecture-level fault, applied just before the
-/// `at_instr`-th dynamic instruction executes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PvfFault {
-    /// Dynamic instruction index at which the flip happens.
-    pub at_instr: u64,
-    /// What to flip.
-    pub mutation: PvfMutation,
 }
 
 /// Execution profile collected from a golden run, used to sample
@@ -114,7 +87,6 @@ pub struct FuncCore {
     /// The image's decoded text: a shared cache, not state.
     text: SharedText,
     icount: u64,
-    fault: Option<PvfFault>,
     /// One-shot: the next fetched instruction is replaced by a NOP
     /// ([`FaultModel::InstrSkip`]).
     pending_skip: bool,
@@ -137,7 +109,6 @@ impl FuncCore {
             user_text_end: image.user_text_end,
             text: SharedText::new(image.decoded()),
             icount: 0,
-            fault: None,
             pending_skip: false,
             stuck_reg: None,
             ended: None,
@@ -173,23 +144,6 @@ impl FuncCore {
             }
         }
         (store, core.into_outcome(), prof.finish())
-    }
-
-    /// Arms an architecture-level fault.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the core has already executed past `fault.at_instr`: the
-    /// fault would never fire and the run would look Masked.
-    pub fn with_fault(mut self, fault: PvfFault) -> Self {
-        assert!(
-            fault.at_instr >= self.icount,
-            "fault at instruction {} armed on a core already at {}",
-            fault.at_instr,
-            self.icount
-        );
-        self.fault = Some(fault);
-        self
     }
 
     /// The current privilege mode.
@@ -331,19 +285,6 @@ impl FuncCore {
         if self.ended.is_some() {
             return false;
         }
-        // Apply the armed PVF fault at its dynamic instant.
-        if let Some(f) = self.fault {
-            if f.at_instr == self.icount {
-                match f.mutation {
-                    PvfMutation::FlipReg { reg, bit } => {
-                        self.inject_reg(reg, bit, FaultModel::BitFlip);
-                    }
-                    PvfMutation::FlipMem { addr, bit } => self.poke_bit(addr, bit),
-                }
-                self.fault = None;
-            }
-        }
-
         let pc = self.pc;
         self.icount += 1;
         if let Some(p) = prof.as_deref_mut() {
@@ -685,14 +626,10 @@ mod tests {
         // final write and the syscall must surface as a wrong exit code.
         let mut changed = false;
         for at in 0..40 {
-            let f = PvfFault {
-                at_instr: at,
-                mutation: PvfMutation::FlipReg {
-                    reg: Reg(0),
-                    bit: 3,
-                },
-            };
-            let out = FuncCore::new(&img).with_fault(f).run(1_000_000);
+            let mut core = FuncCore::new(&img);
+            while core.icount() < at && core.step() {}
+            core.inject_reg(Reg(0), 3, FaultModel::BitFlip);
+            let out = core.run(1_000_000);
             if out.status == RunStatus::Exited(8) {
                 changed = true;
             }
@@ -709,14 +646,9 @@ mod tests {
         let img = image_for(|f| f.sys_exit(0), isa);
         // Corrupt the first user instruction's opcode field to an invalid
         // opcode: flip the top opcode bit.
-        let f = PvfFault {
-            at_instr: 0,
-            mutation: PvfMutation::FlipMem {
-                addr: memmap::USER_TEXT + 3,
-                bit: 7,
-            },
-        };
-        let out = FuncCore::new(&img).with_fault(f).run(1_000_000);
+        let mut core = FuncCore::new(&img);
+        core.poke_bit(memmap::USER_TEXT + 3, 7);
+        let out = core.run(1_000_000);
         assert!(
             matches!(out.status, RunStatus::Crashed(_) | RunStatus::Timeout),
             "{:?}",
@@ -809,21 +741,6 @@ mod tests {
         let again = summing_loop(Isa::Va64);
         assert!(!Arc::ptr_eq(img.decoded(), again.decoded()));
         assert_eq!(FuncCore::new(&img), FuncCore::new(&again));
-    }
-
-    #[test]
-    #[should_panic(expected = "already at")]
-    fn arming_a_fault_behind_the_core_panics() {
-        let img = summing_loop(Isa::Va64);
-        let (store, _, _) = FuncCore::record(&img, 100, 16, 1_000_000);
-        let late = store.restore(2 * store.interval());
-        let _ = late.with_fault(PvfFault {
-            at_instr: store.interval(),
-            mutation: PvfMutation::FlipReg {
-                reg: Reg(1),
-                bit: 0,
-            },
-        });
     }
 
     #[test]

@@ -29,6 +29,7 @@ use crate::exec::{self, SharedText};
 use crate::func::Mode;
 use crate::lifetime::{FaultEventKind, FaultTrace, FaultUnit};
 use crate::outcome::{RunStatus, SimOutcome};
+use crate::snapshot::ArmedMask;
 
 /// Fault propagation model of a hardware fault's first architecturally
 /// visible manifestation (paper Table I).
@@ -441,9 +442,6 @@ pub struct OooCore {
     // emission site is behind a taint branch or this gate).
     ftrace: Option<FaultTrace>,
 
-    // ACE lifetime tracking (optional, for analytical AVF estimates).
-    ace: Option<AceState>,
-
     // Optional commit trace (bounded).
     trace: Option<(usize, Vec<(u64, Instr)>)>,
 
@@ -456,32 +454,6 @@ pub struct OooCore {
     // (fault-free instrumented runs only) — the site space of the
     // instruction-skip model, used for skip equivalence classes.
     dispatch_log: Option<Vec<u64>>,
-}
-
-/// Lifetime accounting for ACE-style analytical AVF estimation.
-///
-/// A physical register is counted vulnerable from a write to its last
-/// read before the next write (whole-register granularity — the classic
-/// source of ACE pessimism). LSQ vulnerability is approximated by entry
-/// occupancy.
-#[derive(Debug, Clone, PartialEq)]
-struct AceState {
-    rf_def: Vec<u64>,
-    rf_last_read: Vec<u64>,
-    rf_acc_cycles: u64,
-    lsq_occ_cycles: u64,
-}
-
-/// An analytical (ACE-style) AVF estimate from a fault-free run.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AceEstimate {
-    /// Register-file AVF upper bound (vulnerable register-cycles over
-    /// capacity-cycles).
-    pub rf_avf: f64,
-    /// LSQ AVF upper bound (occupied entry-cycles over capacity-cycles).
-    pub lsq_avf: f64,
-    /// Cycles observed.
-    pub cycles: u64,
 }
 
 impl OooCore {
@@ -542,7 +514,6 @@ impl OooCore {
             fpm: None,
             fpm_cycle: None,
             ftrace: None,
-            ace: None,
             trace: None,
             rf_log: None,
             dispatch_log: None,
@@ -633,73 +604,34 @@ impl OooCore {
         self.fpm_cycle
     }
 
-    /// Bitmask of load-queue entries whose flat-bit flips are *armed*
-    /// (entry valid with a generated address): exactly the entries whose
-    /// flips [`OooCore::inject`] taints. Flips into any other LQ entry
-    /// are rewritten before use or never read — provably Masked.
-    pub fn lq_armed(&self) -> u32 {
-        debug_assert!(self.lq.len() <= 32);
-        let mut m = 0u32;
+    /// The LSQ entries armed now and, from the same scan of both
+    /// queues, how many entries are valid. An entry is *armed* when
+    /// [`OooCore::inject`] taints its flat-bit flips: a load-queue entry
+    /// valid with a generated address, a store-queue entry valid and
+    /// executed. Flips into any other entry are rewritten before use or
+    /// never read — provably Masked.
+    pub(crate) fn lsq_armed(&self) -> (ArmedMask, u64) {
+        debug_assert!(self.lq.len() <= 32 && self.sq.len() <= 32);
+        let (mut armed, mut valid) = (ArmedMask::default(), 0);
         for (i, e) in self.lq.iter().enumerate() {
-            if e.valid && e.addr_ready {
-                m |= 1u32 << i;
+            if e.valid {
+                valid += 1;
+                armed.lq |= u32::from(e.addr_ready) << i;
             }
         }
-        m
-    }
-
-    /// Bitmask of store-queue entries whose flat-bit flips are armed
-    /// (entry valid and executed); see [`OooCore::lq_armed`].
-    pub fn sq_armed(&self) -> u32 {
-        debug_assert!(self.sq.len() <= 32);
-        let mut m = 0u32;
         for (i, e) in self.sq.iter().enumerate() {
-            if e.valid && e.ready {
-                m |= 1u32 << i;
+            if e.valid {
+                valid += 1;
+                armed.sq |= u32::from(e.ready) << i;
             }
         }
-        m
+        (armed, valid)
     }
 
     #[inline]
     fn ftrace_push(&mut self, kind: FaultEventKind) {
         if let Some(ft) = &mut self.ftrace {
             ft.push(self.cycle, kind);
-        }
-    }
-
-    /// Enables ACE lifetime tracking (fault-free analytical runs).
-    pub fn enable_ace(&mut self) {
-        let n = self.phys.len();
-        self.ace = Some(AceState {
-            rf_def: vec![0; n],
-            rf_last_read: vec![0; n],
-            rf_acc_cycles: 0,
-            lsq_occ_cycles: 0,
-        });
-    }
-
-    /// Finalises and returns the ACE estimate.
-    ///
-    /// # Panics
-    ///
-    /// Panics if [`OooCore::enable_ace`] was not called before the run.
-    pub fn ace_estimate(&self) -> AceEstimate {
-        let ace = self.ace.as_ref().expect("enable_ace() before running");
-        // Close out lifetimes still open at the end of the run.
-        let mut acc = ace.rf_acc_cycles;
-        for p in 0..self.phys.len() {
-            if ace.rf_last_read[p] > ace.rf_def[p] {
-                acc += ace.rf_last_read[p] - ace.rf_def[p];
-            }
-        }
-        let cyc = self.cycle.max(1);
-        let rf_capacity = (self.phys.len() as u64) * cyc;
-        let lsq_capacity = (self.lq.len() + self.sq.len()) as u64 * cyc;
-        AceEstimate {
-            rf_avf: acc as f64 / rf_capacity as f64,
-            lsq_avf: ace.lsq_occ_cycles as f64 / lsq_capacity as f64,
-            cycles: self.cycle,
         }
     }
 
@@ -883,14 +815,6 @@ impl OooCore {
         if self.rf_taint.is_some_and(|(tp, _)| tp == p as usize) {
             self.rf_taint = None;
             self.ftrace_push(FaultEventKind::Repaired);
-        }
-        if let Some(ace) = &mut self.ace {
-            let i = p as usize;
-            if ace.rf_last_read[i] > ace.rf_def[i] {
-                ace.rf_acc_cycles += ace.rf_last_read[i] - ace.rf_def[i];
-            }
-            ace.rf_def[i] = self.cycle;
-            ace.rf_last_read[i] = self.cycle;
         }
         self.phys[p as usize] = exec::trunc(self.isa, v);
         self.phys_ready[p as usize] = true;
@@ -1346,9 +1270,6 @@ impl OooCore {
         for (i, s) in srcs.iter().enumerate() {
             if let Some(p) = s {
                 vals[i] = self.read_phys(*p, taint);
-                if let Some(ace) = &mut self.ace {
-                    ace.rf_last_read[*p as usize] = self.cycle;
-                }
             }
         }
         vals
@@ -1841,13 +1762,6 @@ impl OooCore {
     /// Advances one cycle.
     pub fn step_cycle(&mut self) {
         self.cycle += 1;
-        if self.ace.is_some() {
-            let occ = self.lq.iter().filter(|e| e.valid).count()
-                + self.sq.iter().filter(|e| e.valid).count();
-            if let Some(ace) = &mut self.ace {
-                ace.lsq_occ_cycles += occ as u64;
-            }
-        }
         self.commit();
         if self.ended.is_some() {
             return;
@@ -1941,9 +1855,8 @@ impl OooCore {
     /// This is the early-termination convergence check. It is a
     /// hand-written comparison rather than the derived `PartialEq`
     /// because it must *exclude* observer-only state (`fpm`/`fpm_cycle`,
-    /// the fault trace, ACE accounting, commit trace, RF access log,
-    /// memory hit/miss counters, a dead memory-taint record) that a
-    /// faulty run legitimately accumulates without diverging
+    /// the fault trace, commit trace, RF access log, a dead memory-taint
+    /// record) that a faulty run legitimately accumulates without diverging
     /// behaviorally, and *normalize* LSQ entries whose stale invalid
     /// contents are never read. Every behavioral field is compared
     /// exactly; any live tainted state anywhere is an immediate `false`.
@@ -2039,11 +1952,11 @@ impl OooCore {
     /// happen (one period has none), so `HALT` never retires and the
     /// watchdog's `Timeout` is the only reachable ending.
     ///
-    /// Observer-only state (fault/commit traces, ACE, RF log, cache
-    /// hit/miss counters via `MemSystem`'s derived equality — its access
-    /// tick is part of the comparison, proving the window made *no*
-    /// memory accesses) is deliberately strict here: extra strictness
-    /// only costs missed detections, never soundness.
+    /// `MemSystem` compares by its derived equality: its access tick
+    /// proves the window made *no* memory accesses, and the observer-only
+    /// state it holds (a dead taint record) is deliberately strict here,
+    /// since extra strictness only costs missed detections, never
+    /// soundness.
     pub fn frozen_with(&self, anchor: &OooCore) -> bool {
         self.cycle > anchor.cycle
             && self.ended.is_none()

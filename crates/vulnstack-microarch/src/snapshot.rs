@@ -35,8 +35,9 @@
 //! workspace root).
 //!
 //! The cycle-level golden pass can also drive a [`GoldenObserver`],
-//! which records what the pruner's class tables are built from, so a
-//! pruned campaign simulates its golden run once.
+//! which records what the pruner's class tables and the ACE estimate
+//! are built from, so a pruned campaign or an ACE estimate simulates its
+//! golden run once.
 
 use vulnstack_kernel::SystemImage;
 
@@ -255,8 +256,7 @@ impl CheckpointStore<OooCore> {
 }
 
 /// The LSQ entries armed at the end of one cycle: bit `i` of `lq`/`sq`
-/// is set iff [`OooCore::inject`] would taint a flip of entry `i`
-/// ([`OooCore::lq_armed`], [`OooCore::sq_armed`]).
+/// is set iff [`OooCore::inject`] would taint a flip of entry `i`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ArmedMask {
     /// Armed load-queue entries.
@@ -265,20 +265,13 @@ pub struct ArmedMask {
     pub sq: u32,
 }
 
-impl ArmedMask {
-    fn of(core: &OooCore) -> ArmedMask {
-        ArmedMask {
-            lq: core.lq_armed(),
-            sq: core.sq_armed(),
-        }
-    }
-}
-
 /// What a golden pass records for the pruner's class tables
-/// (`vulnstack-gefin::prune::ClassTable`): for the register file, the
-/// per-preg access log ([`RfAccessLog`]) and the cycle of every decoded
-/// dispatch; for the LSQ, the armed entries at the end of every cycle.
-/// The caches need nothing, so observing them costs nothing.
+/// (`vulnstack-gefin::prune::ClassTable`) and the ACE estimate
+/// (`vulnstack-gefin::ace`): for the register file, the per-preg access
+/// log ([`RfAccessLog`]) and the cycle of every decoded dispatch; for
+/// the LSQ, the armed entries at the end of every cycle and the valid
+/// entries summed over the steps. The caches need nothing, so observing
+/// them costs nothing.
 ///
 /// One observer serves both passes that record: the checkpointing
 /// golden run ([`CheckpointStore::record`]) and a bare re-run
@@ -290,6 +283,12 @@ pub struct GoldenObserver {
     rf_logs: Option<(Box<RfAccessLog>, Vec<u64>)>,
     /// Armed masks indexed by cycle, `0..=` the pass's last cycle.
     armed: Option<Vec<ArmedMask>>,
+    /// Valid LSQ entries summed over the steps so far, each step's
+    /// counted as it begins.
+    occupancy: u64,
+    /// Valid LSQ entries at the last scan: those the next step begins
+    /// with.
+    valid: u64,
 }
 
 impl GoldenObserver {
@@ -300,6 +299,8 @@ impl GoldenObserver {
             rf: structures.contains(&HwStructure::RegisterFile),
             rf_logs: None,
             armed: structures.contains(&HwStructure::Lsq).then(Vec::new),
+            occupancy: 0,
+            valid: 0,
         }
     }
 
@@ -329,21 +330,27 @@ impl GoldenObserver {
             core.enable_dispatch_log();
         }
         if let Some(armed) = &mut self.armed {
-            armed.push(ArmedMask::of(core));
+            let (mask, valid) = core.lsq_armed();
+            armed.push(mask);
+            self.valid = valid;
         }
     }
 
     /// Runs `core` to `cycle` (or its end). With the LSQ observed it
     /// steps cycle by cycle and samples the armed entries after each
     /// one: the state an injection at that cycle sees, since a campaign
-    /// injects after `run_until(cycle)` returns.
+    /// injects after `run_until(cycle)` returns. The same scan counts
+    /// the valid entries, which the next step begins with.
     fn run_until(&mut self, core: &mut OooCore, cycle: u64) {
         let Some(armed) = &mut self.armed else {
             return core.run_until(cycle);
         };
         while !core.ended() && core.cycle() < cycle {
+            self.occupancy += self.valid;
             core.step_cycle();
-            armed.push(ArmedMask::of(core));
+            let (mask, valid) = core.lsq_armed();
+            armed.push(mask);
+            self.valid = valid;
         }
     }
 
@@ -364,10 +371,13 @@ impl GoldenObserver {
         self.rf_logs.take()
     }
 
-    /// Takes a finished pass's LSQ armed masks, indexed by cycle.
-    /// `None` unless the LSQ was observed.
-    pub fn take_armed(&mut self) -> Option<Vec<ArmedMask>> {
-        self.armed.take()
+    /// Takes a finished pass's LSQ record: the armed masks, indexed by
+    /// cycle, and the occupancy ACE counts, the valid entries summed
+    /// over the pass's steps, each step's counted as it begins (the step
+    /// on which the run ends included). `None` unless the LSQ was
+    /// observed.
+    pub fn take_lsq(&mut self) -> Option<(Vec<ArmedMask>, u64)> {
+        Some((self.armed.take()?, self.occupancy))
     }
 }
 
@@ -467,13 +477,31 @@ mod tests {
             assert!(restored.take_rf_log().is_none() && restored.take_dispatch_log().is_none());
         }
         let rf = observer.take_rf().expect("the register file was observed");
-        let armed = observer.take_armed().expect("the LSQ was observed");
-        assert_eq!(armed.len() as u64, out.sim.cycles + 1);
-        assert!(armed.iter().any(|&m| m != ArmedMask::default()));
+        let lsq = observer.take_lsq().expect("the LSQ was observed");
+        assert_eq!(lsq.0.len() as u64, out.sim.cycles + 1);
+        assert!(lsq.0.iter().any(|&m| m != ArmedMask::default()));
         let mut bare = GoldenObserver::new(&both);
         assert_eq!(bare.run(&cfg, &img, 10_000_000).sim, out.sim);
         assert_eq!(bare.take_rf(), Some(rf));
-        assert_eq!(bare.take_armed(), Some(armed));
+        assert_eq!(bare.take_lsq(), Some(lsq));
+    }
+
+    #[test]
+    fn occupancy_counts_the_valid_entries_each_step_begins_with() {
+        let img = image();
+        let cfg = CoreModel::A72.config();
+        let mut core = OooCore::new(&cfg, &img);
+        let mut want = 0;
+        while !core.ended() {
+            want += core.lsq_armed().1;
+            core.step_cycle();
+        }
+        let mut observer = GoldenObserver::new(&[HwStructure::Lsq]);
+        let (_, out) = CheckpointStore::record(&cfg, &img, 256, 16, 10_000_000, &mut observer);
+        assert_eq!(out.sim.cycles, core.cycle());
+        let (_, occupancy) = observer.take_lsq().expect("the LSQ was observed");
+        assert!(occupancy > 0);
+        assert_eq!(occupancy, want);
     }
 
     #[test]
@@ -490,7 +518,7 @@ mod tests {
             &mut observer,
         );
         assert!(store.len() >= 2);
-        assert!(observer.take_rf().is_none() && observer.take_armed().is_none());
+        assert!(observer.take_rf().is_none() && observer.take_lsq().is_none());
     }
 
     #[test]

@@ -228,37 +228,15 @@ proptest! {
     }
 }
 
-#[test]
-fn cache_statistics_are_internally_consistent() {
-    let w = vulnstack_workloads::WorkloadId::Crc32.build();
-    let c = compile(&w.module, Isa::Va32, &CompileOpts::default()).unwrap();
-    let img = SystemImage::build(&c, &w.input).unwrap();
-    let cfg = CoreModel::A9.config();
-    let mut core = OooCore::new(&cfg, &img);
-    core.run_until(100_000_000);
-    let s = core.mem.stats;
-    // The run must fetch far more than it misses, and every L1 miss goes
-    // to L2 (hits or misses there).
-    assert!(s.l1i_hits > 100 * s.l1i_misses.max(1), "{s:?}");
-    assert!(s.l1d_hits > s.l1d_misses, "{s:?}");
-    assert!(
-        s.l2_hits + s.l2_misses >= s.l1i_misses + s.l1d_misses,
-        "L2 sees every L1 miss: {s:?}"
-    );
-    // crc32's 4 KiB input + 1 KiB table fit in L1d: misses bounded by
-    // compulsory fills.
-    assert!(s.l1d_misses < 400, "{s:?}");
-}
-
 mod targeted_l1i {
     use super::*;
+    use vulnstack_isa::op::Format;
     use vulnstack_microarch::cache::Level;
     use vulnstack_microarch::ooo::Fpm;
 
-    /// Flip a chosen bit of a hot loop instruction in L1i and check the
-    /// end-to-end FPM classification matches the bit's field class.
-    fn run_with_l1i_flip(bit_in_word: u8) -> Option<Fpm> {
-        let img = image_for(
+    /// A 4,000-iteration summing loop on `isa`.
+    fn hot_loop(isa: Isa) -> SystemImage {
+        image_for(
             |f| {
                 let acc = f.fresh();
                 f.set_c(acc, 0);
@@ -268,8 +246,14 @@ mod targeted_l1i {
                 });
                 f.sys_exit(0);
             },
-            Isa::Va64,
-        );
+            isa,
+        )
+    }
+
+    /// Flip a chosen bit of a hot loop instruction in L1i and check the
+    /// end-to-end FPM classification matches the bit's field class.
+    fn run_with_l1i_flip(bit_in_word: u8) -> Option<Fpm> {
+        let img = hot_loop(Isa::Va64);
         let cfg = CoreModel::A72.config();
         let mut core = OooCore::new(&cfg, &img);
         core.run_until(3000); // loop is hot, its line sits in L1i
@@ -298,6 +282,51 @@ mod targeted_l1i {
         // a Wrong Instruction.
         if let Some(fpm) = run_with_l1i_flip(31) {
             assert_eq!(fpm, Fpm::Wi, "opcode corruption must classify WI");
+        }
+    }
+
+    /// VA32 names 16 registers, so setting the top bit of a 5-bit
+    /// register field names one the ISA lacks. Flipped in L1i inside a
+    /// hot loop, each such word of the loop body must be refused by the
+    /// decode of fetch and dispatch: the program crashes on an undefined
+    /// instruction, and the fault manifests as a wrong operand.
+    #[test]
+    fn va32_register_index_past_the_file_is_an_undefined_instruction() {
+        let img = hot_loop(Isa::Va32);
+        let mut golden = OooCore::new(&CoreModel::A9.config(), &img);
+        golden.run_until(3000);
+        // The loop body: the next instructions to commit.
+        let mut probe = golden.clone();
+        probe.enable_trace(64);
+        while probe.trace().len() < 64 && !probe.ended() {
+            probe.step_cycle();
+        }
+        let mut body: Vec<u64> = probe
+            .trace()
+            .iter()
+            .filter(|(_, i)| {
+                matches!(
+                    i.op.format(),
+                    Format::R | Format::I | Format::Load | Format::Store
+                )
+            })
+            .map(|&(pc, _)| pc)
+            .collect();
+        body.sort_unstable();
+        body.dedup();
+        assert!(body.len() >= 2, "loop body {body:x?}");
+        for pc in body {
+            let mut core = golden.clone();
+            // Word bit 23, the top bit of `rd`, is bit 7 of byte 2.
+            let flip = core.mem.flip_addr_bit(Level::L1i, pc as u32 + 2, 7);
+            assert!(flip.is_some(), "loop text at {pc:#x} not resident in L1i");
+            core.run_until(10_000_000);
+            let out = core.finish();
+            assert_eq!(
+                (out.sim.status, out.fpm),
+                (RunStatus::Crashed(1), Some(Fpm::Woi)),
+                "flip at {pc:#x}"
+            );
         }
     }
 

@@ -505,8 +505,13 @@ fn run(args: &[String]) -> Result<(), String> {
         }
         "avf" | "pvf" | "svf" => campaign(cmd.parse()?, &name, &opts),
         "ace" => {
+            // ACE reads what the golden pass records for the register
+            // file and the LSQ, so the run is simulated once.
             let spec = CampaignSpec::from_flags(Engine::Avf, &name, &opts)?;
-            let (model, prep) = (spec.model, service::prepare(&spec, &[])?);
+            let both = [HwStructure::RegisterFile, HwStructure::Lsq];
+            let model = spec.model;
+            let prep = Prepared::observing(&service::workload(&spec)?, model, &both)
+                .map_err(|e| e.to_string())?;
             let ace = vulnstack_gefin::ace_analysis(&prep);
             println!(
                 "{name} on {model}: ACE RF AVF ≈ {} | ACE LSQ AVF ≈ {} ({} cycles, analytical)",
@@ -601,14 +606,26 @@ fn run(args: &[String]) -> Result<(), String> {
                         })?
                     }
                     None => {
+                        let cycles = prep.golden.cycles;
                         let cycle = match opts.values.get("cycle") {
                             Some(v) => v.parse().map_err(|_| format!("bad cycle {v}"))?,
-                            None => prep.golden.cycles / 2,
+                            None => cycles / 2,
                         };
+                        if cycle > cycles {
+                            return Err(format!(
+                                "--cycle {cycle} is past the golden run ({cycles} cycles)"
+                            ));
+                        }
                         let bit = match opts.values.get("bit") {
                             Some(v) => v.parse().map_err(|_| format!("bad bit {v}"))?,
                             None => 0,
                         };
+                        let bits = st.bits(&prep.cfg);
+                        if bit >= bits {
+                            return Err(format!(
+                                "--bit {bit} is out of range ({st} has {bits} bits)"
+                            ));
+                        }
                         (cycle, bit)
                     }
                 };

@@ -3,15 +3,18 @@
 //! order with numbers at their documented decimals, and carries the
 //! values the library computes for the same input. Also `vulnstack trace
 //! --site`, whose replay of a campaign site reports the record the
-//! campaign journaled for it.
+//! campaign journaled for it, and `trace`'s refusal of a site outside
+//! the golden run or the structure.
 
 use std::ffi::OsStr;
 use std::process::Command;
 
 use vulnstack_compiler::{compile, CompileOpts};
 use vulnstack_core::json::{self, Value};
-use vulnstack_gefin::decode_record;
+use vulnstack_gefin::{decode_record, Prepared};
 use vulnstack_isa::Isa;
+use vulnstack_microarch::ooo::HwStructure;
+use vulnstack_microarch::CoreModel;
 use vulnstack_workloads::WorkloadId;
 
 /// Runs `vulnstack <args> --json <file>` and returns the file's text
@@ -314,5 +317,54 @@ fn trace_site_replays_the_journaled_record() {
     assert!(
         last_event.ends_with(": hang proven (run ended early as Timeout)"),
         "{out}"
+    );
+}
+
+/// Runs `vulnstack <args>`, which must fail with exit status 1, and
+/// returns the first line of its stderr.
+fn cli_error(args: &[&str]) -> String {
+    let out = Command::new(env!("CARGO_BIN_EXE_vulnstack"))
+        .args(args)
+        .output()
+        .expect("run the CLI");
+    let stderr = String::from_utf8(out.stderr).expect("UTF-8 stderr");
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    stderr.lines().next().unwrap_or_default().to_string()
+}
+
+/// A `--bit` at or past the structure's bit count, or a `--cycle` past
+/// the golden run, is refused before anything is injected, by name.
+#[test]
+fn trace_refuses_a_site_outside_the_run_or_the_structure() {
+    let model = CoreModel::A57;
+    let site = |st: HwStructure, flag: &str, value: u64| {
+        cli_error(&[
+            "trace",
+            "qsort",
+            "--model",
+            model.name(),
+            "--structure",
+            st.name(),
+            flag,
+            &value.to_string(),
+        ])
+    };
+    for st in HwStructure::ALL {
+        let bits = st.bits(&model.config());
+        assert_eq!(
+            site(st, "--bit", bits),
+            format!("error: --bit {bits} is out of range ({st} has {bits} bits)")
+        );
+    }
+    let cycles = Prepared::new(&WorkloadId::Qsort.build(), model)
+        .expect("prepare qsort")
+        .golden
+        .cycles;
+    assert_eq!(
+        site(HwStructure::RegisterFile, "--cycle", cycles + 1),
+        format!(
+            "error: --cycle {} is past the golden run ({cycles} cycles)",
+            cycles + 1
+        )
     );
 }

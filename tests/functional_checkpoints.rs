@@ -12,7 +12,6 @@ use vulnstack_gefin::{FuncPrepared, PvfMode};
 use vulnstack_isa::fields::bits_of_class;
 use vulnstack_isa::{BitClass, FaultModel, Isa, Reg};
 use vulnstack_llfi::SvfGolden;
-use vulnstack_microarch::func::{PvfFault, PvfMutation};
 use vulnstack_microarch::{FuncCore, SimOutcome};
 use vulnstack_vir::interp::{Interpreter, SwFault};
 use vulnstack_vir::Module;
@@ -89,26 +88,13 @@ fn every_pvf_site_resumes_exactly() {
 /// of the encoding about to execute.
 fn pvf_outcomes(prep: &FuncPrepared, k: u64, start: impl Fn() -> FuncCore) -> Vec<SimOutcome> {
     let mut out = Vec::new();
+    let mut core = step_to(start(), k);
+    core.inject_reg(Reg((k % 8) as u8 + 1), (k % 31) as u8, FaultModel::BitFlip);
+    out.push(core.run(prep.budget));
     let addr = prep.profile.touched_bytes[k as usize % prep.profile.touched_bytes.len()];
-    for mutation in [
-        PvfMutation::FlipReg {
-            reg: Reg((k % 8) as u8 + 1),
-            bit: (k % 31) as u8,
-        },
-        PvfMutation::FlipMem {
-            addr,
-            bit: (k % 8) as u8,
-        },
-    ] {
-        out.push(
-            start()
-                .with_fault(PvfFault {
-                    at_instr: k,
-                    mutation,
-                })
-                .run(prep.budget),
-        );
-    }
+    let mut core = step_to(start(), k);
+    core.poke_bit(addr, (k % 8) as u8);
+    out.push(core.run(prep.budget));
     for class in [BitClass::Operand, BitClass::Instruction] {
         let mut core = step_to(start(), k);
         if !core.ended() {

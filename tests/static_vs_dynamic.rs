@@ -3,16 +3,18 @@
 //! register file that means
 //!
 //! ```text
-//! static PVF (zero runs)  >=  dynamic ACE (one run)  >=  injection AVF
+//! static PVF (zero runs)  >=  dynamic ACE (the golden run)  >=  injection AVF
 //! ```
 //!
 //! Static PVF comes from `vulnstack-analyze` (pure binary analysis:
 //! liveness over a recovered CFG, weighted by a static loop model); ACE
-//! from one fault-free instrumented run; injection from a sampled
+//! from what the observed golden pass records; injection from a sampled
 //! campaign. The lower comparison carries a 0.8 slack for sampling noise,
-//! matching the tolerance the ACE-vs-injection seed test uses.
+//! matching the tolerance the ACE-vs-injection seed test uses. ACE's own
+//! numbers are pinned, and tied to the class table's live fraction.
 
-use vulnstack_gefin::static_vs_dynamic;
+use vulnstack_gefin::{ace_analysis, static_vs_dynamic, Prepared};
+use vulnstack_microarch::ooo::HwStructure;
 use vulnstack_microarch::CoreModel;
 use vulnstack_workloads::WorkloadId;
 
@@ -90,4 +92,83 @@ fn static_pvf_is_isa_sensitive_but_model_insensitive() {
 
     let a9 = static_vs_dynamic(&w, CoreModel::A9, 0, 1, 1).unwrap();
     assert_ne!(a9.static_rf_pvf, a72.static_rf_pvf);
+}
+
+/// One cheap workload per core model, with the bit patterns of its ACE
+/// estimate `(rf_avf, lsq_avf, cycles)`, computed by an earlier build.
+const ACE_PINS: [(WorkloadId, CoreModel, u64, u64, u64); 4] = [
+    (
+        WorkloadId::Crc32,
+        CoreModel::A9,
+        0x3fbb_0cd4_fbb2_8f14,
+        0x3fd0_6105_ca92_7867,
+        128_767,
+    ),
+    (
+        WorkloadId::Smooth,
+        CoreModel::A15,
+        0x3fbc_243d_2dfa_5bce,
+        0x3fd1_c6ec_aa9e_33ee,
+        105_162,
+    ),
+    (
+        WorkloadId::Qsort,
+        CoreModel::A57,
+        0x3fb5_0e84_8faa_de60,
+        0x3fbd_b7f7_9109_7cd5,
+        30_841,
+    ),
+    (
+        WorkloadId::Sha,
+        CoreModel::A72,
+        0x3fc1_66bc_40f2_98e0,
+        0x3fc2_f984_5d01_4982,
+        86_716,
+    ),
+];
+
+/// `id` on `model`, its golden pass observing the register file and the
+/// LSQ.
+fn observed(id: WorkloadId, model: CoreModel) -> Prepared {
+    let both = [HwStructure::RegisterFile, HwStructure::Lsq];
+    Prepared::observing(&id.build(), model, &both).unwrap()
+}
+
+#[test]
+fn ace_estimates_match_their_pinned_bits() {
+    for (id, model, rf, lsq, cycles) in ACE_PINS {
+        let plain = Prepared::new(&id.build(), model).unwrap();
+        for prep in [&observed(id, model), &plain] {
+            let ace = ace_analysis(prep);
+            assert_eq!(
+                (ace.rf_avf.to_bits(), ace.lsq_avf.to_bits(), ace.cycles),
+                (rf, lsq, cycles),
+                "{id} on {model}: {ace:?}"
+            );
+        }
+    }
+}
+
+/// ACE's register-file estimate and the class table's live fraction sum
+/// the same def-to-last-read intervals of the golden run's access log.
+/// They differ only on a register whose first access is a read: ACE
+/// counts that interval from cycle 0, the live fraction from cycle 1
+/// (the first cycle a campaign samples). So ACE is the larger, by at
+/// most one cycle per register.
+#[test]
+fn ace_rf_estimate_is_the_live_fraction_within_one_cycle() {
+    for (id, model, ..) in ACE_PINS {
+        let prep = observed(id, model);
+        let ace = ace_analysis(&prep);
+        let live = prep
+            .table(HwStructure::RegisterFile)
+            .and_then(|t| t.rf_dynamic_live_fraction())
+            .expect("the register file was observed");
+        let gap = ace.rf_avf - live;
+        assert!(
+            (0.0..=1.0 / prep.golden.cycles as f64).contains(&gap),
+            "{id} on {model}: ACE {} vs live {live}",
+            ace.rf_avf
+        );
+    }
 }
